@@ -105,6 +105,54 @@ def frac_lap_dist_alpha(x, alpha):
     return frac_lap_smooth(w, x, alpha, [mp.mpf(0), mp.mpf("0.5"), mp.mpf(1)])
 
 
+def _quintic_log_blend(tau, delta):
+    """Coefficients of the quintic q for which exp(q(s)) glues s^tau at
+    s = delta (value and two derivatives) to a flat constant at s = 1/2."""
+    half = mp.mpf(1) / 2
+
+    def rows(s):
+        return [
+            [s**k for k in range(6)],
+            [0] + [k * s ** (k - 1) for k in range(1, 6)],
+            [0, 0] + [k * (k - 1) * s ** (k - 2) for k in range(2, 6)],
+        ]
+
+    A = mp.matrix(rows(delta) + rows(half))
+    b = mp.matrix(
+        [tau * mp.log(delta), tau / delta, -tau / delta**2, tau * mp.log(half), 0, 0]
+    )
+    return mp.lu_solve(A, b)
+
+
+def frac_lap_profile(x, tau, alpha, delta="0.1"):
+    """(-Delta)^a of the barrier profile V = d^tau on {d <= delta}, exp(quintic)
+    continuation inside, 0 outside (0, 1), at 0 < x <= 1/2.
+
+    Collar points use the half-line identity L z_+^tau = -C(tau) x^(tau-2a)
+    with C from `kernel_constant`, plus the remainder V - z_+^tau (zero on
+    (-inf, delta]) integrated directly; interior points use `frac_lap_smooth`.
+    """
+    x, tau, alpha, delta = (mp.mpf(v) for v in (x, tau, alpha, delta))
+    q = _quintic_log_blend(tau, delta)
+
+    def V(z):
+        if not 0 < z < 1:
+            return mp.mpf(0)
+        s = min(z, 1 - z)
+        return s**tau if s <= delta else mp.exp(sum(q[k] * s**k for k in range(6)))
+
+    if x >= delta:
+        breakpts = [mp.mpf(0), delta, mp.mpf("0.5"), 1 - delta, mp.mpf(1)]
+        return frac_lap_smooth(V, x, alpha, breakpts)
+    w = -1 - 2 * alpha
+    half = mp.mpf("0.5")
+    # extra nodes resolve the kernel's near-singularity at z = x just below delta
+    seam = sorted({delta + (delta - x) * k for k in (0, 1, 10, 100)} - {half})
+    pts = [p for p in seam if p < half] + [half, 1 - delta, 1, 2, mp.inf]
+    corr = mp.quad(lambda z: (V(z) - z**tau) * (z - x) ** w, pts)
+    return -kernel_constant(tau, alpha) * x ** (tau - 2 * alpha) - corr
+
+
 if __name__ == "__main__":
     print("# kernel constant spot values")
     for tau, alpha in [(-0.5, 0.25), (-0.25, 0.25), (-0.9, 0.5), (-0.999, 0.5),
@@ -139,3 +187,9 @@ if __name__ == "__main__":
         a = mp.mpf(alpha)
         guess = 2 ** (2 * a) * (2 ** (2 * a) * mp.gamma(a + mp.mpf("0.5")) * mp.gamma(a + 1) / mp.sqrt(mp.pi))
         print("   4^a * Getoor const:", mp.nstr(guess, 16))
+
+    print("# operator of the d^tau barrier profile (delta = 0.1) at boundary distances d")
+    for alpha, tau in [("0.25", "-0.6"), ("0.5", "-0.45"), ("0.75", "-0.3")]:
+        for d in ["1e-4", "3e-3", "0.05", "0.099", "0.101", "0.3", "0.4985"]:
+            val = frac_lap_profile(d, tau, alpha)
+            print(f"alpha={alpha} tau={tau} d={d}: {mp.nstr(val, 18)}")

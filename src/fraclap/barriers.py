@@ -74,10 +74,8 @@ class PowerTerm:
     def value(self, x):
         return self.profile.value(x)
 
-    def op(self, x: float, alpha: float, enforce_floor: bool = True) -> float:
-        return eval_on_power(
-            self.profile.tau, alpha, x, self.profile, _enforce_floor=enforce_floor
-        )
+    def op(self, x, alpha: float):
+        return eval_on_power(self.profile.tau, alpha, x, self.profile)
 
     def describe(self) -> dict:
         return {"kind": "power_distance", "tau": self.profile.tau, "delta": self.profile.delta}
@@ -94,8 +92,8 @@ class IndicatorTerm:
         x = np.asarray(x, dtype=float)
         return ((x > 0.0) & (x < 1.0)).astype(float)
 
-    def op(self, x: float, alpha: float, enforce_floor: bool = True) -> float:
-        return float(tail_coefficient(x, alpha))
+    def op(self, x, alpha: float):
+        return tail_coefficient(x, alpha)
 
     def describe(self) -> dict:
         return {"kind": "indicator"}
@@ -118,8 +116,8 @@ class TorsionTerm:
     def value(self, x):
         return self.values.interp(x)
 
-    def op(self, x: float, alpha: float, enforce_floor: bool = True) -> float:
-        return -1.0
+    def op(self, x, alpha: float):
+        return np.full(np.shape(x), -1.0)
 
     def describe(self) -> dict:
         return {"kind": "torsion", "solve_residual": self.solve_residual}
@@ -146,8 +144,10 @@ class BumpTerm:
             return self.c * (4.0 * z * (1.0 - z)) ** 3
         return 0.0
 
-    def op(self, x: float, alpha: float, enforce_floor: bool = True) -> float:
-        return frac_lap_of_c2(self._scalar, x, alpha)
+    def op(self, x, alpha: float):
+        xs = np.asarray(x, dtype=float)
+        vals = [frac_lap_of_c2(self._scalar, float(z), alpha) for z in xs.ravel()]
+        return np.reshape(vals, xs.shape)
 
     def describe(self) -> dict:
         return {"kind": "bump", "c": self.c}
@@ -172,13 +172,11 @@ class BarrierSpec:
             out = out + c * term.value(x)
         return out
 
-    def op_values(self, xs, enforce_floor: bool = True) -> np.ndarray:
+    def op_values(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.zeros_like(xs)
         for c, term in self.terms:
-            out += c * np.array(
-                [term.op(float(x), self.alpha, enforce_floor) for x in xs]
-            )
+            out += c * term.op(xs, self.alpha)
         return out
 
     def term_arrays(self, xs) -> list[tuple[float, np.ndarray, np.ndarray]]:
@@ -191,7 +189,7 @@ class BarrierSpec:
             key = (term.cache_key(), self.alpha, xs.tobytes())
             ops = _TERM_OP_CACHE.get(key)
             if ops is None:
-                ops = np.array([term.op(float(x), self.alpha) for x in xs])
+                ops = np.asarray(term.op(xs, self.alpha), dtype=float)
                 if len(_TERM_OP_CACHE) > 256:
                     _TERM_OP_CACHE.clear()
                 _TERM_OP_CACHE[key] = ops
@@ -248,12 +246,38 @@ def _signed_power(u: np.ndarray, p: float) -> np.ndarray:
     return np.sign(u) * np.abs(u) ** p
 
 
-def _margins(
-    residuals: np.ndarray, d: np.ndarray, role: str, tau: float, p: float
-) -> np.ndarray:
-    scale = d ** (tau * p)
-    m = residuals / scale
-    return m if role == "super" else -m
+def _report(
+    xs: np.ndarray,
+    vals: np.ndarray,
+    ops: np.ndarray,
+    f_vals: np.ndarray,
+    params: ProblemParams,
+    role: str,
+    tau: float,
+    tol_rel: float,
+    zone: str | None = None,
+) -> BarrierReport:
+    """Sign report of the residual op + |v|^(p-1) v - f at the points xs.
+
+    The residual is normalized by d^(tau*p), the natural magnitude of its
+    leading terms, and its sign flipped for a sub-solution, so a margin below
+    -tol_rel is a violation whatever the role.
+    """
+    residuals = ops + _signed_power(vals, params.p) - f_vals
+    d = np.minimum(xs, 1.0 - xs)
+    margins = residuals / d ** (tau * params.p)
+    if role != "super":
+        margins = -margins
+    worst = int(np.argmin(margins))
+    return BarrierReport(
+        role=role,
+        passed=bool(margins[worst] >= -tol_rel),
+        worst_margin=float(margins[worst]),
+        worst_x=float(xs[worst]),
+        nodes=xs,
+        margins=margins,
+        zone=zone,
+    )
 
 
 def verify_barrier(
@@ -262,7 +286,6 @@ def verify_barrier(
     role: str,
     collar_nodes,
     tol_rel: float = 1e-6,
-    _arrays=None,
 ) -> BarrierReport:
     """Check the defining inequality of a super- ("super") or sub-solution
     ("sub") at the given interior points.
@@ -275,23 +298,9 @@ def verify_barrier(
     if role not in ("super", "sub"):
         raise DomainError(f"role must be 'super' or 'sub', got {role!r}")
     xs = np.atleast_1d(np.asarray(collar_nodes, dtype=float))
-    d = np.minimum(xs, 1.0 - xs)
-    if _arrays is None:
-        vals = np.asarray(b.value(xs), dtype=float)
-        ops = b.op_values(xs)
-    else:
-        vals, ops = _arrays
-    f_vals = params.source.value(xs)
-    residuals = ops + _signed_power(vals, params.p) - f_vals
-    margins = _margins(residuals, d, role, b.leading_tau, params.p)
-    worst = int(np.argmin(margins))
-    return BarrierReport(
-        role=role,
-        passed=bool(margins[worst] >= -tol_rel),
-        worst_margin=float(margins[worst]),
-        worst_x=float(xs[worst]),
-        nodes=xs,
-        margins=margins,
+    vals = np.asarray(b.value(xs), dtype=float)
+    return _report(
+        xs, vals, b.op_values(xs), params.source.value(xs), params, role, b.leading_tau, tol_rel
     )
 
 
@@ -343,22 +352,11 @@ def make_existence_pair(
     profile = DistanceProfile(tau=tau, delta=delta)
     base = BarrierSpec(params.alpha, ((1.0, PowerTerm(profile)),))
     xs = collar_points(delta) if collar is None else np.asarray(collar, dtype=float)
-    arrays = base.term_arrays(xs)
-    _, vals, ops = arrays[0]
+    ((_, vals, ops),) = base.term_arrays(xs)
+    f_vals = params.source.value(xs)
 
     def test(mu, role):
-        d = np.minimum(xs, 1.0 - xs)
-        resid = mu * ops + _signed_power(mu * vals, params.p) - params.source.value(xs)
-        margins = _margins(resid, d, role, tau, params.p)
-        worst = int(np.argmin(margins))
-        return BarrierReport(
-            role=role,
-            passed=bool(margins[worst] >= -tol_rel),
-            worst_margin=float(margins[worst]),
-            worst_x=float(xs[worst]),
-            nodes=xs,
-            margins=margins,
-        )
+        return _report(xs, mu * vals, mu * ops, f_vals, params, role, tau, tol_rel)
 
     ks = range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)
     mu_super, _ = _sweep_mu(lambda m: test(m, "super"), [2.0**k for k in ks], "super-solution")
@@ -398,24 +396,13 @@ def make_special_pair(
     second = IndicatorTerm() if tau1 == 0.0 else PowerTerm(DistanceProfile(tau=tau1, delta=delta))
     xs = collar_points(delta) if collar is None else np.asarray(collar, dtype=float)
     probe = BarrierSpec(params.alpha, ((t, lead), (-1.0, second)))
-    arrays = probe.term_arrays(xs)
-    (_, lead_vals, lead_ops), (_, sec_vals, sec_ops) = arrays
-    d = np.minimum(xs, 1.0 - xs)
+    (_, lead_vals, lead_ops), (_, sec_vals, sec_ops) = probe.term_arrays(xs)
+    f_vals = params.source.value(xs)
 
     def test(mu, role):
         vals = t * lead_vals - mu * sec_vals
         ops = t * lead_ops - mu * sec_ops
-        resid = ops + _signed_power(vals, params.p) - params.source.value(xs)
-        margins = _margins(resid, d, role, tau0, params.p)
-        worst = int(np.argmin(margins))
-        return BarrierReport(
-            role=role,
-            passed=bool(margins[worst] >= -tol_rel),
-            worst_margin=float(margins[worst]),
-            worst_x=float(xs[worst]),
-            nodes=xs,
-            margins=margins,
-        )
+        return _report(xs, vals, ops, f_vals, params, role, tau0, tol_rel)
 
     scale = t**params.p
     mus = [0.0] + [scale * 2.0**k for k in range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)]
@@ -484,29 +471,18 @@ def make_nonexistence_family(
     xs_collar = collar_points(delta) if collar is None else np.asarray(collar, dtype=float)
     xs_int = np.linspace(delta, 0.5, 12) if interior is None else np.asarray(interior, dtype=float)
     xs = np.unique(np.concatenate([xs_collar, xs_int]))
-    d = np.minimum(xs, 1.0 - xs)
 
     base = BarrierSpec(
         params.alpha,
         ((t, PowerTerm(DistanceProfile(tau=tau, delta=delta))), (1.0, IndicatorTerm())),
     )
     (_, lead_vals, lead_ops), (_, ind_vals, ind_ops) = base.term_arrays(xs)
+    f_vals = params.source.value(xs)
 
     def test(mu):
         vals = t * lead_vals + mu * ind_vals
         ops = t * lead_ops + mu * ind_ops
-        resid = ops + _signed_power(vals, params.p) - params.source.value(xs)
-        margins = _margins(resid, d, role, tau, params.p)
-        worst = int(np.argmin(margins))
-        return BarrierReport(
-            role=role,
-            passed=bool(margins[worst] >= -tol_rel),
-            worst_margin=float(margins[worst]),
-            worst_x=float(xs[worst]),
-            nodes=xs,
-            margins=margins,
-            zone=f"zone{zone}",
-        )
+        return _report(xs, vals, ops, f_vals, params, role, tau, tol_rel, zone=f"zone{zone}")
 
     sign = 1.0 if role == "super" else -1.0
     mus = [sign * 2.0**k for k in range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)]
@@ -556,34 +532,28 @@ def globalize_pair(
     """
     sup, sub = pair
     xs = np.atleast_1d(np.asarray(nodes, dtype=float))
-    d = np.minimum(xs, 1.0 - xs)
     f_vals = params.source.value(xs)
     tor_vals = np.asarray(torsion_term.value(xs), dtype=float)
 
-    sup_arrays = sup.term_arrays(xs)
-    sub_arrays = sub.term_arrays(xs)
-
-    def margins_for(arrays, lam_signed, role):
+    def report_for(spec, arrays, lam_signed, role):
         vals = sum(c * v for c, v, _ in arrays) + lam_signed * tor_vals
         ops = sum(c * o for c, _, o in arrays) + lam_signed * (-1.0)
-        resid = ops + _signed_power(vals, params.p) - f_vals
-        tau_lead = min(
-            [t.tau for c, t in (sup if role == "super" else sub).terms if isinstance(t, PowerTerm)],
-            default=0.0,
-        )
-        return _margins(resid, d, role, tau_lead, params.p)
+        return _report(xs, vals, ops, f_vals, params, role, spec.leading_tau, tol_rel)
 
+    sup_arrays = sup.term_arrays(xs)
+    sub_arrays = sub.term_arrays(xs)
     lam = 0.0
     for _ in range(max_doublings):
-        m_sup = margins_for(sup_arrays, -lam, "super")
-        m_sub = margins_for(sub_arrays, +lam, "sub")
-        if m_sup.min() >= -tol_rel and m_sub.min() >= -tol_rel:
+        r_sup = report_for(sup, sup_arrays, -lam, "super")
+        r_sub = report_for(sub, sub_arrays, +lam, "sub")
+        if r_sup.passed and r_sub.passed:
             sup_g = sup.with_term(-lam, torsion_term) if lam else sup
             sub_g = sub.with_term(+lam, torsion_term) if lam else sub
             return sup_g, sub_g
         lam = max(1.0, 2.0 * lam)
     raise VerificationError(
-        f"global extension failed: worst margins super={m_sup.min():.3e}, sub={m_sub.min():.3e}"
+        f"global extension failed: worst margins super={r_sup.worst_margin:.3e}, "
+        f"sub={r_sub.worst_margin:.3e}"
     )
 
 
@@ -595,7 +565,7 @@ def bump_admissible_scale(alpha: float, n_probe: int = 101) -> float:
     """
     xs = np.linspace(0.005, 0.995, n_probe)
     unit = BumpTerm(c=1.0)
-    sup = max(unit.op(float(x), alpha) for x in xs)
+    sup = float(np.max(unit.op(xs, alpha)))
     if sup <= 0:
         raise VerificationError("unit bump operator supremum came out nonpositive")
     return 1.0 / sup

@@ -396,7 +396,6 @@ def cmd_sweep(args, outdir: Path) -> int:
 def _add_common(sp):
     sp.add_argument("--out", default="fraclap-out", help="output directory")
     sp.add_argument("--config", default=None, help="flat key=value config file")
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized diagnostics")
 
 
 def _add_problem(sp, with_p=True):
@@ -512,7 +511,7 @@ _CASTS = {
     "alpha": float, "p": float, "gamma": float, "kappa_f": float, "tau": float,
     "tol": float, "abs_tol": float, "rel_tol": float, "sup_tol": float,
     "fit_lo": float, "fit_hi": float, "fit_tol": float, "family_t": float,
-    "grading": float, "n": int, "max_iters": int, "seed": int,
+    "grading": float, "n": int, "max_iters": int,
     "levels": lambda s: tuple(int(v) for v in s.split(",")),
     "full_level": lambda s: s.lower() in ("1", "true", "yes"),
 }

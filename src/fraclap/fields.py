@@ -114,7 +114,6 @@ class SourceField:
     kind: str = "zero"
     gamma: float = -0.5
     kappa_f: float = 1.0
-    sign_nonneg: bool = True
     table_x: tuple = ()
     table_f: tuple = ()
 
@@ -130,11 +129,18 @@ class SourceField:
 
     @classmethod
     def power_collar(cls, gamma: float, kappa_f: float = 1.0) -> "SourceField":
-        return cls(kind="power_collar", gamma=gamma, kappa_f=kappa_f, sign_nonneg=kappa_f >= 0)
+        return cls(kind="power_collar", gamma=gamma, kappa_f=kappa_f)
 
     @property
     def is_zero(self) -> bool:
         return self.kind == "zero"
+
+    @property
+    def sign_nonneg(self) -> bool:
+        """f >= 0 everywhere: read off the amplitude or the samples."""
+        if self.kind == "power_collar":
+            return self.kappa_f >= 0
+        return all(v >= 0 for v in self.table_f)
 
     def value(self, x):
         """f at interior points x (vectorized)."""

@@ -1,5 +1,5 @@
 """Restricted fractional Laplacian on (0, 1): dense discretization plus
-semi-analytic evaluation on barrier profiles.
+batched semi-analytic evaluation on barrier profiles.
 
 Conventions.  The operator is the unnormalized second-difference form
 
@@ -19,6 +19,16 @@ the linear interpolant, which removes the kink divergence at alpha >= 1/2 and
 restores second-order consistency.  All kernel moments are power antiderivatives
 in closed form (with the stable log branch at 2*alpha = 1); the singular kernel
 is never sampled pointwise.
+
+Barrier profiles.  `eval_on_power` evaluates the operator of the d^tau profile
+at an array of points in one vectorized pass, with no adaptive quadrature: the
+points are mirrored to their boundary distance d and each distinct d is
+evaluated once.  Collar points use the half-line identity (C(tau) once per
+call) plus a regular correction built from a fixed graded Gauss-Legendre rule
+and closed-form 2F1 pieces; interior points use a fixed Gauss-Jacobi window and
+fixed logarithmic Gauss-Legendre rules on per-point pieces of equal count, with
+the collar crossings in closed form.  The rules are built on first use.
+`frac_lap_of_c2` stays as the generic pointwise path for other C^2 functions.
 """
 
 from __future__ import annotations
@@ -54,7 +64,6 @@ __all__ = [
 # semi-analytic evaluation; callers get a hard error rather than noise
 EVAL_D_MIN = 1e-6
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
 # the generic second-difference path is cancellation-limited near the origin,
 # so it runs at slightly relaxed tolerances
 _QUAD_OPTS_GEN = dict(epsabs=1e-10, epsrel=1e-9, limit=200)
@@ -158,11 +167,6 @@ class DistanceProfile:
         inside = (x > 0.0) & (x < 1.0)
         out[inside] = self.v(np.minimum(x[inside], 1.0 - x[inside]))
         return out[0] if scalar else out
-
-    def value_scalar(self, x: float) -> float:
-        if not 0.0 < x < 1.0:
-            return 0.0
-        return float(self.v(min(x, 1.0 - x)))
 
     def second_deriv_in_x(self, x: float) -> float:
         return self.v2(min(x, 1.0 - x))
@@ -268,89 +272,273 @@ def frac_lap_of_c2(
     return -(near + mid_val + tail)
 
 
-def _collar_correction(profile: DistanceProfile, alpha: float, x: float) -> float:
-    """int_delta^inf [profile(z) - z^tau] (z - x)^(-1-2a) dz for x in the left
-    collar; the half-line power reference makes the remainder regular."""
+# ---------------------------------------------------------------------------
+# batched evaluation of the operator on a distance profile
+# ---------------------------------------------------------------------------
+
+# Gauss-Legendre nodes per panel; geometric ratio and depth of the graded
+# rule (it resolves an endpoint singularity down to ratio**levels of the
+# interval); panels of the logarithmic rule
+_PANEL_NODES = 14
+_GRADE_RATIO = 0.25
+_GRADE_LEVELS = 20
+_LOG_PANELS = 6
+
+
+@_lru_cache(maxsize=None)
+def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], in panels graded
+    geometrically toward 0: [0, q^L], [q^L, q^(L-1)], ..., [q, 1].
+
+    Returned as (panels, nodes per panel) arrays so callers can sweep one
+    panel at a time.
+    """
+    t, wts = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    edges = np.concatenate(([0.0], _GRADE_RATIO ** np.arange(_GRADE_LEVELS, -1, -1.0)))
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return lo + width * (t + 1.0) / 2.0, width * wts / 2.0
+
+
+@_lru_cache(maxsize=None)
+def _log_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre on [0, 1] in equal panels, as (panels, nodes) arrays,
+    for the substitution r = a (b/a)^u of an integral over [a, b], 0 < a <= b.
+
+    In log r an integrand with an algebraic singularity at r = 0 is analytic
+    in a strip, so the rule is uniformly accurate however small a/b is.
+    """
+    t, wts = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    lo = np.arange(_LOG_PANELS)[:, None] / _LOG_PANELS
+    nodes = lo + (t + 1.0) / (2.0 * _LOG_PANELS)
+    return nodes, np.broadcast_to(wts / (2.0 * _LOG_PANELS), nodes.shape)
+
+
+def _taylor(a: np.ndarray, x) -> list:
+    """Coefficients c_1..c_5 of q(x+h) - q(x) = sum_k c_k h^k for the
+    quintic q with ascending coefficients a (exact, no truncation)."""
+    return [sum(a[j] * math.comb(j, k) * x ** (j - k) for j in range(k, 6)) for k in range(1, 6)]
+
+
+def _poly_increment(coef: list, h):
+    out = 0.0
+    for c_k in reversed(coef):
+        out = (out + c_k) * h
+    return out
+
+
+def _seam_log_gap(profile: DistanceProfile, s: np.ndarray) -> np.ndarray:
+    """q(s) - tau*log(s) for s > 0: the log of the interior continuation
+    over the collar power, which vanishes to third order at the C^2 seam
+    s = delta.
+
+    Summed in the displacement h = s - delta with the value and the first two
+    derivatives matched exactly (the glue conditions of the quintic), so it
+    keeps full relative accuracy as s -> delta instead of being two O(1) logs
+    subtracted, and the two branches of the profile meet exactly C^2.
+    """
+    tau, delta = profile.tau, profile.delta
+    _, _, c3, c4, c5 = _taylor(profile._q, delta)
+    h = s - delta
+    # phi(u) = log1p(u) - u + u^2/2, by its Taylor series where that cancels
+    u = h / delta
+    phi = np.log1p(u) - u + u * u / 2.0
+    near = np.abs(u) < 0.1
+    un = u[near]
+    series = np.zeros_like(un)
+    for k in range(20, 2, -1):
+        series = series * un + (-1.0) ** (k + 1) / k
+    phi[near] = series * un**3
+    return ((c5 * h + c4) * h + c3) * h**3 - tau * phi
+
+
+def _second_difference(
+    profile: DistanceProfile, x, coef: list, r, keep_plus=True, keep_minus=True
+):
+    """[V(x+r) + V(x-r)] / V(x) - 2 at interior points delta <= x <= 1/2
+    (x and coef = _taylor(q, x) broadcast against r > 0), with a term replaced
+    by 0 where keep_plus / keep_minus is False.
+
+    log V(x +- r) - log V(x) = A_even +- A_odd + a branch correction, where
+    A is the Taylor polynomial of q at x and the corrections are the mirror
+    image past 1/2 and the seam gap on the collar.  When both terms are
+    present their sum is 2[expm1(S) cosh(O) + 2 sinh(O/2)^2] with S, O the
+    even and odd parts, which keeps full relative accuracy as r -> 0 instead
+    of losing it to roundoff amplified by 1/r^2.
+    """
+    r2 = r * r
+    odd = ((coef[4] * r2 + coef[2]) * r2 + coef[0]) * r
+    even = (coef[3] * r2 + coef[1]) * r2
+    corrections, present = [], []
+    for h, keep in ((r, keep_plus), (-r, keep_minus)):
+        z = x + h
+        mirror = z > 0.5
+        ds = np.where(mirror, (1.0 - 2.0 * x) - h, h)
+        s = x + ds
+        used = (s > 0.0) & keep
+        corr = np.zeros(np.shape(ds))
+        if mirror.any():
+            corr = np.where(mirror, _poly_increment(coef, ds) - _poly_increment(coef, h), 0.0)
+        collar = used & (s < profile.delta)
+        if collar.any():
+            corr[collar] -= _seam_log_gap(profile, s[collar])
+        corrections.append(corr)
+        present.append(used)
+    p, m = corrections
+    use_p, use_m = present
+    S = even + (p + m) / 2.0
+    O = odd + (p - m) / 2.0
+    with np.errstate(over="ignore"):  # only in entries the masks discard
+        both = 2.0 * (np.expm1(S) * np.cosh(O) + 2.0 * np.sinh(O / 2.0) ** 2)
+        single = np.where(use_p, np.expm1(even + odd + p), -1.0) + np.where(
+            use_m, np.expm1(even - odd + m), -1.0
+        )
+    return np.where(use_p & use_m, both, single)
+
+
+def _power_window(c, u, tau: float, alpha: float):
+    """int_0^u s^tau (c - s)^(-1-2a) ds for 0 < u < c, in closed form:
+    c^(-1-2a) u^(tau+1) / (tau+1) * 2F1(1+2a, tau+1; tau+2; u/c)."""
+    return c ** (-1.0 - 2.0 * alpha) * u ** (tau + 1.0) / (tau + 1.0) * hyp2f1(
+        1.0 + 2.0 * alpha, tau + 1.0, tau + 2.0, u / c
+    )
+
+
+def _collar_values(profile: DistanceProfile, alpha: float, x: np.ndarray, c_val: float):
+    """Operator of the profile at left-collar points 0 < x < delta.
+
+    Splitting the profile as z_+^tau plus a remainder D vanishing on
+    (-inf, delta], the half-line identity gives -C(tau) x^(tau-2a), and the
+    remainder contributes -int_delta^inf D(z) (z - x)^(-1-2a) dz, which is
+    regular in x.  Its pieces: D = profile - z^tau on [delta, 1-delta]
+    (graded Gauss-Legendre toward the C^2 seam at delta, where D vanishes to
+    third order, and plain Gauss-Legendre past the C^2 point 1/2); the
+    (1-z)^tau power on [1-delta, 1] and the z^tau tail on [1-delta, inf) in
+    closed hypergeometric form.
+    """
     tau, delta = profile.tau, profile.delta
     w = -1.0 - 2.0 * alpha
+    t, wts = _graded_rule()
+    z_seam = delta + (0.5 - delta) * t
+    g_half, w_half = np.polynomial.legendre.leggauss(2 * _PANEL_NODES)
+    z_half = 0.5 + (0.5 - delta) * (g_half + 1.0) / 2.0
+    panels = [(z_seam[k], (0.5 - delta) * wts[k]) for k in range(t.shape[0])]
+    panels.append((z_half, (0.5 - delta) * w_half / 2.0))
 
-    def p1(z):
-        return (profile.value_scalar(z) - z**tau) * (z - x) ** w
-
-    # the blend-minus-power difference cancels to third order at the seam, so
-    # this piece is roundoff-limited below ~1e-11; the relaxed tolerances are
-    # still far beyond what the O(1) correction needs
-    q1 = 0.0
-    lo = delta
-    for hi in (0.5, 1.0 - delta):
-        piece, _ = quad(p1, lo, hi, **_QUAD_OPTS_GEN)
-        q1 += piece
-        lo = hi
-
-    # (1-z)^tau part against the smooth kernel, algebraic weight at z = 1
-    q2a, _ = quad(
-        lambda z: (z - x) ** w,
-        1.0 - delta,
-        1.0,
-        weight="alg",
-        wvar=(0.0, tau),
-        epsabs=1e-12,
-        epsrel=1e-11,
-        limit=200,
-    )
-    q2b, _ = quad(lambda z: z**tau * (z - x) ** w, 1.0 - delta, 1.0, **_QUAD_OPTS)
-
-    # int_1^inf z^tau (z-x)^(-1-2a) dz in closed hypergeometric form
+    corr = np.zeros_like(x)
+    for k, (z, wz) in enumerate(panels):
+        if k < len(panels) - 1:
+            d_z = z**tau * np.expm1(_seam_log_gap(profile, z))
+        else:
+            d_z = profile.value(z) - z**tau
+        corr += ((z[None, :] - x[:, None]) ** w * (d_z * wz)).sum(axis=1)
+    corr += _power_window(1.0 - x, delta, tau, alpha)
     b = 2.0 * alpha - tau
-    q3 = hyp2f1(1.0 + 2.0 * alpha, b, b + 1.0, x) / b
+    corr -= (1.0 - delta) ** (-b) / b * hyp2f1(1.0 + 2.0 * alpha, b, b + 1.0, x / (1.0 - delta))
+    return -c_val * x ** (tau - 2.0 * alpha) - corr
 
-    return q1 + q2a - q2b - q3
+
+def _interior_values(profile: DistanceProfile, alpha: float, x: np.ndarray):
+    """Operator of the profile at points delta <= x <= 1/2 by the
+    second-difference integral in the radius r, batched over x.
+
+    [0, r0]: fixed Gauss-Jacobi window (as in `frac_lap_of_c2`).  [r0, 1-x]:
+    cut per point at every radius where x - r or x + r crosses a breakpoint
+    of the profile, plus the window starts below, and integrated with the
+    logarithmic Gauss-Legendre rule on each piece (zero-length pieces pad
+    every point to the same shape).  Near the two crossings r -> x and r -> 1-x
+    the profile is the collar power, so the windows [max(c - delta, c/2), c]
+    of each crossing radius c drop that term from the quadrature and add it
+    back in closed form.  Beyond 1 - x only the constant tail remains.
+    """
+    tau, delta = profile.tau, profile.delta
+    w = -1.0 - 2.0 * alpha
+    fx = profile.v(x)
+    R = 1.0 - x
+
+    dists = np.abs(np.stack([x, x - delta, 0.5 - x, 1.0 - delta - x, R]))
+    dists[dists <= 1e-14] = np.inf
+    r0 = np.minimum(0.45 * dists.min(axis=0), 0.1)
+
+    # near window: int_0^r0 [second difference / r^2] r^(1-2a) dr
+    t, wts = _jacobi_rule(alpha)
+    r = r0[:, None] * (1.0 + t) / 2.0
+    xc = x[:, None]
+    coef = _taylor(profile._q, xc)
+    g = _second_difference(profile, xc, coef, r) / (r * r)
+    total = (r0 / 2.0) ** (2.0 - 2.0 * alpha) * (g * wts).sum(axis=1)
+
+    # crossing windows, removed from the quadrature and added back exactly
+    lo_minus = np.maximum.reduce([r0, x - delta, x / 2.0])
+    lo_plus = np.maximum.reduce([r0, R - delta, R / 2.0])
+    windows = _power_window(x, x - lo_minus, tau, alpha)
+    windows += _power_window(R, R - lo_plus, tau, alpha)
+
+    # middle range: all pieces of all points stacked along the first axis
+    cuts = np.stack([r0, x - delta, lo_minus, 0.5 - x, lo_plus, x, R])
+    cuts = np.sort(np.clip(cuts, r0, R), axis=0)
+    n_pieces = cuts.shape[0] - 1
+    a, b = cuts[:-1].ravel(), cuts[1:].ravel()
+    mid = (a + b) / 2.0
+    keep_minus = (mid < np.tile(lo_minus, n_pieces))[:, None]
+    keep_plus = (mid < np.tile(lo_plus, n_pieces))[:, None]
+    xs = np.tile(x, n_pieces)[:, None]
+    coef = _taylor(profile._q, xs)
+    log_ratio = np.log(b / a)[:, None]
+    mid_sum = np.zeros_like(a)
+    for uk, wk in zip(*_log_rule()):
+        r = a[:, None] * np.exp(log_ratio * uk)  # dr = r log(b/a) du
+        diff = _second_difference(profile, xs, coef, r, keep_plus, keep_minus)
+        mid_sum += (diff * r ** (w + 1.0) * wk).sum(axis=1)
+    total += (mid_sum * log_ratio[:, 0]).reshape(n_pieces, -1).sum(axis=0)
+
+    total -= 2.0 * R ** (-2.0 * alpha) / (2.0 * alpha)
+    return -(fx * total + windows)
 
 
 def eval_on_power(
     tau: float,
     alpha: float,
-    x: float,
+    x,
     profile: DistanceProfile | None = None,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    _enforce_floor: bool = True,
-) -> float:
-    """Semi-analytic operator value of the d^tau barrier profile at x in (0,1).
+):
+    """Operator values of the d^tau barrier profile at points x in (0, 1).
 
-    On the collar the evaluation is exact up to quadrature of a regular
-    correction: the half-line identity supplies the singular part -C(tau)
-    d^(tau-2a) in closed form, so accuracy is independent of how small d(x) is
-    (down to the documented floor EVAL_D_MIN; internal callers may evaluate
-    deeper, where the collar formula stays well-posed but the relative
-    correction is frozen at the floor scale).
+    x may be a scalar (a float is returned) or an array (an array of the same
+    shape is returned).  The profile is symmetric, so every point is mapped
+    to its boundary distance d = min(x, 1-x) and each distinct d is
+    evaluated once.  On the collar d < delta the half-line identity supplies
+    the singular part -C(tau) d^(tau-2a) in closed form (C computed once per
+    call) and only a regular correction is integrated, so accuracy does not
+    depend on how small d is down to the floor EVAL_D_MIN; below the floor
+    the call raises.  Points with d >= delta go through the batched
+    second-difference integral.
     """
     if profile is None:
         profile = DistanceProfile(tau=tau)
     elif abs(profile.tau - tau) > 1e-12:
         raise DomainError("profile exponent disagrees with tau argument")
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"x={x} outside (0, 1)")
-    d = min(x, 1.0 - x)
-    if d < EVAL_D_MIN and _enforce_floor:
-        raise DomainError(f"d(x)={d} below the evaluation floor {EVAL_D_MIN}")
-
-    if d >= profile.delta:
-        return frac_lap_of_c2(
-            profile.value_scalar,
-            x,
-            alpha,
-            breakpoints=(profile.delta, 0.5, 1.0 - profile.delta),
-            boundary_exponent=profile.tau,
-            boundary_collar=profile.delta,
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha={alpha} outside (0, 1)")
+    xs = np.asarray(x, dtype=float)
+    outside = ~((xs > 0.0) & (xs < 1.0))
+    if np.any(outside):
+        raise DomainError(f"x={xs[outside].flat[0]} outside (0, 1)")
+    d_all = np.minimum(xs, 1.0 - xs)
+    if np.any(d_all < EVAL_D_MIN):
+        raise DomainError(
+            f"d(x)={d_all.min()} below the evaluation floor {EVAL_D_MIN}"
         )
 
-    xl = d  # mirror to the left collar; the profile is symmetric
-    c_val = eval_C(tau, alpha, cfg)
-    # below the floor the O(1) collar correction is evaluated at the floor
-    # itself: its variation over [0, floor] is O(floor), far below the leading
-    # d^(tau - 2 alpha) term there
-    x_corr = max(xl, EVAL_D_MIN)
-    return -c_val * xl ** (tau - 2.0 * alpha) - _collar_correction(profile, alpha, x_corr)
+    d, inverse = np.unique(d_all, return_inverse=True)
+    out = np.empty_like(d)
+    collar = d < profile.delta
+    if np.any(collar):
+        out[collar] = _collar_values(profile, alpha, d[collar], eval_C(tau, alpha, cfg))
+    if not np.all(collar):
+        out[~collar] = _interior_values(profile, alpha, d[~collar])
+    vals = out[inverse].reshape(xs.shape)
+    return float(vals) if xs.ndim == 0 else vals
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def verify_prop32(
         raise DomainError(f"tau={tau} outside (-1, 0)")
     ds = np.geomspace(1e-4, 1e-2, 25) if collar is None else np.asarray(collar, dtype=float)
     profile = DistanceProfile(tau=tau)
-    ops = np.array([eval_on_power(tau, alpha, float(x), profile) for x in ds])
+    ops = eval_on_power(tau, alpha, ds, profile)
 
     at_root = abs(tau - kc.tau0) <= root_rtol * max(1.0, abs(kc.tau0))
     if at_root:

@@ -24,6 +24,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .barriers import (
     BarrierSpec,
+    _signed_power,
     globalize_pair,
     make_existence_pair,
     make_special_pair,
@@ -106,10 +107,6 @@ class IterationTrace:
             "final_residual_rel": self.final_residual_rel,
             "sup_change_last": self.sup_changes[-1] if self.sup_changes else None,
         }
-
-
-def _signed_power(u: np.ndarray, p: float) -> np.ndarray:
-    return np.sign(u) * np.abs(u) ** p
 
 
 def solve_linear(op: OperatorMatrix, shift, rhs) -> GridFunction:
@@ -314,7 +311,31 @@ def solve_blowup(
     imposed collar values at all, so its solution is the unique discrete fixed
     point independent of which admissible W seeded the run.  The returned
     profile equals the last level inside its shell and the imposed W outside.
+
+    Only zero exterior data is supported: the levels are assembled with the
+    zero exterior, so nonzero `params.exterior` raises DomainError instead of
+    being dropped.
     """
+    if not params.exterior.is_zero:
+        raise DomainError(
+            f"solve_blowup supports zero exterior data only, got kind "
+            f"{params.exterior.kind!r}"
+        )
+    max_shell = max(cfg.exhaustion_levels)
+    if np.all(grid.free_mask(max_shell)) and (
+        params.source.is_zero or not params.source.sign_nonneg
+    ):
+        # the deepest shell is below the grid resolution: nothing is imposed
+        # and the discrete system has a unique fixed point.  Without a source
+        # that fixed point is the zero solution (the blow-up amplitude lives
+        # in the imposed collar data), so a full-depth shell is only
+        # meaningful for source-driven problems with f >= 0, where the zero
+        # start is a certified sub-solution.
+        raise DomainError(
+            "a full-depth exhaustion shell needs a nonzero, nonnegative "
+            "source; with f = 0 the free discrete system only has the zero "
+            "solution, so keep an imposed collar shell"
+        )
     regime = classify_regime(params, kc=kc)
     if pair is None:
         if family_t is not None:
@@ -338,7 +359,6 @@ def solve_blowup(
     sup_g, sub_g = globalize_pair(pair, tor_term, params, verify_nodes)
 
     nodes = grid.nodes
-    max_shell = max(cfg.exhaustion_levels)
     if not np.any(grid.free_mask(max_shell)):
         raise DomainError("grid has no nodes inside the deepest exhaustion shell")
 
@@ -351,11 +371,6 @@ def solve_blowup(
     u_curr = W_all.copy()
     prev_free = np.zeros_like(d, dtype=bool)
     monotone_levels = True
-    nonneg_source = params.source.is_zero or (
-        params.source.kind == "power_collar" and params.source.kappa_f >= 0
-    ) or (
-        params.source.kind == "tabulated" and np.min(params.source.table_f) >= 0
-    )
 
     for shell in cfg.exhaustion_levels:
         free = grid.free_mask(shell)
@@ -374,23 +389,12 @@ def solve_blowup(
             return A_ff @ u + load + _signed_power(u, params.p) - ff
 
         if fixed.size == 0:
-            # the shell is below the grid resolution: nothing is imposed and
-            # the discrete system has a unique fixed point.  Without a source
-            # that fixed point is the zero solution (the blow-up amplitude
-            # lives in the imposed collar data), so a full-depth shell is only
-            # meaningful for source-driven problems with f > 0, where the zero
-            # start is a certified sub-solution.
-            if params.source.is_zero or not nonneg_source:
-                raise DomainError(
-                    "a full-depth exhaustion shell needs a strictly positive "
-                    "source; with f = 0 the free discrete system only has the "
-                    "zero solution, so keep an imposed collar shell"
-                )
+            # full-depth shell (admissible source checked above): climb from 0
             u0 = np.zeros_like(Wf)
             amp0 = np.abs(Uf)
         else:
             u0 = np.maximum(u_curr[idx], Wf)
-            if nonneg_source and np.all(W_all[fixed] >= 0.0):
+            if params.source.sign_nonneg and np.all(W_all[fixed] >= 0.0):
                 # for f >= 0 and nonnegative imposed data the zero function is
                 # itself a sub-solution of the level problem, so the climb may
                 # start from max(previous level, W, 0); this avoids the deep

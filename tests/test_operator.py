@@ -31,6 +31,33 @@ BUMP_REFERENCE = {
 }
 BUMP_REFERENCE_A = {(0.3, 0.25): 4.16583031119023021, (0.3, 0.75): 7.48434257488361816}
 
+# operator of the d^tau profile (delta = 0.1) at boundary distances d, keyed
+# (alpha, tau, d): collar, both sides of the seam, interior; mpmath references
+# from scripts/make_reference_values.py
+PROFILE_REFERENCE = {
+    (0.25, -0.6, 1e-4): 38401.2449905808869,
+    (0.25, -0.6, 3e-3): 910.553629653755016,
+    (0.25, -0.6, 0.05): 40.7498011045170731,
+    (0.25, -0.6, 0.099): 18.8774812346899439,
+    (0.25, -0.6, 0.101): 18.4493400404627656,
+    (0.25, -0.6, 0.3): 2.97904555795543301,
+    (0.25, -0.6, 0.4985): -0.362163141694904853,
+    (0.5, -0.45, 1e-4): 141278.101646329747,
+    (0.5, -0.45, 3e-3): 1019.15827275838045,
+    (0.5, -0.45, 0.05): 17.2055216457279961,
+    (0.5, -0.45, 0.099): 6.32171804067943629,
+    (0.5, -0.45, 0.101): 6.12751635553371898,
+    (0.5, -0.45, 0.3): -0.959641032018369692,
+    (0.5, -0.45, 0.4985): -3.03463907663701055,
+    (0.75, -0.3, 1e-4): -3188842.5915323047,
+    (0.75, -0.3, 3e-3): -6995.22044715328168,
+    (0.75, -0.3, 0.05): -43.9680035829952069,
+    (0.75, -0.3, 0.099): -12.7712783053794711,
+    (0.75, -0.3, 0.101): -12.3867399776142398,
+    (0.75, -0.3, 0.3): -4.15426255321742098,
+    (0.75, -0.3, 0.4985): -4.43318585058404002,
+}
+
 
 def bump_vals(x):
     return (4.0 * x * (1.0 - x)) ** 3
@@ -92,7 +119,7 @@ def test_collar_and_interior_routes_agree():
     for x in (0.05, 0.099):
         collar = eval_on_power(-0.5, 0.5, x, prof)
         generic = frac_lap_of_c2(
-            prof.value_scalar, x, 0.5,
+            prof.value, x, 0.5,
             breakpoints=(0.1, 0.5, 0.9),
             boundary_exponent=-0.5, boundary_collar=0.1,
         )
@@ -114,6 +141,38 @@ def test_eval_on_power_floor():
         eval_on_power(-0.5, 0.5, 1e-7)
     with pytest.raises(DomainError):
         eval_on_power(-0.5, 0.5, 1.5)
+
+
+def test_eval_on_power_matches_profile_reference():
+    for (alpha, tau, d), ref in PROFILE_REFERENCE.items():
+        assert eval_on_power(tau, alpha, d) == pytest.approx(ref, rel=1e-9)
+        assert eval_on_power(tau, alpha, 1.0 - d) == pytest.approx(ref, rel=1e-9)
+
+
+def test_eval_on_power_mirror_symmetry():
+    xs = np.array([3e-3, 0.05, 0.099, 0.101, 0.3, 0.4985])
+    for alpha, tau in ((0.25, -0.6), (0.5, -0.45), (0.75, -0.3)):
+        prof = DistanceProfile(tau=tau)
+        left = eval_on_power(tau, alpha, xs, prof)
+        right = eval_on_power(tau, alpha, 1.0 - xs, prof)
+        assert np.max(np.abs(left - right) / np.abs(left)) < 1e-12
+
+
+def test_eval_on_power_array_call_equals_scalar_calls():
+    xs = np.concatenate([np.geomspace(1e-5, 0.1, 9), np.linspace(0.1, 0.9, 9), [0.4985, 0.9995]])
+    for alpha, tau in ((0.25, -0.6), (0.75, -0.3)):
+        prof = DistanceProfile(tau=tau)
+        batch = eval_on_power(tau, alpha, xs, prof)
+        assert np.array_equal(batch, [eval_on_power(tau, alpha, float(x), prof) for x in xs])
+        assert isinstance(eval_on_power(tau, alpha, 0.3, prof), float)
+        assert eval_on_power(tau, alpha, xs.reshape(4, 5), prof).shape == (4, 5)
+
+
+def test_eval_on_power_array_floor():
+    with pytest.raises(DomainError):
+        eval_on_power(-0.5, 0.5, np.array([0.01, 0.3, 1.0 - 5e-7]))
+    with pytest.raises(DomainError):
+        eval_on_power(-0.5, 0.5, np.array([0.2, 0.0]))
 
 
 def test_bump_operator_against_reference():

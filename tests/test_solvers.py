@@ -7,7 +7,7 @@ from scipy.linalg import lu_factor, lu_solve
 from fraclap.barriers import make_existence_pair, torsion
 from fraclap.errors import ConvergenceError, DomainError
 from fraclap.exponents import ProblemParams, classify_regime
-from fraclap.fields import SourceField
+from fraclap.fields import ExteriorData, SourceField
 from fraclap.grid import Grid1D, GridFunction
 from fraclap.operator import apply, assemble
 from fraclap.solvers import (
@@ -146,6 +146,26 @@ def test_blowup_full_shell_requires_positive_source(kc05):
         shift_mode="adaptive", max_iters=5000, exhaustion_levels=(8, full)
     )
     with pytest.raises(DomainError):
+        solve_blowup(params, grid, kc05, cfg)
+
+
+def test_blowup_rejects_nonzero_exterior(kc05):
+    params = ProblemParams(0.5, 2.5, exterior=ExteriorData.power_collar(beta=-0.5))
+    grid = Grid1D.graded(201, 3.0, include=[1 / 8])
+    with pytest.raises(DomainError, match="exterior"):
+        solve_blowup(params, grid, kc05, IterationConfig(exhaustion_levels=(8,)))
+
+
+def test_blowup_full_shell_rejects_negative_tabulated_source(kc05):
+    source = SourceField(kind="tabulated", table_x=(0.01, 0.5, 0.99), table_f=(1.0, -1.0, 1.0))
+    assert not source.sign_nonneg
+    assert SourceField(kind="tabulated", table_x=(0.1, 0.9), table_f=(0.0, 2.0)).sign_nonneg
+    assert not SourceField.power_collar(-1.2, kappa_f=-1.0).sign_nonneg
+    params = ProblemParams(0.5, 2.5, source=source)
+    grid = Grid1D.graded(201, 3.0, include=[1 / 8])
+    full = int(2.0 / grid.min_spacing)
+    cfg = IterationConfig(shift_mode="adaptive", max_iters=5000, exhaustion_levels=(8, full))
+    with pytest.raises(DomainError, match="full-depth"):
         solve_blowup(params, grid, kc05, cfg)
 
 
