@@ -1,7 +1,7 @@
 """Recompute the high-precision reference values frozen into the test suite.
 
 Everything here is derived straight from the defining integrals with mpmath,
-independently of the package's own quadrature pipeline.  The second-difference
+independently of the package's closed forms.  The second-difference
 integrands cancel catastrophically near t = 0, so the singular zones are
 integrated via exact even-power series / incomplete-beta closed forms and only
 the regular remainders go through mp.quad.  Run it to regenerate the constants
@@ -44,19 +44,33 @@ def kernel_constant(tau, alpha):
     return s0 + q1 + s1 + q2
 
 
-def tau0(alpha, tol=mp.mpf("1e-30")):
+def kernel_derivative(tau, alpha, n):
+    """n-th tau-derivative of the integral-defined C, by mpmath's numerical
+    differentiation (which raises the working precision of every sample)."""
+    return mp.diff(lambda t: kernel_constant(t, alpha), mp.mpf(tau), n)
+
+
+def tau0(alpha):
+    """Root of the integral-defined C in (-1, 0): bisection, then the
+    Anderson-Bjorck bracketing iteration, from a bracket that does not assume
+    the closed form."""
+    alpha = mp.mpf(alpha)
     lo, hi = mp.mpf("-0.9999999"), mp.mpf(0)
-    assert kernel_constant(lo, alpha) > 0
-    for _ in range(140):
+    assert kernel_constant(lo, alpha) > 0 > kernel_constant(hi, alpha)
+    for _ in range(12):
         mid = (lo + hi) / 2
-        fm = kernel_constant(mid, alpha)
-        if hi - lo < tol:
-            return mid
-        if fm > 0:
+        if kernel_constant(mid, alpha) > 0:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
+    return mp.findroot(lambda t: kernel_constant(t, alpha), (lo, hi), solver="anderson")
+
+
+def kernel_closed_form(tau, alpha):
+    """Dyda's closed form, printed beside the integral values as a check."""
+    tau, alpha = mp.mpf(tau), mp.mpf(alpha)
+    return (-mp.gamma(1 + tau) * mp.gamma(2 * alpha - tau) * mp.sin(mp.pi * (alpha - tau))
+            / (mp.gamma(1 + 2 * alpha) * mp.sin(mp.pi * alpha)))
 
 
 def frac_lap_smooth(F, x, alpha, breakpts):
@@ -163,15 +177,19 @@ if __name__ == "__main__":
     for alpha in ["0.1", "0.5", "0.9"]:
         print(alpha, mp.nstr(kernel_constant(0, alpha) + 1 / (2 * mp.mpf(alpha)), 8))
 
-    print("# C'(tau) by central differences, tau=-0.4, alpha=0.5")
-    h = mp.mpf("1e-12")
-    d = (kernel_constant(mp.mpf("-0.4") + h, 0.5) - kernel_constant(mp.mpf("-0.4") - h, 0.5)) / (2 * h)
-    print(f"C'(-0.4, 0.5) ~ {mp.nstr(d, 14)}")
+    print("# C'(tau) and C''(tau) of the integral, with the closed form's for comparison")
+    for tau, alpha in [("-0.4", "0.5"), ("-0.9", "0.5"), ("-0.75", "0.25"),
+                       ("-0.1", "0.25"), ("-0.5", "0.75"), ("0.3", "0.75")]:
+        for n in (1, 2):
+            val = kernel_derivative(tau, alpha, n)
+            ref = mp.diff(lambda t: kernel_closed_form(t, alpha), mp.mpf(tau), n)
+            print(f"C^({n})({tau}, alpha={alpha}) = {mp.nstr(val, 20)}   "
+                  f"closed form {mp.nstr(ref, 20)}")
 
-    print("# root of C in (-1,0) vs alpha-1")
-    for alpha in ["0.25", "0.5", "0.75", "0.1", "0.9", "0.05", "0.95"]:
-        t0 = tau0(mp.mpf(alpha))
-        print(f"tau0({alpha}) = {mp.nstr(t0, 18)}   alpha-1 = {mp.nstr(mp.mpf(alpha)-1, 18)}")
+    print("# root of the integral-defined C in (-1,0) vs alpha-1")
+    for alpha in ["0.25", "0.5", "0.75"]:
+        t0 = tau0(alpha)
+        print(f"tau0({alpha}) = {mp.nstr(t0, 30)}   alpha-1 = {mp.nstr(mp.mpf(alpha)-1, 30)}")
 
     print("# fractional laplacian of the unit bump (c=1), alpha=0.5")
     for x in ["0.2", "0.35", "0.5", "0.65", "0.8"]:

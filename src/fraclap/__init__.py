@@ -7,7 +7,7 @@ from .exponents import ProblemParams, RegimeReport, RegimeZone, classify_regime,
 from .fields import ExteriorData, SourceField
 from .grid import Grid1D, GridFunction
 from .operator import OperatorMatrix, assemble, eval_on_power, exterior_potential
-from .quadrature import KernelConstants, QuadratureConfig, eval_C, eval_C_derivatives, eval_C_tilde
+from .quadrature import KernelConstants, eval_C, eval_C_derivatives, eval_C_tilde
 from .rates import RateFit, check_band, fit_exponent, verify_prop32
 from .solvers import IterationConfig, solve_blowup, solve_linear, solve_semilinear
 
@@ -15,7 +15,7 @@ __all__ = [
     "ProblemParams", "RegimeReport", "RegimeZone", "classify_regime", "find_tau0",
     "special_window", "ExteriorData", "SourceField", "Grid1D", "GridFunction",
     "OperatorMatrix", "assemble", "eval_on_power", "exterior_potential",
-    "KernelConstants", "QuadratureConfig", "eval_C", "eval_C_derivatives",
+    "KernelConstants", "eval_C", "eval_C_derivatives",
     "eval_C_tilde", "RateFit", "check_band", "fit_exponent", "verify_prop32",
     "IterationConfig", "solve_blowup", "solve_linear", "solve_semilinear",
     "__version__",

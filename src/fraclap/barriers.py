@@ -1,11 +1,11 @@
 """Explicit super/sub-solution candidates and their numerical verification.
 
 Every comparison object the solver machinery needs is a linear combination of
-four primitive shapes: the distance-power profile d^tau (collar singular), the
-interval indicator, the torsion function (operator value exactly -1), and the
-compactly supported smooth bump.  A BarrierSpec is such a combination together
-with the fractional order; its operator values come from the semi-analytic
-paths in `fraclap.operator`, so verification never depends on a grid.
+three primitive shapes: the distance-power profile d^tau (collar singular), the
+interval indicator and the torsion function (operator value exactly -1).  A
+BarrierSpec is such a combination together with the fractional order; its
+operator values come from the semi-analytic paths in `fraclap.operator`, so
+verification never depends on a grid.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .operator import (
     DistanceProfile,
     assemble,
     eval_on_power,
-    frac_lap_of_c2,
     tail_coefficient,
 )
 
@@ -33,14 +32,12 @@ __all__ = [
     "PowerTerm",
     "IndicatorTerm",
     "TorsionTerm",
-    "BumpTerm",
     "make_existence_pair",
     "make_special_pair",
     "make_nonexistence_family",
     "verify_barrier",
     "torsion",
     "globalize_pair",
-    "bump_admissible_scale",
     "collar_points",
 ]
 
@@ -121,36 +118,6 @@ class TorsionTerm:
 
     def describe(self) -> dict:
         return {"kind": "torsion", "solve_residual": self.solve_residual}
-
-
-@dataclass(frozen=True)
-class BumpTerm:
-    """c * (4x(1-x))^3 inside the interval, zero outside."""
-
-    c: float = 1.0
-
-    def cache_key(self) -> tuple:
-        return ("bump", self.c)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x > 0.0) & (x < 1.0)
-        out = np.zeros_like(x)
-        out[inside] = self.c * (4.0 * x[inside] * (1.0 - x[inside])) ** 3
-        return out
-
-    def _scalar(self, z: float) -> float:
-        if 0.0 < z < 1.0:
-            return self.c * (4.0 * z * (1.0 - z)) ** 3
-        return 0.0
-
-    def op(self, x, alpha: float):
-        xs = np.asarray(x, dtype=float)
-        vals = [frac_lap_of_c2(self._scalar, float(z), alpha) for z in xs.ravel()]
-        return np.reshape(vals, xs.shape)
-
-    def describe(self) -> dict:
-        return {"kind": "bump", "c": self.c}
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +522,3 @@ def globalize_pair(
         f"global extension failed: worst margins super={r_sup.worst_margin:.3e}, "
         f"sub={r_sub.worst_margin:.3e}"
     )
-
-
-def bump_admissible_scale(alpha: float, n_probe: int = 101) -> float:
-    """Largest bump amplitude c with operator values bounded by one.
-
-    Scales the unit bump by the reciprocal of its operator supremum over a
-    probe set (the supremum of a continuous function estimated on a fine grid).
-    """
-    xs = np.linspace(0.005, 0.995, n_probe)
-    unit = BumpTerm(c=1.0)
-    sup = float(np.max(unit.op(xs, alpha)))
-    if sup <= 0:
-        raise VerificationError("unit bump operator supremum came out nonpositive")
-    return 1.0 / sup

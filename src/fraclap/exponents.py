@@ -1,8 +1,9 @@
 """Critical exponents and regime classification.
 
 The kernel constant C is strictly convex on (-1, 0) with C(0) = -1/(2*alpha)
-and C -> +inf as tau -> -1+, so it has a unique root tau0(alpha) there.  tau0
-fixes the upper critical power p* = 1 - 2*alpha/tau0 of the source-free
+and C -> +inf as tau -> -1+, so it has a unique root there; its closed form
+puts that root at tau0(alpha) = alpha - 1 exactly.  tau0 fixes the upper
+critical power p* = 1 - 2*alpha/tau0 = (1+alpha)/(1-alpha) of the source-free
 blow-up range, and together with the source growth exponent gamma it carves
 the (alpha, p, gamma, tau) space into the existence / nonexistence zones that
 `classify_regime` reports.
@@ -14,15 +15,9 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import AmbiguousRegimeError, ConvergenceError, DomainError
+from .errors import AmbiguousRegimeError, DomainError
 from .fields import ExteriorData, SourceField
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    KernelConstants,
-    QuadratureConfig,
-    eval_C,
-    eval_C_derivatives,
-)
+from .quadrature import KernelConstants
 
 __all__ = [
     "ProblemParams",
@@ -82,89 +77,17 @@ class RegimeReport:
         }
 
 
-def find_tau0(
-    alpha: float,
-    tol: float = 1e-10,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    method: str = "hybrid",
-) -> KernelConstants:
-    """Locate the unique root tau0(alpha) of C in (-1, 0).
+def find_tau0(alpha: float) -> KernelConstants:
+    """Critical constants of alpha: the root tau0 = alpha - 1 of C in (-1, 0)
+    and the critical power p* = 1 - 2*alpha/tau0 = (1+alpha)/(1-alpha).
 
-    The bracket is seeded with C(0) = -1/(2*alpha) < 0 on the right and walks
-    left toward -1 until C turns positive; "hybrid" then polishes by Newton
-    (valid because C is strictly convex with C' < 0 at the root), while
-    "bisect" refines by bisection only and serves as the independent slow path.
-    Returns the constants bundle with the critical power p* and the sampled C
-    values collected along the way.
+    Both are exact: C(tau) = K Gamma(1+tau) Gamma(2*alpha-tau) sin(pi(alpha-tau))
+    vanishes in (-1, 0) only where sin(pi(alpha-tau)) does (see
+    `fraclap.quadrature`).
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if method not in ("hybrid", "bisect"):
-        raise DomainError(f"unknown method {method!r}")
-
-    samples: list[tuple[float, float]] = []
-
-    def C(t: float) -> float:
-        v = eval_C(t, alpha, cfg)
-        samples.append((t, v))
-        return v
-
-    hi, f_hi = 0.0, -1.0 / (2.0 * alpha)
-    lo = -0.5
-    f_lo = C(lo)
-    while f_lo <= 0.0:
-        if f_lo <= 0.0 and lo < -1.0 + 1e-13:
-            raise ConvergenceError(
-                "could not bracket the kernel root: C stayed nonpositive up to -1 "
-                "(quadrature misconfiguration?)"
-            )
-        hi, f_hi = lo, f_lo
-        lo = -1.0 + 0.1 * (lo + 1.0)
-        f_lo = C(lo)
-
-    t, f_t = lo, f_lo
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        f_mid = C(mid)
-        if f_mid > 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-        t, f_t = mid, f_mid
-        if abs(f_mid) < tol and method == "bisect":
-            break
-        if hi - lo < (1e-3 if method == "hybrid" else 1e-16):
-            break
-    else:
-        raise ConvergenceError("bisection for tau0 did not terminate")
-
-    if method == "hybrid":
-        for _ in range(60):
-            if abs(f_t) < tol:
-                break
-            d1, _ = eval_C_derivatives(t, alpha, cfg)
-            step = f_t / d1 if d1 != 0 else 0.0
-            cand = t - step
-            if not lo < cand < hi or step == 0.0:
-                cand = 0.5 * (lo + hi)
-            f_cand = C(cand)
-            if f_cand > 0.0:
-                lo = cand
-            else:
-                hi = cand
-            t, f_t = cand, f_cand
-        else:
-            raise ConvergenceError("Newton refinement of tau0 did not reach tolerance")
-
-    return KernelConstants(
-        alpha=alpha,
-        tau0=t,
-        p_star=1.0 - 2.0 * alpha / t,
-        tau0_residual=f_t,
-        c_of_tau_cache=samples,
-    )
+    return KernelConstants(alpha=alpha, tau0=alpha - 1.0, p_star=(1.0 + alpha) / (1.0 - alpha))
 
 
 def _tie(x: float, y: float, rtol: float) -> bool:

@@ -28,7 +28,8 @@ call) plus a regular correction built from a fixed graded Gauss-Legendre rule
 and closed-form 2F1 pieces; interior points use a fixed Gauss-Jacobi window and
 fixed logarithmic Gauss-Legendre rules on per-point pieces of equal count, with
 the collar crossings in closed form.  The rules are built on first use.
-`frac_lap_of_c2` stays as the generic pointwise path for other C^2 functions.
+`frac_lap_of_c2` is a generic pointwise path for other C^2 functions, kept as
+the tests' independent cross-check.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from scipy.special import hyp2f1
 from .errors import DomainError, FraclapError, GridMismatchError
 from .fields import ExteriorData
 from .grid import Grid1D, GridFunction
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, eval_C
+from .quadrature import eval_C
 
 __all__ = [
     "OperatorMatrix",
@@ -201,6 +202,13 @@ def frac_lap_of_c2(
     {d <= boundary_collar} (a negative power, so the integrand blows up where
     x +- r crosses the boundary), those radii are integrated with the matching
     algebraic weight.
+
+    No production path calls this; it is the tests' generic cross-check.
+    Limitation: the near window forms the second difference by plain
+    subtraction and shrinks to 0.45 x the distance to the nearest breakpoint,
+    so values close to a breakpoint of the function are unreliable: an earlier
+    d^tau profile path that shared this window returned -1.7e11 at
+    d = 0.1000001, next to the profile's seam at 0.1, against a true -2826.0.
     """
     pts = sorted({0.0, 1.0, *breakpoints})
     dists = [abs(x - p) for p in pts if abs(x - p) > 1e-14]
@@ -500,7 +508,6 @@ def eval_on_power(
     alpha: float,
     x,
     profile: DistanceProfile | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ):
     """Operator values of the d^tau barrier profile at points x in (0, 1).
 
@@ -534,7 +541,7 @@ def eval_on_power(
     out = np.empty_like(d)
     collar = d < profile.delta
     if np.any(collar):
-        out[collar] = _collar_values(profile, alpha, d[collar], eval_C(tau, alpha, cfg))
+        out[collar] = _collar_values(profile, alpha, d[collar], eval_C(tau, alpha))
     if not np.all(collar):
         out[~collar] = _interior_values(profile, alpha, d[~collar])
     vals = out[inverse].reshape(xs.shape)

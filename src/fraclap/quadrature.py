@@ -1,49 +1,41 @@
-"""High-accuracy evaluation of the one-dimensional truncated-kernel integrals.
+"""Closed forms of the one-dimensional truncated-kernel integrals.
 
 The central object is the kernel constant
 
     C(tau) = int_0^inf [ chi_(0,1)(t) |1-t|^tau + (1+t)^tau - 2 ] t^(-1-2*alpha) dt,
 
 defined for alpha in (0,1) and tau in (-1, 2*alpha).  C governs the sign of the
-fractional Laplacian of the distance power d(x)^tau near the boundary, and its
-unique root tau0 in (-1,0) is the critical barrier exponent.  The companion
-constant
+fractional Laplacian of the distance power d(x)^tau near the boundary.  It has
+the closed form (Dyda, "Fractional calculus for power functions and
+eigenvalues of the fractional Laplacian", FCAA 15, 2012)
 
-    C~(beta) = int_1^inf (t-1)^beta t^(-1-2*alpha) dt
+    C(tau) = K g(tau) s(tau),   K = -1 / (Gamma(1+2*alpha) sin(pi*alpha)),
+    g(tau) = Gamma(1+tau) Gamma(2*alpha-tau),   s(tau) = sin(pi*(alpha-tau)).
+
+Its roots in the domain are tau = alpha - 1 and tau = alpha, so the critical
+barrier exponent is tau0 = alpha - 1 exactly; the special case tau0 is the
+classical fact that x_+^(alpha-1) is alpha-harmonic on the half-line.  The
+tau-derivatives follow from digamma and trigamma values of g and the
+derivatives of s.  The companion constant
+
+    C~(beta) = int_1^inf (t-1)^beta t^(-1-2*alpha) dt = B(beta+1, 2*alpha-beta)
 
 controls the boundary growth of the potential generated by power-type exterior
-data.
-
-A naive quadrature of either integrand fails: near t = 0 the second difference
-(1-t)^tau + (1+t)^tau - 2 is a ~t^2 cancellation of O(1) terms, at t = 1 the
-integrand has an algebraic singularity, and the tail decays slowly.  Each zone
-is therefore handled in closed form:
-
-* (0, a]           exact even binomial series of the second difference,
-* [a, 1-b]         adaptive quadrature of the (regular) integrand,
-* [1-b, 1)         the |1-t|^tau weight integrated analytically against the
-                   binomial expansion of the smooth cofactor t^(-1-2*alpha),
-* [1-b, tail_cut]  adaptive quadrature of the smooth remainder,
-* (tail_cut, inf)  exact binomial tail series plus the -2 antiderivative,
-
-with a = b = split_radius.  The tau-derivatives C'(tau), C''(tau) (log-weighted
-integrands) reuse the same decomposition with differentiated series
-coefficients, so convexity checks and Newton steps see consistent values.
+data; the substitution t -> 1/u turns it into an Euler Beta value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from scipy.integrate import quad
+from scipy.special import beta as beta_fn
+from scipy.special import psi, zeta
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
-    "QuadratureConfig",
     "KernelConstants",
-    "DEFAULT_QUADRATURE",
     "eval_C",
     "eval_C_derivatives",
     "eval_C_tilde",
@@ -51,54 +43,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and zone boundaries for the kernel integrals.
-
-    split_radius is the half-width of the series zones around t = 0 and t = 1;
-    tail_cut is where the closed-form tail takes over.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-    split_radius: float = 0.25
-    tail_cut: float = 4.0
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 8:
-            raise DomainError("max_subdivisions must be at least 8")
-        if not 0 < self.split_radius < 0.5:
-            raise DomainError("split_radius must lie in (0, 1/2)")
-        if not self.tail_cut > 2:
-            raise DomainError("tail_cut must exceed 2")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
-@dataclass
 class KernelConstants:
     """Critical constants attached to one value of alpha.
 
-    tau0 is the root of C in (-1,0); p_star = 1 - 2*alpha/tau0 is the upper
-    critical power of the source-free blow-up range.  The caches hold samples
-    produced while locating tau0 (and any C~ evaluations requested through
-    them), mostly for diagnostics and manifests.
+    tau0 = alpha - 1 is the root of C in (-1,0); p_star = 1 - 2*alpha/tau0
+    = (1+alpha)/(1-alpha) is the upper critical power of the source-free
+    blow-up range.
     """
 
     alpha: float
     tau0: float
     p_star: float
-    tau0_residual: float = 0.0
-    c_of_tau_cache: list = field(default_factory=list)
-    c_tilde_cache: list = field(default_factory=list)
-
-    def cache_c_tilde(self, beta: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-        val = eval_C_tilde(beta, self.alpha, cfg)
-        self.c_tilde_cache.append((beta, val))
-        return val
 
 
 def _check_domain(tau: float, alpha: float) -> None:
@@ -108,238 +63,48 @@ def _check_domain(tau: float, alpha: float) -> None:
         raise DomainError(f"tau={tau} outside (-1, {2 * alpha}) for alpha={alpha}")
 
 
-def _binom_chain(tau: float, m: int) -> tuple[float, float, float]:
-    """Generalized binomial coefficient binom(tau, m) with its first two
-    tau-derivatives, computed from the factor product so that it stays exact
-    when one factor vanishes (tau a nonnegative integer below m)."""
-    if m == 0:
-        return 1.0, 0.0, 0.0
-    fact = math.factorial(m)
-    zero_j = None
-    prod = 1.0
-    for j in range(m):
-        z = tau - j
-        if z == 0.0:
-            if zero_j is not None:
-                return 0.0, 0.0, 0.0
-            zero_j = j
-            continue
-        prod *= z
-    if zero_j is None:
-        s1 = sum(1.0 / (tau - j) for j in range(m))
-        s2 = sum(1.0 / (tau - j) ** 2 for j in range(m))
-        v = prod / fact
-        return v, v * s1, v * (s1 * s1 - s2)
-    # single vanishing factor: value 0, derivative is the product of the rest
-    rest = prod / fact
-    s_rest = sum(1.0 / (tau - j) for j in range(m) if j != zero_j)
-    return 0.0, rest, 2.0 * rest * s_rest
+def _scale(alpha: float) -> float:
+    return -1.0 / (math.gamma(1.0 + 2.0 * alpha) * math.sin(math.pi * alpha))
 
 
-def _series_origin(tau: float, alpha: float, cfg: QuadratureConfig, order: int) -> float:
-    """Integral over (0, split_radius] of the even expansion
-    2*sum_k binom(tau, 2k) t^(2k), weight t^(-1-2*alpha), tau-differentiated
-    `order` times."""
-    a = cfg.split_radius
-    total = 0.0
-    small = 0
-    for k in range(1, cfg.max_subdivisions + 1):
-        chain = _binom_chain(tau, 2 * k)
-        term = 2.0 * chain[order] * a ** (2 * k - 2 * alpha) / (2 * k - 2 * alpha)
-        total += term
-        if abs(term) < 1e-17 * (1.0 + abs(total)):
-            small += 1
-            if small >= 2 and k >= 4:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError("origin series did not converge within max_subdivisions")
-
-
-def _series_one(tau: float, alpha: float, cfg: QuadratureConfig, order: int) -> float:
-    """Integral over [1 - split_radius, 1) of |1-t|^tau log^order|1-t| times
-    t^(-1-2*alpha): substitute s = 1-t and expand (1-s)^(-1-2*alpha)."""
-    b = cfg.split_radius
-    lb = math.log(b)
-    total = 0.0
-    coeff = 1.0  # binom(k + 2*alpha, k), built recursively
-    small = 0
-    for k in range(cfg.max_subdivisions + 1):
-        e = tau + k + 1.0
-        p = b**e
-        if order == 0:
-            ik = p / e
-        elif order == 1:
-            ik = p * (lb / e - 1.0 / e**2)
-        else:
-            ik = p * (lb * lb / e - 2.0 * lb / e**2 + 2.0 / e**3)
-        term = coeff * ik
-        total += term
-        if abs(term) < 1e-17 * (1.0 + abs(total)):
-            small += 1
-            if small >= 2 and k >= 4:
-                return total
-        else:
-            small = 0
-        coeff *= (k + 1.0 + 2.0 * alpha) / (k + 1.0)
-    raise ConvergenceError("endpoint series did not converge within max_subdivisions")
-
-
-def _series_tail(tau: float, alpha: float, cfg: QuadratureConfig, order: int) -> float:
-    """Integral over (tail_cut, inf) of (1+t)^tau log^order(1+t) t^(-1-2*alpha),
-    minus (for order 0 only) the exact -2 t^(-1-2*alpha) antiderivative.
-
-    Uses (1+t)^tau = t^tau (1 + 1/t)^tau = sum_k binom(tau,k) t^(tau-k); the log
-    factor differentiates the summand in tau.  The log(1+t) vs log(t)
-    discrepancy is absorbed exactly because the expansion is in tau itself.
-    """
-    T = cfg.tail_cut
-    lT = math.log(T)
-    total = -(T ** (-2.0 * alpha)) / alpha if order == 0 else 0.0
-    small = 0
-    for k in range(cfg.max_subdivisions + 1):
-        b0, b1, b2 = _binom_chain(tau, k)
-        E = T ** (tau - 2.0 * alpha - k)
-        D = 2.0 * alpha + k - tau
-        g = E / D
-        if order == 0:
-            term = b0 * g
-        elif order == 1:
-            g1 = g * lT + E / D**2
-            term = b1 * g + b0 * g1
-        else:
-            g1 = g * lT + E / D**2
-            g2 = g * lT * lT + 2.0 * E * lT / D**2 + 2.0 * E / D**3
-            term = b2 * g + 2.0 * b1 * g1 + b0 * g2
-        total += term
-        if abs(term) < 1e-17 * (1.0 + abs(total)):
-            small += 1
-            if small >= 2 and k >= 4:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError("tail series did not converge within max_subdivisions")
-
-
-def _quad_pieces(tau: float, alpha: float, cfg: QuadratureConfig, order: int) -> float:
-    """Adaptive quadrature of the regular zones [a, 1-b] and [1-b, tail_cut]."""
-    a = cfg.split_radius
-    w = -1.0 - 2.0 * alpha
-
-    if order == 0:
-
-        def mid(t):
-            return ((1.0 - t) ** tau + (1.0 + t) ** tau - 2.0) * t**w
-
-        def right(t):
-            return ((1.0 + t) ** tau - 2.0) * t**w
-
-    else:
-
-        def mid(t):
-            return (
-                (1.0 - t) ** tau * math.log(1.0 - t) ** order
-                + (1.0 + t) ** tau * math.log(1.0 + t) ** order
-            ) * t**w
-
-        def right(t):
-            return (1.0 + t) ** tau * math.log(1.0 + t) ** order * t**w
-
-    opts = dict(epsabs=cfg.abs_tol / 10.0, epsrel=cfg.rel_tol / 10.0, limit=cfg.max_subdivisions)
-    q1, _ = quad(mid, a, 1.0 - a, **opts)
-    q2, _ = quad(right, 1.0 - a, cfg.tail_cut, **opts)
-    return q1 + q2
-
-
-def eval_C(tau: float, alpha: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Kernel constant C(tau) for the given alpha, to the configured tolerance."""
+def eval_C(tau: float, alpha: float) -> float:
+    """Kernel constant C(tau) for the given alpha."""
     _check_domain(tau, alpha)
-    return (
-        _series_origin(tau, alpha, cfg, 0)
-        + _quad_pieces(tau, alpha, cfg, 0)
-        + _series_one(tau, alpha, cfg, 0)
-        + _series_tail(tau, alpha, cfg, 0)
-    )
+    g = math.gamma(1.0 + tau) * math.gamma(2.0 * alpha - tau)
+    return _scale(alpha) * g * math.sin(math.pi * (alpha - tau))
 
 
-def eval_C_derivatives(
-    tau: float, alpha: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> tuple[float, float]:
-    """(C'(tau), C''(tau)) by quadrature/series of the log-weighted integrands.
+def eval_C_derivatives(tau: float, alpha: float) -> tuple[float, float]:
+    """(C'(tau), C''(tau)) from the product form C = K g s.
 
-    C'' has a pointwise nonnegative integrand, so the returned second value is
-    positive for every admissible tau; callers rely on this for convexity.
+    With L = psi(1+tau) - psi(2*alpha-tau): g' = g L, g'' = g (L^2 + psi_1(1+tau)
+    + psi_1(2*alpha-tau)), s' = -pi cos(pi(alpha-tau)), s'' = -pi^2 s.  The
+    product form stays accurate at the roots of C, where C (log C)' would not.
+    C is strictly convex on (-1, 2*alpha), so the second value is positive.
     """
     _check_domain(tau, alpha)
-    c1 = (
-        _series_origin(tau, alpha, cfg, 1)
-        + _quad_pieces(tau, alpha, cfg, 1)
-        + _series_one(tau, alpha, cfg, 1)
-        + _series_tail(tau, alpha, cfg, 1)
-    )
-    c2 = (
-        _series_origin(tau, alpha, cfg, 2)
-        + _quad_pieces(tau, alpha, cfg, 2)
-        + _series_one(tau, alpha, cfg, 2)
-        + _series_tail(tau, alpha, cfg, 2)
-    )
-    return c1, c2
+    a, b = 1.0 + tau, 2.0 * alpha - tau
+    g = math.gamma(a) * math.gamma(b)
+    lg = float(psi(a) - psi(b))
+    g1 = g * lg
+    # the Hurwitz zeta value zeta(2, x) is the trigamma function psi_1(x)
+    g2 = g * (lg * lg + float(zeta(2.0, a) + zeta(2.0, b)))
+    arg = math.pi * (alpha - tau)
+    s, s1 = math.sin(arg), -math.pi * math.cos(arg)
+    s2 = -math.pi * math.pi * s
+    k = _scale(alpha)
+    return k * (g1 * s + g * s1), k * (g2 * s + 2.0 * g1 * s1 + g * s2)
 
 
-def eval_C_tilde(beta: float, alpha: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Exterior-data kernel constant C~(beta) = int_1^inf (t-1)^beta t^(-1-2a) dt.
+def eval_C_tilde(beta: float, alpha: float) -> float:
+    """Exterior-data kernel constant C~(beta) = int_1^inf (t-1)^beta t^(-1-2a) dt
+    = B(beta+1, 2*alpha-beta).
 
     Always positive on the admissible range beta in (-1, 0] (beta = 0 gives
-    exactly 1/(2*alpha)).  Computed by substituting s = t-1 and treating the
-    s = 0 singularity and the tail by binomial series around the smooth factor.
+    exactly 1/(2*alpha)).
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
     if not -1.0 < beta <= 0.0:
         raise DomainError(f"beta={beta} outside (-1, 0]")
-    b, T = cfg.split_radius, cfg.tail_cut
-    w = -1.0 - 2.0 * alpha
-
-    # [0, b]: expand (1+s)^(-1-2*alpha)
-    total = 0.0
-    coeff = 1.0  # binom(-1-2*alpha, k) = (-1)^k binom(k+2*alpha, k)
-    small = 0
-    for k in range(cfg.max_subdivisions + 1):
-        term = coeff * b ** (beta + k + 1.0) / (beta + k + 1.0)
-        total += term
-        if abs(term) < 1e-17 * (1.0 + abs(total)):
-            small += 1
-            if small >= 2 and k >= 4:
-                break
-        else:
-            small = 0
-        coeff *= -(k + 1.0 + 2.0 * alpha) / (k + 1.0)
-    else:
-        raise ConvergenceError("exterior-kernel origin series did not converge")
-
-    q, _ = quad(
-        lambda s: s**beta * (1.0 + s) ** w,
-        b,
-        T,
-        epsabs=cfg.abs_tol / 10.0,
-        epsrel=cfg.rel_tol / 10.0,
-        limit=cfg.max_subdivisions,
-    )
-
-    tail = 0.0
-    coeff = 1.0
-    small = 0
-    for k in range(cfg.max_subdivisions + 1):
-        term = coeff * T ** (beta - 2.0 * alpha - k) / (2.0 * alpha + k - beta)
-        tail += term
-        if abs(term) < 1e-17 * (1.0 + abs(tail)):
-            small += 1
-            if small >= 2 and k >= 4:
-                break
-        else:
-            small = 0
-        coeff *= -(k + 1.0 + 2.0 * alpha) / (k + 1.0)
-    else:
-        raise ConvergenceError("exterior-kernel tail series did not converge")
-
-    return total + q + tail
+    return float(beta_fn(beta + 1.0, 2.0 * alpha - beta))

@@ -56,11 +56,10 @@ class IterationConfig:
     """Controls for the monotone iteration and the exhaustion schedule.
 
     lipschitz_shift None means automatic: 1.1 * p * (sup of the sandwich
-    amplitude)^(p-1), recomputed per exhaustion level.  shift_mode "nodewise"
-    uses the same bound node by node, which keeps the interior contraction
-    fast when the sandwich amplitude explodes toward the boundary; the
-    monotonicity argument is unchanged since the shifted reaction stays
-    increasing on every node's own range.
+    amplitude)^(p-1), recomputed per exhaustion level.  shift_mode "adaptive"
+    (with lipschitz_shift None) instead grows a nodewise shift from the
+    starting iterate and refactorizes whenever an iterate leaves the range it
+    certifies.
     """
 
     lipschitz_shift: float | None = None
@@ -73,7 +72,7 @@ class IterationConfig:
     def __post_init__(self):
         if self.lipschitz_shift is not None and self.lipschitz_shift <= 0:
             raise DomainError("lipschitz_shift must be positive when given")
-        if self.shift_mode not in ("scalar", "nodewise", "adaptive"):
+        if self.shift_mode not in ("scalar", "adaptive"):
             raise DomainError(f"unknown shift_mode {self.shift_mode!r}")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
@@ -106,6 +105,7 @@ class IterationTrace:
             "final_residual": self.final_residual,
             "final_residual_rel": self.final_residual_rel,
             "sup_change_last": self.sup_changes[-1] if self.sup_changes else None,
+            "sup_changes": list(self.sup_changes),
         }
 
 
@@ -133,10 +133,9 @@ def solve_linear(op: OperatorMatrix, shift, rhs) -> GridFunction:
     return GridFunction(op.grid, lu_solve(lu, rhs_vals))
 
 
-def _auto_shift(p: float, lo: np.ndarray, hi: np.ndarray, mode: str):
+def _auto_shift(p: float, lo: np.ndarray, hi: np.ndarray) -> float:
     amp = np.maximum(np.abs(lo), np.abs(hi))
-    node_bound = 1.1 * p * np.maximum(amp, 1e-30) ** (p - 1.0)
-    return node_bound if mode == "nodewise" else float(node_bound.max())
+    return float((1.1 * p * np.maximum(amp, 1e-30) ** (p - 1.0)).max())
 
 
 def _monotone_iterate(
@@ -258,7 +257,7 @@ def solve_semilinear(
     else:
         shift = cfg.lipschitz_shift
         if shift is None:
-            shift = _auto_shift(params.p, sub.values, super_.values, cfg.shift_mode)
+            shift = _auto_shift(params.p, sub.values, super_.values)
         shift_vec = np.broadcast_to(np.asarray(shift, dtype=float), sub.values.shape)
         u, trace = _monotone_iterate(
             A, rhs_of, sub.values, cfg, residual_of, params.p, shift_vec=shift_vec
@@ -408,7 +407,7 @@ def solve_blowup(
         else:
             shift = cfg.lipschitz_shift
             if shift is None:
-                shift = _auto_shift(params.p, Wf, Uf, cfg.shift_mode)
+                shift = _auto_shift(params.p, Wf, Uf)
             shift_vec = np.broadcast_to(np.asarray(shift, dtype=float), Wf.shape)
             uf, trace = _monotone_iterate(
                 A_ff, rhs_of, u0, cfg, residual_of, params.p, shift_vec=shift_vec

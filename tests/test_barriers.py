@@ -7,10 +7,8 @@ import pytest
 
 from fraclap.barriers import (
     BarrierSpec,
-    BumpTerm,
     IndicatorTerm,
     PowerTerm,
-    bump_admissible_scale,
     classify_zone6,
     collar_points,
     globalize_pair,
@@ -168,18 +166,6 @@ def test_verify_barrier_perturbed_sub_fails(kc05, interaction):
     r = verify_barrier(shifted, params, "sub", xs)
     assert not r.passed
     assert r.worst_margin < 0
-
-
-def test_bump_normalization():
-    c = bump_admissible_scale(0.5)
-    assert c == pytest.approx(1.0 / 12.8, rel=1e-6)
-    bump = BumpTerm(c=c)
-    xs = np.linspace(0.02, 0.98, 25)
-    vals = np.array([bump.op(float(x), 0.5) for x in xs])
-    assert np.max(vals) <= 1.0 + 1e-9
-    # the bump itself peaks at the midpoint
-    assert bump.value(np.array([0.5]))[0] == pytest.approx(c)
-    assert np.all(bump.value(xs) <= bump.value(np.array([0.5]))[0] + 1e-15)
 
 
 def test_barrier_spec_helpers(kc05):

@@ -16,14 +16,23 @@ def load_manifest(outdir):
         return json.load(fh)
 
 
+def _check_history(trace):
+    # one recorded sup-change per accepted sweep; a sweep that triggers a
+    # shift rebuild discards its iterate and records none
+    changes = trace["sup_changes"]
+    assert len(changes) == trace["iterations"] - trace["shift_rebuilds"]
+    assert changes[-1] == trace["sup_change_last"]
+
+
 def test_tau0_command(tmp_path):
     out = tmp_path / "t"
-    assert run_cli(["tau0", "--alpha", "0.5", "--tol", "1e-10", "--out", str(out)]) == 0
+    assert run_cli(["tau0", "--alpha", "0.5", "--out", str(out)]) == 0
     m = load_manifest(out)
-    assert abs(m["tau0"] + 0.5) < 1e-8
-    assert m["residual"] < 1e-10
-    assert abs(m["p_star"] - 3.0) < 1e-7
-    assert "deviation_from_alpha_minus_1" in m
+    assert m["tau0"] == -0.5
+    assert m["p_star"] == 3.0
+    # |C(tau0)|: zero up to the rounding of sin(pi) in the closed form
+    assert m["residual"] < 1e-13
+    assert "deviation_from_alpha_minus_1" not in m
 
 
 def test_ctau_grid(tmp_path):
@@ -68,7 +77,7 @@ def test_missing_required_from_config(tmp_path):
 
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 0.5\ntol = 1e-8\n# comment\n")
+    cfg.write_text("alpha = 0.5\n# comment\n")
     out1 = tmp_path / "o1"
     assert run_cli(["tau0", "--config", str(cfg), "--out", str(out1)]) == 0
     m1 = load_manifest(out1)
@@ -80,10 +89,15 @@ def test_config_file_and_flag_override(tmp_path):
     assert abs(load_manifest(out2)["tau0"] + 0.75) < 1e-7
 
 
-def test_unknown_config_key(tmp_path):
+def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus = 1\n")
     assert run_cli(["tau0", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    # tau0 is exact, so the root finder's tol is gone; a config that still
+    # sets it is rejected rather than silently ignored
+    cfg.write_text("alpha = 0.5\ntol = 1e-8\n")
+    assert run_cli(["tau0", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'tol'" in capsys.readouterr().err
 
 
 def test_verify_prop32_command(tmp_path):
@@ -112,6 +126,7 @@ def test_solve_command(tmp_path):
     assert lines[0] == "x,d,value"
     m = load_manifest(out)
     assert m["trace"]["converged"] is True
+    _check_history(m["trace"])
 
 
 def test_blowup_command_small(tmp_path):
@@ -124,6 +139,8 @@ def test_blowup_command_small(tmp_path):
     assert code == 0
     m = load_manifest(out)
     assert m["monotone_in_levels"] and m["sandwich_ok"]
+    for lev in m["levels"]:
+        _check_history(lev)
     assert (out / "solution.csv").exists()
     assert (out / "level_8.csv").exists()
 

@@ -15,12 +15,12 @@ from fraclap.exponents import (
 )
 from fraclap.fields import SourceField
 from fraclap.quadrature import eval_C
+from test_quadrature import TAU0_REFERENCE
 
 
 def test_root_quality(kc05):
     assert -1.0 < kc05.tau0 < 0.0
-    assert abs(kc05.tau0_residual) < 1e-10
-    assert abs(eval_C(kc05.tau0, 0.5)) < 1e-10
+    assert abs(eval_C(kc05.tau0, 0.5)) < 1e-13
     assert kc05.p_star == pytest.approx(1.0 - 1.0 / kc05.tau0)
 
 
@@ -30,9 +30,12 @@ def test_p_star_exceeds_lower_power_bound(kc_by_alpha):
 
 
 def test_bisect_and_hybrid_agree():
-    hybrid = find_tau0(0.35)
-    bisect = find_tau0(0.35, method="bisect")
-    assert abs(hybrid.tau0 - bisect.tau0) < 1e-8
+    # the closed-form root against the mpmath root of the integral-defined C,
+    # and the sign change of C across it
+    for alpha, ref in TAU0_REFERENCE.items():
+        t0 = find_tau0(alpha).tau0
+        assert abs(t0 - ref) < 1e-15
+        assert eval_C(t0 - 1e-6, alpha) > 0.0 > eval_C(t0 + 1e-6, alpha)
 
 
 def test_sign_structure(kc05):
@@ -54,10 +57,11 @@ def test_limit_trends():
 
 
 def test_martin_kernel_conjecture_measured_not_assumed(kc_by_alpha):
-    # the measured deviation from alpha - 1 is recorded; it is numerically
-    # tiny, but nothing in the library relies on it
+    # the closed form of C makes tau0 = alpha - 1 an identity, and the
+    # frozen mpmath roots of the integral confirm it independently
     for alpha, kc in kc_by_alpha.items():
-        assert abs(kc.tau0 - (alpha - 1.0)) < 1e-8
+        assert kc.tau0 == alpha - 1.0
+        assert kc.p_star == (1.0 + alpha) / (1.0 - alpha)
 
 
 def test_classify_interaction(kc05):

@@ -1,22 +1,24 @@
-"""Kernel-integral engine against independent high-precision references.
+"""Closed-form kernel constants against independent references.
 
 Frozen constants come from scripts/make_reference_values.py (mpmath at 40
-digits, series-regularized integrands); they are independent of the package's
-float64 pipeline.
+digits, series-regularized defining integrals); they share nothing with the
+package's Gamma/digamma closed form.  `_c_by_quad` and `_c_tilde_by_quad`
+integrate the defining integrals in double precision as a second check that
+shares no code with the formula.
 """
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import beta as beta_fn
+from scipy.integrate import quad
 
 from fraclap.errors import DomainError
 from fraclap.quadrature import (
-    DEFAULT_QUADRATURE,
     KernelConstants,
-    QuadratureConfig,
     eval_C,
     eval_C_derivatives,
     eval_C_tilde,
@@ -33,13 +35,65 @@ C_REFERENCE = {
     (-0.7, 0.5): 1.5977504679515382918,
     (0.25, 0.5): -math.pi / 4.0,
 }
-C_PRIME_REFERENCE = {(-0.4, 0.5): -3.3438611738809}
+# (tau, alpha) -> (C'(tau), C''(tau)): mpmath derivatives of the integral
+C_DERIVATIVE_REFERENCE = {
+    (-0.4, 0.5): (-3.3438611738808563144, 12.912613688289950711),
+    (-0.9, 0.5): (-102.68908318970699150, 2005.5053725216342824),
+    (-0.75, 0.25): (-16.474873499707488057, 131.79898799765990446),
+    (-0.1, 0.25): (1.8441730965239436897, 14.048908988363054428),
+    (-0.5, 0.75): (-7.3705160196129118097, 21.864083083480172083),
+    (0.3, 0.75): (0.32705698517329886652, 6.5569596418083621839),
+}
+# alpha -> mpmath root of the integral-defined C in (-1, 0), 30 digits
+TAU0_REFERENCE = {
+    0.25: -0.749999999999999999999999980952,
+    0.5: -0.5,
+    0.75: -0.25,
+}
+
+
+def _c_by_quad(tau, alpha):
+    """C(tau) by adaptive quadrature of its defining integral.
+
+    On (0, 1/2] the second difference (1-t)^tau + (1+t)^tau - 2 is formed as
+    2 [expm1(S) cosh(O) + 2 sinh^2(O/2)] from its even and odd log parts, so
+    it keeps relative accuracy as t -> 0; on [1/2, 1) the |1-t|^tau
+    singularity is an algebraic quadrature weight.
+    """
+    w = -1.0 - 2.0 * alpha
+
+    def near(t):
+        even, odd = 0.5 * tau * math.log1p(-t * t), tau * math.atanh(t)
+        second = 2.0 * (math.expm1(even) * math.cosh(odd) + 2.0 * math.sinh(0.5 * odd) ** 2)
+        return second * t**w
+
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+    total = quad(near, 0.0, 0.5, **opts)[0]
+    total += quad(lambda t: t**w, 0.5, 1.0, weight="alg", wvar=(0.0, tau), **opts)[0]
+    total += quad(lambda t: ((1.0 + t) ** tau - 2.0) * t**w, 0.5, 1.0, **opts)[0]
+    total += quad(lambda t: ((1.0 + t) ** tau - 2.0) * t**w, 1.0, np.inf, **opts)[0]
+    return total
+
+
+def _c_tilde_by_quad(beta, alpha):
+    """C~(beta) = int_1^inf (t-1)^beta t^(-1-2a) dt by adaptive quadrature."""
+    w = -1.0 - 2.0 * alpha
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+    head = quad(lambda t: t**w, 1.0, 2.0, weight="alg", wvar=(beta, 0.0), **opts)[0]
+    return head + quad(lambda t: (t - 1.0) ** beta * t**w, 2.0, np.inf, **opts)[0]
 
 
 @pytest.mark.parametrize("key", sorted(C_REFERENCE))
 def test_eval_c_against_brute_force_reference(key):
     tau, alpha = key
-    assert eval_C(tau, alpha) == pytest.approx(C_REFERENCE[key], abs=1e-11, rel=1e-11)
+    assert eval_C(tau, alpha) == pytest.approx(C_REFERENCE[key], rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("tau", [-0.8, -0.3, 0.2])
+def test_eval_c_against_defining_integral(tau, alpha):
+    assert eval_C(tau, alpha) == pytest.approx(_c_by_quad(tau, alpha), rel=1e-8, abs=1e-8)
+
 
 
 def test_eval_c_zero_identity_exact():
@@ -73,22 +127,13 @@ def test_domain_errors():
         eval_C_tilde(-1.0, 0.5)
     with pytest.raises(DomainError):
         eval_C_tilde(0.1, 0.5)
-
-
-def test_config_validation():
     with pytest.raises(DomainError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(split_radius=0.6)
-    with pytest.raises(DomainError):
-        QuadratureConfig(tail_cut=1.5)
-    with pytest.raises(DomainError):
-        QuadratureConfig(max_subdivisions=4)
+        eval_C_derivatives(1.0, 0.5)
 
 
 def test_derivatives_against_reference_and_finite_differences():
     c1, c2 = eval_C_derivatives(-0.4, 0.5)
-    assert c1 == pytest.approx(C_PRIME_REFERENCE[(-0.4, 0.5)], abs=1e-9)
+    assert c1 == pytest.approx(C_DERIVATIVE_REFERENCE[(-0.4, 0.5)][0], abs=1e-9)
     assert c2 > 0
     h = 1e-4
     fd = (eval_C(-0.4 + h, 0.5) - eval_C(-0.4 - h, 0.5)) / (2 * h)
@@ -97,12 +142,23 @@ def test_derivatives_against_reference_and_finite_differences():
     assert c2 == pytest.approx(fd2, rel=1e-4)
 
 
-@settings(max_examples=15, deadline=None)
+@pytest.mark.parametrize("key", sorted(C_DERIVATIVE_REFERENCE))
+def test_derivatives_against_mpmath_reference(key):
+    c1_ref, c2_ref = C_DERIVATIVE_REFERENCE[key]
+    c1, c2 = eval_C_derivatives(*key)
+    assert c1 == pytest.approx(c1_ref, rel=1e-12, abs=0.0)
+    assert c2 == pytest.approx(c2_ref, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    st.floats(min_value=-0.95, max_value=-0.05),
-    st.sampled_from([0.25, 0.5, 0.75]),
+    st.floats(min_value=0.02, max_value=0.98),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
 )
-def test_second_derivative_positive(tau, alpha):
+def test_second_derivative_positive(alpha, u):
+    # C'' has a pointwise positive integrand on the whole domain (-1, 2*alpha)
+    tau = -1.0 + u * (1.0 + 2.0 * alpha)
+    assume(-1.0 < tau < 2.0 * alpha)
     _, c2 = eval_C_derivatives(tau, alpha)
     assert c2 > 0
 
@@ -119,9 +175,10 @@ def test_derivative_consistent_with_convexity():
     [(-0.5, 0.5), (-0.9, 0.25), (-0.3, 0.75), (-0.5, 0.25), (-0.1, 0.9)],
 )
 def test_c_tilde_beta_identity(beta, alpha):
-    # substitution t -> 1/s turns the integral into an Euler Beta value
+    # eval_C_tilde is the Beta value that the substitution t -> 1/s gives;
+    # the reference is the quadrature of the defining integral
     assert eval_C_tilde(beta, alpha) == pytest.approx(
-        beta_fn(2 * alpha - beta, beta + 1.0), abs=1e-8
+        _c_tilde_by_quad(beta, alpha), rel=1e-8, abs=1e-8
     )
 
 
@@ -130,26 +187,8 @@ def test_c_tilde_trivial_endpoint():
     assert eval_C_tilde(-0.9, 0.25) > 0
 
 
-def test_refinement_consistency():
-    coarse = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-6)
-    fine = QuadratureConfig(abs_tol=5e-9, rel_tol=5e-7)
-    a = eval_C(-0.6, 0.5, coarse)
-    b = eval_C(-0.6, 0.5, fine)
-    assert abs(a - b) < 1e-8
-
-
 def test_kernel_constants_cache_positive(kc05):
-    val = kc05.cache_c_tilde(-0.5)
-    assert val > 0
-    assert all(v > 0 for _, v in kc05.c_tilde_cache)
+    # the bundle is the three exact constants; it keeps no sample caches
     assert isinstance(kc05, KernelConstants)
-    assert len(kc05.c_of_tau_cache) > 0
-
-
-def test_split_radius_insensitivity():
-    # moving the analytic-zone boundaries must not move the value
-    alt = QuadratureConfig(split_radius=0.35, tail_cut=6.0)
-    for tau, alpha in [(-0.7, 0.5), (-0.25, 0.25), (0.2, 0.6)]:
-        assert eval_C(tau, alpha, alt) == pytest.approx(
-            eval_C(tau, alpha, DEFAULT_QUADRATURE), abs=1e-11
-        )
+    assert eval_C_tilde(-0.5, kc05.alpha) > 0
+    assert [f.name for f in dataclasses.fields(KernelConstants)] == ["alpha", "tau0", "p_star"]

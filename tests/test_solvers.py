@@ -107,6 +107,11 @@ def test_semilinear_monotone_trace_and_residual(op301, grid301, rng):
     u, trace = solve_semilinear(params, op301, sub, super_, cfg)
     assert trace.final_residual < 10 * cfg.sup_tol
     assert trace.monotone
+    # the fixed scalar shift never rebuilds, so every sweep records its change
+    history = trace.to_dict()["sup_changes"]
+    assert trace.shift_rebuilds == 0
+    assert len(history) == trace.iterations
+    assert history[-1] < cfg.sup_tol * (1.0 + float(np.max(np.abs(u.values))))
 
 
 def test_semilinear_shift_too_small_raises(op301, grid301):
@@ -196,6 +201,8 @@ def test_iteration_config_validation():
         IterationConfig(sup_tol=0.0)
     with pytest.raises(DomainError):
         IterationConfig(shift_mode="bogus")
+    with pytest.raises(DomainError):
+        IterationConfig(shift_mode="nodewise")
     with pytest.raises(DomainError):
         IterationConfig(lipschitz_shift=-1.0)
 
