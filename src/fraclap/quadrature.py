@@ -63,15 +63,17 @@ def _check_domain(tau: float, alpha: float) -> None:
         raise DomainError(f"tau={tau} outside (-1, {2 * alpha}) for alpha={alpha}")
 
 
-def _scale(alpha: float) -> float:
-    return -1.0 / (math.gamma(1.0 + 2.0 * alpha) * math.sin(math.pi * alpha))
+def _parts(tau: float, alpha: float) -> tuple[float, float, float]:
+    """(K, g(tau), pi*(alpha-tau)): the scale, the Gamma product and the sine argument."""
+    _check_domain(tau, alpha)
+    k = -1.0 / (math.gamma(1.0 + 2.0 * alpha) * math.sin(math.pi * alpha))
+    return k, math.gamma(1.0 + tau) * math.gamma(2.0 * alpha - tau), math.pi * (alpha - tau)
 
 
 def eval_C(tau: float, alpha: float) -> float:
     """Kernel constant C(tau) for the given alpha."""
-    _check_domain(tau, alpha)
-    g = math.gamma(1.0 + tau) * math.gamma(2.0 * alpha - tau)
-    return _scale(alpha) * g * math.sin(math.pi * (alpha - tau))
+    k, g, arg = _parts(tau, alpha)
+    return k * g * math.sin(arg)
 
 
 def eval_C_derivatives(tau: float, alpha: float) -> tuple[float, float]:
@@ -82,17 +84,14 @@ def eval_C_derivatives(tau: float, alpha: float) -> tuple[float, float]:
     product form stays accurate at the roots of C, where C (log C)' would not.
     C is strictly convex on (-1, 2*alpha), so the second value is positive.
     """
-    _check_domain(tau, alpha)
+    k, g, arg = _parts(tau, alpha)
     a, b = 1.0 + tau, 2.0 * alpha - tau
-    g = math.gamma(a) * math.gamma(b)
     lg = float(psi(a) - psi(b))
     g1 = g * lg
     # the Hurwitz zeta value zeta(2, x) is the trigamma function psi_1(x)
     g2 = g * (lg * lg + float(zeta(2.0, a) + zeta(2.0, b)))
-    arg = math.pi * (alpha - tau)
     s, s1 = math.sin(arg), -math.pi * math.cos(arg)
     s2 = -math.pi * math.pi * s
-    k = _scale(alpha)
     return k * (g1 * s + g * s1), k * (g2 * s + 2.0 * g1 * s1 + g * s2)
 
 

@@ -24,7 +24,6 @@ from fraclap.operator import apply, assemble, exterior_potential
 from fraclap.quadrature import eval_C, eval_C_derivatives, eval_C_tilde
 from fraclap.rates import verify_prop32
 from fraclap.solvers import IterationConfig, solve_blowup, solve_linear, solve_semilinear
-from test_quadrature import TAU0_REFERENCE, _c_tilde_by_quad
 
 SHELLS = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)
 
@@ -72,7 +71,7 @@ def test_criterion_01_kernel_identity():
     )
 
 
-def test_criterion_02_exterior_kernel_closed_form():
+def test_criterion_02_exterior_kernel_closed_form(c_tilde_by_quad):
     t0 = time.perf_counter()
     worst = 0.0
     for beta in np.linspace(-0.9, -0.1, 9):
@@ -80,7 +79,7 @@ def test_criterion_02_exterior_kernel_closed_form():
             got = eval_C_tilde(float(beta), float(alpha))
             # eval_C_tilde is the Beta value; the reference is the quadrature
             # of the defining integral
-            ref = _c_tilde_by_quad(float(beta), float(alpha))
+            ref = c_tilde_by_quad(float(beta), float(alpha))
             worst = max(worst, abs(got - ref))
     elapsed = time.perf_counter() - t0
     report(
@@ -113,13 +112,13 @@ def test_criterion_03_root_quality():
     )
 
 
-def test_criterion_04_limit_trends():
+def test_criterion_04_limit_trends(tau0_reference):
     alphas = np.arange(0.05, 0.951, 0.05)
     t0s = [find_tau0(float(a)).tau0 for a in alphas]
     increasing = bool(np.all(np.diff(t0s) > 0))
     order = t0s[-1] > t0s[len(t0s) // 2] > t0s[0]
     # the closed-form root against the mpmath roots of the integral-defined C
-    dev = max(abs(find_tau0(a).tau0 - ref) for a, ref in TAU0_REFERENCE.items())
+    dev = max(abs(find_tau0(a).tau0 - ref) for a, ref in tau0_reference.items())
     sign_change = all(
         eval_C(t0 - 1e-6, float(a)) > 0.0 > eval_C(t0 + 1e-6, float(a))
         for a, t0 in zip(alphas, t0s)

@@ -15,7 +15,6 @@ from fraclap.exponents import (
 )
 from fraclap.fields import SourceField
 from fraclap.quadrature import eval_C
-from test_quadrature import TAU0_REFERENCE
 
 
 def test_root_quality(kc05):
@@ -29,10 +28,10 @@ def test_p_star_exceeds_lower_power_bound(kc_by_alpha):
         assert kc.p_star > 1.0 + 2.0 * alpha
 
 
-def test_bisect_and_hybrid_agree():
-    # the closed-form root against the mpmath root of the integral-defined C,
-    # and the sign change of C across it
-    for alpha, ref in TAU0_REFERENCE.items():
+def test_bisect_and_hybrid_agree(tau0_reference):
+    # no bisection or hybrid search is left: the closed-form root is compared
+    # with the mpmath root of the integral-defined C, and C changes sign across it
+    for alpha, ref in tau0_reference.items():
         t0 = find_tau0(alpha).tau0
         assert abs(t0 - ref) < 1e-15
         assert eval_C(t0 - 1e-6, alpha) > 0.0 > eval_C(t0 + 1e-6, alpha)
@@ -57,8 +56,9 @@ def test_limit_trends():
 
 
 def test_martin_kernel_conjecture_measured_not_assumed(kc_by_alpha):
-    # the closed form of C makes tau0 = alpha - 1 an identity, and the
-    # frozen mpmath roots of the integral confirm it independently
+    # tau0 = alpha - 1 is no longer measured: it is an identity of the closed
+    # form of C, asserted exactly here; test_bisect_and_hybrid_agree checks it
+    # against the mpmath roots of the integral
     for alpha, kc in kc_by_alpha.items():
         assert kc.tau0 == alpha - 1.0
         assert kc.p_star == (1.0 + alpha) / (1.0 - alpha)

@@ -2,19 +2,17 @@
 
 Frozen constants come from scripts/make_reference_values.py (mpmath at 40
 digits, series-regularized defining integrals); they share nothing with the
-package's Gamma/digamma closed form.  `_c_by_quad` and `_c_tilde_by_quad`
-integrate the defining integrals in double precision as a second check that
-shares no code with the formula.
+package's Gamma/digamma closed form.  The `c_by_quad` and `c_tilde_by_quad`
+fixtures (conftest.py) integrate the defining integrals in double precision as
+a second check that shares no code with the formula.
 """
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from fraclap.errors import DomainError
 from fraclap.quadrature import (
@@ -44,45 +42,6 @@ C_DERIVATIVE_REFERENCE = {
     (-0.5, 0.75): (-7.3705160196129118097, 21.864083083480172083),
     (0.3, 0.75): (0.32705698517329886652, 6.5569596418083621839),
 }
-# alpha -> mpmath root of the integral-defined C in (-1, 0), 30 digits
-TAU0_REFERENCE = {
-    0.25: -0.749999999999999999999999980952,
-    0.5: -0.5,
-    0.75: -0.25,
-}
-
-
-def _c_by_quad(tau, alpha):
-    """C(tau) by adaptive quadrature of its defining integral.
-
-    On (0, 1/2] the second difference (1-t)^tau + (1+t)^tau - 2 is formed as
-    2 [expm1(S) cosh(O) + 2 sinh^2(O/2)] from its even and odd log parts, so
-    it keeps relative accuracy as t -> 0; on [1/2, 1) the |1-t|^tau
-    singularity is an algebraic quadrature weight.
-    """
-    w = -1.0 - 2.0 * alpha
-
-    def near(t):
-        even, odd = 0.5 * tau * math.log1p(-t * t), tau * math.atanh(t)
-        second = 2.0 * (math.expm1(even) * math.cosh(odd) + 2.0 * math.sinh(0.5 * odd) ** 2)
-        return second * t**w
-
-    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
-    total = quad(near, 0.0, 0.5, **opts)[0]
-    total += quad(lambda t: t**w, 0.5, 1.0, weight="alg", wvar=(0.0, tau), **opts)[0]
-    total += quad(lambda t: ((1.0 + t) ** tau - 2.0) * t**w, 0.5, 1.0, **opts)[0]
-    total += quad(lambda t: ((1.0 + t) ** tau - 2.0) * t**w, 1.0, np.inf, **opts)[0]
-    return total
-
-
-def _c_tilde_by_quad(beta, alpha):
-    """C~(beta) = int_1^inf (t-1)^beta t^(-1-2a) dt by adaptive quadrature."""
-    w = -1.0 - 2.0 * alpha
-    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
-    head = quad(lambda t: t**w, 1.0, 2.0, weight="alg", wvar=(beta, 0.0), **opts)[0]
-    return head + quad(lambda t: (t - 1.0) ** beta * t**w, 2.0, np.inf, **opts)[0]
-
-
 @pytest.mark.parametrize("key", sorted(C_REFERENCE))
 def test_eval_c_against_brute_force_reference(key):
     tau, alpha = key
@@ -91,9 +50,8 @@ def test_eval_c_against_brute_force_reference(key):
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("tau", [-0.8, -0.3, 0.2])
-def test_eval_c_against_defining_integral(tau, alpha):
-    assert eval_C(tau, alpha) == pytest.approx(_c_by_quad(tau, alpha), rel=1e-8, abs=1e-8)
-
+def test_eval_c_against_defining_integral(tau, alpha, c_by_quad):
+    assert eval_C(tau, alpha) == pytest.approx(c_by_quad(tau, alpha), rel=1e-8, abs=1e-8)
 
 
 def test_eval_c_zero_identity_exact():
@@ -174,11 +132,11 @@ def test_derivative_consistent_with_convexity():
     "beta,alpha",
     [(-0.5, 0.5), (-0.9, 0.25), (-0.3, 0.75), (-0.5, 0.25), (-0.1, 0.9)],
 )
-def test_c_tilde_beta_identity(beta, alpha):
+def test_c_tilde_beta_identity(beta, alpha, c_tilde_by_quad):
     # eval_C_tilde is the Beta value that the substitution t -> 1/s gives;
     # the reference is the quadrature of the defining integral
     assert eval_C_tilde(beta, alpha) == pytest.approx(
-        _c_tilde_by_quad(beta, alpha), rel=1e-8, abs=1e-8
+        c_tilde_by_quad(beta, alpha), rel=1e-12, abs=0.0
     )
 
 
@@ -188,7 +146,6 @@ def test_c_tilde_trivial_endpoint():
 
 
 def test_kernel_constants_cache_positive(kc05):
-    # the bundle is the three exact constants; it keeps no sample caches
+    # find_tau0 returns a KernelConstants bundle, and C~ is positive at its alpha
     assert isinstance(kc05, KernelConstants)
     assert eval_C_tilde(-0.5, kc05.alpha) > 0
-    assert [f.name for f in dataclasses.fields(KernelConstants)] == ["alpha", "tau0", "p_star"]
