@@ -52,7 +52,7 @@ def main() -> None:
     rows = []
     for name, params, levels, window in cases:
         cfg = IterationConfig(
-            shift_mode="adaptive", max_iters=40000, sup_tol=1e-10, exhaustion_levels=levels
+            max_iters=40000, sup_tol=1e-10, exhaustion_levels=levels
         )
         t0 = time.perf_counter()
         res = solve_blowup(params, grid, kc, cfg)

@@ -468,14 +468,13 @@ def torsion(grid: Grid1D, alpha: float, op=None) -> tuple[GridFunction, TorsionT
     """
     if op is None:
         op = assemble(grid, alpha)
-    A = op.interaction + np.diag(op.tail)
     try:
-        lu = lu_factor(A)
+        lu = lu_factor(op.shifted_dense(0.0), overwrite_a=True)
     except Exception as exc:  # pragma: no cover - assembly guards make this unreachable
         raise VerificationError(f"torsion linear solve failed: {exc}") from exc
     vals = lu_solve(lu, -np.ones(grid.n_interior))
     gf = GridFunction(grid, vals)
-    resid = float(np.max(np.abs(A @ vals + 1.0)))
+    resid = float(np.max(np.abs(op.interaction @ vals + op.tail * vals + 1.0)))
     if not np.all(vals < 0.0):
         raise VerificationError("torsion function is not negative everywhere")
     return gf, TorsionTerm(values=gf, solve_residual=resid)

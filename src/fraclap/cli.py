@@ -216,7 +216,6 @@ def cmd_blowup(args, outdir: Path) -> int:
         max_iters=args.max_iters,
         sup_tol=args.sup_tol,
         exhaustion_levels=levels,
-        shift_mode=args.shift_mode,
     )
     result = solve_blowup(params, grid, kc, cfg, family_t=args.family_t)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -409,7 +408,6 @@ def _add_solver(sp):
     sp.add_argument("--grading", type=float, default=3.0)
     sp.add_argument("--max-iters", type=int, default=20000)
     sp.add_argument("--sup-tol", type=float, default=1e-9)
-    sp.add_argument("--shift-mode", choices=("scalar", "adaptive"), default="adaptive")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     _add_problem(sp)
     _add_solver(sp)
+    sp.add_argument("--shift-mode", choices=("scalar", "adaptive"), default="adaptive")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("blowup", help="boundary blow-up solve by exhaustion")

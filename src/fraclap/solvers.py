@@ -10,9 +10,12 @@ increasing on the sandwich range, each sweep solves
 starting from the sub-solution.  Because L + D is an M-matrix, the iterates
 increase monotonically and stay below the super-solution.  Blow-up solutions
 come from solving on the exhaustion domains {d > 1/shell} with the global
-sub-solution as exterior data; the implementation substitutes u = W + v so
-that the singular data W enters through its exact semi-analytic operator
-values while the discrete unknown v vanishes on the exhaustion ring.
+sub-solution W imposed on the remaining nodes; its matrix action on the free
+nodes is the collar load.  The blow-up shift D is nodal and the same for every
+level, and the nodes are ordered centre-out, so every free set is a leading
+block and one LU factorization of L + D serves all levels.
+`solve_semilinear` instead factors per shift and may grow its shift
+adaptively, refactorizing as it goes.
 """
 
 from __future__ import annotations
@@ -55,9 +58,12 @@ MONOTONE_SLACK = 1e-12
 class IterationConfig:
     """Controls for the monotone iteration and the exhaustion schedule.
 
-    lipschitz_shift None means automatic: 1.1 * p * (sup of the sandwich
-    amplitude)^(p-1), recomputed per exhaustion level.  shift_mode "adaptive"
-    (with lipschitz_shift None) instead grows a nodewise shift from the
+    lipschitz_shift None means automatic.  `solve_blowup` then uses the nodal
+    shift 1.1 * p * max(|W|, |U|)^(p-1) of its globalized sandwich pair for
+    every level; an explicit lipschitz_shift is a constant shift in both
+    solvers.  shift_mode is a `solve_semilinear` control (`solve_blowup`
+    ignores it): "scalar" uses 1.1 * p * (sup of the sandwich amplitude)^(p-1),
+    and "adaptive" (with lipschitz_shift None) grows a nodewise shift from the
     starting iterate and refactorizes whenever an iterate leaves the range it
     certifies.
     """
@@ -124,7 +130,7 @@ def solve_linear(op: OperatorMatrix, shift, rhs) -> GridFunction:
         raise GridMismatchError("rhs length does not match the grid")
     A = op.shifted_dense(shift_vec)
     try:
-        lu = lu_factor(A)
+        lu = lu_factor(A, overwrite_a=True)
     except Exception as exc:
         raise ConvergenceError(
             f"linear solve failed ({exc}); the assembled system should be an M-matrix, "
@@ -139,57 +145,33 @@ def _auto_shift(p: float, lo: np.ndarray, hi: np.ndarray) -> float:
 
 
 def _monotone_iterate(
-    A: np.ndarray,
+    solve,
+    shift,
     rhs_of,
+    residual_of,
     u0: np.ndarray,
     cfg: IterationConfig,
-    residual_of,
-    p: float,
-    shift_vec: np.ndarray | None = None,
-    amp0: np.ndarray | None = None,
-    range_of=None,
+    guard=None,
 ) -> tuple[np.ndarray, IterationTrace]:
     """Core shifted fixed-point loop; rhs_of(u) excludes the shift term.
 
-    With a fixed shift_vec the shift never changes and any decreasing step is a
-    hard error (the shift was declared adequate for the sandwich and was not).
-    In adaptive mode (shift_vec None) the shift starts from the amplitude
-    estimate amp0 and the system is refactorized whenever an iterate leaves the
-    certified range; every accepted iterate is itself a discrete sub-solution,
-    so restarting from it keeps the monotone construction intact.
+    solve(b) applies the inverse of A + diag(shift).  Any decreasing step is a
+    hard error: the shift was declared adequate for the iterates and was not.
+    guard(u_next), when given, sees every sweep before it is accepted.  It may
+    raise, return None to accept the sweep, or return a rebuilt (solve, shift)
+    pair; the sweep is then discarded and the loop resumes from the last
+    accepted iterate, which is itself a discrete sub-solution, so the monotone
+    construction stays intact.
     """
     trace = IterationTrace()
-    adaptive = shift_vec is None
-    rng = range_of if range_of is not None else np.abs
-    infl = 1.5
-    if adaptive:
-        amp = np.maximum(amp0 if amp0 is not None else rng(u0), rng(u0)) * infl
-        amp = np.maximum(amp, 1e-6)
-        shift = 1.1 * p * amp ** (p - 1.0)
-    else:
-        shift = np.broadcast_to(np.asarray(shift_vec, dtype=float), u0.shape).copy()
-
-    n = u0.size
-    idx = np.arange(n)
-
-    def factor(s):
-        M = A.copy()
-        M[idx, idx] += s
-        return lu_factor(M)
-
-    lu = factor(shift)
     u = u0.copy()
     k = 0
     while k < cfg.max_iters:
-        u_next = lu_solve(lu, rhs_of(u) + shift * u)
+        u_next = solve(rhs_of(u) + shift * u)
         k += 1
-        if adaptive and float(np.max(rng(u_next) - amp)) > 0.0:
-            # iterate left the range the shift certifies: enlarge (only where
-            # needed, to keep the shift close to the true local Lipschitz
-            # bound) and resume from the current certified sub-solution
-            amp = np.maximum(amp, rng(u_next) * infl)
-            shift = 1.1 * p * amp ** (p - 1.0)
-            lu = factor(shift)
+        rebuilt = guard(u_next) if guard is not None else None
+        if rebuilt is not None:
+            solve, shift = rebuilt
             trace.shift_rebuilds += 1
             continue
         defect = float(np.min(u_next - u))
@@ -250,19 +232,58 @@ def solve_semilinear(
     def residual_of(u):
         return A @ u + load + _signed_power(u, params.p) - f_vals
 
-    if cfg.shift_mode == "adaptive" and cfg.lipschitz_shift is None:
-        u, trace = _monotone_iterate(
-            A, rhs_of, sub.values, cfg, residual_of, params.p, amp0=np.abs(sub.values)
-        )
-    else:
+    def factored(shift):
+        M = A.copy()
+        M[np.diag_indices_from(M)] += shift
+        lu = lu_factor(M, overwrite_a=True)
+        return (lambda b: lu_solve(lu, b)), shift
+
+    guard = None
+    if cfg.lipschitz_shift is not None:
         shift = cfg.lipschitz_shift
-        if shift is None:
-            shift = _auto_shift(params.p, sub.values, super_.values)
-        shift_vec = np.broadcast_to(np.asarray(shift, dtype=float), sub.values.shape)
-        u, trace = _monotone_iterate(
-            A, rhs_of, sub.values, cfg, residual_of, params.p, shift_vec=shift_vec
-        )
+    elif cfg.shift_mode == "scalar":
+        shift = _auto_shift(params.p, sub.values, super_.values)
+    else:
+        # adaptive: grow the nodal shift only where an iterate needs it, which
+        # keeps it close to the local Lipschitz bound
+        amp = np.maximum(np.abs(sub.values) * 1.5, 1e-6)
+        shift = 1.1 * params.p * amp ** (params.p - 1.0)
+
+        def guard(u_next):
+            nonlocal amp
+            if float(np.max(np.abs(u_next) - amp)) <= 0.0:
+                return None
+            amp = np.maximum(amp, np.abs(u_next) * 1.5)
+            return factored(1.1 * params.p * amp ** (params.p - 1.0))
+
+    u, trace = _monotone_iterate(
+        *factored(shift), rhs_of, residual_of, sub.values, cfg, guard
+    )
     return GridFunction(op.grid, u, sub.exterior), trace
+
+
+def _factor_nested(a: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU of (a + diag(diag)).T, computed in the memory of a, whose leading
+    m x m block factors the leading m x m block of a + diag(diag) for every m.
+
+    That needs partial pivoting to swap no rows, which holds when a + diag(diag)
+    is row-strictly diagonally dominant (its transpose is column dominant).
+    The pivots are checked, not assumed.  `_leading_solver` solves a block.
+    """
+    a[np.diag_indices_from(a)] += diag
+    lu, piv = lu_factor(a.T, overwrite_a=True, check_finite=False)
+    if np.any(piv != np.arange(piv.size)):
+        raise ConvergenceError(
+            "the shifted exhaustion system is not diagonally dominant: partial "
+            "pivoting swapped rows, so its leading blocks do not factor the levels"
+        )
+    return lu, piv
+
+
+def _leading_solver(lu: np.ndarray, piv: np.ndarray, m: int):
+    """Solve with the leading m x m block of a `_factor_nested` matrix."""
+    block = np.asfortranarray(lu[:m, :m])  # one copy per level; lu itself if m == n
+    return lambda b: lu_solve((block, piv[:m]), b, trans=1, check_finite=False)
 
 
 @dataclass
@@ -310,6 +331,12 @@ def solve_blowup(
     imposed collar values at all, so its solution is the unique discrete fixed
     point independent of which admissible W seeded the run.  The returned
     profile equals the last level inside its shell and the imposed W outside.
+
+    Every level iterates with the same nodal shift, taken from the globalized
+    sandwich pair (W, U) or given as cfg.lipschitz_shift, so one factorization
+    serves all levels (`_factor_nested`).  An iterate that leaves the range
+    max(|W|, |U|) the automatic shift is certified on raises ConvergenceError
+    naming its shell.
 
     Only zero exterior data is supported: the levels are assembled with the
     zero exterior, so nonzero `params.exterior` raises DomainError instead of
@@ -364,8 +391,22 @@ def solve_blowup(
     W_all = np.asarray(sub_g.value(nodes), dtype=float)
     U_all = np.asarray(sup_g.value(nodes), dtype=float)
     f_all = params.source.value(nodes)
+    p, n = params.p, grid.n_interior
 
-    A_full = op.shifted_dense(0.0)
+    amp = np.maximum(np.abs(W_all), np.abs(U_all))
+    if cfg.lipschitz_shift is None:
+        # Lipschitz bound of |t|^(p-1) t on each node's sandwich range
+        shift = 1.1 * p * amp ** (p - 1.0)
+    else:
+        shift = np.full(n, cfg.lipschitz_shift)
+    # centre-out order: every free set {d > 1/shell} is a leading block, so
+    # one factorization of the level-independent system serves every level
+    order = np.argsort(-d, kind="stable")
+    lu, piv = _factor_nested(op.interaction[np.ix_(order, order)], (op.tail + shift)[order])
+
+    def apply_A(v):
+        return op.interaction @ v + op.tail * v
+
     levels: list[BlowupLevel] = []
     u_curr = W_all.copy()
     prev_free = np.zeros_like(d, dtype=bool)
@@ -373,45 +414,46 @@ def solve_blowup(
 
     for shell in cfg.exhaustion_levels:
         free = grid.free_mask(shell)
-        if not np.any(free):
+        m = int(np.count_nonzero(free))
+        if m == 0:
             continue
-        idx = np.where(free)[0]
-        fixed = np.where(~free)[0]
-        A_ff = A_full[np.ix_(idx, idx)]
-        collar_load = A_full[np.ix_(idx, fixed)] @ W_all[fixed] if fixed.size else 0.0
-        Wf, Uf, ff = W_all[idx], U_all[idx], f_all[idx]
+        idx = order[:m]
+        w = np.where(free, 0.0, W_all)
+        collar_load = apply_A(w)[idx]
+        ff = f_all[idx]
 
         def rhs_of(u, ff=ff, load=collar_load):
-            return ff - load - _signed_power(u, params.p)
+            return ff - load - _signed_power(u, p)
 
-        def residual_of(u, A_ff=A_ff, ff=ff, load=collar_load):
-            return A_ff @ u + load + _signed_power(u, params.p) - ff
+        def residual_of(u, ff=ff, w=w, idx=idx):
+            full = w.copy()
+            full[idx] = u
+            return apply_A(full)[idx] + _signed_power(u, p) - ff
 
-        if fixed.size == 0:
+        guard = None
+        if cfg.lipschitz_shift is None:
+
+            def guard(u_next, cap=amp[idx], shell=shell):
+                if np.any(np.abs(u_next) > cap):
+                    raise ConvergenceError(
+                        f"exhaustion shell {shell}: an iterate left the sandwich "
+                        "range max(|W|, |U|) on which the nodal shift is certified"
+                    )
+
+        if m == n:
             # full-depth shell (admissible source checked above): climb from 0
-            u0 = np.zeros_like(Wf)
-            amp0 = np.abs(Uf)
+            u0 = np.zeros(m)
         else:
-            u0 = np.maximum(u_curr[idx], Wf)
-            if params.source.sign_nonneg and np.all(W_all[fixed] >= 0.0):
+            u0 = np.maximum(u_curr[idx], W_all[idx])
+            if params.source.sign_nonneg and np.all(w >= 0.0):
                 # for f >= 0 and nonnegative imposed data the zero function is
                 # itself a sub-solution of the level problem, so the climb may
                 # start from max(previous level, W, 0); this avoids the deep
                 # negative excursion of the torsion-globalized W
                 u0 = np.maximum(u0, 0.0)
-            amp0 = np.abs(u0)
-        if cfg.shift_mode == "adaptive" and cfg.lipschitz_shift is None:
-            uf, trace = _monotone_iterate(
-                A_ff, rhs_of, u0, cfg, residual_of, params.p, amp0=amp0
-            )
-        else:
-            shift = cfg.lipschitz_shift
-            if shift is None:
-                shift = _auto_shift(params.p, Wf, Uf)
-            shift_vec = np.broadcast_to(np.asarray(shift, dtype=float), Wf.shape)
-            uf, trace = _monotone_iterate(
-                A_ff, rhs_of, u0, cfg, residual_of, params.p, shift_vec=shift_vec
-            )
+        uf, trace = _monotone_iterate(
+            _leading_solver(lu, piv, m), shift[idx], rhs_of, residual_of, u0, cfg, guard
+        )
 
         u_next = W_all.copy()
         u_next[idx] = uf
@@ -419,7 +461,7 @@ def solve_blowup(
         # the monotone-in-levels property belongs to the imposed-W shells; a
         # final full-depth shell swaps the imposed collar for solved values and
         # sits outside that comparison
-        if np.any(shared) and fixed.size > 0:
+        if np.any(shared) and m < n:
             defect = np.min(
                 (u_next[shared] - u_curr[shared]) / (1.0 + np.abs(u_curr[shared]))
             )

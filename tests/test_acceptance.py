@@ -47,9 +47,7 @@ def _blowup_cfg(levels, full_of=None):
     levels = tuple(levels)
     if full_of is not None:
         levels = levels + (int(2.0 / full_of.min_spacing),)
-    return IterationConfig(
-        shift_mode="adaptive", max_iters=40000, sup_tol=1e-10, exhaustion_levels=levels
-    )
+    return IterationConfig(max_iters=40000, sup_tol=1e-10, exhaustion_levels=levels)
 
 
 def _slope(u, grid, lo, hi):

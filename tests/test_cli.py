@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fraclap.cli import main
 
 
@@ -143,6 +145,28 @@ def test_blowup_command_small(tmp_path):
         _check_history(lev)
     assert (out / "solution.csv").exists()
     assert (out / "level_8.csv").exists()
+
+
+def test_shift_mode_is_a_solve_option_only(tmp_path, capsys):
+    # the blow-up's nodal shift comes from the sandwich pair, so --shift-mode
+    # would have no effect there and is rejected, flag and config key alike
+    blowup = ["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "151", "--levels", "8"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(blowup + ["--shift-mode", "scalar", "--out", str(tmp_path / "b")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("shift_mode = adaptive\n")
+    assert run_cli(blowup + ["--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    assert "unknown key 'shift_mode'" in capsys.readouterr().err
+    out = tmp_path / "s"
+    code = run_cli(
+        ["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--n", "151",
+         "--shift-mode", "scalar", "--out", str(out)]
+    )
+    assert code == 0
+    m = load_manifest(out)
+    assert m["config"]["shift_mode"] == "scalar"
+    assert m["trace"]["converged"] and m["trace"]["shift_rebuilds"] == 0
 
 
 def test_sweep_command(tmp_path):

@@ -28,9 +28,9 @@ def test_p_star_exceeds_lower_power_bound(kc_by_alpha):
         assert kc.p_star > 1.0 + 2.0 * alpha
 
 
-def test_bisect_and_hybrid_agree(tau0_reference):
-    # no bisection or hybrid search is left: the closed-form root is compared
-    # with the mpmath root of the integral-defined C, and C changes sign across it
+def test_tau0_matches_mpmath_root_with_sign_change(tau0_reference):
+    # the closed-form root is compared with the mpmath root of the
+    # integral-defined C, and C changes sign across it
     for alpha, ref in tau0_reference.items():
         t0 = find_tau0(alpha).tau0
         assert abs(t0 - ref) < 1e-15
@@ -55,10 +55,10 @@ def test_limit_trends():
     assert t[0.01] < -0.95
 
 
-def test_martin_kernel_conjecture_measured_not_assumed(kc_by_alpha):
-    # tau0 = alpha - 1 is no longer measured: it is an identity of the closed
-    # form of C, asserted exactly here; test_bisect_and_hybrid_agree checks it
-    # against the mpmath roots of the integral
+def test_tau0_and_p_star_closed_form_identity(kc_by_alpha):
+    # tau0 = alpha - 1 is an identity of the closed form of C, asserted exactly
+    # here; test_tau0_matches_mpmath_root_with_sign_change checks it against
+    # the mpmath roots of the integral
     for alpha, kc in kc_by_alpha.items():
         assert kc.tau0 == alpha - 1.0
         assert kc.p_star == (1.0 + alpha) / (1.0 - alpha)

@@ -145,7 +145,7 @@ def test_c_tilde_trivial_endpoint():
     assert eval_C_tilde(-0.9, 0.25) > 0
 
 
-def test_kernel_constants_cache_positive(kc05):
+def test_kernel_constants_type_and_c_tilde_positive(kc05):
     # find_tau0 returns a KernelConstants bundle, and C~ is positive at its alpha
     assert isinstance(kc05, KernelConstants)
     assert eval_C_tilde(-0.5, kc05.alpha) > 0

@@ -12,6 +12,8 @@ from fraclap.grid import Grid1D, GridFunction
 from fraclap.operator import apply, assemble
 from fraclap.solvers import (
     IterationConfig,
+    _factor_nested,
+    _leading_solver,
     check_comparison,
     solve_blowup,
     solve_linear,
@@ -124,14 +126,26 @@ def test_semilinear_shift_too_small_raises(op301, grid301):
         solve_semilinear(params, op301, sub, super_, bad)
 
 
-def test_blowup_small_interaction(kc05):
+def test_blowup_small_interaction(kc05, monkeypatch):
+    import fraclap.solvers as solvers
+
+    calls = []
+    real = solvers.lu_factor
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "lu_factor", counting)
     params = ProblemParams(0.5, 2.5)
     levels = (8, 16, 32)
     grid = Grid1D.graded(401, 3.0, include=[1 / s for s in levels])
-    cfg = IterationConfig(
-        shift_mode="adaptive", max_iters=5000, sup_tol=1e-9, exhaustion_levels=levels
-    )
-    res = solve_blowup(params, grid, kc05, cfg)
+    op = assemble(grid, params.alpha)
+    cfg = IterationConfig(max_iters=5000, sup_tol=1e-9, exhaustion_levels=levels)
+    res = solve_blowup(params, grid, kc05, cfg, op=op)
+    # one LU serves every exhaustion level
+    assert calls == [(grid.n_interior, grid.n_interior)]
+    assert all(lev.trace.shift_rebuilds == 0 for lev in res.levels)
     assert res.monotone_in_levels
     assert res.sandwich_ok
     assert np.all(res.final.values[res.final_free] > 0)
@@ -142,14 +156,45 @@ def test_blowup_small_interaction(kc05):
     assert np.all(res.final.values >= w - 1e-9 * (1 + np.abs(w)))
     assert np.all(res.final.values <= u + 1e-9 * (1 + np.abs(u)))
 
+    # each level solves its own system, rebuilt here in natural node order
+    A = op.shifted_dense(0.0)
+    f = params.source.value(grid.nodes)
+    for lev in res.levels:
+        free = lev.free
+        v = lev.solution.values[free]
+        assert np.array_equal(lev.solution.values[~free], w[~free])
+        g = np.sign(v) * np.abs(v) ** params.p
+        load = A[np.ix_(free, ~free)] @ w[~free]
+        r = A[np.ix_(free, free)] @ v + load + g - f[free]
+        scale = 1.0 + np.max(np.abs(f[free] - load - g))
+        assert np.max(np.abs(r)) / scale <= 10 * cfg.sup_tol
+        # the reported residual is this one, up to summation order
+        assert lev.trace.final_residual == pytest.approx(np.max(np.abs(r)), rel=1e-3)
+
+
+def test_factor_nested_leading_blocks_and_pivot_guard(rng):
+    # a row-strictly dominant M-matrix: every leading block is factored by
+    # the leading block of one LU of the transpose
+    n = 7
+    a = -rng.random((n, n))
+    np.fill_diagonal(a, 0.0)
+    diag = -a.sum(axis=1) + rng.random(n)
+    full = a + np.diag(diag)
+    lu, piv = _factor_nested(a.copy(), diag)
+    for m in range(1, n + 1):
+        b = rng.random(m)
+        x = _leading_solver(lu, piv, m)(b)
+        assert np.allclose(full[:m, :m] @ x, b, rtol=0, atol=1e-12)
+    # not diagonally dominant: partial pivoting swaps rows, which is refused
+    with pytest.raises(ConvergenceError, match="not diagonally dominant"):
+        _factor_nested(np.array([[1.0, 2.0], [3.0, 1.0]]), np.zeros(2))
+
 
 def test_blowup_full_shell_requires_positive_source(kc05):
     params = ProblemParams(0.5, 2.5)
     grid = Grid1D.graded(201, 3.0, include=[1 / 8])
     full = int(2.0 / grid.min_spacing)
-    cfg = IterationConfig(
-        shift_mode="adaptive", max_iters=5000, exhaustion_levels=(8, full)
-    )
+    cfg = IterationConfig(max_iters=5000, exhaustion_levels=(8, full))
     with pytest.raises(DomainError):
         solve_blowup(params, grid, kc05, cfg)
 
@@ -169,7 +214,7 @@ def test_blowup_full_shell_rejects_negative_tabulated_source(kc05):
     params = ProblemParams(0.5, 2.5, source=source)
     grid = Grid1D.graded(201, 3.0, include=[1 / 8])
     full = int(2.0 / grid.min_spacing)
-    cfg = IterationConfig(shift_mode="adaptive", max_iters=5000, exhaustion_levels=(8, full))
+    cfg = IterationConfig(max_iters=5000, exhaustion_levels=(8, full))
     with pytest.raises(DomainError, match="full-depth"):
         solve_blowup(params, grid, kc05, cfg)
 
@@ -241,9 +286,7 @@ def test_blowup_critical_family_gap_band(kc05):
     params = ProblemParams(0.5, 2.5)
     levels = (8, 16, 32, 64, 128, 256)
     grid = Grid1D.graded(1001, 3.0, include=[1 / s for s in levels])
-    cfg = IterationConfig(
-        shift_mode="adaptive", max_iters=20000, sup_tol=1e-10, exhaustion_levels=levels
-    )
+    cfg = IterationConfig(max_iters=20000, sup_tol=1e-10, exhaustion_levels=levels)
     res = solve_blowup(params, grid, kc05, cfg, family_t=1.0)
     assert res.monotone_in_levels and res.sandwich_ok
     tau1 = min(kc05.tau0 * params.p + 2 * params.alpha, 0.0)
@@ -263,9 +306,7 @@ def test_blowup_other_alphas(alpha, p):
     assert 1 + 2 * alpha < p < kc.p_star
     levels = (8, 16, 32, 64)
     grid = Grid1D.graded(601, 3.0, include=[1 / s for s in levels])
-    cfg = IterationConfig(
-        shift_mode="adaptive", max_iters=20000, sup_tol=1e-9, exhaustion_levels=levels
-    )
+    cfg = IterationConfig(max_iters=20000, sup_tol=1e-9, exhaustion_levels=levels)
     params = ProblemParams(alpha, p)
     res = solve_blowup(params, grid, kc, cfg)
     assert res.monotone_in_levels and res.sandwich_ok
