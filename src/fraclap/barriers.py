@@ -35,6 +35,7 @@ __all__ = [
     "make_existence_pair",
     "make_special_pair",
     "make_nonexistence_family",
+    "nonexistence_search",
     "verify_barrier",
     "torsion",
     "globalize_pair",
@@ -42,7 +43,6 @@ __all__ = [
 ]
 
 MU_SWEEP_RANGE = 20  # geometric search mu in {2^k}, k in [-MU_SWEEP_RANGE, MU_SWEEP_RANGE]
-_TERM_OP_CACHE: dict = {}
 
 
 def collar_points(delta: float = 0.1, d_min: float = 1e-5, n: int = 64) -> np.ndarray:
@@ -65,9 +65,6 @@ class PowerTerm:
     def tau(self) -> float:
         return self.profile.tau
 
-    def cache_key(self) -> tuple:
-        return ("power", self.profile.tau, self.profile.delta)
-
     def value(self, x):
         return self.profile.value(x)
 
@@ -81,9 +78,6 @@ class PowerTerm:
 @dataclass(frozen=True)
 class IndicatorTerm:
     """Characteristic function of the interval; operator known in closed form."""
-
-    def cache_key(self) -> tuple:
-        return ("indicator",)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -106,9 +100,6 @@ class TorsionTerm:
 
     values: GridFunction
     solve_residual: float = 0.0
-
-    def cache_key(self) -> tuple:
-        return ("torsion",)
 
     def value(self, x):
         return self.values.interp(x)
@@ -139,27 +130,15 @@ class BarrierSpec:
             out = out + c * term.value(x)
         return out
 
-    def op_values(self, xs) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.zeros_like(xs)
-        for c, term in self.terms:
-            out += c * term.op(xs, self.alpha)
-        return out
-
     def term_arrays(self, xs) -> list[tuple[float, np.ndarray, np.ndarray]]:
-        """(coefficient, values, operator values) per term; lets callers sweep
-        coefficients without re-evaluating the semi-analytic integrals.
-        Operator arrays are memoized per (term, point set)."""
+        """(coefficient, values, operator values) per term at the points xs.
+
+        Each call evaluates every term's operator afresh; a caller that sweeps
+        coefficients evaluates once and reuses the arrays."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = []
         for c, term in self.terms:
-            key = (term.cache_key(), self.alpha, xs.tobytes())
-            ops = _TERM_OP_CACHE.get(key)
-            if ops is None:
-                ops = np.asarray(term.op(xs, self.alpha), dtype=float)
-                if len(_TERM_OP_CACHE) > 256:
-                    _TERM_OP_CACHE.clear()
-                _TERM_OP_CACHE[key] = ops
+            ops = np.asarray(term.op(xs, self.alpha), dtype=float)
             out.append((c, np.asarray(term.value(xs), dtype=float), ops))
         return out
 
@@ -211,6 +190,11 @@ class BarrierReport:
 
 def _signed_power(u: np.ndarray, p: float) -> np.ndarray:
     return np.sign(u) * np.abs(u) ** p
+
+
+def _combine(arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Values and operator values of the sum of c * term, summed left to right."""
+    return sum(c * v for c, v, _ in arrays), sum(c * o for c, _, o in arrays)
 
 
 def _report(
@@ -265,10 +249,8 @@ def verify_barrier(
     if role not in ("super", "sub"):
         raise DomainError(f"role must be 'super' or 'sub', got {role!r}")
     xs = np.atleast_1d(np.asarray(collar_nodes, dtype=float))
-    vals = np.asarray(b.value(xs), dtype=float)
-    return _report(
-        xs, vals, b.op_values(xs), params.source.value(xs), params, role, b.leading_tau, tol_rel
-    )
+    vals, ops = _combine(b.term_arrays(xs))
+    return _report(xs, vals, ops, params.source.value(xs), params, role, b.leading_tau, tol_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +398,48 @@ def classify_zone6(
     raise DomainError(f"(p={p}, tau={tau}) is not covered by any nonexistence zone")
 
 
+def nonexistence_search(
+    alpha: float,
+    t: float,
+    tau: float,
+    collar=None,
+    interior=None,
+    delta: float = 0.1,
+    tol_rel: float = 1e-6,
+):
+    """Amplitude search for the rate-excluding family t*V_tau + mu*V_0.
+
+    The operator values of V_tau and V_0 on the collar and interior points do
+    not depend on p, so they are evaluated here, once.  The returned
+    search(params, zone, role) -> (family, report) then tries mu with the sign
+    the zone prescribes (positive for super-solution zones, negative for
+    sub-solution zones) and records the zone, role and amplitude in the report.
+    """
+    if t <= 0:
+        raise DomainError("family parameter t must be positive")
+    xs_collar = collar_points(delta) if collar is None else np.asarray(collar, dtype=float)
+    xs_int = np.linspace(delta, 0.5, 12) if interior is None else np.asarray(interior, dtype=float)
+    xs = np.unique(np.concatenate([xs_collar, xs_int]))
+    power, indicator = PowerTerm(DistanceProfile(tau=tau, delta=delta)), IndicatorTerm()
+    base = BarrierSpec(alpha, ((t, power), (1.0, indicator)))
+    (_, lead_vals, lead_ops), (_, ind_vals, ind_ops) = base.term_arrays(xs)
+
+    def search(params: ProblemParams, zone: int, role: str) -> tuple[BarrierSpec, BarrierReport]:
+        f_vals = params.source.value(xs)
+
+        def test(mu):
+            vals = t * lead_vals + mu * ind_vals
+            ops = t * lead_ops + mu * ind_ops
+            return _report(xs, vals, ops, f_vals, params, role, tau, tol_rel, zone=f"zone{zone}")
+
+        sign = 1.0 if role == "super" else -1.0
+        mus = [sign * 2.0**k for k in range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)]
+        mu, report = _sweep_mu(test, mus, f"nonexistence family in zone {zone}")
+        return BarrierSpec(alpha, ((t, power), (mu, indicator))), report
+
+    return search
+
+
 def make_nonexistence_family(
     params: ProblemParams,
     kc: KernelConstants,
@@ -426,37 +450,11 @@ def make_nonexistence_family(
     delta: float = 0.1,
     tol_rel: float = 1e-6,
 ) -> tuple[BarrierSpec, BarrierReport]:
-    """One member t*V_tau + mu(t)*V_0 of the rate-excluding family.
-
-    mu is searched with the sign the zone prescribes (positive for
-    super-solution zones, negative for sub-solution zones) over collar and
-    interior points together; the report records the zone, role and amplitude.
-    """
-    if t <= 0:
-        raise DomainError("family parameter t must be positive")
+    """One member t*V_tau + mu(t)*V_0 of the rate-excluding family, with mu
+    from `nonexistence_search` over collar and interior points together."""
     zone, role = classify_zone6(params.p, tau, kc)
-    xs_collar = collar_points(delta) if collar is None else np.asarray(collar, dtype=float)
-    xs_int = np.linspace(delta, 0.5, 12) if interior is None else np.asarray(interior, dtype=float)
-    xs = np.unique(np.concatenate([xs_collar, xs_int]))
-
-    base = BarrierSpec(
-        params.alpha,
-        ((t, PowerTerm(DistanceProfile(tau=tau, delta=delta))), (1.0, IndicatorTerm())),
-    )
-    (_, lead_vals, lead_ops), (_, ind_vals, ind_ops) = base.term_arrays(xs)
-    f_vals = params.source.value(xs)
-
-    def test(mu):
-        vals = t * lead_vals + mu * ind_vals
-        ops = t * lead_ops + mu * ind_ops
-        return _report(xs, vals, ops, f_vals, params, role, tau, tol_rel, zone=f"zone{zone}")
-
-    sign = 1.0 if role == "super" else -1.0
-    mus = [sign * 2.0**k for k in range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)]
-    mu, report = _sweep_mu(test, mus, f"nonexistence family in zone {zone}")
-    return BarrierSpec(
-        params.alpha, ((t, base.terms[0][1]), (mu, base.terms[1][1]))
-    ), report
+    search = nonexistence_search(params.alpha, t, tau, collar, interior, delta, tol_rel)
+    return search(params, zone, role)
 
 
 def torsion(grid: Grid1D, alpha: float, op=None) -> tuple[GridFunction, TorsionTerm]:
@@ -502,12 +500,16 @@ def globalize_pair(
     tor_vals = np.asarray(torsion_term.value(xs), dtype=float)
 
     def report_for(spec, arrays, lam_signed, role):
-        vals = sum(c * v for c, v, _ in arrays) + lam_signed * tor_vals
-        ops = sum(c * o for c, _, o in arrays) + lam_signed * (-1.0)
+        vals, ops = _combine(arrays)
+        vals, ops = vals + lam_signed * tor_vals, ops + lam_signed * (-1.0)
         return _report(xs, vals, ops, f_vals, params, role, spec.leading_tau, tol_rel)
 
-    sup_arrays = sup.term_arrays(xs)
-    sub_arrays = sub.term_arrays(xs)
+    # the constructors give sup and sub the same term objects: evaluate each once
+    terms = {id(term): term for _, term in sup.terms + sub.terms}
+    shared = BarrierSpec(sup.alpha, tuple((1.0, term) for term in terms.values()))
+    evaluated = {key: (v, o) for key, (_, v, o) in zip(terms, shared.term_arrays(xs))}
+    sup_arrays = [(c, *evaluated[id(term)]) for c, term in sup.terms]
+    sub_arrays = [(c, *evaluated[id(term)]) for c, term in sub.terms]
     lam = 0.0
     for _ in range(max_doublings):
         r_sup = report_for(sup, sup_arrays, -lam, "super")

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +25,7 @@ from .barriers import (
     make_existence_pair,
     make_nonexistence_family,
     make_special_pair,
+    nonexistence_search,
     verify_barrier,
 )
 from .errors import (
@@ -312,54 +311,38 @@ def cmd_verify_prop32(args, outdir: Path) -> int:
     return 0 if report.passed else EXIT_VERIFICATION
 
 
-def _sweep_point(job) -> dict:
-    alpha, p, tau, t, kc_tau0, kc_pstar = job
-    from .quadrature import KernelConstants
-
-    kc = KernelConstants(alpha=alpha, tau0=kc_tau0, p_star=kc_pstar)
-    row = {"p": p, "tau": tau, "predicted_exponent": ""}
-    try:
-        regime = classify_regime(ProblemParams(alpha, p), tau=tau, kc=kc)
-        row["regime"] = regime.zone.value
-        if regime.predicted_exponent is not None:
-            row["predicted_exponent"] = repr(regime.predicted_exponent)
-    except (DomainError, AmbiguousRegimeError):
-        row["regime"] = "boundary"
-    try:
-        zone, role = classify_zone6(p, tau, kc)
-    except (DomainError, AmbiguousRegimeError) as exc:
-        row.update(zone="boundary", role="", mu=float("nan"), passed=False, note=str(exc))
-        return row
-    try:
-        params = ProblemParams(alpha, p)
-        fam, report = make_nonexistence_family(params, kc, t, tau)
-        row.update(
-            zone=f"zone{zone}",
-            role=role,
-            mu=fam.terms[1][0],
-            passed=bool(report.passed),
-            note="",
-        )
-    except (VerificationError, DomainError) as exc:
-        row.update(zone=f"zone{zone}", role=role, mu=float("nan"), passed=False, note=str(exc))
-    return row
-
-
 def cmd_sweep(args, outdir: Path) -> int:
     kc = find_tau0(args.alpha)
-    ps = _grid_spec(args.p_grid)
-    taus = _grid_spec(args.tau_grid)
-    jobs = [
-        (args.alpha, float(p), float(tau), args.family_t, kc.tau0, kc.p_star)
-        for p in ps
-        for tau in taus
-    ]
-    workers = int(os.environ.get("FRACLAP_THREADS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
-    else:
-        rows = [_sweep_point(j) for j in jobs]
+    ps = [float(p) for p in _grid_spec(args.p_grid)]
+    rows = []
+    for tau in map(float, _grid_spec(args.tau_grid)):
+        # the family's operator values depend on tau alone: evaluated for the
+        # first p that reaches the amplitude search, then shared by every p
+        search = None
+        for p in ps:
+            params = ProblemParams(args.alpha, p)
+            row = {"p": p, "tau": tau, "predicted_exponent": ""}
+            rows.append(row)
+            try:
+                regime = classify_regime(params, tau=tau, kc=kc)
+                row["regime"] = regime.zone.value
+                if regime.predicted_exponent is not None:
+                    row["predicted_exponent"] = repr(regime.predicted_exponent)
+            except (DomainError, AmbiguousRegimeError):
+                row["regime"] = "boundary"
+            try:
+                zone, role = classify_zone6(p, tau, kc)
+            except (DomainError, AmbiguousRegimeError) as exc:
+                row.update(zone="boundary", role="", mu=float("nan"), passed=False, note=str(exc))
+                continue
+            row.update(zone=f"zone{zone}", role=role)
+            try:
+                if search is None:
+                    search = nonexistence_search(args.alpha, args.family_t, tau)
+                fam, report = search(params, zone, role)
+                row.update(mu=fam.terms[1][0], passed=bool(report.passed), note="")
+            except (VerificationError, DomainError) as exc:
+                row.update(mu=float("nan"), passed=False, note=str(exc))
     rows.sort(key=lambda r: (r["p"], r["tau"]))
     outdir.mkdir(parents=True, exist_ok=True)
     with (outdir / "zone_map.csv").open("w") as fh:

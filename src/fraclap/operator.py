@@ -169,9 +169,6 @@ class DistanceProfile:
         out[inside] = self.v(np.minimum(x[inside], 1.0 - x[inside]))
         return out[0] if scalar else out
 
-    def second_deriv_in_x(self, x: float) -> float:
-        return self.v2(min(x, 1.0 - x))
-
 
 @_lru_cache(maxsize=64)
 def _jacobi_rule(alpha: float, n: int = 48):

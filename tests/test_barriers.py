@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fraclap import barriers
 from fraclap.barriers import (
     BarrierSpec,
     IndicatorTerm,
@@ -157,6 +158,28 @@ def test_globalized_pair(kc05, grid301, interaction):
     r_sub = verify_barrier(sub_g, params, "sub", nodes)
     assert r_sup.passed and r_sub.passed
     assert np.all(sup_g.value(nodes) >= sub_g.value(nodes))
+
+
+def test_globalize_pair_evaluates_shared_terms_once(grid301, interaction, monkeypatch):
+    """sup and sub share their power term, so one globalization evaluates its
+    operator once; a second call evaluates it again (nothing is memoized)."""
+    params, pair = interaction
+    _, tor = torsion(grid301, 0.5)
+    nodes = grid301.nodes[grid301.d > 1e-4]
+    calls = []
+    real = barriers.eval_on_power
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(barriers, "eval_on_power", counting)
+    first = globalize_pair(pair, tor, params, nodes)
+    assert len(calls) == 1
+    second = globalize_pair(pair, tor, params, nodes)
+    assert len(calls) == 2
+    for a, b in zip(first, second):
+        assert a.describe() == b.describe()
 
 
 def test_verify_barrier_perturbed_sub_fails(kc05, interaction):

@@ -1,12 +1,19 @@
 """Command-line runner: manifests, CSV artifacts, exit codes, reproducibility."""
 
+import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fraclap
+from fraclap import barriers
 from fraclap.cli import main
+from fraclap.errors import DomainError
+from fraclap.operator import DistanceProfile
 
 
 def run_cli(args):
@@ -169,6 +176,11 @@ def test_shift_mode_is_a_solve_option_only(tmp_path, capsys):
     assert m["trace"]["converged"] and m["trace"]["shift_rebuilds"] == 0
 
 
+def _zone_map_rows(outdir):
+    with (outdir / "zone_map.csv").open() as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_sweep_command(tmp_path):
     out = tmp_path / "sw"
     code = run_cli(
@@ -182,6 +194,47 @@ def test_sweep_command(tmp_path):
     m = load_manifest(out)
     assert m["n_points"] == 9
 
+    # tau > 0 is zone 1, but no profile d^tau exists there: each such row
+    # fails with the profile's DomainError as its note and the run goes on
+    out = tmp_path / "sw_pos"
+    code = run_cli(
+        ["sweep", "--alpha", "0.5", "--p-grid", "1.5:3.5:1.0",
+         "--tau-grid=-0.2:0.4:0.3", "--out", str(out)]
+    )
+    assert code == 0
+    rows = _zone_map_rows(out)
+    above = [r for r in rows if float(r["tau"]) > 0]
+    assert len(above) == 2 * 3
+    for r in above:
+        with pytest.raises(DomainError) as err:
+            DistanceProfile(tau=float(r["tau"]))
+        assert (r["zone"], r["passed"], r["mu"]) == ("zone1", "False", "nan")
+        assert r["note"] == str(err.value)
+    assert all(r["passed"] == "True" for r in rows if float(r["tau"]) < 0)
+
+
+def test_sweep_evaluates_operator_once_per_tau(tmp_path, monkeypatch):
+    """Each sweep evaluates the family's power term once per tau that has a
+    point off the zone boundaries, and a second identical sweep in the same
+    process does the same work: nothing is carried between runs."""
+    taus = []
+    real = barriers.eval_on_power
+
+    def counting(tau, *args, **kwargs):
+        taus.append(tau)
+        return real(tau, *args, **kwargs)
+
+    monkeypatch.setattr(barriers, "eval_on_power", counting)
+    # tau = -0.5 is the root tau0, on a zone boundary for every p of the grid
+    argv = ["sweep", "--alpha", "0.5", "--p-grid", "1.5:3.5:1.0", "--tau-grid=-0.8:-0.2:0.3"]
+    for run in ("first", "second"):
+        taus.clear()
+        assert run_cli(argv + ["--out", str(tmp_path / run)]) == 0
+        rows = _zone_map_rows(tmp_path / run)
+        inner = {float(r["tau"]) for r in rows if r["zone"] != "boundary"}
+        assert len(inner) == 2
+        assert sorted(taus) == sorted(inner)
+
 
 def test_manifest_reproducible_modulo_timestamp(tmp_path):
     out1, out2 = tmp_path / "m1", tmp_path / "m2"
@@ -194,11 +247,15 @@ def test_manifest_reproducible_modulo_timestamp(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports the same fraclap as this process, installed or not
+    src = str(Path(fraclap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "fraclap.cli", "tau0", "--alpha", "0.5",
          "--out", str(tmp_path / "ep")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
 
