@@ -13,6 +13,7 @@ from pathlib import Path
 from fraclap.exponents import ProblemParams, classify_regime, find_tau0
 from fraclap.fields import SourceField
 from fraclap.grid import Grid1D
+from fraclap.operator import assemble
 from fraclap.rates import fit_exponent
 from fraclap.solvers import IterationConfig, solve_blowup
 
@@ -31,6 +32,7 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
     kc = find_tau0(args.alpha)
     grid = Grid1D.graded(args.n, args.grading, include=[1.0 / s for s in SHELLS])
+    op = assemble(grid, args.alpha)  # the three cases share the grid and alpha
     full = int(2.0 / grid.min_spacing)
 
     cases = [
@@ -55,7 +57,7 @@ def main() -> None:
             max_iters=40000, sup_tol=1e-10, exhaustion_levels=levels
         )
         t0 = time.perf_counter()
-        res = solve_blowup(params, grid, kc, cfg)
+        res = solve_blowup(params, grid, kc, cfg, op=op)
         fit = fit_exponent(res.final, window)
         predicted = classify_regime(params, kc=kc).predicted_exponent
         elapsed = time.perf_counter() - t0

@@ -312,10 +312,15 @@ def cmd_verify_prop32(args, outdir: Path) -> int:
 
 
 def cmd_sweep(args, outdir: Path) -> int:
+    taus = [float(tau) for tau in _grid_spec(args.tau_grid)]
+    outside = [tau for tau in taus if not -1.0 < tau <= 0.0]
+    if outside:
+        # the family's profile d^tau exists only there: no row could verify
+        raise DomainError(f"sweep tau={outside[0]!r} outside (-1, 0]")
     kc = find_tau0(args.alpha)
     ps = [float(p) for p in _grid_spec(args.p_grid)]
     rows = []
-    for tau in map(float, _grid_spec(args.tau_grid)):
+    for tau in taus:
         # the family's operator values depend on tau alone: evaluated for the
         # first p that reaches the amplitude search, then shared by every p
         search = None

@@ -142,6 +142,22 @@ class SourceField:
             return self.kappa_f >= 0
         return all(v >= 0 for v in self.table_f)
 
+    @property
+    def mirror_symmetric(self) -> bool:
+        """f(1 - x) = f(x): true of the zero and power-collar kinds; a table
+        must list mirrored abscissae (to 1e-13, as a grid's nodes) carrying
+        equal values."""
+        if self.kind != "tabulated":
+            return True
+        xs = np.asarray(self.table_x, dtype=float)
+        fs = np.asarray(self.table_f, dtype=float)
+        order = np.argsort(xs)
+        xs, fs = xs[order], fs[order]
+        return bool(
+            np.allclose(xs, 1.0 - xs[::-1], rtol=0.0, atol=1e-13)
+            and np.array_equal(fs, fs[::-1])
+        )
+
     def value(self, x):
         """f at interior points x (vectorized)."""
         x = np.asarray(x, dtype=float)

@@ -20,6 +20,16 @@ restores second-order consistency.  All kernel moments are power antiderivatives
 in closed form (with the stable log branch at 2*alpha = 1); the singular kernel
 is never sampled pointwise.
 
+Mirror symmetry.  The grid is symmetric about 1/2, so the matrix satisfies
+A[n-1-i, n-1-j] = A[i, j]: `assemble` integrates only the left-half rows
+(x <= 1/2, where the node is its own boundary distance) and fills the right
+half by that identity, exactly.  `OperatorMatrix.folded` restricts the
+operator to mirror-symmetric grid functions, adding each right-half column
+to its mirror; off-diagonals stay <= 0 and row sums are unchanged, so the
+folded matrix keeps the M-matrix property the solvers rely on.  Only the
+blow-up path folds: `solve_linear` and `solve_semilinear` accept data that
+need not be symmetric and use the full matrix.
+
 Barrier profiles.  `eval_on_power` evaluates the operator of the d^tau profile
 at an array of points in one vectorized pass, with no adaptive quadrature: the
 points are mirrored to their boundary distance d and each distinct d is
@@ -145,20 +155,6 @@ class DistanceProfile:
         si = s[~collar]
         out[~collar] = np.exp(np.polyval(self._q[::-1], si))
         return out[0] if scalar else out
-
-    def _q_derivs(self, s: float) -> tuple[float, float, float]:
-        c = self._q
-        q = float(np.polyval(c[::-1], s))
-        q1 = float(np.polyval(np.polyder(np.poly1d(c[::-1])), s))
-        q2 = float(np.polyval(np.polyder(np.poly1d(c[::-1]), 2), s))
-        return q, q1, q2
-
-    def v2(self, s: float) -> float:
-        """Second derivative of the profile in s (needed for interior Taylor)."""
-        if s <= self.delta:
-            return self.tau * (self.tau - 1.0) * s ** (self.tau - 2.0)
-        q, q1, q2 = self._q_derivs(s)
-        return (q2 + q1 * q1) * math.exp(q)
 
     # -- profile as a function of the spatial point x ----------------------
     def value(self, x):
@@ -650,6 +646,19 @@ class OperatorMatrix:
         m[idx, idx] += self.tail + np.broadcast_to(shift, idx.shape)
         return m
 
+    def folded(self, shift) -> np.ndarray:
+        """The system on mirror-symmetric grid functions, h = n_half unknowns:
+        A_f[i, j] = A[i, j] + A[i, n-1-j] for i, j < h (the midpoint column of
+        odd n has no partner) plus diag(tail[:h] + shift); shift may be scalar
+        or a left-half array.  A_f v = (A mirror(v))[:h].
+        """
+        n, h = self.grid.n_interior, self.grid.n_half
+        m = self.interaction[:h, :h].copy()
+        m[:, : n - h] += self.interaction[:h, : h - 1 : -1]
+        idx = np.arange(h)
+        m[idx, idx] += self.tail[:h] + np.broadcast_to(shift, idx.shape)
+        return m
+
 
 def assemble(
     grid: Grid1D, alpha: float, exterior: ExteriorData | None = None
@@ -672,7 +681,8 @@ def assemble(
     cell_lo_all = edges[:-1]
     cell_hi_all = edges[1:]
 
-    for i in range(n):
+    n_left = grid.n_half
+    for i in range(n_left):
         x = nodes[i]
         row = np.zeros(n + 2)  # indexed by edge endpoints, folded to nodes below
 
@@ -730,10 +740,16 @@ def assemble(
         row[n] += row[n + 1]
         interaction[i] = -row[1 : n + 1]
 
-    if not np.all(np.isfinite(interaction)):
+    if not np.all(np.isfinite(interaction[:n_left])):
         raise FraclapError("assembly produced a non-finite kernel moment")
+    # the right half is the mirror image of the left: A[n-1-i, n-1-j] = A[i, j]
+    # exactly, and for odd n the midpoint row is its own mirror
+    n_right = n - n_left
+    interaction[n_left:] = interaction[:n_right][::-1, ::-1]
+    if n % 2:
+        interaction[n_right, n_left:] = interaction[n_right, :n_right][::-1]
 
-    tail = np.asarray(tail_coefficient(nodes, alpha))
+    tail = grid.mirror(tail_coefficient(nodes[:n_left], alpha))
     load = (
         np.zeros(n)
         if exterior.is_zero

@@ -14,8 +14,18 @@ sub-solution W imposed on the remaining nodes; its matrix action on the free
 nodes is the collar load.  The blow-up shift D is nodal and the same for every
 level, and the nodes are ordered centre-out, so every free set is a leading
 block and one LU factorization of L + D serves all levels.
-`solve_semilinear` instead factors per shift and may grow its shift
-adaptively, refactorizing as it goes.
+
+Every blow-up datum (the source, the zero exterior, the barrier pair) is a
+function of d = min(x, 1-x), so each level is mirror-symmetric and
+`solve_blowup` works with the folded left-half system of
+`OperatorMatrix.folded`: (n+1)/2 unknowns, an eighth of the LU's flops and
+a quarter of each solve's.  Folding adds each right-half column to its mirror, so the
+off-diagonals stay <= 0 and the row sums are unchanged: the folded L + D is
+still a row-strictly dominant M-matrix and the comparison argument above
+holds for it unchanged.  `solve_linear` and `solve_semilinear` keep the full
+matrix, because their data need not be symmetric (a tabulated source or
+right-hand side can be anything).  `solve_semilinear` also factors per shift
+and may grow its shift adaptively, refactorizing as it goes.
 """
 
 from __future__ import annotations
@@ -338,6 +348,12 @@ def solve_blowup(
     max(|W|, |U|) the automatic shift is certified on raises ConvergenceError
     naming its shell.
 
+    The source, the zero exterior and the pair depend on d = min(x, 1-x)
+    alone, so every level is mirror-symmetric: the torsion, the pair's
+    verification nodes, the factorization and the sweeps all work on the
+    left half (`OperatorMatrix.folded`), and the levels are mirrored back.
+    A tabulated source whose table is not symmetric raises DomainError.
+
     Only zero exterior data is supported: the levels are assembled with the
     zero exterior, so nonzero `params.exterior` raises DomainError instead of
     being dropped.
@@ -346,6 +362,11 @@ def solve_blowup(
         raise DomainError(
             f"solve_blowup supports zero exterior data only, got kind "
             f"{params.exterior.kind!r}"
+        )
+    if not params.source.mirror_symmetric:
+        raise DomainError(
+            "solve_blowup solves the mirror-folded system, which needs a source "
+            "symmetric about x = 1/2; the tabulated source table is not"
         )
     max_shell = max(cfg.exhaustion_levels)
     if np.all(grid.free_mask(max_shell)) and (
@@ -379,48 +400,48 @@ def solve_blowup(
         op = assemble(grid, params.alpha)
     _, tor_term = torsion(grid, params.alpha, op=op)
 
-    d = grid.d
-    verify_mask = d > 2e-6
-    verify_nodes = grid.nodes[verify_mask]
-    sup_g, sub_g = globalize_pair(pair, tor_term, params, verify_nodes)
+    # every datum is a function of d, so the levels are mirror-symmetric and
+    # are solved on the left half, where d = x increases with the index
+    h = grid.n_half
+    x = grid.nodes[:h]
+    sup_g, sub_g = globalize_pair(pair, tor_term, params, x[x > 2e-6])
 
-    nodes = grid.nodes
     if not np.any(grid.free_mask(max_shell)):
         raise DomainError("grid has no nodes inside the deepest exhaustion shell")
 
-    W_all = np.asarray(sub_g.value(nodes), dtype=float)
-    U_all = np.asarray(sup_g.value(nodes), dtype=float)
-    f_all = params.source.value(nodes)
-    p, n = params.p, grid.n_interior
+    W = np.asarray(sub_g.value(x), dtype=float)
+    U = np.asarray(sup_g.value(x), dtype=float)
+    f = params.source.value(x)
+    p = params.p
 
-    amp = np.maximum(np.abs(W_all), np.abs(U_all))
+    amp = np.maximum(np.abs(W), np.abs(U))
     if cfg.lipschitz_shift is None:
         # Lipschitz bound of |t|^(p-1) t on each node's sandwich range
         shift = 1.1 * p * amp ** (p - 1.0)
     else:
-        shift = np.full(n, cfg.lipschitz_shift)
-    # centre-out order: every free set {d > 1/shell} is a leading block, so
-    # one factorization of the level-independent system serves every level
-    order = np.argsort(-d, kind="stable")
-    lu, piv = _factor_nested(op.interaction[np.ix_(order, order)], (op.tail + shift)[order])
-
-    def apply_A(v):
-        return op.interaction @ v + op.tail * v
+        shift = np.full(h, cfg.lipschitz_shift)
+    # centre-out order (decreasing d, the reversed index): every free set
+    # {d > 1/shell} is a leading block, so one factorization of the
+    # level-independent folded system serves every level
+    A_f = op.folded(0.0)
+    order = np.arange(h)[::-1]
+    lu, piv = _factor_nested(A_f[::-1, ::-1].copy(), shift[::-1])
 
     levels: list[BlowupLevel] = []
-    u_curr = W_all.copy()
-    prev_free = np.zeros_like(d, dtype=bool)
+    u_curr = W.copy()
+    prev_free = np.zeros(h, dtype=bool)
     monotone_levels = True
 
     for shell in cfg.exhaustion_levels:
-        free = grid.free_mask(shell)
+        free_full = grid.free_mask(shell)
+        free = free_full[:h]
         m = int(np.count_nonzero(free))
         if m == 0:
             continue
         idx = order[:m]
-        w = np.where(free, 0.0, W_all)
-        collar_load = apply_A(w)[idx]
-        ff = f_all[idx]
+        w = np.where(free, 0.0, W)
+        collar_load = (A_f @ w)[idx]
+        ff = f[idx]
 
         def rhs_of(u, ff=ff, load=collar_load):
             return ff - load - _signed_power(u, p)
@@ -428,7 +449,7 @@ def solve_blowup(
         def residual_of(u, ff=ff, w=w, idx=idx):
             full = w.copy()
             full[idx] = u
-            return apply_A(full)[idx] + _signed_power(u, p) - ff
+            return (A_f @ full)[idx] + _signed_power(u, p) - ff
 
         guard = None
         if cfg.lipschitz_shift is None:
@@ -440,11 +461,11 @@ def solve_blowup(
                         "range max(|W|, |U|) on which the nodal shift is certified"
                     )
 
-        if m == n:
+        if m == h:
             # full-depth shell (admissible source checked above): climb from 0
             u0 = np.zeros(m)
         else:
-            u0 = np.maximum(u_curr[idx], W_all[idx])
+            u0 = np.maximum(u_curr[idx], W[idx])
             if params.source.sign_nonneg and np.all(w >= 0.0):
                 # for f >= 0 and nonnegative imposed data the zero function is
                 # itself a sub-solution of the level problem, so the climb may
@@ -455,13 +476,13 @@ def solve_blowup(
             _leading_solver(lu, piv, m), shift[idx], rhs_of, residual_of, u0, cfg, guard
         )
 
-        u_next = W_all.copy()
+        u_next = W.copy()
         u_next[idx] = uf
         shared = prev_free & free
         # the monotone-in-levels property belongs to the imposed-W shells; a
         # final full-depth shell swaps the imposed collar for solved values and
         # sits outside that comparison
-        if np.any(shared) and m < n:
+        if np.any(shared) and m < h:
             defect = np.min(
                 (u_next[shared] - u_curr[shared]) / (1.0 + np.abs(u_curr[shared]))
             )
@@ -469,17 +490,21 @@ def solve_blowup(
                 monotone_levels = False
         u_curr, prev_free = u_next, free
         levels.append(
-            BlowupLevel(shell=shell, free=free, solution=GridFunction(grid, u_next), trace=trace)
+            BlowupLevel(
+                shell=shell,
+                free=free_full,
+                solution=GridFunction(grid, grid.mirror(u_next)),
+                trace=trace,
+            )
         )
 
-    final = levels[-1].solution
     sandwich_ok = bool(
-        np.all(final.values >= W_all - 1e-9 * (1.0 + np.abs(W_all)))
-        and np.all(final.values <= U_all + 1e-9 * (1.0 + np.abs(U_all)))
+        np.all(u_curr >= W - 1e-9 * (1.0 + np.abs(W)))
+        and np.all(u_curr <= U + 1e-9 * (1.0 + np.abs(U)))
     )
     return BlowupResult(
         params=params,
-        final=final,
+        final=levels[-1].solution,
         levels=levels,
         pair_collar=pair,
         pair_global=(sup_g, sub_g),

@@ -158,8 +158,9 @@ def test_criterion_06_interaction_rate(kc05, blowup_grid, blowup_op):
     rel = abs(slope + 2.0 / 3.0) / (2.0 / 3.0)
     positive = bool(np.all(res.final.values[res.final_free] > 0))
     sup_g, sub_g = res.pair_global
-    w = np.asarray(sub_g.value(blowup_grid.nodes))
-    uu = np.asarray(sup_g.value(blowup_grid.nodes))
+    # the pair depends on d alone and is evaluated at the grid's distances
+    w = np.asarray(sub_g.value(blowup_grid.d))
+    uu = np.asarray(sup_g.value(blowup_grid.d))
     sandwich = bool(
         np.all(res.final.values >= w - 1e-9 * (1 + np.abs(w)))
         and np.all(res.final.values <= uu + 1e-9 * (1 + np.abs(uu)))

@@ -23,7 +23,8 @@ from fraclap.errors import DomainError
 from fraclap.exponents import ProblemParams, classify_regime
 from fraclap.fields import SourceField
 from fraclap.grid import Grid1D
-from fraclap.operator import DistanceProfile
+from fraclap.operator import DistanceProfile, assemble
+from fraclap.solvers import solve_linear
 
 TORSION_CONSTANT = {0.25: 2 * np.pi, 0.5: 2 * np.pi, 0.75: 4 * np.pi}
 
@@ -126,12 +127,21 @@ def test_nonexistence_family_zone4(kc05):
 def test_torsion(grid301, kc05):
     gf, term = torsion(grid301, 0.5)
     assert np.all(gf.values < 0)
-    assert gf.values == pytest.approx(gf.values[::-1], rel=1e-9)
+    assert np.array_equal(gf.values, gf.values[::-1])
     assert term.op(0.3, 0.5) == -1.0
     # closed form: -(4x(1-x))^a / K_a, checked at midpoint
     i = int(np.argmin(np.abs(grid301.nodes - 0.5)))
     exact = -1.0 / TORSION_CONSTANT[0.5]
     assert gf.values[i] == pytest.approx(exact, rel=5e-3)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.75])
+def test_folded_torsion_matches_full_solve(grid301, alpha):
+    op = assemble(grid301, alpha)
+    gf, term = torsion(grid301, alpha, op=op)
+    full = solve_linear(op, 0.0, np.ones(grid301.n_interior)).values
+    assert np.max(np.abs(gf.values + full) / np.abs(full)) <= 1e-13
+    assert term.solve_residual <= 1e-9 * np.max(np.abs(op.interaction).sum(axis=1) * np.abs(full))
 
 
 def test_torsion_richardson_reference():

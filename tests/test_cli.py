@@ -12,8 +12,6 @@ import pytest
 import fraclap
 from fraclap import barriers
 from fraclap.cli import main
-from fraclap.errors import DomainError
-from fraclap.operator import DistanceProfile
 
 
 def run_cli(args):
@@ -194,23 +192,19 @@ def test_sweep_command(tmp_path):
     m = load_manifest(out)
     assert m["n_points"] == 9
 
-    # tau > 0 is zone 1, but no profile d^tau exists there: each such row
-    # fails with the profile's DomainError as its note and the run goes on
-    out = tmp_path / "sw_pos"
-    code = run_cli(
-        ["sweep", "--alpha", "0.5", "--p-grid", "1.5:3.5:1.0",
-         "--tau-grid=-0.2:0.4:0.3", "--out", str(out)]
-    )
-    assert code == 0
-    rows = _zone_map_rows(out)
-    above = [r for r in rows if float(r["tau"]) > 0]
-    assert len(above) == 2 * 3
-    for r in above:
-        with pytest.raises(DomainError) as err:
-            DistanceProfile(tau=float(r["tau"]))
-        assert (r["zone"], r["passed"], r["mu"]) == ("zone1", "False", "nan")
-        assert r["note"] == str(err.value)
-    assert all(r["passed"] == "True" for r in rows if float(r["tau"]) < 0)
+    # no profile d^tau exists for tau outside (-1, 0]: such a grid is refused
+    # before any work, naming its first offending tau
+    for name, spec, first in (("pos", "-0.2:0.4:0.3", -0.2 + 0.3), ("neg", "-1:-0.5:0.5", -1.0)):
+        out = tmp_path / f"sw_{name}"
+        code = run_cli(
+            ["sweep", "--alpha", "0.5", "--p-grid", "1.5:3.5:1.0",
+             f"--tau-grid={spec}", "--out", str(out)]
+        )
+        assert code == 2
+        assert not (out / "zone_map.csv").exists()
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "DomainError"
+        assert err["message"] == f"sweep tau={first!r} outside (-1, 0]"
 
 
 def test_sweep_evaluates_operator_once_per_tau(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Grids, grid functions, and data-field descriptors."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,21 @@ def test_free_mask():
         g.free_mask(1)
 
 
+def test_distances_exactly_mirrored():
+    shells = (8, 32, 128, 2048)
+    g = Grid1D.graded(2001, 3.0, include=[1 / s for s in shells])
+    h = g.n_half
+    assert np.array_equal(g.d, g.d[::-1])
+    assert np.array_equal(g.d[:h], g.nodes[:h])
+    # 1 - x at the right end loses the digits of the deepest distance
+    assert g.d[-1] == g.nodes[0] != 1.0 - g.nodes[-1]
+    for s in shells:
+        free = g.free_mask(s)
+        assert np.array_equal(free, free[::-1])
+    idx = np.arange(g.n_interior)
+    assert np.array_equal(g.mirror(idx[:h]), np.minimum(idx, idx[::-1]))
+
+
 def test_grid_validation():
     with pytest.raises(DomainError):
         Grid1D(nodes=np.array([0.1, 0.1, 0.9]))
@@ -56,6 +73,21 @@ def test_grid_function_roundtrip(tmp_path):
     back = GridFunction.from_csv(path)
     assert back.values == pytest.approx(u.values)
     assert back.grid.nodes == pytest.approx(g.nodes)
+
+
+def test_to_csv_bytes_match_per_row_writer(tmp_path):
+    g = Grid1D.graded(41, 3.0, include=[1 / 8])
+    u = GridFunction(g, np.exp(-g.nodes) * np.array([1.0, -1e-300, 3e17] * 13 + [0.5, 2.0]))
+    path = tmp_path / "fast.csv"
+    u.to_csv(path)
+    ref = tmp_path / "ref.csv"
+    with ref.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "d", "value"])
+        for x, d, v in zip(g.nodes, g.d, u.values):
+            writer.writerow([repr(float(x)), repr(float(d)), repr(float(v))])
+    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_bytes().count(b"\r\n") == g.n_interior + 1
 
 
 def test_grid_function_guards():
@@ -83,6 +115,15 @@ def test_source_field():
         SourceField.power_collar(-2.5).validate_for(0.5)
     with pytest.raises(DomainError):
         SourceField(kind="nope")
+
+
+def test_source_mirror_symmetry_reads_the_table():
+    assert SourceField.zero().mirror_symmetric
+    assert SourceField.power_collar(-1.2).mirror_symmetric
+    sym = SourceField(kind="tabulated", table_x=(0.99, 0.01, 0.5), table_f=(1.0, 1.0, -1.0))
+    assert sym.mirror_symmetric
+    assert not SourceField(kind="tabulated", table_x=(0.2, 0.8), table_f=(0.5, 2.0)).mirror_symmetric
+    assert not SourceField(kind="tabulated", table_x=(0.2, 0.7), table_f=(1.0, 1.0)).mirror_symmetric
 
 
 def test_exterior_field():

@@ -1,5 +1,7 @@
 """Discrete operator and semi-analytic evaluation paths."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,14 +77,19 @@ def bump_scalar(z):
 
 
 def test_profile_positive_and_c2_at_seam():
+    h = 1e-5
     for tau in (-0.95, -0.5, -0.1):
         prof = DistanceProfile(tau=tau, delta=0.1)
         s = np.geomspace(1e-6, 0.5, 500)
         assert np.all(prof.v(s) > 0)
-        h = 1e-4
-        for s0 in (0.1, 0.25):
-            fd2 = (prof.v(s0 + h) - 2 * prof.v(s0) + prof.v(s0 - h)) / h**2
-            assert fd2 == pytest.approx(prof.v2(s0 + 1e-12), rel=2e-3, abs=1e-6)
+
+        def second_difference(s0):
+            return (prof.v(s0 + h) - 2 * prof.v(s0) + prof.v(s0 - h)) / h**2
+
+        # one stencil on the collar power, one on the continuation, sharing
+        # the seam value: they agree when the profile is C^2 there
+        inside, outside = second_difference(0.1 - h), second_difference(0.1 + h)
+        assert outside == pytest.approx(inside, rel=2e-3, abs=1e-6)
 
 
 def test_profile_collar_is_exact_power():
@@ -203,6 +210,37 @@ def test_m_matrix_structure(op301):
     off = op301.interaction - np.diag(diag)
     assert np.all(diag > 0)
     assert np.max(off) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_assembly_mirror_symmetric_and_folded_m_matrix(alpha):
+    grid = Grid1D.graded(201, 3.0, include=[1 / 8, 1 / 32])
+    op = assemble(grid, alpha)
+    A = op.interaction
+    assert np.array_equal(A, A[::-1, ::-1])
+    assert np.array_equal(op.tail, op.tail[::-1])
+    h = grid.n_half
+    folded = op.folded(0.0)
+    assert folded.shape == (h, h)
+    assert np.max(folded - np.diag(np.diag(folded))) <= 0.0
+    # every column of a left-half row lands in one folded column, so the row
+    # sums are unchanged; summed exactly, only the fold's additions differ
+    full = np.array([math.fsum([*A[i], op.tail[i]]) for i in range(h)])
+    fold = np.array([math.fsum(row) for row in folded])
+    assert np.max(np.abs(fold - full) / full) <= 1e-12
+    assert np.allclose(op.folded(2.5), folded + 2.5 * np.eye(h), rtol=1e-15, atol=0.0)
+
+
+def test_folded_acts_on_mirrored_functions(rng):
+    # odd n (a midpoint without a partner) and even n
+    even = Grid1D(nodes=np.array([0.1, 0.3, 0.45, 0.55, 0.7, 0.9]))
+    for grid in (Grid1D.graded(101, 2.0), even):
+        op = assemble(grid, 0.5)
+        v = rng.standard_normal(grid.n_half)
+        u = grid.mirror(v)
+        full = op.interaction @ u + op.tail * u
+        scale = np.abs(op.interaction).sum(axis=1) + op.tail
+        assert np.max(np.abs(op.folded(0.0) @ v - full[: grid.n_half]) / scale[: grid.n_half]) < 1e-14
 
 
 def test_apply_zero_function_gives_zero(op301, grid301):

@@ -143,16 +143,19 @@ def test_blowup_small_interaction(kc05, monkeypatch):
     op = assemble(grid, params.alpha)
     cfg = IterationConfig(max_iters=5000, sup_tol=1e-9, exhaustion_levels=levels)
     res = solve_blowup(params, grid, kc05, cfg, op=op)
-    # one LU serves every exhaustion level
-    assert calls == [(grid.n_interior, grid.n_interior)]
+    # one LU of the mirror-folded system serves every exhaustion level
+    assert calls == [(grid.n_half, grid.n_half)]
     assert all(lev.trace.shift_rebuilds == 0 for lev in res.levels)
     assert res.monotone_in_levels
     assert res.sandwich_ok
     assert np.all(res.final.values[res.final_free] > 0)
     assert [lev.shell for lev in res.levels] == [8, 16, 32]
+    for lev in res.levels:
+        assert np.array_equal(lev.solution.values, lev.solution.values[::-1])
+    # the pair depends on d alone and is evaluated at the grid's distances
     sup_g, sub_g = res.pair_global
-    w = sub_g.value(grid.nodes)
-    u = sup_g.value(grid.nodes)
+    w = sub_g.value(grid.d)
+    u = sup_g.value(grid.d)
     assert np.all(res.final.values >= w - 1e-9 * (1 + np.abs(w)))
     assert np.all(res.final.values <= u + 1e-9 * (1 + np.abs(u)))
 
@@ -217,6 +220,14 @@ def test_blowup_full_shell_rejects_negative_tabulated_source(kc05):
     cfg = IterationConfig(max_iters=5000, exhaustion_levels=(8, full))
     with pytest.raises(DomainError, match="full-depth"):
         solve_blowup(params, grid, kc05, cfg)
+
+
+def test_blowup_rejects_asymmetric_tabulated_source(kc05):
+    source = SourceField(kind="tabulated", table_x=(0.2, 0.8), table_f=(0.5, 2.0))
+    params = ProblemParams(0.5, 2.5, source=source)
+    grid = Grid1D.graded(201, 3.0, include=[1 / 8])
+    with pytest.raises(DomainError, match="symmetric"):
+        solve_blowup(params, grid, kc05, IterationConfig(exhaustion_levels=(8,)))
 
 
 def test_blowup_rejects_nonexistence_zone(kc05):
