@@ -471,7 +471,7 @@ def torsion(grid: Grid1D, alpha: float, op=None) -> tuple[GridFunction, TorsionT
         op = assemble(grid, alpha)
     try:
         # the transpose is Fortran-ordered, so LAPACK factors it in place
-        lu = lu_factor(op.folded(0.0).T, overwrite_a=True)
+        lu = lu_factor(op.folded().T, overwrite_a=True)
     except Exception as exc:  # pragma: no cover - assembly guards make this unreachable
         raise VerificationError(f"torsion linear solve failed: {exc}") from exc
     vals = grid.mirror(lu_solve(lu, -np.ones(grid.n_half), trans=1))

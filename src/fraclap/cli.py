@@ -55,7 +55,13 @@ def _grid_spec(text: str) -> np.ndarray:
     if step <= 0 or hi < lo:
         raise DomainError(f"grid spec {text!r} must have lo <= hi and step > 0")
     n = int(round((hi - lo) / step))
-    return lo + step * np.arange(n + 1)
+    vals = lo + step * np.arange(n + 1)
+    # lo + step*k drifts by rounding: pin the end point, and a crossing of 0
+    # (where the tau domain (-1, 0] ends), to their exact values
+    near = 1e-9 * step
+    vals[np.abs(vals - hi) <= near] = hi
+    vals[np.abs(vals) <= near] = 0.0
+    return vals
 
 
 def _load_config(path: str) -> dict:

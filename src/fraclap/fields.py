@@ -15,7 +15,15 @@ from scipy.integrate import quad
 
 from .errors import DomainError
 
-__all__ = ["ExteriorData", "SourceField"]
+__all__ = ["ExteriorData", "SourceField", "is_mirrored"]
+
+
+def is_mirrored(xs) -> bool:
+    """True when the increasing points xs are symmetric about 1/2 up to the
+    rounding of 1 - x: each point within a few units in the last place of 1
+    of its partner's mirror."""
+    xs = np.asarray(xs, dtype=float)
+    return bool(np.all(np.abs(xs - (1.0 - xs[::-1])) <= 4 * np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -145,18 +153,15 @@ class SourceField:
     @property
     def mirror_symmetric(self) -> bool:
         """f(1 - x) = f(x): true of the zero and power-collar kinds; a table
-        must list mirrored abscissae (to 1e-13, as a grid's nodes) carrying
-        equal values."""
+        must list mirrored abscissae (`is_mirrored`, as a grid's nodes)
+        carrying equal values."""
         if self.kind != "tabulated":
             return True
         xs = np.asarray(self.table_x, dtype=float)
         fs = np.asarray(self.table_f, dtype=float)
         order = np.argsort(xs)
         xs, fs = xs[order], fs[order]
-        return bool(
-            np.allclose(xs, 1.0 - xs[::-1], rtol=0.0, atol=1e-13)
-            and np.array_equal(fs, fs[::-1])
-        )
+        return is_mirrored(xs) and bool(np.array_equal(fs, fs[::-1]))
 
     def value(self, x):
         """f at interior points x (vectorized)."""

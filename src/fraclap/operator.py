@@ -646,17 +646,16 @@ class OperatorMatrix:
         m[idx, idx] += self.tail + np.broadcast_to(shift, idx.shape)
         return m
 
-    def folded(self, shift) -> np.ndarray:
+    def folded(self) -> np.ndarray:
         """The system on mirror-symmetric grid functions, h = n_half unknowns:
         A_f[i, j] = A[i, j] + A[i, n-1-j] for i, j < h (the midpoint column of
-        odd n has no partner) plus diag(tail[:h] + shift); shift may be scalar
-        or a left-half array.  A_f v = (A mirror(v))[:h].
+        odd n has no partner) plus diag(tail[:h]).  A_f v = (A mirror(v))[:h].
         """
         n, h = self.grid.n_interior, self.grid.n_half
         m = self.interaction[:h, :h].copy()
         m[:, : n - h] += self.interaction[:h, : h - 1 : -1]
         idx = np.arange(h)
-        m[idx, idx] += self.tail[:h] + np.broadcast_to(shift, idx.shape)
+        m[idx, idx] += self.tail[:h]
         return m
 
 

@@ -423,7 +423,7 @@ def solve_blowup(
     # centre-out order (decreasing d, the reversed index): every free set
     # {d > 1/shell} is a leading block, so one factorization of the
     # level-independent folded system serves every level
-    A_f = op.folded(0.0)
+    A_f = op.folded()
     order = np.arange(h)[::-1]
     lu, piv = _factor_nested(A_f[::-1, ::-1].copy(), shift[::-1])
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fraclap
-from fraclap import barriers
+from fraclap import barriers, cli
 from fraclap.cli import main
 
 
@@ -205,6 +205,20 @@ def test_sweep_command(tmp_path):
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "DomainError"
         assert err["message"] == f"sweep tau={first!r} outside (-1, 0]"
+
+    # lo + step*k overshoots 0 by rounding on grids that end at 0 (by 5.6e-17
+    # and 1.1e-16 here); those points are pinned to 0, inside the domain
+    for name, spec in (("end0", "-0.3:0:0.1"), ("end0b", "-0.6:0:0.2")):
+        out = tmp_path / f"sw_{name}"
+        code = run_cli(
+            ["sweep", "--alpha", "0.5", "--p-grid", "1.5:3.5:1.0",
+             f"--tau-grid={spec}", "--out", str(out)]
+        )
+        assert code == 0
+        assert max(float(r["tau"]) for r in _zone_map_rows(out)) == 0.0
+    # a crossing of 0 inside the grid is pinned as well, and so is the end
+    taus = cli._grid_spec("-0.3:0.3:0.1")
+    assert taus[3] == 0.0 and taus[-1] == 0.3
 
 
 def test_sweep_evaluates_operator_once_per_tau(tmp_path, monkeypatch):

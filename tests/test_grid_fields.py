@@ -45,7 +45,8 @@ def test_distances_exactly_mirrored():
     h = g.n_half
     assert np.array_equal(g.d, g.d[::-1])
     assert np.array_equal(g.d[:h], g.nodes[:h])
-    # 1 - x at the right end loses the digits of the deepest distance
+    # the stored right end is a rounded mirror, so its 1 - x (exact) is not
+    # the distance of the mirror point it stands for
     assert g.d[-1] == g.nodes[0] != 1.0 - g.nodes[-1]
     for s in shells:
         free = g.free_mask(s)
@@ -61,6 +62,12 @@ def test_grid_validation():
         Grid1D(nodes=np.array([0.0, 0.5, 0.9]))
     with pytest.raises(DomainError):
         Grid1D(nodes=np.array([0.1, 0.2, 0.9]))  # not symmetric
+    # the right half must be the rounded mirror of the left half: a node a
+    # few digits off near x = 1 is not (the matrix would be of another grid)
+    for off in (5e-6, 1e-14):
+        with pytest.raises(DomainError):
+            Grid1D(nodes=np.array([0.1, 0.5, 0.9 + off]))
+    Grid1D(nodes=np.array([0.1, 0.5, 0.9]))  # 1 - 0.9 != 0.1 in binary
 
 
 def test_grid_function_roundtrip(tmp_path):
