@@ -195,7 +195,7 @@ def cmd_solve(args, outdir: Path) -> int:
     f_vals = source.value(grid.nodes)
     sub = GridFunction.zeros(grid)
     super_ = solve_linear(op, 0.0, f_vals)
-    cfg = IterationConfig(max_iters=args.max_iters, sup_tol=args.sup_tol, shift_mode=args.shift_mode)
+    cfg = IterationConfig(max_iters=args.max_iters, sup_tol=args.sup_tol)
     u, trace = solve_semilinear(params, op, sub, super_, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     u.to_csv(outdir / "solution.csv")
@@ -339,8 +339,16 @@ def cmd_sweep(args, outdir: Path) -> int:
                 row["regime"] = regime.zone.value
                 if regime.predicted_exponent is not None:
                     row["predicted_exponent"] = repr(regime.predicted_exponent)
-            except (DomainError, AmbiguousRegimeError):
+            except AmbiguousRegimeError:  # p ties a zone boundary
                 row["regime"] = "boundary"
+            except DomainError:
+                # tau = 0 lies outside the classification's open domain
+                # (-1, 0); a p that ties a zone boundary is still reported
+                try:
+                    classify_regime(params, kc=kc)
+                    row["regime"] = "unclassified"
+                except AmbiguousRegimeError:
+                    row["regime"] = "boundary"
             try:
                 zone, role = classify_zone6(p, tau, kc)
             except (DomainError, AmbiguousRegimeError) as exc:
@@ -435,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     _add_problem(sp)
     _add_solver(sp)
-    sp.add_argument("--shift-mode", choices=("scalar", "adaptive"), default="adaptive")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("blowup", help="boundary blow-up solve by exhaustion")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 
@@ -92,22 +91,6 @@ class ExteriorData:
             order = np.argsort(zs)
             out = np.where(outside, np.interp(z, zs[order], gs[order], left=0.0, right=0.0), 0.0)
         return out
-
-    def weighted_l1(self, alpha: float) -> float:
-        """int over the exterior of |g(y)| / (1 + |y|^(1+2*alpha)) dy.
-
-        Finite for every admissible descriptor (beta > -1); returned so callers
-        can assert membership in the weighted-L1 class required of exterior data.
-        """
-        if self.is_zero:
-            return 0.0
-
-        def f(y):
-            return abs(float(self.value(y))) / (1.0 + abs(y) ** (1.0 + 2.0 * alpha))
-
-        left, _ = quad(f, -np.inf, 0.0, limit=200)
-        right, _ = quad(f, 1.0, np.inf, limit=200)
-        return left + right
 
 
 @dataclass(frozen=True)

@@ -148,15 +148,8 @@ class GridFunction:
         self.values = v
 
     @classmethod
-    def from_callable(cls, grid: Grid1D, fn, exterior: ExteriorData | None = None) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float), exterior or ExteriorData.zero())
-
-    @classmethod
     def zeros(cls, grid: Grid1D, exterior: ExteriorData | None = None) -> "GridFunction":
         return cls(grid, np.zeros(grid.n_interior), exterior or ExteriorData.zero())
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, np.asarray(values, dtype=float), self.exterior)
 
     def interp(self, x) -> np.ndarray:
         """Piecewise-linear evaluation at interior points, 0 at the boundary."""

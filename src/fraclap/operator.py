@@ -38,8 +38,6 @@ call) plus a regular correction built from a fixed graded Gauss-Legendre rule
 and closed-form 2F1 pieces; interior points use a fixed Gauss-Jacobi window and
 fixed logarithmic Gauss-Legendre rules on per-point pieces of equal count, with
 the collar crossings in closed form.  The rules are built on first use.
-`frac_lap_of_c2` is a generic pointwise path for other C^2 functions, kept as
-the tests' independent cross-check.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache as _lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betainc
 from scipy.special import beta as beta_fn
 from scipy.special import hyp2f1
@@ -67,17 +64,12 @@ __all__ = [
     "eval_on_power",
     "exterior_potential",
     "tail_coefficient",
-    "frac_lap_of_c2",
     "EVAL_D_MIN",
 ]
 
 # below this boundary distance double precision cancellation dominates the
 # semi-analytic evaluation; callers get a hard error rather than noise
 EVAL_D_MIN = 1e-6
-
-# the generic second-difference path is cancellation-limited near the origin,
-# so it runs at slightly relaxed tolerances
-_QUAD_OPTS_GEN = dict(epsabs=1e-10, epsrel=1e-9, limit=200)
 
 
 def tail_coefficient(x, alpha: float):
@@ -87,17 +79,26 @@ def tail_coefficient(x, alpha: float):
     return (x ** (-2.0 * alpha) + (1.0 - x) ** (-2.0 * alpha)) / (2.0 * alpha)
 
 
-def _pow_antideriv(r_lo, r_hi, expo: float):
-    """int_{r_lo}^{r_hi} r^expo dr, stable through expo == -1 (log branch)."""
-    r_lo = np.asarray(r_lo, dtype=float)
-    r_hi = np.asarray(r_hi, dtype=float)
+def _pow_antideriv(log_lo, log_hi, expo: float):
+    """int_{r_lo}^{r_hi} r^expo dr from log r_lo and log r_hi, stable through
+    expo == -1 (log branch)."""
     s = expo + 1.0
-    log_lo = np.log(r_lo)
-    dlog = np.log(r_hi) - log_lo
+    dlog = log_hi - log_lo
     if abs(s) < 1e-9:
         # e^(s log lo) * expm1(s dlog) / s, expanded around s = 0
         return np.exp(s * log_lo) * dlog * (1.0 + 0.5 * s * dlog * (1.0 + s * dlog / 3.0))
     return np.exp(s * log_lo) * np.expm1(s * dlog) / s
+
+
+def _linear_cell_moments(lo, hi, expo: float):
+    """Moments of r^expo over cells [lo, hi], 0 < lo < hi, against a linear
+    function of r: (m0, near, far), the plain moment and the weights of the
+    values at r = lo and r = hi (near + far = m0 in exact arithmetic)."""
+    log_lo, log_hi = np.log(lo), np.log(hi)
+    m0 = _pow_antideriv(log_lo, log_hi, expo)
+    m1 = _pow_antideriv(log_lo, log_hi, expo + 1.0)
+    h = hi - lo
+    return m0, (hi * m0 - m1) / h, (m1 - lo * m0) / h
 
 
 # ---------------------------------------------------------------------------
@@ -173,104 +174,6 @@ def _jacobi_rule(alpha: float, n: int = 48):
 
     t, wts = roots_jacobi(n, 0.0, 1.0 - 2.0 * alpha)
     return t, wts
-
-
-def frac_lap_of_c2(
-    value_fn,
-    x: float,
-    alpha: float,
-    breakpoints=(),
-    boundary_exponent: float | None = None,
-    boundary_collar: float = 0.0,
-) -> float:
-    """Pointwise operator value for a function that is C^2 near x, supported on
-    [0, 1] and evaluable everywhere.
-
-    The second-difference integral splits into a fixed Gauss-Jacobi window
-    around the singularity (weight r^(1-2*alpha) applied to the smooth ratio
-    delta(r)/r^2, which keeps roundoff in the second difference from being
-    amplified), an adaptive middle range with kinks at the supplied
-    breakpoints, and the exact constant tail where both arguments have left the
-    interval.  If the function behaves like d^boundary_exponent on the collar
-    {d <= boundary_collar} (a negative power, so the integrand blows up where
-    x +- r crosses the boundary), those radii are integrated with the matching
-    algebraic weight.
-
-    No production path calls this; it is the tests' generic cross-check.
-    Limitation: the near window forms the second difference by plain
-    subtraction and shrinks to 0.45 x the distance to the nearest breakpoint,
-    so values close to a breakpoint of the function are unreliable: an earlier
-    d^tau profile path that shared this window returned -1.7e11 at
-    d = 0.1000001, next to the profile's seam at 0.1, against a true -2826.0.
-    """
-    pts = sorted({0.0, 1.0, *breakpoints})
-    dists = [abs(x - p) for p in pts if abs(x - p) > 1e-14]
-    r0 = min(min(dists) * 0.45, 0.1)
-    R = max(x, 1.0 - x)
-    fx = value_fn(x)
-    w = -1.0 - 2.0 * alpha
-
-    # near window: int_0^r0 [delta(r)/r^2] r^(1-2a) dr by Gauss-Jacobi
-    t, wts = _jacobi_rule(alpha)
-    r = r0 * (1.0 + t) / 2.0
-    g = np.array([(value_fn(x + ri) + value_fn(x - ri) - 2.0 * fx) / (ri * ri) for ri in r])
-    near = (r0 / 2.0) ** (2.0 - 2.0 * alpha) * float(np.dot(wts, g))
-
-    # singular windows: radii approaching the boundary crossings from inside,
-    # where the collar power representation d^tau is exact
-    tau_b = boundary_exponent
-    win: dict[float, float] = {}
-    if tau_b is not None and tau_b < 0.0 and boundary_collar > 0.0:
-        for r_c in (x, 1.0 - x):
-            if r_c > r0:
-                win[r_c] = max(r0, r_c - boundary_collar)
-
-    cuts = {r0, R}
-    cuts.update(d for d in dists if r0 < d < R)
-    for r_c, a_c in win.items():
-        cuts.add(min(r_c, R))
-        if r0 < a_c < R:
-            cuts.add(a_c)
-    cuts = sorted(cuts)
-
-    def in_window(a, b, r_c):
-        return r_c in win and a >= win[r_c] - 1e-15 and b <= r_c + 1e-15
-
-    mid_val = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a <= 1e-15:
-            continue
-        sep_minus = in_window(a, b, x)        # x - r crosses 0 at r = x
-        sep_plus = in_window(a, b, 1.0 - x)   # x + r crosses 1 at r = 1 - x
-        for sep, r_c in ((sep_minus, x), (sep_plus, 1.0 - x)):
-            if not sep:
-                continue
-            if abs(b - r_c) <= 1e-15:
-                # weight (b - r)^tau is exactly the collar power at this radius
-                piece, _ = quad(
-                    lambda r: r**w, a, b, weight="alg", wvar=(0.0, tau_b),
-                    epsabs=1e-11, epsrel=1e-10, limit=200,
-                )
-            else:
-                piece, _ = quad(lambda r: (r_c - r) ** tau_b * r**w, a, b, **_QUAD_OPTS_GEN)
-            mid_val += piece
-        if sep_minus and sep_plus:
-            mid_val += -2.0 * fx * float(_pow_antideriv(a, b, w))
-        elif sep_minus:
-            piece, _ = quad(lambda r: (value_fn(x + r) - 2.0 * fx) * r**w, a, b, **_QUAD_OPTS_GEN)
-            mid_val += piece
-        elif sep_plus:
-            piece, _ = quad(lambda r: (value_fn(x - r) - 2.0 * fx) * r**w, a, b, **_QUAD_OPTS_GEN)
-            mid_val += piece
-        else:
-            piece, _ = quad(
-                lambda r: (value_fn(x + r) + value_fn(x - r) - 2.0 * fx) * r**w,
-                a, b, **_QUAD_OPTS_GEN,
-            )
-            mid_val += piece
-
-    tail = -2.0 * fx * R ** (-2.0 * alpha) / (2.0 * alpha)
-    return -(near + mid_val + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +345,7 @@ def _interior_values(profile: DistanceProfile, alpha: float, x: np.ndarray):
     """Operator of the profile at points delta <= x <= 1/2 by the
     second-difference integral in the radius r, batched over x.
 
-    [0, r0]: fixed Gauss-Jacobi window (as in `frac_lap_of_c2`).  [r0, 1-x]:
+    [0, r0]: fixed Gauss-Jacobi window on the weight r^(1-2a).  [r0, 1-x]:
     cut per point at every radius where x - r or x + r crosses a breakpoint
     of the profile, plus the window starts below, and integrated with the
     logarithmic Gauss-Legendre rule on each piece (zero-length pieces pad
@@ -587,25 +490,16 @@ def exterior_potential(exterior: ExteriorData, alpha: float, x):
     out = np.zeros_like(x)
     for k in range(zs.size - 1):
         L, R = zs[k], zs[k + 1]
-        if L < 1.0 and R > 0.0:  # segment straddles the interval: not exterior
+        if R <= L or (L < 1.0 and R > 0.0):  # empty, or straddles the interval
             continue
-        gL, gR = gs[k], gs[k + 1]
-        h = R - L
-        if h <= 0:
-            continue
+        # the near end of the segment is L on the right of the interval, R
+        # on the left
         if L >= 1.0:
-            rL, rR = L - x, R - x
-            m0 = _pow_antideriv(rL, rR, -1.0 - 2.0 * alpha)
-            m1 = _pow_antideriv(rL, rR, -2.0 * alpha)
-            cL = (rR * m0 - m1) / h
-            cR = (m1 - rL * m0) / h
+            _, near, far = _linear_cell_moments(L - x, R - x, -1.0 - 2.0 * alpha)
+            out += gs[k] * near + gs[k + 1] * far
         else:
-            rL, rR = x - R, x - L
-            m0 = _pow_antideriv(rL, rR, -1.0 - 2.0 * alpha)
-            m1 = _pow_antideriv(rL, rR, -2.0 * alpha)
-            cL = (m1 - rL * m0) / h
-            cR = (rR * m0 - m1) / h
-        out += gL * cL + gR * cR
+            _, near, far = _linear_cell_moments(x - R, x - L, -1.0 - 2.0 * alpha)
+            out += gs[k] * far + gs[k + 1] * near
     return out
 
 
@@ -698,39 +592,31 @@ def assemble(
 
         # one-sided leftover of the local zone: piecewise-linear slope moment
         if h_plus > h_m * (1.0 + 1e-14):
-            m_sl = float(_pow_antideriv(h_m, h_plus, -2.0 * alpha))
+            m_sl = float(_pow_antideriv(np.log(h_m), np.log(h_plus), -2.0 * alpha))
             row[i + 2] += m_sl / h_plus
             row[i + 1] -= m_sl / h_plus
         elif h_minus > h_m * (1.0 + 1e-14):
-            m_sl = float(_pow_antideriv(h_m, h_minus, -2.0 * alpha))
+            m_sl = float(_pow_antideriv(np.log(h_m), np.log(h_minus), -2.0 * alpha))
             row[i] += m_sl / h_minus
             row[i + 1] -= m_sl / h_minus
 
         # far cells, vectorized: right of the local zone
         if i + 2 <= n:
-            lo = cell_lo_all[i + 2 :] - x
-            hi = cell_hi_all[i + 2 :] - x
-            m0 = _pow_antideriv(lo, hi, w0)
-            m1 = _pow_antideriv(lo, hi, w0 + 1.0)
-            h = hi - lo
-            cL = (hi * m0 - m1) / h
-            cR = (m1 - lo * m0) / h
-            row[i + 2 : n + 1] += cL
-            row[i + 3 : n + 2] += cR
+            m0, near, far = _linear_cell_moments(
+                cell_lo_all[i + 2 :] - x, cell_hi_all[i + 2 :] - x, w0
+            )
+            row[i + 2 : n + 1] += near
+            row[i + 3 : n + 2] += far
             row[i + 1] -= m0.sum()
 
         # far cells left of the local zone (r = x - z, so the roles of the
         # endpoints mirror: the cell's right edge sits at the small-r end)
         if i >= 1:
-            lo = x - cell_hi_all[:i]
-            hi = x - cell_lo_all[:i]
-            m0 = _pow_antideriv(lo, hi, w0)
-            m1 = _pow_antideriv(lo, hi, w0 + 1.0)
-            h = hi - lo
-            cL = (m1 - lo * m0) / h
-            cR = (hi * m0 - m1) / h
-            row[0:i] += cL
-            row[1 : i + 1] += cR
+            m0, near, far = _linear_cell_moments(
+                x - cell_hi_all[:i], x - cell_lo_all[:i], w0
+            )
+            row[0:i] += far
+            row[1 : i + 1] += near
             row[i + 1] -= m0.sum()
 
         # fold virtual boundary endpoints onto the extreme nodes

@@ -24,8 +24,9 @@ off-diagonals stay <= 0 and the row sums are unchanged: the folded L + D is
 still a row-strictly dominant M-matrix and the comparison argument above
 holds for it unchanged.  `solve_linear` and `solve_semilinear` keep the full
 matrix, because their data need not be symmetric (a tabulated source or
-right-hand side can be anything).  `solve_semilinear` also factors per shift
-and may grow its shift adaptively, refactorizing as it goes.
+right-hand side can be anything).  The one automatic shift of
+`solve_semilinear` is nodal and grows, refactorized, wherever an iterate
+outgrows it.
 """
 
 from __future__ import annotations
@@ -68,28 +69,21 @@ MONOTONE_SLACK = 1e-12
 class IterationConfig:
     """Controls for the monotone iteration and the exhaustion schedule.
 
-    lipschitz_shift None means automatic.  `solve_blowup` then uses the nodal
-    shift 1.1 * p * max(|W|, |U|)^(p-1) of its globalized sandwich pair for
-    every level; an explicit lipschitz_shift is a constant shift in both
-    solvers.  shift_mode is a `solve_semilinear` control (`solve_blowup`
-    ignores it): "scalar" uses 1.1 * p * (sup of the sandwich amplitude)^(p-1),
-    and "adaptive" (with lipschitz_shift None) grows a nodewise shift from the
-    starting iterate and refactorizes whenever an iterate leaves the range it
-    certifies.
+    An explicit lipschitz_shift is a constant shift in both solvers.  None
+    means automatic: `solve_blowup` uses the nodal shift
+    1.1 * p * max(|W|, |U|)^(p-1) of its globalized sandwich pair for every
+    level, and `solve_semilinear` grows a nodal shift from the starting
+    iterate, refactorizing whenever an iterate leaves the range it certifies.
     """
 
     lipschitz_shift: float | None = None
-    shift_mode: str = "scalar"
     max_iters: int = 500
     sup_tol: float = 1e-9
     exhaustion_levels: tuple = (8, 16, 32, 64, 128)
-    monotone_slack: float = MONOTONE_SLACK
 
     def __post_init__(self):
         if self.lipschitz_shift is not None and self.lipschitz_shift <= 0:
             raise DomainError("lipschitz_shift must be positive when given")
-        if self.shift_mode not in ("scalar", "adaptive"):
-            raise DomainError(f"unknown shift_mode {self.shift_mode!r}")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
         if self.sup_tol <= 0:
@@ -149,11 +143,6 @@ def solve_linear(op: OperatorMatrix, shift, rhs) -> GridFunction:
     return GridFunction(op.grid, lu_solve(lu, rhs_vals))
 
 
-def _auto_shift(p: float, lo: np.ndarray, hi: np.ndarray) -> float:
-    amp = np.maximum(np.abs(lo), np.abs(hi))
-    return float((1.1 * p * np.maximum(amp, 1e-30) ** (p - 1.0)).max())
-
-
 def _monotone_iterate(
     solve,
     shift,
@@ -185,7 +174,7 @@ def _monotone_iterate(
             trace.shift_rebuilds += 1
             continue
         defect = float(np.min(u_next - u))
-        if defect < -cfg.monotone_slack:
+        if defect < -MONOTONE_SLACK:
             trace.monotone = False
             trace.worst_monotone_defect = min(trace.worst_monotone_defect, defect)
             raise ConvergenceError(
@@ -230,7 +219,7 @@ def solve_semilinear(
     """
     if sub.grid != op.grid or super_.grid != op.grid:
         raise GridMismatchError("sub/super grids do not match the operator")
-    if np.any(sub.values > super_.values + cfg.monotone_slack):
+    if np.any(sub.values > super_.values + MONOTONE_SLACK):
         raise DomainError("sub-solution exceeds super-solution somewhere")
     f_vals = (source or params.source).value(op.grid.nodes)
     A = op.shifted_dense(0.0)
@@ -251,11 +240,9 @@ def solve_semilinear(
     guard = None
     if cfg.lipschitz_shift is not None:
         shift = cfg.lipschitz_shift
-    elif cfg.shift_mode == "scalar":
-        shift = _auto_shift(params.p, sub.values, super_.values)
     else:
-        # adaptive: grow the nodal shift only where an iterate needs it, which
-        # keeps it close to the local Lipschitz bound
+        # grow the nodal shift only where an iterate needs it, which keeps it
+        # close to the local Lipschitz bound
         amp = np.maximum(np.abs(sub.values) * 1.5, 1e-6)
         shift = 1.1 * params.p * amp ** (params.p - 1.0)
 
@@ -486,7 +473,7 @@ def solve_blowup(
             defect = np.min(
                 (u_next[shared] - u_curr[shared]) / (1.0 + np.abs(u_curr[shared]))
             )
-            if defect < -100 * cfg.monotone_slack:
+            if defect < -100 * MONOTONE_SLACK:
                 monotone_levels = False
         u_curr, prev_free = u_next, free
         levels.append(

@@ -152,26 +152,19 @@ def test_blowup_command_small(tmp_path):
     assert (out / "level_8.csv").exists()
 
 
-def test_shift_mode_is_a_solve_option_only(tmp_path, capsys):
-    # the blow-up's nodal shift comes from the sandwich pair, so --shift-mode
-    # would have no effect there and is rejected, flag and config key alike
-    blowup = ["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "151", "--levels", "8"]
-    with pytest.raises(SystemExit) as exc:
-        run_cli(blowup + ["--shift-mode", "scalar", "--out", str(tmp_path / "b")])
-    assert exc.value.code == 2
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("shift_mode = adaptive\n")
-    assert run_cli(blowup + ["--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
-    assert "unknown key 'shift_mode'" in capsys.readouterr().err
-    out = tmp_path / "s"
-    code = run_cli(
-        ["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--n", "151",
-         "--shift-mode", "scalar", "--out", str(out)]
-    )
-    assert code == 0
-    m = load_manifest(out)
-    assert m["config"]["shift_mode"] == "scalar"
-    assert m["trace"]["converged"] and m["trace"]["shift_rebuilds"] == 0
+def test_shift_mode_option_is_rejected(tmp_path, capsys):
+    # each solver has one automatic shift policy, so there is no shift mode
+    # to choose: the flag and the config key are both errors
+    for cmd in (["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--n", "151"],
+                ["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "151", "--levels", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(cmd + ["--shift-mode", "scalar", "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shift_mode = adaptive\n")
+        assert run_cli(cmd + ["--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+        assert "unknown key 'shift_mode'" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists() and not (tmp_path / "c").exists()
 
 
 def _zone_map_rows(outdir):
@@ -220,6 +213,20 @@ def test_sweep_command(tmp_path):
     taus = cli._grid_spec("-0.3:0.3:0.1")
     assert taus[3] == 0.0 and taus[-1] == 0.3
 
+    # regime column: p = 2 = 1 + 2 alpha ties a zone boundary; tau = 0 lies
+    # outside the open domain (-1, 0) of the regime classification, which is
+    # not a tie
+    out = tmp_path / "rg"
+    code = run_cli(
+        ["sweep", "--alpha", "0.5", "--p-grid", "2:2.5:0.5", "--tau-grid=-0.1:0:0.05",
+         "--out", str(out)]
+    )
+    assert code == 0
+    regime = {(float(r["p"]), float(r["tau"])): r["regime"] for r in _zone_map_rows(out)}
+    assert len(regime) == 6
+    assert all(v == "boundary" for (p, _), v in regime.items() if p == 2.0)
+    assert regime[(2.5, 0.0)] == "unclassified"
+
 
 def test_sweep_evaluates_operator_once_per_tau(tmp_path, monkeypatch):
     """Each sweep evaluates the family's power term once per tau that has a
@@ -254,18 +261,33 @@ def test_manifest_reproducible_modulo_timestamp(tmp_path):
     assert json.dumps(m1, sort_keys=True) == json.dumps(m2, sort_keys=True)
 
 
-def test_console_entry_point(tmp_path):
+def _run_child(*args):
     # the child imports the same fraclap as this process, installed or not
     src = str(Path(fraclap.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fraclap.cli", "tau0", "--alpha", "0.5",
-         "--out", str(tmp_path / "ep")],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point(tmp_path):
+    proc = _run_child("-m", "fraclap.cli", "tau0", "--alpha", "0.5", "--out", str(tmp_path / "ep"))
     assert proc.returncode == 0
+
+
+def test_cold_import_leaves_out_integrate_and_optimize():
+    # a fresh process, because this one already imported scipy.integrate
+    # (tests/conftest.py uses quad for its oracles)
+    proc = _run_child(
+        "-c",
+        "import sys, fraclap.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_convergence_failure_exit_code(tmp_path):

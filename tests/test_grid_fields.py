@@ -107,7 +107,7 @@ def test_grid_function_guards():
 
 def test_grid_function_interp():
     g = Grid1D.graded(801, 2.0)
-    u = GridFunction.from_callable(g, lambda x: x * (1 - x))
+    u = GridFunction(g, g.nodes * (1 - g.nodes))
     assert float(u.interp(0.37)) == pytest.approx(0.37 * 0.63, abs=1e-5)
     assert float(u.interp(-1.0)) == 0.0
 

@@ -52,7 +52,7 @@ def test_fit_guards(grid):
     with pytest.raises(DomainError):
         fit_exponent(u, (0.4985, 0.4995))  # not enough nodes
     with pytest.raises(DomainError):
-        fit_exponent(u.with_values(u.values - 1e4), (1e-4, 1e-2))  # nonpositive
+        fit_exponent(GridFunction(grid, u.values - 1e4), (1e-4, 1e-2))  # nonpositive
     with pytest.raises(DomainError):
         fit_exponent(u, (1e-2, 1e-4))
 
