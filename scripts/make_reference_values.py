@@ -200,8 +200,7 @@ if __name__ == "__main__":
         vals = [frac_lap_dist_alpha(x, alpha) for x in ["0.2", "0.4", "0.5", "0.7"]]
         print(f"alpha={alpha}:", [mp.nstr(v, 16) for v in vals])
         a = mp.mpf(alpha)
-        guess = 2 ** (2 * a) * (2 ** (2 * a) * mp.gamma(a + mp.mpf("0.5")) * mp.gamma(a + 1) / mp.sqrt(mp.pi))
-        print("   4^a * Getoor const:", mp.nstr(guess, 16))
+        print("   closed form pi 4^a / sin(pi a):", mp.nstr(mp.pi * 4**a / mp.sin(mp.pi * a), 16))
 
     print("# operator of the d^tau barrier profile (delta = 0.1) at boundary distances d")
     cases = [(alpha, tau, d)

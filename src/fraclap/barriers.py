@@ -3,9 +3,11 @@
 Every comparison object the solver machinery needs is a linear combination of
 three primitive shapes: the distance-power profile d^tau (collar singular), the
 interval indicator and the torsion function (operator value exactly -1).  A
-BarrierSpec is such a combination together with the fractional order; its
-operator values come from the semi-analytic paths in `fraclap.operator`, so
-verification never depends on a grid.
+BarrierSpec is such a combination together with the fractional order.  The
+power profile's operator values come from the semi-analytic path in
+`fraclap.operator`; the indicator's and the torsion's are closed forms.  This
+module imports nothing from `fraclap.grid`: verification and globalization
+never depend on a grid.
 """
 
 from __future__ import annotations
@@ -14,17 +16,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import DomainError, VerificationError
 from .exponents import KernelConstants, ProblemParams, RegimeReport, RegimeZone
-from .grid import Grid1D, GridFunction
-from .operator import (
-    DistanceProfile,
-    assemble,
-    eval_on_power,
-    tail_coefficient,
-)
+from .operator import DistanceProfile, eval_on_power, tail_coefficient
 
 __all__ = [
     "BarrierSpec",
@@ -92,23 +87,29 @@ class IndicatorTerm:
 
 @dataclass(frozen=True)
 class TorsionTerm:
-    """Grid solution of (operator) V = -1 with zero exterior.
+    """Torsion function V, the solution of (operator) V = -1 with zero
+    exterior, in closed form (Getoor 1961; Dyda 2012):
 
-    Its operator value is -1 by construction (up to the linear solve residual,
-    which is recorded); values at off-node points interpolate linearly.
+        V(x) = -(sin(pi alpha) / pi) (x (1 - x))^alpha   on (0, 1),
+
+    zero outside.  It is negative inside for every alpha in (0, 1) and
+    depends on x only through d = min(x, 1 - x), so it is mirror-symmetric.
     """
 
-    values: GridFunction
-    solve_residual: float = 0.0
+    alpha: float
 
     def value(self, x):
-        return self.values.interp(x)
+        x = np.asarray(x, dtype=float)
+        d = np.maximum(np.minimum(x, 1.0 - x), 0.0)
+        return -(np.sin(np.pi * self.alpha) / np.pi) * (d * (1.0 - d)) ** self.alpha
 
     def op(self, x, alpha: float):
+        if alpha != self.alpha:
+            raise DomainError(f"torsion of order alpha={self.alpha} used at alpha={alpha}")
         return np.full(np.shape(x), -1.0)
 
     def describe(self) -> dict:
-        return {"kind": "torsion", "solve_residual": self.solve_residual}
+        return {"kind": "torsion", "alpha": self.alpha}
 
 
 # ---------------------------------------------------------------------------
@@ -457,29 +458,11 @@ def make_nonexistence_family(
     return search(params, zone, role)
 
 
-def torsion(grid: Grid1D, alpha: float, op=None) -> tuple[GridFunction, TorsionTerm]:
-    """Grid solution of (operator) V = -1 with zero exterior data.
-
-    Strictly negative inside the interval; returned both as a grid function
-    and as a barrier term whose operator value is -1 by definition.  Pass a
-    pre-assembled operator to skip the assembly cost.  The problem is
-    mirror-symmetric, so it is solved with the folded left-half system
-    (`OperatorMatrix.folded`) and mirrored; the recorded residual is that of
-    the full system.
-    """
-    if op is None:
-        op = assemble(grid, alpha)
-    try:
-        # the transpose is Fortran-ordered, so LAPACK factors it in place
-        lu = lu_factor(op.folded().T, overwrite_a=True)
-    except Exception as exc:  # pragma: no cover - assembly guards make this unreachable
-        raise VerificationError(f"torsion linear solve failed: {exc}") from exc
-    vals = grid.mirror(lu_solve(lu, -np.ones(grid.n_half), trans=1))
-    gf = GridFunction(grid, vals)
-    resid = float(np.max(np.abs(op.interaction @ vals + op.tail * vals + 1.0)))
-    if not np.all(vals < 0.0):
-        raise VerificationError("torsion function is not negative everywhere")
-    return gf, TorsionTerm(values=gf, solve_residual=resid)
+def torsion(alpha: float) -> TorsionTerm:
+    """The closed-form torsion term of order alpha (operator value -1)."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"torsion needs alpha in (0, 1), got {alpha}")
+    return TorsionTerm(float(alpha))
 
 
 def globalize_pair(
@@ -501,11 +484,11 @@ def globalize_pair(
     sup, sub = pair
     xs = np.atleast_1d(np.asarray(nodes, dtype=float))
     f_vals = params.source.value(xs)
-    tor_vals = np.asarray(torsion_term.value(xs), dtype=float)
+    tor_vals, tor_ops = torsion_term.value(xs), torsion_term.op(xs, sup.alpha)
 
     def report_for(spec, arrays, lam_signed, role):
         vals, ops = _combine(arrays)
-        vals, ops = vals + lam_signed * tor_vals, ops + lam_signed * (-1.0)
+        vals, ops = vals + lam_signed * tor_vals, ops + lam_signed * tor_ops
         return _report(xs, vals, ops, f_vals, params, role, spec.leading_tau, tol_rel)
 
     # the constructors give sup and sub the same term objects: evaluate each once

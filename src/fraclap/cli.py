@@ -269,6 +269,9 @@ def cmd_blowup(args, outdir: Path) -> int:
 
 
 def cmd_verify_barriers(args, outdir: Path) -> int:
+    if args.tau is not None and args.family_t is None:
+        raise DomainError("verify-barriers --tau selects a nonexistence family member: "
+                          "it needs --family-t")
     kc = find_tau0(args.alpha)
     params = ProblemParams(args.alpha, args.p, source=_source_from(args))
     collar = collar_points()
@@ -323,6 +326,8 @@ def cmd_sweep(args, outdir: Path) -> int:
     if outside:
         # the family's profile d^tau exists only there: no row could verify
         raise DomainError(f"sweep tau={outside[0]!r} outside (-1, 0]")
+    if not args.family_t > 0:
+        raise DomainError(f"sweep --family-t must be positive, got {args.family_t!r}")
     kc = find_tau0(args.alpha)
     ps = [float(p) for p in _grid_spec(args.p_grid)]
     rows = []
@@ -500,13 +505,16 @@ REQUIRED = {
     "sweep": ("alpha", "p_grid", "tau_grid"),
 }
 
-_CASTS = {
-    "alpha": float, "p": float, "gamma": float, "kappa_f": float, "tau": float,
-    "sup_tol": float, "fit_lo": float, "fit_hi": float, "fit_tol": float, "family_t": float,
-    "grading": float, "n": int, "max_iters": int,
-    "levels": lambda s: tuple(int(v) for v in s.split(",")),
-    "full_level": lambda s: s.lower() in ("1", "true", "yes"),
-}
+
+def _subcommand_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand: its options give the config keys their
+    types and defaults."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def _switch(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
 
 
 def main(argv=None) -> int:
@@ -519,14 +527,20 @@ def main(argv=None) -> int:
             print(f"fraclap: config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         ns = vars(args)
+        sp = _subcommand_parser(parser, args.command)
+        # each key is cast by its option's own type (a switch reads 1/true/yes)
+        casts = {a.dest: _switch if a.nargs == 0 else a.type or str for a in sp._actions}
         for key, raw in overrides.items():
             if key not in ns:
                 print(f"fraclap: config error: unknown key {key!r}", file=sys.stderr)
                 return EXIT_CONFIG
             # a flag given on the command line wins over the file
-            if ns[key] == parser.get_default(key) or ns[key] is None:
-                cast = _CASTS.get(key, str)
-                ns[key] = cast(raw)
+            if ns[key] == sp.get_default(key) or ns[key] is None:
+                try:
+                    ns[key] = casts[key](raw)
+                except ValueError as exc:
+                    print(f"fraclap: config error: {key}={raw!r}: {exc}", file=sys.stderr)
+                    return EXIT_CONFIG
         args = argparse.Namespace(**ns)
     missing = [k for k in REQUIRED.get(args.command, ()) if getattr(args, k, None) is None]
     if missing:

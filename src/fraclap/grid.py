@@ -151,14 +151,6 @@ class GridFunction:
     def zeros(cls, grid: Grid1D, exterior: ExteriorData | None = None) -> "GridFunction":
         return cls(grid, np.zeros(grid.n_interior), exterior or ExteriorData.zero())
 
-    def interp(self, x) -> np.ndarray:
-        """Piecewise-linear evaluation at interior points, 0 at the boundary."""
-        return np.interp(
-            np.asarray(x, dtype=float),
-            self.grid.cell_edges(),
-            np.concatenate([[0.0], self.values, [0.0]]),
-        )
-
     def to_csv(self, path) -> None:
         """Columns x, d, value as shortest round-trip reprs.  The bytes are
         those of csv.writer's default dialect (comma, CRLF); a finite float's

@@ -335,8 +335,10 @@ def solve_blowup(
     max(|W|, |U|) the automatic shift is certified on raises ConvergenceError
     naming its shell.
 
-    The source, the zero exterior and the pair depend on d = min(x, 1-x)
-    alone, so every level is mirror-symmetric: the torsion, the pair's
+    The pair is globalized grid-free, with the closed-form torsion of
+    `barriers.torsion`; the one LU factorization on this path is the
+    exhaustion system's.  The source, the zero exterior and the pair depend
+    on d = min(x, 1-x) alone, so every level is mirror-symmetric: the pair's
     verification nodes, the factorization and the sweeps all work on the
     left half (`OperatorMatrix.folded`), and the levels are mirrored back.
     A tabulated source whose table is not symmetric raises DomainError.
@@ -383,18 +385,16 @@ def solve_blowup(
         else:
             raise DomainError(f"parameters fall in zone {regime.zone}, not an existence zone")
 
-    if op is None:
-        op = assemble(grid, params.alpha)
-    _, tor_term = torsion(grid, params.alpha, op=op)
-
     # every datum is a function of d, so the levels are mirror-symmetric and
     # are solved on the left half, where d = x increases with the index
     h = grid.n_half
     x = grid.nodes[:h]
-    sup_g, sub_g = globalize_pair(pair, tor_term, params, x[x > 2e-6])
+    sup_g, sub_g = globalize_pair(pair, torsion(params.alpha), params, x[x > 2e-6])
 
     if not np.any(grid.free_mask(max_shell)):
         raise DomainError("grid has no nodes inside the deepest exhaustion shell")
+    if op is None:
+        op = assemble(grid, params.alpha)
 
     W = np.asarray(sub_g.value(x), dtype=float)
     U = np.asarray(sup_g.value(x), dtype=float)

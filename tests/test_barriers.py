@@ -124,57 +124,71 @@ def test_nonexistence_family_zone4(kc05):
     assert report.passed and report.zone == "zone4" and fam.terms[1][0] > 0
 
 
-def test_torsion(grid301, kc05):
-    gf, term = torsion(grid301, 0.5)
-    assert np.all(gf.values < 0)
-    assert np.array_equal(gf.values, gf.values[::-1])
-    assert term.op(0.3, 0.5) == -1.0
-    # closed form: -(4x(1-x))^a / K_a, checked at midpoint
-    i = int(np.argmin(np.abs(grid301.nodes - 0.5)))
-    exact = -1.0 / TORSION_CONSTANT[0.5]
-    assert gf.values[i] == pytest.approx(exact, rel=5e-3)
+def test_torsion(grid301):
+    x = grid301.nodes
+    dyadic = np.arange(1, 64) / 64.0  # 1 - x is exact, so symmetry is too
+    for alpha in TORSION_CONSTANT:
+        term = torsion(alpha)
+        vals = term.value(x)
+        assert np.all(vals < 0)
+        assert np.array_equal(term.value(dyadic), term.value(dyadic)[::-1])
+        assert term.value(1.0 - x) == pytest.approx(vals, rel=1e-12)
+        assert np.all(term.value(np.array([-1.0, 0.0, 1.0, 2.0])) == 0.0)
+        assert np.all(term.op(x, alpha) == -1.0)
+        assert term.describe() == {"kind": "torsion", "alpha": alpha}
+        # K_a = L (4x(1-x))^a, computed with mpmath by scripts/make_reference_values.py
+        exact = -((4.0 * grid301.d * (1.0 - grid301.d)) ** alpha) / TORSION_CONSTANT[alpha]
+        assert vals == pytest.approx(exact, rel=1e-14)
+    with pytest.raises(DomainError):
+        torsion(0.5).op(x, 0.25)
+    with pytest.raises(DomainError):
+        torsion(1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
 def test_folded_torsion_matches_full_solve(grid301, alpha):
     op = assemble(grid301, alpha)
-    gf, term = torsion(grid301, alpha, op=op)
+    folded = grid301.mirror(np.linalg.solve(op.folded(), -np.ones(grid301.n_half)))
     full = solve_linear(op, 0.0, np.ones(grid301.n_interior)).values
-    assert np.max(np.abs(gf.values + full) / np.abs(full)) <= 1e-13
-    assert term.solve_residual <= 1e-9 * np.max(np.abs(op.interaction).sum(axis=1) * np.abs(full))
+    assert np.max(np.abs(folded + full) / np.abs(full)) <= 1e-13
 
 
 def test_torsion_richardson_reference():
-    """Self-convergence: midpoint value extrapolated over three grids."""
+    """Self-convergence of the discrete torsion -solve_linear(op, 0, 1): the
+    midpoint value extrapolated over three grids, against the closed form."""
     vals = []
     for n in (251, 501, 1001):
         g = Grid1D.graded(n, 3.0)
-        gf, _ = torsion(g, 0.5)
-        vals.append(gf.values[int(np.argmin(np.abs(g.nodes - 0.5)))])
+        u = -solve_linear(assemble(g, 0.5), 0.0, np.ones(g.n_interior)).values
+        vals.append(u[int(np.argmin(np.abs(g.nodes - 0.5)))])
+    exact = -1.0 / TORSION_CONSTANT[0.5]  # the closed form at x = 1/2
     # first-order Richardson limit
     limit = vals[2] + (vals[2] - vals[1])
     coarse_err = abs(vals[0] - limit) / abs(limit)
     assert abs(vals[2] - limit) / abs(limit) < 5e-3
-    assert abs(vals[2] - (-1.0 / TORSION_CONSTANT[0.5])) / (1.0 / TORSION_CONSTANT[0.5]) < 5e-3
+    assert abs(vals[2] - exact) / abs(exact) < 5e-3
+    assert abs(limit - exact) / abs(exact) < 1e-4
     assert coarse_err < 0.01
 
 
 def test_globalized_pair(kc05, grid301, interaction):
     params, pair = interaction
-    _, tor = torsion(grid301, 0.5)
+    tor = torsion(0.5)
     nodes = grid301.nodes[grid301.d > 1e-4]
     sup_g, sub_g = globalize_pair(pair, tor, params, nodes)
     r_sup = verify_barrier(sup_g, params, "super", nodes)
     r_sub = verify_barrier(sub_g, params, "sub", nodes)
     assert r_sup.passed and r_sub.passed
     assert np.all(sup_g.value(nodes) >= sub_g.value(nodes))
+    with pytest.raises(DomainError):  # a torsion of another order
+        globalize_pair(pair, torsion(0.25), params, nodes)
 
 
 def test_globalize_pair_evaluates_shared_terms_once(grid301, interaction, monkeypatch):
     """sup and sub share their power term, so one globalization evaluates its
     operator once; a second call evaluates it again (nothing is memoized)."""
     params, pair = interaction
-    _, tor = torsion(grid301, 0.5)
+    tor = torsion(0.5)
     nodes = grid301.nodes[grid301.d > 1e-4]
     calls = []
     real = barriers.eval_on_power
@@ -236,7 +250,7 @@ def test_discrete_residual_signs_stable_under_refinement(kc05, interaction):
     for n in (301, 601):
         grid = Grid1D.graded(n, 3.0)
         op = assemble(grid, 0.5)
-        _, tor = torsion(grid, 0.5, op=op)
+        tor = torsion(0.5)
         nodes = grid.nodes[grid.d > 2e-6]
         sup_g, sub_g = globalize_pair(pair, tor, params, nodes)
         for b, sgn in ((sup_g, 1.0), (sub_g, -1.0)):

@@ -96,6 +96,17 @@ def test_config_file_and_flag_override(tmp_path):
     assert abs(load_manifest(out2)["tau0"] + 0.75) < 1e-7
 
 
+def test_config_sets_options_that_have_defaults(tmp_path):
+    # a config value counts wherever the flag was left at its subcommand
+    # default, not only where that default is None
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha = 0.5\nout = {tmp_path / 'from_cfg'}\n")
+    assert run_cli(["tau0", "--config", str(cfg)]) == 0
+    assert load_manifest(tmp_path / "from_cfg")["config"]["alpha"] == 0.5
+    assert run_cli(["tau0", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "manifest.json").exists()
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus = 1\n")
@@ -105,6 +116,19 @@ def test_unknown_config_key(tmp_path, capsys):
     cfg.write_text("alpha = 0.5\ntol = 1e-8\n")
     assert run_cli(["tau0", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "unknown key 'tol'" in capsys.readouterr().err
+
+
+def test_config_value_that_fails_to_parse(tmp_path, capsys):
+    # each key is cast by its option's own type: a value that type refuses
+    # is a config error (exit 2), before any work
+    for cmd, text in ((["tau0"], "alpha = half\n"),
+                      (["blowup", "--alpha", "0.5", "--p", "2.5"], "levels = 8,x\n")):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli(cmd + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: " + text.split(" =")[0] in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_verify_prop32_command(tmp_path):
@@ -120,6 +144,16 @@ def test_verify_barriers_command(tmp_path):
     m = load_manifest(out)
     assert m["passed"] is True
     assert m["super"]["passed"] and m["sub"]["passed"]
+
+
+def test_verify_barriers_tau_needs_family_t(tmp_path):
+    # --tau only picks a nonexistence family member; without --family-t it
+    # would be echoed in the manifest and ignored
+    out = tmp_path / "vb"
+    cmd = ["verify-barriers", "--alpha", "0.5", "--p", "2.5", "--tau", "-0.3", "--out", str(out)]
+    assert run_cli(cmd) == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "DomainError"
+    assert not (out / "manifest.json").exists()
 
 
 def test_solve_command(tmp_path):
@@ -198,6 +232,17 @@ def test_sweep_command(tmp_path):
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "DomainError"
         assert err["message"] == f"sweep tau={first!r} outside (-1, 0]"
+
+    # the family t V_tau + mu V_0 needs t > 0: refused before the loop
+    for t in ("0", "-1"):
+        out = tmp_path / f"sw_t{t}"
+        code = run_cli(
+            ["sweep", "--alpha", "0.5", "--p-grid", "1.5:3.5:1.0",
+             "--tau-grid=-0.8:-0.2:0.3", "--family-t", t, "--out", str(out)]
+        )
+        assert code == 2
+        assert not (out / "zone_map.csv").exists()
+        assert json.loads((out / "error.json").read_text())["error"] == "DomainError"
 
     # lo + step*k overshoots 0 by rounding on grids that end at 0 (by 5.6e-17
     # and 1.1e-16 here); those points are pinned to 0, inside the domain

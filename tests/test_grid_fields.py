@@ -105,13 +105,6 @@ def test_grid_function_guards():
         GridFunction(g, np.zeros(g.n_interior - 1))
 
 
-def test_grid_function_interp():
-    g = Grid1D.graded(801, 2.0)
-    u = GridFunction(g, g.nodes * (1 - g.nodes))
-    assert float(u.interp(0.37)) == pytest.approx(0.37 * 0.63, abs=1e-5)
-    assert float(u.interp(-1.0)) == 0.0
-
-
 def test_source_field():
     f = SourceField.power_collar(-1.2, kappa_f=2.0)
     x = np.array([0.1, 0.5, 0.9])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fraclap.barriers import torsion
 from fraclap.errors import DomainError, GridMismatchError
 from fraclap.fields import ExteriorData
 from fraclap.grid import Grid1D, GridFunction
@@ -298,6 +299,18 @@ def test_grid_refinement_convergence():
         errs.append(err)
     assert errs[0] / errs[1] >= 1.8
     assert errs[1] / errs[2] >= 1.8
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_assembly_against_closed_form_torsion(alpha):
+    """The discrete operator applied to the closed-form torsion V, whose exact
+    continuum value is -1: the defect on d > 0.01 falls under refinement."""
+    errs = []
+    for n in (301, 601):
+        grid = Grid1D.graded(n, 3.0)
+        out = apply(assemble(grid, alpha), GridFunction(grid, torsion(alpha).value(grid.d)))
+        errs.append(np.max(np.abs(out.values + 1.0)[grid.d > 0.01]))
+    assert errs[1] < errs[0] < 5e-2
 
 
 def test_symmetric_output_for_symmetric_data(op301, grid301):
