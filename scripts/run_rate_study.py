@@ -4,6 +4,12 @@ Runs the interaction, weak-source and strong-source configurations on a shared
 graded grid, fits the boundary exponents, and prints a comparison against the
 predicted rates -2a/(p-1), gamma+2a and gamma/p.  Writes per-case profiles and
 a summary CSV next to --out.
+
+The operator is assembled once and passed to all three solves, so its
+(n+1)/2 x n left-half rows (16 MB at n = 2001) stay alive across the cases,
+beside each case's factorization; the `fraclap blowup` command assembles
+inside `solve_blowup`, which folds the operator and releases the rows before
+factoring, so its peak memory is lower than this script's.
 """
 
 import argparse

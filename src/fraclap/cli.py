@@ -508,7 +508,7 @@ REQUIRED = {
 
 def _subcommand_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
     """The parser of one subcommand: its options give the config keys their
-    types and defaults."""
+    types, and a second parse with it tells which flags were given."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices[command]
 
@@ -518,6 +518,7 @@ def _switch(text: str) -> bool:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
@@ -530,12 +531,16 @@ def main(argv=None) -> int:
         sp = _subcommand_parser(parser, args.command)
         # each key is cast by its option's own type (a switch reads 1/true/yes)
         casts = {a.dest: _switch if a.nargs == 0 else a.type or str for a in sp._actions}
+        # argparse fills a default only where the namespace lacks the option,
+        # so a second parse leaves this marker on exactly the flags not given
+        unset = object()
+        given = vars(sp.parse_args(argv[1:], argparse.Namespace(**dict.fromkeys(casts, unset))))
         for key, raw in overrides.items():
-            if key not in ns:
+            if key not in ns or key not in casts:
                 print(f"fraclap: config error: unknown key {key!r}", file=sys.stderr)
                 return EXIT_CONFIG
             # a flag given on the command line wins over the file
-            if ns[key] == sp.get_default(key) or ns[key] is None:
+            if given[key] is unset:
                 try:
                     ns[key] = casts[key](raw)
                 except ValueError as exc:

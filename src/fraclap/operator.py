@@ -21,14 +21,14 @@ in closed form (with the stable log branch at 2*alpha = 1); the singular kernel
 is never sampled pointwise.
 
 Mirror symmetry.  The grid is symmetric about 1/2, so the matrix satisfies
-A[n-1-i, n-1-j] = A[i, j]: `assemble` integrates only the left-half rows
-(x <= 1/2, where the node is its own boundary distance) and fills the right
-half by that identity, exactly.  `OperatorMatrix.folded` restricts the
-operator to mirror-symmetric grid functions, adding each right-half column
-to its mirror; off-diagonals stay <= 0 and row sums are unchanged, so the
-folded matrix keeps the M-matrix property the solvers rely on.  Only the
-blow-up path folds: `solve_linear` and `solve_semilinear` accept data that
-need not be symmetric and use the full matrix.
+A[n-1-i, n-1-j] = A[i, j]: `assemble` integrates and stores only the (n+1)/2
+left-half rows (x <= 1/2, where the node is its own boundary distance).
+`OperatorMatrix.folded` restricts the operator to mirror-symmetric grid
+functions, adding each right-half column to its mirror; off-diagonals stay
+<= 0 and row sums are unchanged, so the folded matrix keeps the M-matrix
+property the solvers rely on.  Only the blow-up path folds, and it never holds
+an n x n array; `solve_linear` and `solve_semilinear` accept data that need
+not be symmetric and factor the full `OperatorMatrix.shifted_dense`.
 
 Barrier profiles.  `eval_on_power` evaluates the operator of the d^tau profile
 at an array of points in one vectorized pass, with no adaptive quadrature: the
@@ -512,15 +512,16 @@ def exterior_potential(exterior: ExteriorData, alpha: float, x):
 class OperatorMatrix:
     """Dense collocation matrix of the operator on a grid.
 
-    apply(u) = interaction @ u + tail * u + exterior_load, where `interaction`
-    annihilates interior constants (rows sum to zero), `tail` is the exact
+    apply(u) = A @ u + tail * u + exterior_load, where the interaction matrix
+    A annihilates interior constants (rows sum to zero), `tail` is the exact
     zero-exterior coefficient of u(x_i), and `exterior_load` equals -G(x_i)
-    for the exterior data fixed at assembly time.
+    for the exterior data fixed at assembly time.  Only `rows` = A[:n_half]
+    is stored; the rest of A is its mirror image A[n-1-i, n-1-j] = A[i, j].
     """
 
     alpha: float
     grid: Grid1D
-    interaction: np.ndarray
+    rows: np.ndarray
     tail: np.ndarray
     exterior_load: np.ndarray
     exterior: ExteriorData
@@ -530,14 +531,17 @@ class OperatorMatrix:
             raise GridMismatchError("grid of the function differs from the operator grid")
         if u.exterior != self.exterior:
             raise GridMismatchError("exterior data differs from the assembly-time exterior")
-        vals = self.interaction @ u.values + self.tail * u.values + self.exterior_load
+        v = u.values
+        # row n-1-k of A is row k of `rows` reversed
+        right = (self.rows[: self.grid.n_interior - self.grid.n_half] @ v[::-1])[::-1]
+        vals = np.concatenate((self.rows @ v, right)) + self.tail * v + self.exterior_load
         return GridFunction(self.grid, vals, ExteriorData.zero())
 
     def shifted_dense(self, shift) -> np.ndarray:
-        """interaction + diag(tail + shift); shift may be scalar or nodal."""
-        m = self.interaction.copy()
-        idx = np.arange(self.grid.n_interior)
-        m[idx, idx] += self.tail + np.broadcast_to(shift, idx.shape)
+        """The full n x n A + diag(tail + shift); shift may be scalar or nodal."""
+        n, h = self.grid.n_interior, self.grid.n_half
+        m = np.concatenate((self.rows, self.rows[: n - h][::-1, ::-1]))
+        m[np.diag_indices(n)] += self.tail + np.broadcast_to(shift, (n,))
         return m
 
     def folded(self) -> np.ndarray:
@@ -546,17 +550,16 @@ class OperatorMatrix:
         odd n has no partner) plus diag(tail[:h]).  A_f v = (A mirror(v))[:h].
         """
         n, h = self.grid.n_interior, self.grid.n_half
-        m = self.interaction[:h, :h].copy()
-        m[:, : n - h] += self.interaction[:h, : h - 1 : -1]
-        idx = np.arange(h)
-        m[idx, idx] += self.tail[:h]
+        m = self.rows[:, :h].copy()
+        m[:, : n - h] += self.rows[:, : h - 1 : -1]
+        m[np.diag_indices(h)] += self.tail[:h]
         return m
 
 
 def assemble(
     grid: Grid1D, alpha: float, exterior: ExteriorData | None = None
 ) -> OperatorMatrix:
-    """Assemble the dense operator matrix on the given grid.
+    """Assemble the dense operator matrix (its left-half rows) on the grid.
 
     All moments are closed-form power antiderivatives; a non-finite row is a
     hard failure (it would signal a degenerate spacing or an exponent branch
@@ -570,11 +573,11 @@ def assemble(
     edges = grid.cell_edges()
     w0 = -1.0 - 2.0 * alpha
 
-    interaction = np.zeros((n, n))
+    n_left = grid.n_half
+    rows = np.empty((n_left, n))  # every row is written below
     cell_lo_all = edges[:-1]
     cell_hi_all = edges[1:]
 
-    n_left = grid.n_half
     for i in range(n_left):
         x = nodes[i]
         row = np.zeros(n + 2)  # indexed by edge endpoints, folded to nodes below
@@ -623,16 +626,13 @@ def assemble(
         # (constant extrapolation on the unresolved boundary cells)
         row[1] += row[0]
         row[n] += row[n + 1]
-        interaction[i] = -row[1 : n + 1]
+        rows[i] = -row[1 : n + 1]
 
-    if not np.all(np.isfinite(interaction[:n_left])):
+    if not np.all(np.isfinite(rows)):
         raise FraclapError("assembly produced a non-finite kernel moment")
-    # the right half is the mirror image of the left: A[n-1-i, n-1-j] = A[i, j]
-    # exactly, and for odd n the midpoint row is its own mirror
-    n_right = n - n_left
-    interaction[n_left:] = interaction[:n_right][::-1, ::-1]
+    # for odd n the midpoint row is its own mirror, exactly
     if n % 2:
-        interaction[n_right, n_left:] = interaction[n_right, :n_right][::-1]
+        rows[-1, n_left:] = rows[-1, : n_left - 1][::-1]
 
     tail = grid.mirror(tail_coefficient(nodes[:n_left], alpha))
     load = (
@@ -641,12 +641,7 @@ def assemble(
         else -np.asarray(exterior_potential(exterior, alpha, nodes))
     )
     return OperatorMatrix(
-        alpha=alpha,
-        grid=grid,
-        interaction=interaction,
-        tail=tail,
-        exterior_load=load,
-        exterior=exterior,
+        alpha=alpha, grid=grid, rows=rows, tail=tail, exterior_load=load, exterior=exterior
     )
 
 

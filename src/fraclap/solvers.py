@@ -342,6 +342,8 @@ def solve_blowup(
     verification nodes, the factorization and the sweeps all work on the
     left half (`OperatorMatrix.folded`), and the levels are mirrored back.
     A tabulated source whose table is not symmetric raises DomainError.
+    Without `op` the operator is assembled here and folded at once, so the
+    path never holds an n x n array, nor the assembled rows beside the LU.
 
     Only zero exterior data is supported: the levels are assembled with the
     zero exterior, so nonzero `params.exterior` raises DomainError instead of
@@ -393,8 +395,7 @@ def solve_blowup(
 
     if not np.any(grid.free_mask(max_shell)):
         raise DomainError("grid has no nodes inside the deepest exhaustion shell")
-    if op is None:
-        op = assemble(grid, params.alpha)
+    A_f = (op if op is not None else assemble(grid, params.alpha)).folded()
 
     W = np.asarray(sub_g.value(x), dtype=float)
     U = np.asarray(sup_g.value(x), dtype=float)
@@ -410,7 +411,6 @@ def solve_blowup(
     # centre-out order (decreasing d, the reversed index): every free set
     # {d > 1/shell} is a leading block, so one factorization of the
     # level-independent folded system serves every level
-    A_f = op.folded()
     order = np.arange(h)[::-1]
     lu, piv = _factor_nested(A_f[::-1, ::-1].copy(), shift[::-1])
 

@@ -255,10 +255,6 @@ def test_discrete_residual_signs_stable_under_refinement(kc05, interaction):
         sup_g, sub_g = globalize_pair(pair, tor, params, nodes)
         for b, sgn in ((sup_g, 1.0), (sub_g, -1.0)):
             vals = np.asarray(b.value(grid.nodes))
-            resid = (
-                op.interaction @ vals
-                + op.tail * vals
-                + np.sign(vals) * np.abs(vals) ** params.p
-            )
+            resid = op.shifted_dense(0.0) @ vals + np.sign(vals) * np.abs(vals) ** params.p
             margins = sgn * resid / grid.d ** (b.leading_tau * params.p)
             assert margins[grid.d > 1e-3].min() > 0

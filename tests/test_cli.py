@@ -107,6 +107,31 @@ def test_config_sets_options_that_have_defaults(tmp_path):
     assert (tmp_path / "flag" / "manifest.json").exists()
 
 
+def test_flag_given_at_its_default_beats_config(tmp_path, monkeypatch):
+    # a flag typed on the command line wins over the file even when its value
+    # equals the subcommand default, in any spelling argparse accepts
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("out = from_cfg\n")
+    manifest = tmp_path / "fraclap-out" / "manifest.json"
+    spellings = (["--alpha", "0.5", "--out", "fraclap-out"], ["--alp", "0.5", "--out=fraclap-out"])
+    for flags in spellings:
+        manifest.unlink(missing_ok=True)
+        assert run_cli(["tau0", *flags, "--config", str(cfg)]) == 0
+        assert manifest.exists()
+        assert not (tmp_path / "from_cfg").exists()
+    cfg.write_text("levels = 8,16\nout = levels_out\n")
+    # a loose fit tolerance: two shells are too shallow for the rate, and
+    # this test is about which shells ran
+    args = ["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "401", "--sup-tol", "1e-7",
+            "--fit-tol", "1.0"]
+    assert run_cli(args + ["--levels", "8,16,32,64,128", "--config", str(cfg)]) == 0
+    m = load_manifest(tmp_path / "levels_out")
+    assert m["config"]["levels"] == [8, 16, 32, 64, 128]
+    assert run_cli(args + ["--config", str(cfg)]) == 0
+    assert load_manifest(tmp_path / "levels_out")["config"]["levels"] == [8, 16]
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus = 1\n")
@@ -116,6 +141,10 @@ def test_unknown_config_key(tmp_path, capsys):
     cfg.write_text("alpha = 0.5\ntol = 1e-8\n")
     assert run_cli(["tau0", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "unknown key 'tol'" in capsys.readouterr().err
+    # parser bookkeeping is not an option either
+    cfg.write_text("alpha = 0.5\ncommand = blowup\n")
+    assert run_cli(["tau0", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'command'" in capsys.readouterr().err
 
 
 def test_config_value_that_fails_to_parse(tmp_path, capsys):

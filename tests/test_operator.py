@@ -173,8 +173,9 @@ def test_eval_on_power_array_floor():
 
 def test_row_identity_and_tail(op301, grid301):
     ones = np.ones(grid301.n_interior)
-    resid = op301.interaction @ ones
-    scale = np.abs(op301.interaction).sum(axis=1) + op301.tail
+    # the stored left-half rows; the right half is their mirror image
+    resid = op301.rows @ ones
+    scale = np.abs(op301.rows).sum(axis=1) + op301.tail[: grid301.n_half]
     assert np.max(np.abs(resid) / scale) < 1e-12
     out = apply(op301, GridFunction(grid301, 2.7 * ones))
     assert out.values == pytest.approx(2.7 * op301.tail, rel=1e-9)
@@ -183,8 +184,10 @@ def test_row_identity_and_tail(op301, grid301):
 
 
 def test_m_matrix_structure(op301):
-    diag = np.diag(op301.interaction)
-    off = op301.interaction - np.diag(diag)
+    idx = np.arange(op301.grid.n_half)
+    diag = op301.rows[idx, idx]
+    off = op301.rows.copy()
+    off[idx, idx] = 0.0
     assert np.all(diag > 0)
     assert np.max(off) <= 1e-14
 
@@ -193,8 +196,9 @@ def test_m_matrix_structure(op301):
 def test_assembly_mirror_symmetric_and_folded_m_matrix(alpha):
     grid = Grid1D.graded(201, 3.0, include=[1 / 8, 1 / 32])
     op = assemble(grid, alpha)
-    A = op.interaction
-    assert np.array_equal(A, A[::-1, ::-1])
+    A = op.rows
+    dense = op.shifted_dense(0.0)
+    assert np.array_equal(dense, dense[::-1, ::-1])
     assert np.array_equal(op.tail, op.tail[::-1])
     h = grid.n_half
     folded = op.folded()
@@ -214,9 +218,36 @@ def test_folded_acts_on_mirrored_functions(rng):
         op = assemble(grid, 0.5)
         v = rng.standard_normal(grid.n_half)
         u = grid.mirror(v)
-        full = op.interaction @ u + op.tail * u
-        scale = np.abs(op.interaction).sum(axis=1) + op.tail
-        assert np.max(np.abs(op.folded() @ v - full[: grid.n_half]) / scale[: grid.n_half]) < 1e-14
+        h = grid.n_half
+        full = op.rows @ u + op.tail[:h] * v
+        scale = np.abs(op.rows).sum(axis=1) + op.tail[:h]
+        assert np.max(np.abs(op.folded() @ v - full) / scale) < 1e-14
+
+
+def test_rows_storage_and_dense_mirror():
+    # odd n (the midpoint row is its own mirror) and even n
+    even = Grid1D(nodes=np.array([0.1, 0.3, 0.45, 0.55, 0.7, 0.9]))
+    for grid in (Grid1D.graded(201, 3.0, include=[1 / 8]), even):
+        op = assemble(grid, 0.5)
+        n, h = grid.n_interior, grid.n_half
+        assert op.rows.shape == (h, n)
+        dense = op.shifted_dense(0.0)
+        assert dense.shape == (n, n)
+        assert np.array_equal(dense, dense[::-1, ::-1])
+        expected = op.rows.copy()
+        expected[np.arange(h), np.arange(h)] += op.tail[:h]
+        assert np.array_equal(dense[:h], expected)
+
+
+def test_apply_mirrored_matvec_matches_dense(rng):
+    even = Grid1D(nodes=np.array([0.1, 0.3, 0.45, 0.55, 0.7, 0.9]))
+    for grid in (Grid1D.graded(301, 3.0), even):
+        op = assemble(grid, 0.75)
+        u = rng.standard_normal(grid.n_interior) + np.linspace(0.0, 3.0, grid.n_interior)
+        dense = op.shifted_dense(0.0)
+        scale = np.abs(dense).sum(axis=1)
+        out = apply(op, GridFunction(grid, u)).values
+        assert np.max(np.abs(out - dense @ u) / scale) < 1e-14
 
 
 def test_apply_zero_function_gives_zero(op301, grid301):
@@ -270,7 +301,7 @@ def test_assembly_special_value_log_branch():
     grid = Grid1D.graded(101, 2.0)
     for alpha in (0.5, 0.5 + 1e-13):
         op = assemble(grid, alpha)
-        assert np.all(np.isfinite(op.interaction))
+        assert np.all(np.isfinite(op.rows))
 
 
 def test_smooth_bump_probe_accuracy():

@@ -232,6 +232,28 @@ def test_blowup_rejects_asymmetric_tabulated_source(kc05):
         solve_blowup(params, grid, kc05, IterationConfig(exhaustion_levels=(8,)))
 
 
+def test_blowup_path_stays_below_one_dense_matrix(kc05):
+    """Assembled inside solve_blowup, the operator is folded and released:
+    the call's peak allocation stays below one n x n float64 matrix."""
+    import tracemalloc
+
+    params = ProblemParams(0.5, 2.5)
+    levels = (8, 16, 32)
+    grid = Grid1D.graded(801, 3.0, include=[1 / s for s in levels])
+    cfg = IterationConfig(max_iters=5000, sup_tol=1e-9, exhaustion_levels=levels)
+    warm = solve_blowup(params, grid, kc05, cfg)  # fills the rule caches
+    tracemalloc.start()
+    try:
+        res = solve_blowup(params, grid, kc05, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.n_interior**2
+    assert np.array_equal(res.final.values, warm.final.values)
+    given = solve_blowup(params, grid, kc05, cfg, op=assemble(grid, params.alpha))
+    assert np.array_equal(given.final.values, res.final.values)
+
+
 def test_blowup_rejects_nonexistence_zone(kc05):
     params = ProblemParams(0.5, 5.0)  # beyond the critical power, no source
     grid = Grid1D.graded(201, 3.0, include=[1 / 8])
