@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, VerificationError
-from .exponents import KernelConstants, ProblemParams, RegimeReport, RegimeZone
+from .exponents import KernelConstants, ProblemParams, RegimeReport, RegimeZone, _tie
 from .operator import DistanceProfile, eval_on_power, tail_coefficient
 
 __all__ = [
@@ -38,11 +38,13 @@ __all__ = [
 ]
 
 MU_SWEEP_RANGE = 20  # geometric search mu in {2^k}, k in [-MU_SWEEP_RANGE, MU_SWEEP_RANGE]
+TOL_REL = 1e-6  # relative slack of every sign verdict, for quadrature noise
 
 
-def collar_points(delta: float = 0.1, d_min: float = 1e-5, n: int = 64) -> np.ndarray:
-    """Geometrically spaced boundary distances used for collar verification."""
-    return np.geomspace(d_min, delta, n)
+def collar_points() -> np.ndarray:
+    """64 geometrically spaced boundary distances in [1e-5, 0.1], the collar
+    width of every `DistanceProfile` built here, used for collar verification."""
+    return np.geomspace(1e-5, 0.1, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +208,13 @@ def _report(
     params: ProblemParams,
     role: str,
     tau: float,
-    tol_rel: float,
     zone: str | None = None,
 ) -> BarrierReport:
     """Sign report of the residual op + |v|^(p-1) v - f at the points xs.
 
     The residual is normalized by d^(tau*p), the natural magnitude of its
     leading terms, and its sign flipped for a sub-solution, so a margin below
-    -tol_rel is a violation whatever the role.
+    -TOL_REL is a violation whatever the role.
     """
     residuals = ops + _signed_power(vals, params.p) - f_vals
     d = np.minimum(xs, 1.0 - xs)
@@ -223,7 +224,7 @@ def _report(
     worst = int(np.argmin(margins))
     return BarrierReport(
         role=role,
-        passed=bool(margins[worst] >= -tol_rel),
+        passed=bool(margins[worst] >= -TOL_REL),
         worst_margin=float(margins[worst]),
         worst_x=float(xs[worst]),
         nodes=xs,
@@ -237,21 +238,20 @@ def verify_barrier(
     params: ProblemParams,
     role: str,
     collar_nodes,
-    tol_rel: float = 1e-6,
 ) -> BarrierReport:
     """Check the defining inequality of a super- ("super") or sub-solution
     ("sub") at the given interior points.
 
     The residual op(b) + |b|^(p-1) b - f is normalized by d^(tau*p), the
     natural magnitude of its leading terms, and the verdict allows a relative
-    slack tol_rel for quadrature noise.  Always returns a report; it never
+    slack TOL_REL for quadrature noise.  Always returns a report; it never
     raises on failure.
     """
     if role not in ("super", "sub"):
         raise DomainError(f"role must be 'super' or 'sub', got {role!r}")
     xs = np.atleast_1d(np.asarray(collar_nodes, dtype=float))
     vals, ops = _combine(b.term_arrays(xs))
-    return _report(xs, vals, ops, params.source.value(xs), params, role, b.leading_tau, tol_rel)
+    return _report(xs, vals, ops, params.source.value(xs), params, role, b.leading_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +288,21 @@ def make_existence_pair(
     params: ProblemParams,
     kc: KernelConstants,
     regime: RegimeReport,
-    collar=None,
-    delta: float = 0.1,
-    tol_rel: float = 1e-6,
 ) -> tuple[BarrierSpec, BarrierSpec]:
     """Ordered (super, sub) pair mu_bar * V_tau >= mu * V_tau on the collar.
 
     tau is the regime's boundary exponent; the amplitudes come from a geometric
     sweep (large for the super-solution, small for the sub-solution), each kept
-    at the first verifying value.
+    at the first verifying value, on the `collar_points`.
     """
     tau = _existence_tau(params, regime)
-    profile = DistanceProfile(tau=tau, delta=delta)
-    base = BarrierSpec(params.alpha, ((1.0, PowerTerm(profile)),))
-    xs = collar_points(delta) if collar is None else np.asarray(collar, dtype=float)
+    base = BarrierSpec(params.alpha, ((1.0, PowerTerm(DistanceProfile(tau=tau))),))
+    xs = collar_points()
     ((_, vals, ops),) = base.term_arrays(xs)
     f_vals = params.source.value(xs)
 
     def test(mu, role):
-        return _report(xs, mu * vals, mu * ops, f_vals, params, role, tau, tol_rel)
+        return _report(xs, mu * vals, mu * ops, f_vals, params, role, tau)
 
     ks = range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)
     mu_super, _ = _sweep_mu(lambda m: test(m, "super"), [2.0**k for k in ks], "super-solution")
@@ -322,9 +318,6 @@ def make_special_pair(
     params: ProblemParams,
     kc: KernelConstants,
     t: float,
-    collar=None,
-    delta: float = 0.1,
-    tol_rel: float = 1e-6,
 ) -> tuple[BarrierSpec, BarrierSpec]:
     """Pair t*V_tau0 - mu*V_tau1 for the critical-rate family, mu growing from
     the super- to the sub-solution (the residual is strictly decreasing in mu,
@@ -342,9 +335,9 @@ def make_special_pair(
         raise DomainError(f"p={params.p} outside the special-existence window {window}")
     tau0 = kc.tau0
     tau1 = min(tau0 * params.p + 2.0 * params.alpha, 0.0)
-    lead = PowerTerm(DistanceProfile(tau=tau0, delta=delta))
-    second = IndicatorTerm() if tau1 == 0.0 else PowerTerm(DistanceProfile(tau=tau1, delta=delta))
-    xs = collar_points(delta) if collar is None else np.asarray(collar, dtype=float)
+    lead = PowerTerm(DistanceProfile(tau=tau0))
+    second = IndicatorTerm() if tau1 == 0.0 else PowerTerm(DistanceProfile(tau=tau1))
+    xs = collar_points()
     probe = BarrierSpec(params.alpha, ((t, lead), (-1.0, second)))
     (_, lead_vals, lead_ops), (_, sec_vals, sec_ops) = probe.term_arrays(xs)
     f_vals = params.source.value(xs)
@@ -352,7 +345,7 @@ def make_special_pair(
     def test(mu, role):
         vals = t * lead_vals - mu * sec_vals
         ops = t * lead_ops - mu * sec_ops
-        return _report(xs, vals, ops, f_vals, params, role, tau0, tol_rel)
+        return _report(xs, vals, ops, f_vals, params, role, tau0)
 
     scale = t**params.p
     mus = [0.0] + [scale * 2.0**k for k in range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)]
@@ -369,22 +362,20 @@ def make_special_pair(
 _ZONE_ROLES = {1: "super", 2: "super", 3: "sub", 4: "super", 5: "sub"}
 
 
-def classify_zone6(
-    p: float, tau: float, kc: KernelConstants, rtol: float = 1e-9
-) -> tuple[int, str]:
+def classify_zone6(p: float, tau: float, kc: KernelConstants) -> tuple[int, str]:
     """Map (p, tau) to the nonexistence-family zone {1..5} and its role.
 
     Zones 1, 2, 4 produce super-solutions (mu > 0); zones 3, 5 sub-solutions
-    (mu < 0).  Parameters on a zone boundary raise.
+    (mu < 0).  Parameters on a zone boundary (a tie in the sense of
+    `classify_regime`) raise.
     """
     alpha = kc.alpha
     tau0, p_star = kc.tau0, kc.p_star
     p_low = 1.0 + 2.0 * alpha
     tau_i = -2.0 * alpha / (p - 1.0)
-    near = lambda a_, b_: abs(a_ - b_) <= rtol * max(1.0, abs(a_), abs(b_))
-    if near(tau, tau0) and near(p, p_star):
+    if _tie(tau, tau0) and _tie(p, p_star):
         return 4, _ZONE_ROLES[4]
-    if near(tau, tau0) or (near(p, p_low) and tau < tau0) or (near(tau, tau_i) and p > p_low):
+    if _tie(tau, tau0) or (_tie(p, p_low) and tau < tau0) or (_tie(tau, tau_i) and p > p_low):
         raise DomainError(
             f"(p={p}, tau={tau}) sits on a zone boundary of the nonexistence family"
         )
@@ -399,29 +390,20 @@ def classify_zone6(
     raise DomainError(f"(p={p}, tau={tau}) is not covered by any nonexistence zone")
 
 
-def nonexistence_search(
-    alpha: float,
-    t: float,
-    tau: float,
-    collar=None,
-    interior=None,
-    delta: float = 0.1,
-    tol_rel: float = 1e-6,
-):
+def nonexistence_search(alpha: float, t: float, tau: float):
     """Amplitude search for the rate-excluding family t*V_tau + mu*V_0.
 
-    The operator values of V_tau and V_0 on the collar and interior points do
-    not depend on p, so they are evaluated here, once.  The returned
+    The operator values of V_tau and V_0 on the `collar_points` and 12
+    interior points in [0.1, 0.5] do not depend on p, so they are evaluated
+    here, once.  The returned
     search(params, zone, role) -> (family, report) then tries mu with the sign
     the zone prescribes (positive for super-solution zones, negative for
     sub-solution zones) and records the zone, role and amplitude in the report.
     """
     if t <= 0:
         raise DomainError("family parameter t must be positive")
-    xs_collar = collar_points(delta) if collar is None else np.asarray(collar, dtype=float)
-    xs_int = np.linspace(delta, 0.5, 12) if interior is None else np.asarray(interior, dtype=float)
-    xs = np.unique(np.concatenate([xs_collar, xs_int]))
-    power, indicator = PowerTerm(DistanceProfile(tau=tau, delta=delta)), IndicatorTerm()
+    xs = np.unique(np.concatenate([collar_points(), np.linspace(0.1, 0.5, 12)]))
+    power, indicator = PowerTerm(DistanceProfile(tau=tau)), IndicatorTerm()
     base = BarrierSpec(alpha, ((t, power), (1.0, indicator)))
     (_, lead_vals, lead_ops), (_, ind_vals, ind_ops) = base.term_arrays(xs)
 
@@ -431,7 +413,7 @@ def nonexistence_search(
         def test(mu):
             vals = t * lead_vals + mu * ind_vals
             ops = t * lead_ops + mu * ind_ops
-            return _report(xs, vals, ops, f_vals, params, role, tau, tol_rel, zone=f"zone{zone}")
+            return _report(xs, vals, ops, f_vals, params, role, tau, zone=f"zone{zone}")
 
         sign = 1.0 if role == "super" else -1.0
         mus = [sign * 2.0**k for k in range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)]
@@ -446,15 +428,11 @@ def make_nonexistence_family(
     kc: KernelConstants,
     t: float,
     tau: float,
-    collar=None,
-    interior=None,
-    delta: float = 0.1,
-    tol_rel: float = 1e-6,
 ) -> tuple[BarrierSpec, BarrierReport]:
     """One member t*V_tau + mu(t)*V_0 of the rate-excluding family, with mu
     from `nonexistence_search` over collar and interior points together."""
     zone, role = classify_zone6(params.p, tau, kc)
-    search = nonexistence_search(params.alpha, t, tau, collar, interior, delta, tol_rel)
+    search = nonexistence_search(params.alpha, t, tau)
     return search(params, zone, role)
 
 
@@ -470,12 +448,11 @@ def globalize_pair(
     torsion_term: TorsionTerm,
     params: ProblemParams,
     nodes,
-    tol_rel: float = 1e-6,
-    max_doublings: int = 40,
 ) -> tuple[BarrierSpec, BarrierSpec]:
     """Extend a collar-verified pair to all of the interval by adding
     +-lambda times the torsion function (operator value -1), with lambda from
-    a geometric search until both inequalities hold at every supplied node.
+    a geometric search (at most 40 steps) until both inequalities hold at
+    every supplied node.
 
     The torsion term is negative, so the super-solution gains -lambda * V
     (pointwise increase, operator gain +lambda) and the sub-solution gains
@@ -489,7 +466,7 @@ def globalize_pair(
     def report_for(spec, arrays, lam_signed, role):
         vals, ops = _combine(arrays)
         vals, ops = vals + lam_signed * tor_vals, ops + lam_signed * tor_ops
-        return _report(xs, vals, ops, f_vals, params, role, spec.leading_tau, tol_rel)
+        return _report(xs, vals, ops, f_vals, params, role, spec.leading_tau)
 
     # the constructors give sup and sub the same term objects: evaluate each once
     terms = {id(term): term for _, term in sup.terms + sub.terms}
@@ -498,7 +475,7 @@ def globalize_pair(
     sup_arrays = [(c, *evaluated[id(term)]) for c, term in sup.terms]
     sub_arrays = [(c, *evaluated[id(term)]) for c, term in sub.terms]
     lam = 0.0
-    for _ in range(max_doublings):
+    for _ in range(40):
         r_sup = report_for(sup, sup_arrays, -lam, "super")
         r_sub = report_for(sub, sub_arrays, +lam, "sub")
         if r_sup.passed and r_sub.passed:

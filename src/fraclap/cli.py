@@ -106,10 +106,8 @@ def _source_from(args) -> SourceField:
     return SourceField.power_collar(gamma, kappa_f=getattr(args, "kappa_f", 1.0))
 
 
-def _build_grid(args, extra=()) -> Grid1D:
-    include = list(extra)
-    for shell in getattr(args, "levels", ()) or ():
-        include.append(1.0 / shell)
+def _build_grid(args) -> Grid1D:
+    include = [1.0 / shell for shell in getattr(args, "levels", ())]
     return Grid1D.graded(args.n, args.grading, include=include)
 
 
@@ -274,34 +272,26 @@ def cmd_verify_barriers(args, outdir: Path) -> int:
                           "it needs --family-t")
     kc = find_tau0(args.alpha)
     params = ProblemParams(args.alpha, args.p, source=_source_from(args))
-    collar = collar_points()
-    if args.family_t is not None and args.tau is not None:
+    if args.tau is not None:
         fam, report = make_nonexistence_family(params, kc, args.family_t, args.tau)
         payload = {"family": fam.describe(), "report": json.loads(report.to_json())}
         ok = report.passed
-    elif args.family_t is not None:
-        sup, sub = make_special_pair(params, kc, args.family_t)
-        r_sup = verify_barrier(sup, params, "super", collar)
-        r_sub = verify_barrier(sub, params, "sub", collar)
-        payload = {
-            "super": json.loads(r_sup.to_json()),
-            "sub": json.loads(r_sub.to_json()),
-            "super_terms": sup.describe(),
-            "sub_terms": sub.describe(),
-        }
-        ok = r_sup.passed and r_sub.passed
     else:
-        regime = classify_regime(params, kc=kc)
-        sup, sub = make_existence_pair(params, kc, regime)
-        r_sup = verify_barrier(sup, params, "super", collar)
-        r_sub = verify_barrier(sub, params, "sub", collar)
-        payload = {
-            "zone": regime.zone.value,
-            "super": json.loads(r_sup.to_json()),
-            "sub": json.loads(r_sub.to_json()),
-            "super_terms": sup.describe(),
-            "sub_terms": sub.describe(),
-        }
+        if args.family_t is not None:
+            sup, sub = make_special_pair(params, kc, args.family_t)
+            payload = {}
+        else:
+            regime = classify_regime(params, kc=kc)
+            sup, sub = make_existence_pair(params, kc, regime)
+            payload = {"zone": regime.zone.value}
+        r_sup = verify_barrier(sup, params, "super", collar_points())
+        r_sub = verify_barrier(sub, params, "sub", collar_points())
+        payload.update(
+            super=json.loads(r_sup.to_json()),
+            sub=json.loads(r_sub.to_json()),
+            super_terms=sup.describe(),
+            sub_terms=sub.describe(),
+        )
         ok = r_sup.passed and r_sub.passed
     _write_manifest(
         outdir,
@@ -402,10 +392,9 @@ def _add_common(sp):
     sp.add_argument("--config", default=None, help="flat key=value config file")
 
 
-def _add_problem(sp, with_p=True):
+def _add_problem(sp):
     sp.add_argument("--alpha", type=float, default=None)
-    if with_p:
-        sp.add_argument("--p", type=float, default=None)
+    sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--gamma", type=float, default=None, help="source exponent (power collar)")
     sp.add_argument("--kappa-f", type=float, default=1.0, help="source amplitude")
 

@@ -90,8 +90,11 @@ def find_tau0(alpha: float) -> KernelConstants:
     return KernelConstants(alpha=alpha, tau0=alpha - 1.0, p_star=(1.0 + alpha) / (1.0 - alpha))
 
 
-def _tie(x: float, y: float, rtol: float) -> bool:
-    return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
+BOUNDARY_RTOL = 1e-9  # relative distance at which a value ties a zone boundary
+
+
+def _tie(x: float, y: float) -> bool:
+    return abs(x - y) <= BOUNDARY_RTOL * max(1.0, abs(x), abs(y))
 
 
 def special_window(params: ProblemParams, kc: KernelConstants) -> tuple[float, float] | None:
@@ -109,13 +112,12 @@ def classify_regime(
     gamma: float | None = None,
     tau: float | None = None,
     kc: KernelConstants | None = None,
-    boundary_rtol: float = 1e-9,
 ) -> RegimeReport:
     """Assign (alpha, p [, gamma] [, tau]) to its existence/nonexistence zone.
 
     gamma defaults to the exponent of a power-collar source on `params`; tau,
     when given, asks specifically about solutions with boundary rate d^tau.
-    Comparisons that land within boundary_rtol of a zone boundary raise
+    Comparisons that land within BOUNDARY_RTOL of a zone boundary raise
     AmbiguousRegimeError instead of being silently resolved (the one exception
     is the weak-source lower endpoint, which the theory closes).
     """
@@ -136,7 +138,7 @@ def classify_regime(
         raise DomainError(f"tau={tau} outside (-1, 0)")
 
     def tie_check(x, y, what):
-        if _tie(x, y, boundary_rtol):
+        if _tie(x, y):
             raise AmbiguousRegimeError(
                 f"{what}: {x!r} ties {y!r} at floating-point resolution"
             )
@@ -144,14 +146,14 @@ def classify_regime(
     if gamma is not None:
         gamma_lo = -2.0 * alpha - 2.0 * alpha / (p - 1.0)
         # the weak-source range is closed at gamma_lo, so a tie there is fine
-        weak_or_better = gamma >= gamma_lo or _tie(gamma, gamma_lo, boundary_rtol)
+        weak_or_better = gamma >= gamma_lo or _tie(gamma, gamma_lo)
         if not weak_or_better:
             # strong source
             tie_check(p, p_low, "strong-source power bound")
             if p > p_low:
                 predicted = gamma / p
                 if tau is not None:
-                    if _tie(tau, predicted, boundary_rtol):
+                    if _tie(tau, predicted):
                         return RegimeReport(RegimeZone.STRONG_SOURCE, predicted)
                     return RegimeReport(
                         RegimeZone.UNCLASSIFIED,
@@ -169,7 +171,7 @@ def classify_regime(
             if p > p_star:
                 predicted = gamma + 2.0 * alpha
                 if tau is not None:
-                    if _tie(tau, predicted, boundary_rtol):
+                    if _tie(tau, predicted):
                         return RegimeReport(RegimeZone.WEAK_SOURCE, predicted)
                     return RegimeReport(
                         RegimeZone.UNCLASSIFIED,
@@ -211,9 +213,9 @@ def classify_regime(
         )
 
     if in_interaction:
-        if _tie(tau, tau_inter, boundary_rtol):
+        if _tie(tau, tau_inter):
             return RegimeReport(RegimeZone.EXISTENCE_INTERACTION, tau_inter)
-        if _tie(tau, tau0, boundary_rtol):
+        if _tie(tau, tau0):
             window = special_window(params, kc)
             if window is not None and window[0] < p < window[1]:
                 return RegimeReport(
@@ -229,7 +231,7 @@ def classify_regime(
     if p > p_star:
         return RegimeReport(RegimeZone.NONEXISTENCE_II, None)
     # p < 1 + 2*alpha
-    if _tie(tau, tau0, boundary_rtol):
+    if _tie(tau, tau0):
         return RegimeReport(
             RegimeZone.UNCLASSIFIED, None, "tau0 rate with subcritical power: not covered"
         )

@@ -160,7 +160,7 @@ class GridFunction:
         Path(path).write_text("x,d,value\r\n" + text, newline="")
 
     @classmethod
-    def from_csv(cls, path, grading_exponent: float = 1.0) -> "GridFunction":
+    def from_csv(cls, path) -> "GridFunction":
         xs, vals = [], []
         with Path(path).open() as fh:
             reader = csv.reader(fh)
@@ -170,5 +170,5 @@ class GridFunction:
             for row in reader:
                 xs.append(float(row[0]))
                 vals.append(float(row[2]))
-        grid = Grid1D(nodes=np.asarray(xs), grading_exponent=grading_exponent)
+        grid = Grid1D(nodes=np.asarray(xs))
         return cls(grid, np.asarray(vals))

@@ -168,12 +168,11 @@ class DistanceProfile:
 
 
 @_lru_cache(maxsize=64)
-def _jacobi_rule(alpha: float, n: int = 48):
-    """Gauss-Jacobi nodes/weights for the weight (1+t)^(1-2*alpha) on [-1, 1]."""
+def _jacobi_rule(alpha: float):
+    """48 Gauss-Jacobi nodes/weights for the weight (1+t)^(1-2*alpha) on [-1, 1]."""
     from scipy.special import roots_jacobi
 
-    t, wts = roots_jacobi(n, 0.0, 1.0 - 2.0 * alpha)
-    return t, wts
+    return roots_jacobi(48, 0.0, 1.0 - 2.0 * alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ off-diagonals stay <= 0 and the row sums are unchanged: the folded L + D is
 still a row-strictly dominant M-matrix and the comparison argument above
 holds for it unchanged.  `solve_linear` and `solve_semilinear` keep the full
 matrix, because their data need not be symmetric (a tabulated source or
-right-hand side can be anything).  The one automatic shift of
-`solve_semilinear` is nodal and grows, refactorized, wherever an iterate
-outgrows it.
+right-hand side can be anything).  Both monotone solvers take the same shift,
+`_sandwich_shift` of their ordered pair, and factor once.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .barriers import (
 )
 from .errors import ConvergenceError, DomainError, GridMismatchError
 from .exponents import KernelConstants, ProblemParams, RegimeZone, classify_regime
-from .fields import SourceField
 from .grid import Grid1D, GridFunction
 from .operator import OperatorMatrix, assemble
 
@@ -69,21 +67,15 @@ MONOTONE_SLACK = 1e-12
 class IterationConfig:
     """Controls for the monotone iteration and the exhaustion schedule.
 
-    An explicit lipschitz_shift is a constant shift in both solvers.  None
-    means automatic: `solve_blowup` uses the nodal shift
-    1.1 * p * max(|W|, |U|)^(p-1) of its globalized sandwich pair for every
-    level, and `solve_semilinear` grows a nodal shift from the starting
-    iterate, refactorizing whenever an iterate leaves the range it certifies.
+    The shift is not a control: both solvers use `_sandwich_shift` of their
+    ordered pair (the globalized (W, U) in `solve_blowup`).
     """
 
-    lipschitz_shift: float | None = None
     max_iters: int = 500
     sup_tol: float = 1e-9
     exhaustion_levels: tuple = (8, 16, 32, 64, 128)
 
     def __post_init__(self):
-        if self.lipschitz_shift is not None and self.lipschitz_shift <= 0:
-            raise DomainError("lipschitz_shift must be positive when given")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
         if self.sup_tol <= 0:
@@ -143,6 +135,17 @@ def solve_linear(op: OperatorMatrix, shift, rhs) -> GridFunction:
     return GridFunction(op.grid, lu_solve(lu, rhs_vals))
 
 
+def _sandwich_shift(p: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal shift D = 1.1 p cap^(p-1) with cap = max(|lo|, |hi|), and cap.
+
+    D bounds the Lipschitz constant of |t|^(p-1) t on each node's sandwich
+    range [-cap, cap] (Sattinger 1972), so r(t) = D t - |t|^(p-1) t is
+    increasing there and the shifted sweep is monotone while |u| <= cap.
+    """
+    cap = np.maximum(np.abs(lo), np.abs(hi))
+    return 1.1 * p * cap ** (p - 1.0), cap
+
+
 def _monotone_iterate(
     solve,
     shift,
@@ -150,35 +153,31 @@ def _monotone_iterate(
     residual_of,
     u0: np.ndarray,
     cfg: IterationConfig,
-    guard=None,
+    cap: np.ndarray,
+    where: str,
 ) -> tuple[np.ndarray, IterationTrace]:
     """Core shifted fixed-point loop; rhs_of(u) excludes the shift term.
 
-    solve(b) applies the inverse of A + diag(shift).  Any decreasing step is a
-    hard error: the shift was declared adequate for the iterates and was not.
-    guard(u_next), when given, sees every sweep before it is accepted.  It may
-    raise, return None to accept the sweep, or return a rebuilt (solve, shift)
-    pair; the sweep is then discarded and the loop resumes from the last
-    accepted iterate, which is itself a discrete sub-solution, so the monotone
-    construction stays intact.
+    solve(b) applies the inverse of A + diag(shift), and shift is certified on
+    the nodal range |u| <= cap.  An iterate that leaves that range, or a
+    decreasing step, is a hard error, and so is a stop whose relative residual
+    exceeds sqrt(sup_tol) (a large shift makes the steps, and with them the
+    sup-change test, small long before the fixed point).  Every
+    ConvergenceError names `where`.
     """
     trace = IterationTrace()
     u = u0.copy()
-    k = 0
-    while k < cfg.max_iters:
+    for k in range(1, cfg.max_iters + 1):
         u_next = solve(rhs_of(u) + shift * u)
-        k += 1
-        rebuilt = guard(u_next) if guard is not None else None
-        if rebuilt is not None:
-            solve, shift = rebuilt
-            trace.shift_rebuilds += 1
-            continue
+        if np.any(np.abs(u_next) > cap):
+            raise ConvergenceError(
+                f"{where}: an iterate left the sandwich range max(|sub|, |super|) "
+                "on which the nodal shift is certified"
+            )
         defect = float(np.min(u_next - u))
         if defect < -MONOTONE_SLACK:
-            trace.monotone = False
-            trace.worst_monotone_defect = min(trace.worst_monotone_defect, defect)
             raise ConvergenceError(
-                f"monotone iteration produced a decreasing step ({defect:.3e}); "
+                f"{where}: monotone iteration produced a decreasing step ({defect:.3e}); "
                 "the Lipschitz shift is too small for the sandwich range"
             )
         change = float(np.max(np.abs(u_next - u)))
@@ -189,17 +188,21 @@ def _monotone_iterate(
             trace.converged = True
             break
     else:
-        trace.iterations = cfg.max_iters
-        last = trace.sup_changes[-1] if trace.sup_changes else float("nan")
         raise ConvergenceError(
-            f"monotone iteration did not converge within {cfg.max_iters} sweeps "
-            f"(last sup-change {last:.3e})"
+            f"{where}: monotone iteration did not converge within {cfg.max_iters} "
+            f"sweeps (last sup-change {trace.sup_changes[-1]:.3e})"
         )
     r = residual_of(u)
     trace.final_residual = float(np.max(np.abs(r)))
     trace.final_residual_rel = trace.final_residual / (
         1.0 + float(np.max(np.abs(rhs_of(u))))
     )
+    if trace.final_residual_rel > np.sqrt(cfg.sup_tol):
+        raise ConvergenceError(
+            f"{where}: the sup-change test stopped at sweep {k} with relative "
+            f"residual {trace.final_residual_rel:.3e}, above sqrt(sup_tol) = "
+            f"{np.sqrt(cfg.sup_tol):.3e}"
+        )
     return u, trace
 
 
@@ -209,52 +212,37 @@ def solve_semilinear(
     sub: GridFunction,
     super_: GridFunction,
     cfg: IterationConfig = IterationConfig(),
-    source: SourceField | None = None,
 ) -> tuple[GridFunction, IterationTrace]:
     """Monotone solve of L u + |u|^(p-1) u = f between an ordered pair.
 
-    Starts from the sub-solution and sweeps upward; returns the limit and its
-    trace.  The result satisfies sub <= u <= super nodewise and solves the
-    discrete system to the recorded residual.
+    Starts from the sub-solution and sweeps upward with the nodal shift
+    `_sandwich_shift(p, sub, super_)`, factored once; returns the limit and
+    its trace.  The result satisfies sub <= u <= super nodewise and solves
+    the discrete system to the recorded residual.  An iterate outside
+    max(|sub|, |super_|), which means super_ is not a super-solution, raises
+    ConvergenceError.
     """
     if sub.grid != op.grid or super_.grid != op.grid:
         raise GridMismatchError("sub/super grids do not match the operator")
     if np.any(sub.values > super_.values + MONOTONE_SLACK):
         raise DomainError("sub-solution exceeds super-solution somewhere")
-    f_vals = (source or params.source).value(op.grid.nodes)
-    A = op.shifted_dense(0.0)
-    load = op.exterior_load
+    f_vals = params.source.value(op.grid.nodes)
+    p = params.p
+    shift, cap = _sandwich_shift(p, sub.values, super_.values)
+    # the transpose of the C-ordered matrix is Fortran-ordered, so LAPACK
+    # factors it in place; trans=1 solves with the matrix itself
+    lu = lu_factor(op.shifted_dense(shift).T, overwrite_a=True)
 
     def rhs_of(u):
-        return f_vals - load - _signed_power(u, params.p)
+        return f_vals - op.exterior_load - _signed_power(u, p)
 
     def residual_of(u):
-        return A @ u + load + _signed_power(u, params.p) - f_vals
-
-    def factored(shift):
-        M = A.copy()
-        M[np.diag_indices_from(M)] += shift
-        lu = lu_factor(M, overwrite_a=True)
-        return (lambda b: lu_solve(lu, b)), shift
-
-    guard = None
-    if cfg.lipschitz_shift is not None:
-        shift = cfg.lipschitz_shift
-    else:
-        # grow the nodal shift only where an iterate needs it, which keeps it
-        # close to the local Lipschitz bound
-        amp = np.maximum(np.abs(sub.values) * 1.5, 1e-6)
-        shift = 1.1 * params.p * amp ** (params.p - 1.0)
-
-        def guard(u_next):
-            nonlocal amp
-            if float(np.max(np.abs(u_next) - amp)) <= 0.0:
-                return None
-            amp = np.maximum(amp, np.abs(u_next) * 1.5)
-            return factored(1.1 * params.p * amp ** (params.p - 1.0))
+        Lu = op.apply(GridFunction(op.grid, u, op.exterior)).values
+        return Lu + _signed_power(u, p) - f_vals
 
     u, trace = _monotone_iterate(
-        *factored(shift), rhs_of, residual_of, sub.values, cfg, guard
+        lambda b: lu_solve(lu, b, trans=1), shift, rhs_of, residual_of, sub.values, cfg, cap,
+        "solve_semilinear",
     )
     return GridFunction(op.grid, u, sub.exterior), trace
 
@@ -315,7 +303,6 @@ def solve_blowup(
     pair: tuple[BarrierSpec, BarrierSpec] | None = None,
     family_t: float | None = None,
     op: OperatorMatrix | None = None,
-    delta: float = 0.1,
 ) -> BlowupResult:
     """Boundary blow-up solution by exhaustion of the interval.
 
@@ -329,11 +316,10 @@ def solve_blowup(
     point independent of which admissible W seeded the run.  The returned
     profile equals the last level inside its shell and the imposed W outside.
 
-    Every level iterates with the same nodal shift, taken from the globalized
-    sandwich pair (W, U) or given as cfg.lipschitz_shift, so one factorization
-    serves all levels (`_factor_nested`).  An iterate that leaves the range
-    max(|W|, |U|) the automatic shift is certified on raises ConvergenceError
-    naming its shell.
+    Every level iterates with the same nodal shift, `_sandwich_shift` of the
+    globalized sandwich pair (W, U), so one factorization serves all levels
+    (`_factor_nested`).  An iterate that leaves the range max(|W|, |U|) the
+    shift is certified on raises ConvergenceError naming its shell.
 
     The pair is globalized grid-free, with the closed-form torsion of
     `barriers.torsion`; the one LU factorization on this path is the
@@ -377,13 +363,13 @@ def solve_blowup(
     regime = classify_regime(params, kc=kc)
     if pair is None:
         if family_t is not None:
-            pair = make_special_pair(params, kc, family_t, delta=delta)
+            pair = make_special_pair(params, kc, family_t)
         elif regime.zone in (
             RegimeZone.EXISTENCE_INTERACTION,
             RegimeZone.WEAK_SOURCE,
             RegimeZone.STRONG_SOURCE,
         ):
-            pair = make_existence_pair(params, kc, regime, delta=delta)
+            pair = make_existence_pair(params, kc, regime)
         else:
             raise DomainError(f"parameters fall in zone {regime.zone}, not an existence zone")
 
@@ -402,12 +388,7 @@ def solve_blowup(
     f = params.source.value(x)
     p = params.p
 
-    amp = np.maximum(np.abs(W), np.abs(U))
-    if cfg.lipschitz_shift is None:
-        # Lipschitz bound of |t|^(p-1) t on each node's sandwich range
-        shift = 1.1 * p * amp ** (p - 1.0)
-    else:
-        shift = np.full(h, cfg.lipschitz_shift)
+    shift, cap = _sandwich_shift(p, W, U)
     # centre-out order (decreasing d, the reversed index): every free set
     # {d > 1/shell} is a leading block, so one factorization of the
     # level-independent folded system serves every level
@@ -438,16 +419,6 @@ def solve_blowup(
             full[idx] = u
             return (A_f @ full)[idx] + _signed_power(u, p) - ff
 
-        guard = None
-        if cfg.lipschitz_shift is None:
-
-            def guard(u_next, cap=amp[idx], shell=shell):
-                if np.any(np.abs(u_next) > cap):
-                    raise ConvergenceError(
-                        f"exhaustion shell {shell}: an iterate left the sandwich "
-                        "range max(|W|, |U|) on which the nodal shift is certified"
-                    )
-
         if m == h:
             # full-depth shell (admissible source checked above): climb from 0
             u0 = np.zeros(m)
@@ -460,7 +431,8 @@ def solve_blowup(
                 # negative excursion of the torsion-globalized W
                 u0 = np.maximum(u0, 0.0)
         uf, trace = _monotone_iterate(
-            _leading_solver(lu, piv, m), shift[idx], rhs_of, residual_of, u0, cfg, guard
+            _leading_solver(lu, piv, m), shift[idx], rhs_of, residual_of, u0, cfg,
+            cap[idx], f"exhaustion shell {shell}",
         )
 
         u_next = W.copy()
@@ -524,7 +496,6 @@ def check_comparison(
     u: GridFunction,
     v: GridFunction,
     params: ProblemParams,
-    tol: float = 1e-9,
 ) -> ComparisonReport:
     """Discrete comparison audit: v (sub) should not exceed u (super).
 
@@ -537,7 +508,7 @@ def check_comparison(
         return op.apply(w).values + _signed_power(w.values, params.p) - f_vals
 
     gap = u.values - v.values
-    bad = np.where(gap < -tol * (1.0 + np.abs(u.values)))[0]
+    bad = np.where(gap < -1e-9 * (1.0 + np.abs(u.values)))[0]
     return ComparisonReport(
         ordered=bad.size == 0,
         violations=op.grid.nodes[bad],

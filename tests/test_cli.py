@@ -24,8 +24,7 @@ def load_manifest(outdir):
 
 
 def _check_history(trace):
-    # one recorded sup-change per accepted sweep; a sweep that triggers a
-    # shift rebuild discards its iterate and records none
+    # one recorded sup-change per sweep: the sandwich shift is never rebuilt
     changes = trace["sup_changes"]
     assert len(changes) == trace["iterations"] - trace["shift_rebuilds"]
     assert changes[-1] == trace["sup_change_last"]
@@ -197,6 +196,22 @@ def test_solve_command(tmp_path):
     m = load_manifest(out)
     assert m["trace"]["converged"] is True
     _check_history(m["trace"])
+
+
+def test_solve_refuses_a_stop_far_from_the_fixed_point(tmp_path):
+    # f = 10 d^-1.9 makes the sandwich shift huge near the boundary, so the
+    # first step is tiny and the sup-change test stops at once; the relative
+    # residual (1.0) shows the stop is nowhere near the fixed point
+    out = tmp_path / "s"
+    code = run_cli(
+        ["solve", "--alpha", "0.5", "--p", "4", "--gamma", "-1.9", "--kappa-f", "10",
+         "--n", "1001", "--out", str(out)]
+    )
+    assert code == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConvergenceError"
+    assert "solve_semilinear" in err["message"] and "residual" in err["message"]
+    assert not (out / "manifest.json").exists()
 
 
 def test_blowup_command_small(tmp_path):

@@ -14,6 +14,7 @@ from fraclap.solvers import (
     IterationConfig,
     _factor_nested,
     _leading_solver,
+    _monotone_iterate,
     check_comparison,
     solve_blowup,
     solve_linear,
@@ -111,21 +112,72 @@ def test_semilinear_monotone_trace_and_residual(op301, grid301, rng):
     u, trace = solve_semilinear(params, op301, sub, super_, cfg)
     assert trace.final_residual < 10 * cfg.sup_tol
     assert trace.monotone
-    # one recorded change per accepted sweep; a sweep that grows the
-    # adaptive shift is discarded and records none
+    # one recorded change per sweep: the sandwich shift is never rebuilt
     history = trace.to_dict()["sup_changes"]
     assert len(history) == trace.iterations - trace.shift_rebuilds
     assert history[-1] < cfg.sup_tol * (1.0 + float(np.max(np.abs(u.values))))
 
 
 def test_semilinear_shift_too_small_raises(op301, grid301):
-    source = SourceField(kind="tabulated", table_x=(0.2, 0.8), table_f=(5.0, 5.0))
-    params = ProblemParams(0.5, 4.0, source=source)
+    # a constant shift of 1e-4 is far below the Lipschitz bound of u^4 on the
+    # sandwich range: the second sweep overshoots downward and is refused
+    f_vals = SourceField(kind="tabulated", table_x=(0.2, 0.8), table_f=(5.0, 5.0)).value(
+        grid301.nodes
+    )
+    super_ = solve_linear(op301, 0.0, f_vals).values
+    lu = lu_factor(op301.shifted_dense(1e-4))
+
+    def rhs_of(u):
+        return f_vals - u**4
+
+    with pytest.raises(ConvergenceError, match="test: .*decreasing step"):
+        _monotone_iterate(
+            lambda b: lu_solve(lu, b), 1e-4, rhs_of, rhs_of, np.zeros_like(f_vals),
+            IterationConfig(max_iters=50), np.abs(super_), "test",
+        )
+
+
+def test_semilinear_factors_once_with_the_sandwich_shift(op301, grid301, monkeypatch):
+    import tracemalloc
+
+    import fraclap.solvers as solvers
+
+    calls = []
+    real = solvers.lu_factor
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "lu_factor", counting)
+    source = SourceField(kind="tabulated", table_x=(0.2, 0.8), table_f=(0.5, 2.0))
+    params = ProblemParams(0.5, 3.0, source=source)
     sub = GridFunction.zeros(grid301)
     super_ = solve_linear(op301, 0.0, source.value(grid301.nodes))
-    bad = IterationConfig(lipschitz_shift=1e-4, max_iters=50)
-    with pytest.raises(ConvergenceError):
-        solve_semilinear(params, op301, sub, super_, bad)
+    calls.clear()
+    tracemalloc.start()
+    try:
+        u, trace = solve_semilinear(params, op301, sub, super_, IterationConfig(sup_tol=1e-11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = grid301.n_interior
+    assert calls == [(n, n)]
+    # the LU overwrites the shifted matrix and the residual uses op.apply:
+    # one n x n array at a time (measured 1.14 n^2 doubles at n = 301)
+    assert peak < 1.5 * 8 * n**2
+    assert trace.converged and trace.shift_rebuilds == 0
+    assert np.all(u.values <= super_.values)
+
+
+def test_semilinear_refuses_a_false_super_solution(op301, grid301):
+    # super_ = sub = 0 is no super-solution of L u + u^2 = 1: the first sweep
+    # leaves the sandwich range instead of returning some u > super_
+    source = SourceField(kind="tabulated", table_x=(0.2, 0.8), table_f=(1.0, 1.0))
+    params = ProblemParams(0.5, 2.0, source=source)
+    zero = GridFunction.zeros(grid301)
+    with pytest.raises(ConvergenceError, match="solve_semilinear: an iterate left the sandwich"):
+        solve_semilinear(params, op301, zero, zero, IterationConfig(max_iters=50))
 
 
 def test_blowup_small_interaction(kc05, monkeypatch):
@@ -279,8 +331,6 @@ def test_iteration_config_validation():
         IterationConfig(exhaustion_levels=(8, 8))
     with pytest.raises(DomainError):
         IterationConfig(sup_tol=0.0)
-    with pytest.raises(DomainError):
-        IterationConfig(lipschitz_shift=-1.0)
 
 
 def test_randomized_monotone_invariants(rng):
@@ -346,16 +396,3 @@ def test_blowup_other_alphas(alpha, p):
     # shallow shells: generous tolerance, sign and scale must be right
     assert abs(fit.exponent - predicted) / abs(predicted) < 0.25
 
-
-def test_semilinear_explicit_scalar_shift(op301, grid301):
-    source = SourceField(kind="tabulated", table_x=(0.2, 0.8), table_f=(1.0, 1.0))
-    params = ProblemParams(0.5, 2.0, source=source)
-    sub = GridFunction.zeros(grid301)
-    super_ = solve_linear(op301, 0.0, source.value(grid301.nodes))
-    explicit = 1.1 * params.p * float(np.max(np.abs(super_.values))) ** (params.p - 1)
-    cfg = IterationConfig(lipschitz_shift=explicit, max_iters=2000, sup_tol=1e-11)
-    u, trace = solve_semilinear(params, op301, sub, super_, cfg)
-    assert trace.converged and trace.monotone
-    cfg_auto = IterationConfig(max_iters=2000, sup_tol=1e-11)
-    u2, _ = solve_semilinear(params, op301, sub, super_, cfg_auto)
-    assert np.max(np.abs(u.values - u2.values)) < 1e-9
