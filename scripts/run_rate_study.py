@@ -16,7 +16,7 @@ import argparse
 import time
 from pathlib import Path
 
-from fraclap.exponents import ProblemParams, classify_regime, find_tau0
+from fraclap.exponents import ProblemParams, classify_regime
 from fraclap.fields import SourceField
 from fraclap.grid import Grid1D
 from fraclap.operator import assemble
@@ -36,7 +36,6 @@ def main() -> None:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kc = find_tau0(args.alpha)
     grid = Grid1D.graded(args.n, args.grading, include=[1.0 / s for s in SHELLS])
     op = assemble(grid, args.alpha)  # the three cases share the grid and alpha
     full = int(2.0 / grid.min_spacing)
@@ -63,9 +62,9 @@ def main() -> None:
             max_iters=40000, sup_tol=1e-10, exhaustion_levels=levels
         )
         t0 = time.perf_counter()
-        res = solve_blowup(params, grid, kc, cfg, op=op)
+        res = solve_blowup(params, grid, cfg, op=op)
         fit = fit_exponent(res.final, window)
-        predicted = classify_regime(params, kc=kc).predicted_exponent
+        predicted = classify_regime(params).predicted_exponent
         elapsed = time.perf_counter() - t0
         res.final.to_csv(out / f"{name}.csv")
         rel = abs(fit.exponent - predicted) / abs(predicted)

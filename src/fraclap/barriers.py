@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, VerificationError
-from .exponents import KernelConstants, ProblemParams, RegimeReport, RegimeZone, _tie
+from .exponents import ProblemParams, RegimeReport, RegimeZone, _tie, find_tau0, special_window
 from .operator import DistanceProfile, eval_on_power, tail_coefficient
 
 __all__ = [
@@ -285,9 +285,7 @@ def _sweep_mu(test_fn, mus, what: str):
 
 
 def make_existence_pair(
-    params: ProblemParams,
-    kc: KernelConstants,
-    regime: RegimeReport,
+    params: ProblemParams, regime: RegimeReport
 ) -> tuple[BarrierSpec, BarrierSpec]:
     """Ordered (super, sub) pair mu_bar * V_tau >= mu * V_tau on the collar.
 
@@ -314,11 +312,7 @@ def make_existence_pair(
     return base.scaled(mu_super), base.scaled(mu_sub)
 
 
-def make_special_pair(
-    params: ProblemParams,
-    kc: KernelConstants,
-    t: float,
-) -> tuple[BarrierSpec, BarrierSpec]:
+def make_special_pair(params: ProblemParams, t: float) -> tuple[BarrierSpec, BarrierSpec]:
     """Pair t*V_tau0 - mu*V_tau1 for the critical-rate family, mu growing from
     the super- to the sub-solution (the residual is strictly decreasing in mu,
     so the two amplitudes bracket the crossover).
@@ -328,12 +322,10 @@ def make_special_pair(
     """
     if t <= 0:
         raise DomainError("family parameter t must be positive")
-    from .exponents import special_window
-
-    window = special_window(params, kc)
+    window = special_window(params)
     if window is None or not window[0] < params.p < window[1]:
         raise DomainError(f"p={params.p} outside the special-existence window {window}")
-    tau0 = kc.tau0
+    tau0 = find_tau0(params.alpha).tau0
     tau1 = min(tau0 * params.p + 2.0 * params.alpha, 0.0)
     lead = PowerTerm(DistanceProfile(tau=tau0))
     second = IndicatorTerm() if tau1 == 0.0 else PowerTerm(DistanceProfile(tau=tau1))
@@ -362,14 +354,14 @@ def make_special_pair(
 _ZONE_ROLES = {1: "super", 2: "super", 3: "sub", 4: "super", 5: "sub"}
 
 
-def classify_zone6(p: float, tau: float, kc: KernelConstants) -> tuple[int, str]:
+def classify_zone6(p: float, tau: float, alpha: float) -> tuple[int, str]:
     """Map (p, tau) to the nonexistence-family zone {1..5} and its role.
 
     Zones 1, 2, 4 produce super-solutions (mu > 0); zones 3, 5 sub-solutions
     (mu < 0).  Parameters on a zone boundary (a tie in the sense of
     `classify_regime`) raise.
     """
-    alpha = kc.alpha
+    kc = find_tau0(alpha)
     tau0, p_star = kc.tau0, kc.p_star
     p_low = 1.0 + 2.0 * alpha
     tau_i = -2.0 * alpha / (p - 1.0)
@@ -424,14 +416,11 @@ def nonexistence_search(alpha: float, t: float, tau: float):
 
 
 def make_nonexistence_family(
-    params: ProblemParams,
-    kc: KernelConstants,
-    t: float,
-    tau: float,
+    params: ProblemParams, t: float, tau: float
 ) -> tuple[BarrierSpec, BarrierReport]:
     """One member t*V_tau + mu(t)*V_0 of the rate-excluding family, with mu
     from `nonexistence_search` over collar and interior points together."""
-    zone, role = classify_zone6(params.p, tau, kc)
+    zone, role = classify_zone6(params.p, tau, params.alpha)
     search = nonexistence_search(params.alpha, t, tau)
     return search(params, zone, role)
 

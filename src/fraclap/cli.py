@@ -169,7 +169,7 @@ def cmd_tau0(args, outdir: Path) -> int:
 def cmd_regime(args, outdir: Path) -> int:
     kc = find_tau0(args.alpha)
     params = ProblemParams(args.alpha, args.p, source=_source_from(args))
-    report = classify_regime(params, gamma=args.gamma, tau=args.tau, kc=kc)
+    report = classify_regime(params, gamma=args.gamma, tau=args.tau)
     _write_manifest(
         outdir,
         {
@@ -220,7 +220,7 @@ def cmd_blowup(args, outdir: Path) -> int:
         sup_tol=args.sup_tol,
         exhaustion_levels=levels,
     )
-    result = solve_blowup(params, grid, kc, cfg, family_t=args.family_t)
+    result = solve_blowup(params, grid, cfg, family_t=args.family_t)
     outdir.mkdir(parents=True, exist_ok=True)
     profiles = []
     for lev in result.levels:
@@ -230,7 +230,7 @@ def cmd_blowup(args, outdir: Path) -> int:
     result.final.to_csv(outdir / "solution.csv")
     profiles.append("solution.csv")
 
-    regime = classify_regime(params, kc=kc)
+    regime = classify_regime(params)
     # by default keep the window clear of the deepest imposed shell, where
     # the level solution is pinned to the barrier data
     fit_lo = args.fit_lo if args.fit_lo is not None else 2.5 / max(levels)
@@ -270,19 +270,18 @@ def cmd_verify_barriers(args, outdir: Path) -> int:
     if args.tau is not None and args.family_t is None:
         raise DomainError("verify-barriers --tau selects a nonexistence family member: "
                           "it needs --family-t")
-    kc = find_tau0(args.alpha)
     params = ProblemParams(args.alpha, args.p, source=_source_from(args))
     if args.tau is not None:
-        fam, report = make_nonexistence_family(params, kc, args.family_t, args.tau)
+        fam, report = make_nonexistence_family(params, args.family_t, args.tau)
         payload = {"family": fam.describe(), "report": json.loads(report.to_json())}
         ok = report.passed
     else:
         if args.family_t is not None:
-            sup, sub = make_special_pair(params, kc, args.family_t)
+            sup, sub = make_special_pair(params, args.family_t)
             payload = {}
         else:
-            regime = classify_regime(params, kc=kc)
-            sup, sub = make_existence_pair(params, kc, regime)
+            regime = classify_regime(params)
+            sup, sub = make_existence_pair(params, regime)
             payload = {"zone": regime.zone.value}
         r_sup = verify_barrier(sup, params, "super", collar_points())
         r_sub = verify_barrier(sub, params, "sub", collar_points())
@@ -301,8 +300,7 @@ def cmd_verify_barriers(args, outdir: Path) -> int:
 
 
 def cmd_verify_prop32(args, outdir: Path) -> int:
-    kc = find_tau0(args.alpha)
-    report = verify_prop32(args.alpha, args.tau, kc)
+    report = verify_prop32(args.alpha, args.tau)
     _write_manifest(
         outdir,
         {"command": "verify-prop32", "config": _echo(args), **report.to_dict()},
@@ -330,7 +328,7 @@ def cmd_sweep(args, outdir: Path) -> int:
             row = {"p": p, "tau": tau, "predicted_exponent": ""}
             rows.append(row)
             try:
-                regime = classify_regime(params, tau=tau, kc=kc)
+                regime = classify_regime(params, tau=tau)
                 row["regime"] = regime.zone.value
                 if regime.predicted_exponent is not None:
                     row["predicted_exponent"] = repr(regime.predicted_exponent)
@@ -340,12 +338,12 @@ def cmd_sweep(args, outdir: Path) -> int:
                 # tau = 0 lies outside the classification's open domain
                 # (-1, 0); a p that ties a zone boundary is still reported
                 try:
-                    classify_regime(params, kc=kc)
+                    classify_regime(params)
                     row["regime"] = "unclassified"
                 except AmbiguousRegimeError:
                     row["regime"] = "boundary"
             try:
-                zone, role = classify_zone6(p, tau, kc)
+                zone, role = classify_zone6(p, tau, args.alpha)
             except (DomainError, AmbiguousRegimeError) as exc:
                 row.update(zone="boundary", role="", mu=float("nan"), passed=False, note=str(exc))
                 continue
@@ -392,8 +390,20 @@ def _add_common(sp):
     sp.add_argument("--config", default=None, help="flat key=value config file")
 
 
-def _add_problem(sp):
+def _add_alpha(sp):
     sp.add_argument("--alpha", type=float, default=None)
+
+
+def _add_tau(sp):
+    sp.add_argument("--tau", type=float, default=None)
+
+
+def _add_tau_grid(sp):
+    sp.add_argument("--tau-grid", default=None, help="lo:hi:step")
+
+
+def _add_problem(sp):
+    _add_alpha(sp)
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--gamma", type=float, default=None, help="source exponent (power collar)")
     sp.add_argument("--kappa-f", type=float, default=1.0, help="source amplitude")
@@ -406,43 +416,7 @@ def _add_solver(sp):
     sp.add_argument("--sup-tol", type=float, default=1e-9)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fraclap",
-        description="critical constants, barriers and blow-up solves for the "
-        "fractional semilinear problem on the unit interval",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("ctau", help="kernel constant C and its derivatives")
-    _add_common(sp)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--tau", type=float, default=None)
-    sp.add_argument("--tau-grid", default=None, help="lo:hi:step")
-    sp.set_defaults(func=cmd_ctau)
-
-    sp = sub.add_parser("tau0", help="critical exponent tau0 and p*")
-    _add_common(sp)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.set_defaults(func=cmd_tau0)
-
-    sp = sub.add_parser("regime", help="classify parameters against the existence/nonexistence zones")
-    _add_common(sp)
-    _add_problem(sp)
-    sp.add_argument("--tau", type=float, default=None)
-    sp.set_defaults(func=cmd_regime)
-
-    sp = sub.add_parser("solve", help="bounded monotone semilinear solve")
-    _add_common(sp)
-    _add_problem(sp)
-    _add_solver(sp)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("blowup", help="boundary blow-up solve by exhaustion")
-    _add_common(sp)
-    _add_problem(sp)
-    _add_solver(sp)
+def _add_blowup(sp):
     sp.add_argument(
         "--levels",
         type=lambda s: tuple(int(v) for v in s.split(",")),
@@ -457,49 +431,60 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fit-hi", type=float, default=None,
                     help="fit window end (default: max(0.02, 10 / deepest shell))")
     sp.add_argument("--fit-tol", type=float, default=0.05)
-    sp.set_defaults(func=cmd_blowup)
 
-    sp = sub.add_parser("verify-barriers", help="verify super/sub-solution constructions")
-    _add_common(sp)
-    _add_problem(sp)
-    sp.add_argument("--tau", type=float, default=None)
+
+def _add_family_t(sp):
     sp.add_argument("--family-t", type=float, default=None)
-    sp.set_defaults(func=cmd_verify_barriers)
 
-    sp = sub.add_parser("verify-prop32", help="verify barrier asymptotics for one tau")
-    _add_common(sp)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--tau", type=float, default=None)
-    sp.set_defaults(func=cmd_verify_prop32)
 
-    sp = sub.add_parser("sweep", help="zone map over a (p, tau) grid")
-    _add_common(sp)
-    sp.add_argument("--alpha", type=float, default=None)
+def _add_sweep(sp):
     sp.add_argument("--p-grid", default=None, help="lo:hi:step")
-    sp.add_argument("--tau-grid", default=None, help="lo:hi:step")
+    _add_tau_grid(sp)
     sp.add_argument("--family-t", type=float, default=1.0)
-    sp.set_defaults(func=cmd_sweep)
-
-    return parser
 
 
-REQUIRED = {
-    "ctau": ("alpha",),
-    "tau0": ("alpha",),
-    "regime": ("alpha", "p"),
-    "solve": ("alpha", "p"),
-    "blowup": ("alpha", "p"),
-    "verify-barriers": ("alpha", "p"),
-    "verify-prop32": ("alpha", "tau"),
-    "sweep": ("alpha", "p_grid", "tau_grid"),
+# name: (handler, help, option adders after --out/--config, required options)
+COMMANDS = {
+    "ctau": (cmd_ctau, "kernel constant C and its derivatives",
+             (_add_alpha, _add_tau, _add_tau_grid), ("alpha",)),
+    "tau0": (cmd_tau0, "critical exponent tau0 and p*", (_add_alpha,), ("alpha",)),
+    "regime": (cmd_regime, "classify parameters against the existence/nonexistence zones",
+               (_add_problem, _add_tau), ("alpha", "p")),
+    "solve": (cmd_solve, "bounded monotone semilinear solve",
+              (_add_problem, _add_solver), ("alpha", "p")),
+    "blowup": (cmd_blowup, "boundary blow-up solve by exhaustion",
+               (_add_problem, _add_solver, _add_blowup), ("alpha", "p")),
+    "verify-barriers": (cmd_verify_barriers, "verify super/sub-solution constructions",
+                        (_add_problem, _add_tau, _add_family_t), ("alpha", "p")),
+    "verify-prop32": (cmd_verify_prop32, "verify barrier asymptotics for one tau",
+                      (_add_alpha, _add_tau), ("alpha", "tau")),
+    "sweep": (cmd_sweep, "zone map over a (p, tau) grid",
+              (_add_alpha, _add_sweep), ("alpha", "p_grid", "tau_grid")),
 }
 
 
-def _subcommand_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand: its options give the config keys their
-    types, and a second parse with it tells which flags were given."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[command]
+def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
+    """The fraclap parser and its subcommand parsers by name.
+
+    With `command` only that subcommand's parser is built, since every option
+    costs argparse a formatter; without it all are, for --help and errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="fraclap",
+        description="critical constants, barriers and blow-up solves for the "
+        "fractional semilinear problem on the unit interval",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for name, (func, help_text, adders, _) in COMMANDS.items():
+        if command in (None, name):
+            sp = parsers[name] = sub.add_parser(name, help=help_text)
+            _add_common(sp)
+            for add in adders:
+                add(sp)
+            sp.set_defaults(func=func)
+    return parser, parsers
 
 
 def _switch(text: str) -> bool:
@@ -508,7 +493,7 @@ def _switch(text: str) -> bool:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser, parsers = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         try:
@@ -517,7 +502,7 @@ def main(argv=None) -> int:
             print(f"fraclap: config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         ns = vars(args)
-        sp = _subcommand_parser(parser, args.command)
+        sp = parsers[args.command]
         # each key is cast by its option's own type (a switch reads 1/true/yes)
         casts = {a.dest: _switch if a.nargs == 0 else a.type or str for a in sp._actions}
         # argparse fills a default only where the namespace lacks the option,
@@ -536,7 +521,7 @@ def main(argv=None) -> int:
                     print(f"fraclap: config error: {key}={raw!r}: {exc}", file=sys.stderr)
                     return EXIT_CONFIG
         args = argparse.Namespace(**ns)
-    missing = [k for k in REQUIRED.get(args.command, ()) if getattr(args, k, None) is None]
+    missing = [k for k in COMMANDS[args.command][3] if getattr(args, k, None) is None]
     if missing:
         print(f"fraclap: config error: missing required option(s) {missing}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,11 +12,10 @@ the (alpha, p, gamma, tau) space into the existence / nonexistence zones that
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 from .errors import AmbiguousRegimeError, DomainError
-from .fields import ExteriorData, SourceField
+from .fields import SourceField
 from .quadrature import KernelConstants
 
 __all__ = [
@@ -31,12 +30,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Equation parameters: fractional order alpha, reaction power p, data."""
+    """Equation parameters: fractional order alpha, reaction power p, source.
+
+    The exterior data is zero; nonzero exterior data g is the source term
+    `fraclap.operator.exterior_potential`(g) added to f."""
 
     alpha: float
     p: float
     source: SourceField = field(default_factory=SourceField.zero)
-    exterior: ExteriorData = field(default_factory=ExteriorData.zero)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -97,9 +98,9 @@ def _tie(x: float, y: float) -> bool:
     return abs(x - y) <= BOUNDARY_RTOL * max(1.0, abs(x), abs(y))
 
 
-def special_window(params: ProblemParams, kc: KernelConstants) -> tuple[float, float] | None:
+def special_window(params: ProblemParams) -> tuple[float, float] | None:
     """Open p-interval on which the tau0-rate solution family exists, or None."""
-    t0 = kc.tau0
+    t0 = find_tau0(params.alpha).tau0
     right = 1.0 - 2.0 * params.alpha / t0
     left = max(right + (t0 + 1.0) / t0, 1.0)
     if left >= right:
@@ -111,7 +112,6 @@ def classify_regime(
     params: ProblemParams,
     gamma: float | None = None,
     tau: float | None = None,
-    kc: KernelConstants | None = None,
 ) -> RegimeReport:
     """Assign (alpha, p [, gamma] [, tau]) to its existence/nonexistence zone.
 
@@ -121,11 +121,8 @@ def classify_regime(
     AmbiguousRegimeError instead of being silently resolved (the one exception
     is the weak-source lower endpoint, which the theory closes).
     """
-    if kc is None:
-        kc = find_tau0(params.alpha)
-    if not math.isclose(kc.alpha, params.alpha, rel_tol=1e-12):
-        raise DomainError("kernel constants were computed for a different alpha")
     alpha, p = params.alpha, params.p
+    kc = find_tau0(alpha)
     tau0, p_star = kc.tau0, kc.p_star
     p_low = 1.0 + 2.0 * alpha
     tau_inter = -2.0 * alpha / (p - 1.0)
@@ -216,7 +213,7 @@ def classify_regime(
         if _tie(tau, tau_inter):
             return RegimeReport(RegimeZone.EXISTENCE_INTERACTION, tau_inter)
         if _tie(tau, tau0):
-            window = special_window(params, kc)
+            window = special_window(params)
             if window is not None and window[0] < p < window[1]:
                 return RegimeReport(
                     RegimeZone.SPECIAL_TAU0,

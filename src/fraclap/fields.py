@@ -2,13 +2,15 @@
 
 Both are boundary-growth fields: the physically relevant shapes are a power of
 the boundary distance d(x) on a collar, so the descriptors store (exponent,
-amplitude) pairs and evaluate on demand.  Tabulated variants carry explicit
-samples for data that comes from files.
+amplitude) pairs and evaluate on demand.  A tabulated source carries explicit
+samples for data that comes from files.  Exterior data enters the equation
+only through its interior potential (`fraclap.operator.exterior_potential`),
+a source term, so the solvers themselves always see zero exterior data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +35,15 @@ class ExteriorData:
     kind "power_collar": g(z) = kappa_g * d(z)^beta for d(z) <= eta, frozen at
                          kappa_g * eta^beta further out (bounded continuation),
                          where d(z) is the distance from z to {0, 1}.
-    kind "tabulated":    piecewise-linear through (z, g) samples outside [0,1],
-                         zero beyond the sampled range.
     """
 
     kind: str = "zero"
     beta: float = -0.5
     kappa_g: float = 1.0
     eta: float = 0.5
-    table_z: tuple = ()
-    table_g: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("zero", "power_collar", "tabulated"):
+        if self.kind not in ("zero", "power_collar"):
             raise DomainError(f"unknown exterior kind {self.kind!r}")
         if self.kind == "power_collar":
             if not -1.0 < self.beta < 0.0:
@@ -54,10 +52,6 @@ class ExteriorData:
                 raise DomainError("power-collar exterior needs kappa_g > 0")
             if self.eta <= 0:
                 raise DomainError("power-collar exterior needs eta > 0")
-        if self.kind == "tabulated":
-            z = np.asarray(self.table_z, dtype=float)
-            if z.size < 2 or np.any((z > 0.0) & (z < 1.0)):
-                raise DomainError("tabulated exterior needs >= 2 samples outside (0, 1)")
 
     @classmethod
     def zero(cls) -> "ExteriorData":
@@ -74,23 +68,11 @@ class ExteriorData:
     def value(self, z):
         """g at exterior points z (vectorized); zero inside [0, 1]."""
         z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
+        if self.is_zero:
+            return np.zeros_like(z)
         outside = (z <= 0.0) | (z >= 1.0)
-        if self.kind == "power_collar":
-            dist = np.where(z <= 0.0, -z, z - 1.0)
-            dist = np.maximum(dist, 1e-300)
-            out = np.where(
-                outside,
-                self.kappa_g * np.minimum(dist, self.eta) ** self.beta,
-                0.0,
-            )
-            out[dist <= 0.0] = 0.0
-        elif self.kind == "tabulated":
-            zs = np.asarray(self.table_z, dtype=float)
-            gs = np.asarray(self.table_g, dtype=float)
-            order = np.argsort(zs)
-            out = np.where(outside, np.interp(z, zs[order], gs[order], left=0.0, right=0.0), 0.0)
-        return out
+        dist = np.maximum(np.where(z <= 0.0, -z, z - 1.0), 1e-300)
+        return np.where(outside, self.kappa_g * np.minimum(dist, self.eta) ** self.beta, 0.0)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, GridMismatchError
-from .fields import ExteriorData, is_mirrored
+from .fields import is_mirrored
 
 __all__ = ["Grid1D", "GridFunction"]
 
@@ -129,7 +128,7 @@ class Grid1D:
 
 @dataclass
 class GridFunction:
-    """Nodal values on a Grid1D plus an exterior specification.
+    """Nodal values on a Grid1D; the exterior values are zero.
 
     Values must stay finite: blow-up lives in fitted exponents, never in
     stored infinities.
@@ -137,7 +136,6 @@ class GridFunction:
 
     grid: Grid1D
     values: np.ndarray
-    exterior: ExteriorData = field(default_factory=ExteriorData.zero)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -148,8 +146,8 @@ class GridFunction:
         self.values = v
 
     @classmethod
-    def zeros(cls, grid: Grid1D, exterior: ExteriorData | None = None) -> "GridFunction":
-        return cls(grid, np.zeros(grid.n_interior), exterior or ExteriorData.zero())
+    def zeros(cls, grid: Grid1D) -> "GridFunction":
+        return cls(grid, np.zeros(grid.n_interior))
 
     def to_csv(self, path) -> None:
         """Columns x, d, value as shortest round-trip reprs.  The bytes are
@@ -158,17 +156,3 @@ class GridFunction:
         rows = zip(self.grid.nodes.tolist(), self.grid.d.tolist(), self.values.tolist())
         text = "".join([f"{x!r},{d!r},{v!r}\r\n" for x, d, v in rows])
         Path(path).write_text("x,d,value\r\n" + text, newline="")
-
-    @classmethod
-    def from_csv(cls, path) -> "GridFunction":
-        xs, vals = [], []
-        with Path(path).open() as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:3] != ["x", "d", "value"]:
-                raise DomainError(f"unexpected CSV header {header!r}")
-            for row in reader:
-                xs.append(float(row[0]))
-                vals.append(float(row[2]))
-        grid = Grid1D(nodes=np.asarray(xs))
-        return cls(grid, np.asarray(vals))

@@ -5,7 +5,7 @@ Conventions.  The operator is the unnormalized second-difference form
 
     Lu(x) = -(1/2) int_R [u(x+y) + u(x-y) - 2 u(x)] |y|^(-1-2*alpha) dy,
 
-with u prescribed on the whole complement of (0, 1).  For the indicator of the
+with u = 0 on the whole complement of (0, 1).  For the indicator of the
 interval this gives exactly L 1_(0,1)(x) = (x^(-2a) + (1-x)^(-2a)) / (2a), and
 for the half-line power (z_+)^tau the exact identity L (z_+)^tau (x) =
 -C(tau) x^(tau-2a) with C the kernel constant of `fraclap.quadrature` -- both
@@ -29,6 +29,12 @@ functions, adding each right-half column to its mirror; off-diagonals stay
 property the solvers rely on.  Only the blow-up path folds, and it never holds
 an n x n array; `solve_linear` and `solve_semilinear` accept data that need
 not be symmetric and factor the full `OperatorMatrix.shifted_dense`.
+
+Exterior data.  The matrix is the zero-exterior operator.  Exterior values g
+enter the equation only as the interior source G = `exterior_potential`(g):
+the operator of u with exterior g is the zero-exterior operator of u minus G,
+so a problem with source f and exterior g is the zero-exterior problem with
+source f + G.
 
 Barrier profiles.  `eval_on_power` evaluates the operator of the d^tau profile
 at an array of points in one vectorized pass, with no adaptive quadrature: the
@@ -60,7 +66,6 @@ __all__ = [
     "OperatorMatrix",
     "DistanceProfile",
     "assemble",
-    "apply",
     "eval_on_power",
     "exterior_potential",
     "tail_coefficient",
@@ -462,11 +467,13 @@ def _power_collar_potential(beta: float, kappa: float, eta: float, alpha: float,
 
 def exterior_potential(exterior: ExteriorData, alpha: float, x):
     """G(x) = integral of the exterior data against the kernel |z - x|^(-1-2a):
-    the interior load produced by nonzero exterior values (so that the operator
-    of u with exterior g equals the zero-exterior operator of u minus G).
+    the interior load produced by nonzero exterior values.  The operator of u
+    with exterior g equals the zero-exterior operator of u minus G, so the
+    problem with source f and exterior g is solved as the zero-exterior
+    problem with source f + G tabulated at the grid nodes; this is the only
+    way exterior data reaches the solvers.
 
-    Power collars integrate in closed incomplete-beta form; tabulated data uses
-    the exact per-segment moments of the piecewise-linear table.
+    Power collars integrate in closed incomplete-beta form.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
@@ -475,31 +482,8 @@ def exterior_potential(exterior: ExteriorData, alpha: float, x):
         raise DomainError("exterior potential is defined for x inside (0, 1)")
     if exterior.is_zero:
         return np.zeros_like(x)
-    if exterior.kind == "power_collar":
-        left = _power_collar_potential(exterior.beta, exterior.kappa_g, exterior.eta, alpha, x)
-        right = _power_collar_potential(
-            exterior.beta, exterior.kappa_g, exterior.eta, alpha, 1.0 - x
-        )
-        return left + right
-    # tabulated: per-segment linear moments
-    zs = np.asarray(exterior.table_z, dtype=float)
-    gs = np.asarray(exterior.table_g, dtype=float)
-    order = np.argsort(zs)
-    zs, gs = zs[order], gs[order]
-    out = np.zeros_like(x)
-    for k in range(zs.size - 1):
-        L, R = zs[k], zs[k + 1]
-        if R <= L or (L < 1.0 and R > 0.0):  # empty, or straddles the interval
-            continue
-        # the near end of the segment is L on the right of the interval, R
-        # on the left
-        if L >= 1.0:
-            _, near, far = _linear_cell_moments(L - x, R - x, -1.0 - 2.0 * alpha)
-            out += gs[k] * near + gs[k + 1] * far
-        else:
-            _, near, far = _linear_cell_moments(x - R, x - L, -1.0 - 2.0 * alpha)
-            out += gs[k] * far + gs[k + 1] * near
-    return out
+    collar = (exterior.beta, exterior.kappa_g, exterior.eta, alpha)
+    return _power_collar_potential(*collar, x) + _power_collar_potential(*collar, 1.0 - x)
 
 
 # ---------------------------------------------------------------------------
@@ -509,32 +493,27 @@ def exterior_potential(exterior: ExteriorData, alpha: float, x):
 
 @dataclass
 class OperatorMatrix:
-    """Dense collocation matrix of the operator on a grid.
+    """Dense collocation matrix of the zero-exterior operator on a grid.
 
-    apply(u) = A @ u + tail * u + exterior_load, where the interaction matrix
-    A annihilates interior constants (rows sum to zero), `tail` is the exact
-    zero-exterior coefficient of u(x_i), and `exterior_load` equals -G(x_i)
-    for the exterior data fixed at assembly time.  Only `rows` = A[:n_half]
-    is stored; the rest of A is its mirror image A[n-1-i, n-1-j] = A[i, j].
+    apply(u) = A @ u + tail * u, where the interaction matrix A annihilates
+    interior constants (rows sum to zero) and `tail` is the exact
+    zero-exterior coefficient of u(x_i).  Only `rows` = A[:n_half] is stored;
+    the rest of A is its mirror image A[n-1-i, n-1-j] = A[i, j].  Exterior
+    data is a source term (`exterior_potential`), not part of the matrix.
     """
 
     alpha: float
     grid: Grid1D
     rows: np.ndarray
     tail: np.ndarray
-    exterior_load: np.ndarray
-    exterior: ExteriorData
 
     def apply(self, u: GridFunction) -> GridFunction:
         if u.grid != self.grid:
             raise GridMismatchError("grid of the function differs from the operator grid")
-        if u.exterior != self.exterior:
-            raise GridMismatchError("exterior data differs from the assembly-time exterior")
         v = u.values
         # row n-1-k of A is row k of `rows` reversed
         right = (self.rows[: self.grid.n_interior - self.grid.n_half] @ v[::-1])[::-1]
-        vals = np.concatenate((self.rows @ v, right)) + self.tail * v + self.exterior_load
-        return GridFunction(self.grid, vals, ExteriorData.zero())
+        return GridFunction(self.grid, np.concatenate((self.rows @ v, right)) + self.tail * v)
 
     def shifted_dense(self, shift) -> np.ndarray:
         """The full n x n A + diag(tail + shift); shift may be scalar or nodal."""
@@ -555,10 +534,9 @@ class OperatorMatrix:
         return m
 
 
-def assemble(
-    grid: Grid1D, alpha: float, exterior: ExteriorData | None = None
-) -> OperatorMatrix:
-    """Assemble the dense operator matrix (its left-half rows) on the grid.
+def assemble(grid: Grid1D, alpha: float) -> OperatorMatrix:
+    """Assemble the dense zero-exterior operator matrix (its left-half rows)
+    on the grid.
 
     All moments are closed-form power antiderivatives; a non-finite row is a
     hard failure (it would signal a degenerate spacing or an exponent branch
@@ -566,7 +544,6 @@ def assemble(
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
-    exterior = exterior or ExteriorData.zero()
     nodes = grid.nodes
     n = nodes.size
     edges = grid.cell_edges()
@@ -634,16 +611,4 @@ def assemble(
         rows[-1, n_left:] = rows[-1, : n_left - 1][::-1]
 
     tail = grid.mirror(tail_coefficient(nodes[:n_left], alpha))
-    load = (
-        np.zeros(n)
-        if exterior.is_zero
-        else -np.asarray(exterior_potential(exterior, alpha, nodes))
-    )
-    return OperatorMatrix(
-        alpha=alpha, grid=grid, rows=rows, tail=tail, exterior_load=load, exterior=exterior
-    )
-
-
-def apply(op: OperatorMatrix, u: GridFunction) -> GridFunction:  # noqa: A001 - contract name
-    """Operator application as a free function; see OperatorMatrix.apply."""
-    return op.apply(u)
+    return OperatorMatrix(alpha=alpha, grid=grid, rows=rows, tail=tail)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .exponents import find_tau0
 from .grid import GridFunction
 from .operator import DistanceProfile, eval_on_power
-from .quadrature import KernelConstants
 
 __all__ = ["RateFit", "Prop32Report", "fit_exponent", "check_band", "verify_prop32"]
 
@@ -169,12 +169,7 @@ class Prop32Report:
         }
 
 
-def verify_prop32(
-    alpha: float,
-    tau: float,
-    kc: KernelConstants,
-    collar=None,
-) -> Prop32Report:
+def verify_prop32(alpha: float, tau: float, collar=None) -> Prop32Report:
     """Reproduce the barrier asymptotics of the distance-power profile.
 
     Below the critical exponent the operator of the profile is negative with
@@ -190,10 +185,10 @@ def verify_prop32(
     ds = np.geomspace(1e-4, 1e-2, 25) if collar is None else np.asarray(collar, dtype=float)
     profile = DistanceProfile(tau=tau)
     ops = eval_on_power(tau, alpha, ds, profile)
+    tau0 = find_tau0(alpha).tau0
 
-    at_root = abs(tau - kc.tau0) <= 1e-8 * max(1.0, abs(kc.tau0))
-    if at_root:
-        m = min(kc.tau0, 2.0 * kc.tau0 - 2.0 * alpha + 1.0)
+    if abs(tau - tau0) <= 1e-8 * max(1.0, abs(tau0)):
+        m = min(tau0, 2.0 * tau0 - 2.0 * alpha + 1.0)
         normalized = np.abs(ops) * ds ** (-m)
         # bounded means the deep half of the collar does not blow up relative
         # to the shallow half
@@ -208,7 +203,7 @@ def verify_prop32(
             bound_ok=bound_ok, collar=(float(ds[0]), float(ds[-1])),
         )
 
-    case = "i" if tau < kc.tau0 else "ii"
+    case = "i" if tau < tau0 else "ii"
     want_sign = -1.0 if case == "i" else 1.0
     sign_ok = bool(np.all(np.sign(ops) == want_sign))
     slope = float(np.polyfit(np.log(ds), np.log(np.abs(ops)), 1)[0])

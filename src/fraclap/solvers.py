@@ -23,9 +23,14 @@ a quarter of each solve's.  Folding adds each right-half column to its mirror, s
 off-diagonals stay <= 0 and the row sums are unchanged: the folded L + D is
 still a row-strictly dominant M-matrix and the comparison argument above
 holds for it unchanged.  `solve_linear` and `solve_semilinear` keep the full
-matrix, because their data need not be symmetric (a tabulated source or
-right-hand side can be anything).  Both monotone solvers take the same shift,
-`_sandwich_shift` of their ordered pair, and factor once.
+matrix, because their data need not be symmetric (a right-hand side can be
+anything), and share one in-place factorization, `_full_solver`.  Both
+monotone solvers take the same shift, `_sandwich_shift` of their ordered
+pair, and factor once.
+
+Every solver works with zero exterior data.  Exterior data g enters as the
+source term G = `fraclap.operator.exterior_potential`(g): solve with the
+source f + G tabulated at the grid nodes.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .barriers import (
     torsion,
 )
 from .errors import ConvergenceError, DomainError, GridMismatchError
-from .exponents import KernelConstants, ProblemParams, RegimeZone, classify_regime
+from .exponents import ProblemParams, RegimeZone, classify_regime
 from .grid import Grid1D, GridFunction
 from .operator import OperatorMatrix, assemble
 
@@ -53,11 +58,9 @@ __all__ = [
     "IterationTrace",
     "BlowupLevel",
     "BlowupResult",
-    "ComparisonReport",
     "solve_linear",
     "solve_semilinear",
     "solve_blowup",
-    "check_comparison",
 ]
 
 MONOTONE_SLACK = 1e-12
@@ -88,9 +91,10 @@ class IterationConfig:
 
 @dataclass
 class IterationTrace:
+    """Record of one monotone iteration.  A decreasing step raises, so a
+    returned trace is monotone by construction."""
+
     sup_changes: list = field(default_factory=list)
-    monotone: bool = True
-    worst_monotone_defect: float = 0.0
     iterations: int = 0
     converged: bool = False
     shift_rebuilds: int = 0
@@ -101,14 +105,29 @@ class IterationTrace:
         return {
             "iterations": self.iterations,
             "converged": self.converged,
-            "monotone": self.monotone,
-            "worst_monotone_defect": self.worst_monotone_defect,
             "shift_rebuilds": self.shift_rebuilds,
             "final_residual": self.final_residual,
             "final_residual_rel": self.final_residual_rel,
             "sup_change_last": self.sup_changes[-1] if self.sup_changes else None,
             "sup_changes": list(self.sup_changes),
         }
+
+
+def _full_solver(op: OperatorMatrix, shift):
+    """Solver of the full n x n system (L + diag(shift)) u = b.
+
+    The transpose of the C-ordered `shifted_dense` array is Fortran-ordered,
+    so LAPACK factors it in place (one n x n array, no copy) and trans=1
+    solves with the matrix itself.
+    """
+    try:
+        lu = lu_factor(op.shifted_dense(shift).T, overwrite_a=True)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise ConvergenceError(
+            f"linear solve failed ({exc}); with a finite nonnegative shift the system "
+            "is an M-matrix, so this points at the shift or at assembly corruption"
+        ) from exc
+    return lambda b: lu_solve(lu, b, trans=1)
 
 
 def solve_linear(op: OperatorMatrix, shift, rhs) -> GridFunction:
@@ -124,15 +143,7 @@ def solve_linear(op: OperatorMatrix, shift, rhs) -> GridFunction:
     rhs_vals = rhs.values if isinstance(rhs, GridFunction) else np.asarray(rhs, dtype=float)
     if rhs_vals.shape != (op.grid.n_interior,):
         raise GridMismatchError("rhs length does not match the grid")
-    A = op.shifted_dense(shift_vec)
-    try:
-        lu = lu_factor(A, overwrite_a=True)
-    except Exception as exc:
-        raise ConvergenceError(
-            f"linear solve failed ({exc}); the assembled system should be an M-matrix, "
-            "so this points at assembly corruption"
-        ) from exc
-    return GridFunction(op.grid, lu_solve(lu, rhs_vals))
+    return GridFunction(op.grid, _full_solver(op, shift_vec)(rhs_vals))
 
 
 def _sandwich_shift(p: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,22 +240,18 @@ def solve_semilinear(
     f_vals = params.source.value(op.grid.nodes)
     p = params.p
     shift, cap = _sandwich_shift(p, sub.values, super_.values)
-    # the transpose of the C-ordered matrix is Fortran-ordered, so LAPACK
-    # factors it in place; trans=1 solves with the matrix itself
-    lu = lu_factor(op.shifted_dense(shift).T, overwrite_a=True)
 
     def rhs_of(u):
-        return f_vals - op.exterior_load - _signed_power(u, p)
+        return f_vals - _signed_power(u, p)
 
     def residual_of(u):
-        Lu = op.apply(GridFunction(op.grid, u, op.exterior)).values
-        return Lu + _signed_power(u, p) - f_vals
+        return op.apply(GridFunction(op.grid, u)).values + _signed_power(u, p) - f_vals
 
     u, trace = _monotone_iterate(
-        lambda b: lu_solve(lu, b, trans=1), shift, rhs_of, residual_of, sub.values, cfg, cap,
+        _full_solver(op, shift), shift, rhs_of, residual_of, sub.values, cfg, cap,
         "solve_semilinear",
     )
-    return GridFunction(op.grid, u, sub.exterior), trace
+    return GridFunction(op.grid, u), trace
 
 
 def _factor_nested(a: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,11 +291,9 @@ class BlowupResult:
     params: ProblemParams
     final: GridFunction
     levels: list
-    pair_collar: tuple
     pair_global: tuple
     monotone_in_levels: bool
     sandwich_ok: bool
-    notes: str = ""
 
     @property
     def final_free(self) -> np.ndarray:
@@ -298,7 +303,6 @@ class BlowupResult:
 def solve_blowup(
     params: ProblemParams,
     grid: Grid1D,
-    kc: KernelConstants,
     cfg: IterationConfig = IterationConfig(),
     pair: tuple[BarrierSpec, BarrierSpec] | None = None,
     family_t: float | None = None,
@@ -330,16 +334,7 @@ def solve_blowup(
     A tabulated source whose table is not symmetric raises DomainError.
     Without `op` the operator is assembled here and folded at once, so the
     path never holds an n x n array, nor the assembled rows beside the LU.
-
-    Only zero exterior data is supported: the levels are assembled with the
-    zero exterior, so nonzero `params.exterior` raises DomainError instead of
-    being dropped.
     """
-    if not params.exterior.is_zero:
-        raise DomainError(
-            f"solve_blowup supports zero exterior data only, got kind "
-            f"{params.exterior.kind!r}"
-        )
     if not params.source.mirror_symmetric:
         raise DomainError(
             "solve_blowup solves the mirror-folded system, which needs a source "
@@ -360,18 +355,17 @@ def solve_blowup(
             "source; with f = 0 the free discrete system only has the zero "
             "solution, so keep an imposed collar shell"
         )
-    regime = classify_regime(params, kc=kc)
-    if pair is None:
-        if family_t is not None:
-            pair = make_special_pair(params, kc, family_t)
-        elif regime.zone in (
+    if pair is None and family_t is not None:
+        pair = make_special_pair(params, family_t)
+    elif pair is None:
+        regime = classify_regime(params)
+        if regime.zone not in (
             RegimeZone.EXISTENCE_INTERACTION,
             RegimeZone.WEAK_SOURCE,
             RegimeZone.STRONG_SOURCE,
         ):
-            pair = make_existence_pair(params, kc, regime)
-        else:
             raise DomainError(f"parameters fall in zone {regime.zone}, not an existence zone")
+        pair = make_existence_pair(params, regime)
 
     # every datum is a function of d, so the levels are mirror-symmetric and
     # are solved on the left half, where d = x increases with the index
@@ -465,54 +459,7 @@ def solve_blowup(
         params=params,
         final=levels[-1].solution,
         levels=levels,
-        pair_collar=pair,
         pair_global=(sup_g, sub_g),
         monotone_in_levels=monotone_levels,
         sandwich_ok=sandwich_ok,
-        notes=f"regime={regime.zone.value}",
-    )
-
-
-@dataclass
-class ComparisonReport:
-    ordered: bool
-    violations: np.ndarray
-    worst_gap: float
-    super_residual_min: float
-    sub_residual_max: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ordered": bool(self.ordered),
-            "n_violations": int(self.violations.size),
-            "worst_gap": float(self.worst_gap),
-            "super_residual_min": float(self.super_residual_min),
-            "sub_residual_max": float(self.sub_residual_max),
-        }
-
-
-def check_comparison(
-    op: OperatorMatrix,
-    u: GridFunction,
-    v: GridFunction,
-    params: ProblemParams,
-) -> ComparisonReport:
-    """Discrete comparison audit: v (sub) should not exceed u (super).
-
-    Also records the discrete residual extremes of both functions so callers
-    can see whether the super/sub hypotheses actually held.
-    """
-    f_vals = params.source.value(op.grid.nodes)
-
-    def residual(w: GridFunction) -> np.ndarray:
-        return op.apply(w).values + _signed_power(w.values, params.p) - f_vals
-
-    gap = u.values - v.values
-    bad = np.where(gap < -1e-9 * (1.0 + np.abs(u.values)))[0]
-    return ComparisonReport(
-        ordered=bad.size == 0,
-        violations=op.grid.nodes[bad],
-        worst_gap=float(gap.min()),
-        super_residual_min=float(residual(u).min()),
-        sub_residual_max=float(residual(v).max()),
     )

@@ -20,7 +20,7 @@ from fraclap.errors import DomainError
 from fraclap.exponents import ProblemParams, classify_regime, find_tau0
 from fraclap.fields import ExteriorData, SourceField
 from fraclap.grid import Grid1D, GridFunction
-from fraclap.operator import apply, assemble, exterior_potential
+from fraclap.operator import assemble, exterior_potential
 from fraclap.quadrature import eval_C, eval_C_derivatives, eval_C_tilde
 from fraclap.rates import verify_prop32
 from fraclap.solvers import IterationConfig, solve_blowup, solve_linear, solve_semilinear
@@ -132,9 +132,9 @@ def test_criterion_05_barrier_asymptotics():
     t0 = time.perf_counter()
     kc = find_tau0(0.5)
     collar = np.geomspace(1e-4, 1e-2, 25)
-    r_i = verify_prop32(0.5, -0.8, kc, collar=collar)
-    r_ii = verify_prop32(0.5, -0.2, kc, collar=collar)
-    r_iii = verify_prop32(0.5, kc.tau0, kc, collar=collar)
+    r_i = verify_prop32(0.5, -0.8, collar=collar)
+    r_ii = verify_prop32(0.5, -0.2, collar=collar)
+    r_iii = verify_prop32(0.5, kc.tau0, collar=collar)
     ok = (
         r_i.case == "i" and r_i.sign_ok and abs(r_i.exponent + 1.8) <= 0.03 * 1.8
         and r_ii.case == "ii" and r_ii.sign_ok and abs(r_ii.exponent + 1.2) <= 0.03 * 1.2
@@ -149,11 +149,11 @@ def test_criterion_05_barrier_asymptotics():
     )
 
 
-def test_criterion_06_interaction_rate(kc05, blowup_grid, blowup_op):
+def test_criterion_06_interaction_rate(blowup_grid, blowup_op):
     t0 = time.perf_counter()
     params = ProblemParams(0.5, 2.5)
     cfg = _blowup_cfg(SHELLS)
-    res = solve_blowup(params, blowup_grid, kc05, cfg, op=blowup_op)
+    res = solve_blowup(params, blowup_grid, cfg, op=blowup_op)
     slope = _slope(res.final, blowup_grid, 10.0 / SHELLS[-1], 0.02)
     rel = abs(slope + 2.0 / 3.0) / (2.0 / 3.0)
     positive = bool(np.all(res.final.values[res.final_free] > 0))
@@ -174,11 +174,11 @@ def test_criterion_06_interaction_rate(kc05, blowup_grid, blowup_op):
     )
 
 
-def test_criterion_07_weak_source_rate(kc05, blowup_grid, blowup_op):
+def test_criterion_07_weak_source_rate(blowup_grid, blowup_op):
     t0 = time.perf_counter()
     params = ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.2, kappa_f=0.25))
     cfg = _blowup_cfg(SHELLS, full_of=blowup_grid)
-    res = solve_blowup(params, blowup_grid, kc05, cfg, op=blowup_op)
+    res = solve_blowup(params, blowup_grid, cfg, op=blowup_op)
     slope = _slope(res.final, blowup_grid, 1.5e-3, 1.5e-2)
     rel = abs(slope + 0.2) / 0.2
     elapsed = time.perf_counter() - t0
@@ -189,11 +189,11 @@ def test_criterion_07_weak_source_rate(kc05, blowup_grid, blowup_op):
     )
 
 
-def test_criterion_08_strong_source_rate(kc05, blowup_grid, blowup_op):
+def test_criterion_08_strong_source_rate(blowup_grid, blowup_op):
     t0 = time.perf_counter()
     params = ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.8, kappa_f=1.0))
     cfg = _blowup_cfg(SHELLS, full_of=blowup_grid)
-    res = solve_blowup(params, blowup_grid, kc05, cfg, op=blowup_op)
+    res = solve_blowup(params, blowup_grid, cfg, op=blowup_op)
     slope = _slope(res.final, blowup_grid, 3e-4, 2e-3)
     rel = abs(slope + 0.45) / 0.45
     elapsed = time.perf_counter() - t0
@@ -238,7 +238,7 @@ def test_criterion_10_monotone_invariants():
         super_ = solve_linear(op, 0.0, f_vals)
         cfg = IterationConfig(max_iters=4000, sup_tol=1e-10)
         u, trace = solve_semilinear(params, op, sub, super_, cfg)
-        cfg_ok = trace.monotone and trace.final_residual < 10 * cfg.sup_tol
+        cfg_ok = trace.converged and trace.final_residual < 10 * cfg.sup_tol
         all_ok &= mp_ok and cfg_ok
     elapsed = time.perf_counter() - t0
     report(
@@ -248,11 +248,11 @@ def test_criterion_10_monotone_invariants():
     )
 
 
-def test_criterion_11_empirical_uniqueness(kc05, blowup_grid, blowup_op):
+def test_criterion_11_empirical_uniqueness(blowup_grid, blowup_op):
     t0 = time.perf_counter()
     params = ProblemParams(0.5, 2.5)
-    regime = classify_regime(params, kc=kc05)
-    sup, _ = make_existence_pair(params, kc05, regime)
+    regime = classify_regime(params)
+    sup, _ = make_existence_pair(params, regime)
     # amplitude of the boundary profile, computable from the kernel constant;
     # sub-solutions sharp at the collar make the exhaustion data error small
     amp = eval_C(-2.0 / 3.0, 0.5) ** (1.0 / 1.5)
@@ -265,8 +265,8 @@ def test_criterion_11_empirical_uniqueness(kc05, blowup_grid, blowup_op):
     assert verify_barrier(w1, params, "sub", xs).passed
     assert verify_barrier(w2, params, "sub", xs).passed
     cfg = _blowup_cfg(SHELLS)
-    res1 = solve_blowup(params, blowup_grid, kc05, cfg, pair=(sup, w1), op=blowup_op)
-    res2 = solve_blowup(params, blowup_grid, kc05, cfg, pair=(sup, w2), op=blowup_op)
+    res1 = solve_blowup(params, blowup_grid, cfg, pair=(sup, w1), op=blowup_op)
+    res2 = solve_blowup(params, blowup_grid, cfg, pair=(sup, w2), op=blowup_op)
     mask = blowup_grid.d > 0.05
     gap = float(np.max(np.abs(res1.final.values[mask] - res2.final.values[mask])))
     elapsed = time.perf_counter() - t0
@@ -287,11 +287,11 @@ def test_criterion_12_zone_map(kc05):
 
     def family_role(p, tau):
         try:
-            zone, role = classify_zone6(float(p), float(tau), kc05)
+            zone, role = classify_zone6(float(p), float(tau), 0.5)
         except DomainError:
             return None, None, False
         params = ProblemParams(alpha, float(p))
-        fam, rep = make_nonexistence_family(params, kc05, t=1.0, tau=float(tau))
+        fam, rep = make_nonexistence_family(params, t=1.0, tau=float(tau))
         mu = fam.terms[1][0]
         sign_ok = (mu > 0) if role == "super" else (mu < 0)
         return zone, role, rep.passed and sign_ok
@@ -341,7 +341,7 @@ def test_criterion_13_operator_convergence():
         grid = Grid1D.graded(n, 3.0, include=probes)
         op = assemble(grid, 0.5)
         u = GridFunction(grid, (4 * grid.nodes * (1 - grid.nodes)) ** 3)
-        out = apply(op, u)
+        out = op.apply(u)
         err = max(
             abs(out.values[int(np.argmin(np.abs(grid.nodes - px)))] - ref)
             for px, ref in reference.items()

@@ -30,14 +30,14 @@ TORSION_CONSTANT = {0.25: 2 * np.pi, 0.5: 2 * np.pi, 0.75: 4 * np.pi}
 
 
 @pytest.fixture(scope="module")
-def interaction(kc05):
+def interaction():
     params = ProblemParams(0.5, 2.5)
-    regime = classify_regime(params, kc=kc05)
-    pair = make_existence_pair(params, kc05, regime)
+    regime = classify_regime(params)
+    pair = make_existence_pair(params, regime)
     return params, pair
 
 
-def test_existence_pair_interaction(kc05, interaction):
+def test_existence_pair_interaction(interaction):
     params, (sup, sub) = interaction
     assert sup.terms[0][1].tau == pytest.approx(-2.0 / 3.0)
     xs = collar_points()
@@ -50,18 +50,18 @@ def test_existence_pair_interaction(kc05, interaction):
     assert r2.passed and np.all(r2.margins > 0)
 
 
-def test_existence_pair_weak_and_strong(kc05):
+def test_existence_pair_weak_and_strong():
     weak = ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.2))
-    sup, sub = make_existence_pair(weak, kc05, classify_regime(weak, kc=kc05))
+    sup, sub = make_existence_pair(weak, classify_regime(weak))
     assert sup.terms[0][1].tau == pytest.approx(-0.2)
     strong = ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.8))
-    sup_s, _ = make_existence_pair(strong, kc05, classify_regime(strong, kc=kc05))
+    sup_s, _ = make_existence_pair(strong, classify_regime(strong))
     assert sup_s.terms[0][1].tau == pytest.approx(-0.45)
 
 
 def test_special_pair(kc05):
     params = ProblemParams(0.5, 2.5)
-    sup, sub = make_special_pair(params, kc05, t=1.0)
+    sup, sub = make_special_pair(params, t=1.0)
     xs = collar_points()
     assert verify_barrier(sup, params, "super", xs).passed
     assert verify_barrier(sub, params, "sub", xs).passed
@@ -74,28 +74,28 @@ def test_special_pair(kc05):
     slope = np.polyfit(np.log(xs), np.log(gap), 1)[0]
     assert slope == pytest.approx(tau1, abs=1e-6)
     # doubling t doubles the leading term exactly
-    sup2, _ = make_special_pair(params, kc05, t=2.0)
+    sup2, _ = make_special_pair(params, t=2.0)
     lead = PowerTerm(DistanceProfile(tau=kc05.tau0))
     assert sup2.terms[0][0] == pytest.approx(2.0 * sup.terms[0][0])
 
 
-def test_special_pair_outside_window(kc05):
+def test_special_pair_outside_window():
     with pytest.raises(DomainError):
-        make_special_pair(ProblemParams(0.5, 5.0), kc05, t=1.0)
+        make_special_pair(ProblemParams(0.5, 5.0), t=1.0)
     with pytest.raises(DomainError):
-        make_special_pair(ProblemParams(0.5, 2.5), kc05, t=-1.0)
+        make_special_pair(ProblemParams(0.5, 2.5), t=-1.0)
 
 
 def test_zone_classification(kc05):
-    assert classify_zone6(2.5, -0.3, kc05) == (1, "super")
-    assert classify_zone6(4.0, -0.8, kc05) == (2, "super")
-    assert classify_zone6(2.5, -0.55, kc05) == (3, "sub")
-    assert classify_zone6(kc05.p_star, kc05.tau0, kc05) == (4, "super")
-    assert classify_zone6(1.5, -0.7, kc05) == (5, "sub")
+    assert classify_zone6(2.5, -0.3, 0.5) == (1, "super")
+    assert classify_zone6(4.0, -0.8, 0.5) == (2, "super")
+    assert classify_zone6(2.5, -0.55, 0.5) == (3, "sub")
+    assert classify_zone6(kc05.p_star, kc05.tau0, 0.5) == (4, "super")
+    assert classify_zone6(1.5, -0.7, 0.5) == (5, "sub")
     with pytest.raises(DomainError):
-        classify_zone6(2.5, kc05.tau0, kc05)  # root line off the critical power
+        classify_zone6(2.5, kc05.tau0, 0.5)  # root line off the critical power
     with pytest.raises(DomainError):
-        classify_zone6(2.5, -2.0 * 0.5 / 1.5, kc05)  # interaction-rate line
+        classify_zone6(2.5, -2.0 * 0.5 / 1.5, 0.5)  # interaction-rate line
 
 
 @pytest.mark.parametrize(
@@ -107,9 +107,9 @@ def test_zone_classification(kc05):
         (1.5, -0.7, 5, -1.0),
     ],
 )
-def test_nonexistence_family_mu_signs(kc05, p, tau, zone, mu_sign):
+def test_nonexistence_family_mu_signs(p, tau, zone, mu_sign):
     params = ProblemParams(0.5, p)
-    fam, report = make_nonexistence_family(params, kc05, t=1.0, tau=tau)
+    fam, report = make_nonexistence_family(params, t=1.0, tau=tau)
     assert report.passed
     assert report.zone == f"zone{zone}"
     mu = fam.terms[1][0]
@@ -120,7 +120,7 @@ def test_nonexistence_family_mu_signs(kc05, p, tau, zone, mu_sign):
 
 def test_nonexistence_family_zone4(kc05):
     params = ProblemParams(0.5, kc05.p_star)
-    fam, report = make_nonexistence_family(params, kc05, t=1.0, tau=kc05.tau0)
+    fam, report = make_nonexistence_family(params, t=1.0, tau=kc05.tau0)
     assert report.passed and report.zone == "zone4" and fam.terms[1][0] > 0
 
 
@@ -171,7 +171,7 @@ def test_torsion_richardson_reference():
     assert coarse_err < 0.01
 
 
-def test_globalized_pair(kc05, grid301, interaction):
+def test_globalized_pair(grid301, interaction):
     params, pair = interaction
     tor = torsion(0.5)
     nodes = grid301.nodes[grid301.d > 1e-4]
@@ -206,7 +206,7 @@ def test_globalize_pair_evaluates_shared_terms_once(grid301, interaction, monkey
         assert a.describe() == b.describe()
 
 
-def test_verify_barrier_perturbed_sub_fails(kc05, interaction):
+def test_verify_barrier_perturbed_sub_fails(interaction):
     params, (sup, sub) = interaction
     xs = collar_points()
     shifted = sub.with_term(50.0, IndicatorTerm())
@@ -215,7 +215,7 @@ def test_verify_barrier_perturbed_sub_fails(kc05, interaction):
     assert r.worst_margin < 0
 
 
-def test_barrier_spec_helpers(kc05):
+def test_barrier_spec_helpers():
     spec = BarrierSpec(0.5, ((2.0, PowerTerm(DistanceProfile(tau=-0.5))),))
     assert spec.leading_tau == -0.5
     assert spec.scaled(0.5).terms[0][0] == 1.0
@@ -225,12 +225,11 @@ def test_barrier_spec_helpers(kc05):
         verify_barrier(spec, ProblemParams(0.5, 2.0), "sideways", [0.1])
 
 
-def test_special_pair_indicator_branch(kc_by_alpha):
+def test_special_pair_indicator_branch():
     # for alpha = 0.75 the gap exponent saturates at zero inside the window,
     # so the second term degenerates to the interval indicator
-    kc75 = kc_by_alpha[0.75]
     params = ProblemParams(0.75, 5.0)
-    sup, sub = make_special_pair(params, kc75, t=1.0)
+    sup, sub = make_special_pair(params, t=1.0)
     assert isinstance(sup.terms[1][1], IndicatorTerm)
     assert isinstance(sub.terms[1][1], IndicatorTerm)
     xs = collar_points()
@@ -238,7 +237,7 @@ def test_special_pair_indicator_branch(kc_by_alpha):
     assert verify_barrier(sub, params, "sub", xs).passed
 
 
-def test_discrete_residual_signs_stable_under_refinement(kc05, interaction):
+def test_discrete_residual_signs_stable_under_refinement(interaction):
     """The collar verification is grid-free, so its margins cannot move with n;
     what refinement must preserve is the sign of the *discrete* residuals the
     monotone solver leans on.  Unresolved cells below d ~ 1e-3 on these coarse

@@ -64,91 +64,81 @@ def test_tau0_and_p_star_closed_form_identity(kc_by_alpha):
         assert kc.p_star == (1.0 + alpha) / (1.0 - alpha)
 
 
-def test_classify_interaction(kc05):
-    rep = classify_regime(ProblemParams(0.5, 2.5), kc=kc05)
+def test_classify_interaction():
+    rep = classify_regime(ProblemParams(0.5, 2.5))
     assert rep.zone is RegimeZone.EXISTENCE_INTERACTION
     assert rep.predicted_exponent == pytest.approx(-2.0 / 3.0)
 
 
-def test_classify_weak_source(kc05):
+def test_classify_weak_source():
     params = ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.2))
-    rep = classify_regime(params, kc=kc05)
+    rep = classify_regime(params)
     assert rep.zone is RegimeZone.WEAK_SOURCE
     assert rep.predicted_exponent == pytest.approx(-0.2)
 
 
-def test_classify_strong_source(kc05):
+def test_classify_strong_source():
     params = ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.8))
-    rep = classify_regime(params, kc=kc05)
+    rep = classify_regime(params)
     assert rep.zone is RegimeZone.STRONG_SOURCE
     assert rep.predicted_exponent == pytest.approx(-0.45)
 
 
-def test_classify_nonexistence_cases(kc05):
-    rep = classify_regime(ProblemParams(0.5, 1.5), tau=-0.3, kc=kc05)
+def test_classify_nonexistence_cases():
+    rep = classify_regime(ProblemParams(0.5, 1.5), tau=-0.3)
     assert rep.zone is RegimeZone.NONEXISTENCE_III
-    rep = classify_regime(ProblemParams(0.5, 5.0), tau=-0.3, kc=kc05)
+    rep = classify_regime(ProblemParams(0.5, 5.0), tau=-0.3)
     assert rep.zone is RegimeZone.NONEXISTENCE_II
-    rep = classify_regime(ProblemParams(0.5, 2.5), tau=-0.3, kc=kc05)
+    rep = classify_regime(ProblemParams(0.5, 2.5), tau=-0.3)
     assert rep.zone is RegimeZone.NONEXISTENCE_I
 
 
-def test_weak_source_left_endpoint_closed(kc05):
+def test_weak_source_left_endpoint_closed():
     # gamma exactly at -2a - 2a/(p-1) belongs to the weak range
     p = 4.0
     gamma = -1.0 - 1.0 / (p - 1.0)
-    rep = classify_regime(ProblemParams(0.5, p), gamma=gamma, kc=kc05)
+    rep = classify_regime(ProblemParams(0.5, p), gamma=gamma)
     assert rep.zone is RegimeZone.WEAK_SOURCE
 
 
 def test_boundary_ties_are_reported(kc05):
     with pytest.raises(AmbiguousRegimeError):
-        classify_regime(ProblemParams(0.5, 1.0 + 2.0 * 0.5), kc=kc05)
+        classify_regime(ProblemParams(0.5, 1.0 + 2.0 * 0.5))
     with pytest.raises(AmbiguousRegimeError):
-        classify_regime(ProblemParams(0.5, kc05.p_star), kc=kc05)
+        classify_regime(ProblemParams(0.5, kc05.p_star))
     with pytest.raises(AmbiguousRegimeError):
         # gamma at the open weak-source upper endpoint
-        classify_regime(ProblemParams(0.5, 4.0), gamma=-1.0, kc=kc05)
+        classify_regime(ProblemParams(0.5, 4.0), gamma=-1.0)
 
 
 def test_special_window(kc05):
-    window = special_window(ProblemParams(0.5, 2.5), kc05)
+    window = special_window(ProblemParams(0.5, 2.5))
     assert window is not None
     lo, hi = window
     assert lo < hi
     assert hi == pytest.approx(kc05.p_star)
     mid = 0.5 * (lo + hi)
-    rep = classify_regime(ProblemParams(0.5, mid), tau=kc05.tau0, kc=kc05)
+    rep = classify_regime(ProblemParams(0.5, mid), tau=kc05.tau0)
     assert rep.zone is RegimeZone.SPECIAL_TAU0
 
 
 def test_special_window_degenerate_limit():
-    # as tau0 tends to 0 the window right endpoint runs away to +infinity
-    from fraclap.quadrature import KernelConstants
-
-    kc = KernelConstants(alpha=0.99, tau0=-1e-4, p_star=1.0 - 2.0 * 0.99 / -1e-4)
-    window = special_window(ProblemParams(0.99, 2.0), kc)
+    # as tau0 = alpha - 1 tends to 0 the window right endpoint runs away to
+    # +infinity: at alpha = 0.9999 the root is tau0 = -1e-4
+    assert find_tau0(0.9999).tau0 == pytest.approx(-1e-4)
+    window = special_window(ProblemParams(0.9999, 2.0))
     assert window is not None and window[1] > 1e3
 
 
-def test_domain_validation(kc05):
+def test_domain_validation():
     with pytest.raises(DomainError):
         ProblemParams(1.2, 2.0)
     with pytest.raises(DomainError):
         ProblemParams(0.5, 0.9)
     with pytest.raises(DomainError):
-        classify_regime(ProblemParams(0.5, 2.5), gamma=-2.5, kc=kc05)
+        classify_regime(ProblemParams(0.5, 2.5), gamma=-2.5)
     with pytest.raises(DomainError):
-        classify_regime(ProblemParams(0.5, 2.5), tau=-1.5, kc=kc05)
-
-
-_KC_CACHE = {}
-
-
-def _kc(alpha=0.5):
-    if alpha not in _KC_CACHE:
-        _KC_CACHE[alpha] = find_tau0(alpha)
-    return _KC_CACHE[alpha]
+        classify_regime(ProblemParams(0.5, 2.5), tau=-1.5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,9 +149,8 @@ def _kc(alpha=0.5):
 )
 def test_classification_is_a_partition(p, gamma, tau):
     """Every sampled point gets exactly one zone or an explicit tie report."""
-    kc = _kc()
     try:
-        rep = classify_regime(ProblemParams(0.5, p), gamma=gamma, tau=tau, kc=kc)
+        rep = classify_regime(ProblemParams(0.5, p), gamma=gamma, tau=tau)
     except AmbiguousRegimeError:
         return
     assert rep.zone in RegimeZone

@@ -1,0 +1,80 @@
+"""Static hygiene of the package source: no unused imports and no unused
+function parameters, found by scanning the syntax tree of every module in
+src/fraclap (the project runs no linter, so this test is the check)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fraclap"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree: ast.Module) -> set:
+    """Names listed in a module-level __all__ (re-exports count as uses)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _loaded_names(node: ast.AST) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def unused_imports(tree: ast.Module) -> list:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = _loaded_names(tree) | _exported(tree)
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def unused_parameters(tree: ast.Module) -> list:
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        used = set().union(*(_loaded_names(stmt) for stmt in body))
+        name = getattr(node, "name", "<lambda>")
+        out += [
+            f"{name}({p.arg}) (line {node.lineno})"
+            for p in params
+            if p.arg not in ("self", "cls") and p.arg not in used
+        ]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(_tree(path)) == []
+
+
+def test_scanner_flags_what_it_should():
+    tree = ast.parse(
+        "import os\nfrom x import y as z, w\n__all__ = ['w']\n"
+        "def f(self, a, b):\n    return a\n"
+        "g = lambda u, v: u\n"
+    )
+    assert unused_imports(tree) == ["os (line 1)", "z (line 2)"]
+    assert unused_parameters(tree) == ["<lambda>(v) (line 6)", "f(b) (line 4)"]

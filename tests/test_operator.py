@@ -15,7 +15,6 @@ from fraclap.grid import Grid1D, GridFunction
 from fraclap.operator import (
     DistanceProfile,
     assemble,
-    apply,
     eval_on_power,
     exterior_potential,
     tail_coefficient,
@@ -117,7 +116,7 @@ def test_collar_asymptotics_match_kernel_constant():
             assert val * d ** (2 * alpha - tau) == pytest.approx(-c, rel=2e-3)
 
 
-def test_eval_on_power_symmetry_and_signs(kc05):
+def test_eval_on_power_symmetry_and_signs():
     prof = DistanceProfile(tau=-0.4, delta=0.1)
     assert eval_on_power(-0.4, 0.5, 0.3, prof) == pytest.approx(
         eval_on_power(-0.4, 0.5, 0.7, prof), rel=1e-9
@@ -177,7 +176,7 @@ def test_row_identity_and_tail(op301, grid301):
     resid = op301.rows @ ones
     scale = np.abs(op301.rows).sum(axis=1) + op301.tail[: grid301.n_half]
     assert np.max(np.abs(resid) / scale) < 1e-12
-    out = apply(op301, GridFunction(grid301, 2.7 * ones))
+    out = op301.apply(GridFunction(grid301, 2.7 * ones))
     assert out.values == pytest.approx(2.7 * op301.tail, rel=1e-9)
     assert np.all(op301.tail > 0)
     assert op301.tail == pytest.approx(op301.tail[::-1])
@@ -246,22 +245,13 @@ def test_apply_mirrored_matvec_matches_dense(rng):
         u = rng.standard_normal(grid.n_interior) + np.linspace(0.0, 3.0, grid.n_interior)
         dense = op.shifted_dense(0.0)
         scale = np.abs(dense).sum(axis=1)
-        out = apply(op, GridFunction(grid, u)).values
+        out = op.apply(GridFunction(grid, u)).values
         assert np.max(np.abs(out - dense @ u) / scale) < 1e-14
 
 
 def test_apply_zero_function_gives_zero(op301, grid301):
-    out = apply(op301, GridFunction.zeros(grid301))
+    out = op301.apply(GridFunction.zeros(grid301))
     assert out.values == pytest.approx(np.zeros(grid301.n_interior))
-
-
-def test_apply_zero_and_exterior_load(grid301):
-    ext = ExteriorData.power_collar(beta=-0.5, kappa_g=1.0, eta=0.5)
-    op = assemble(grid301, 0.5, ext)
-    zero = GridFunction.zeros(grid301, ext)
-    out = apply(op, zero)
-    assert out.values == pytest.approx(op.exterior_load)
-    assert np.all(op.exterior_load < 0)  # load is -G and G > 0 for g >= 0
 
 
 @settings(max_examples=10, deadline=None)
@@ -273,14 +263,14 @@ def test_apply_linearity(seed):
     u = r.standard_normal(grid.n_interior)
     v = r.standard_normal(grid.n_interior)
     a, b = r.standard_normal(2)
-    lhs = apply(op, GridFunction(grid, a * u + b * v)).values
-    rhs = a * apply(op, GridFunction(grid, u)).values + b * apply(op, GridFunction(grid, v)).values
+    lhs = op.apply(GridFunction(grid, a * u + b * v)).values
+    rhs = a * op.apply(GridFunction(grid, u)).values + b * op.apply(GridFunction(grid, v)).values
     assert lhs == pytest.approx(rhs, abs=1e-8 * (1 + np.max(np.abs(rhs))))
 
 
 def test_indicator_reproduces_tail(op301, grid301):
     # interval indicator: nodal ones; the closed form is the tail coefficient
-    out = apply(op301, GridFunction(grid301, np.ones(grid301.n_interior)))
+    out = op301.apply(GridFunction(grid301, np.ones(grid301.n_interior)))
     expected = tail_coefficient(grid301.nodes, 0.5)
     assert out.values == pytest.approx(expected, rel=1e-9)
     d = grid301.d
@@ -293,7 +283,7 @@ def test_indicator_reproduces_tail(op301, grid301):
 def test_grid_mismatch_raises(op301):
     other = Grid1D.graded(51, 2.0)
     with pytest.raises(GridMismatchError):
-        apply(op301, GridFunction(other, np.zeros(other.n_interior)))
+        op301.apply(GridFunction(other, np.zeros(other.n_interior)))
 
 
 def test_assembly_special_value_log_branch():
@@ -309,7 +299,7 @@ def test_smooth_bump_probe_accuracy():
     probes = sorted(BUMP_REFERENCE)
     grid = Grid1D.graded(999, 3.0, include=probes)
     op = assemble(grid, 0.5)
-    out = apply(op, GridFunction(grid, bump_vals(grid.nodes)))
+    out = op.apply(GridFunction(grid, bump_vals(grid.nodes)))
     for px in probes:
         i = int(np.argmin(np.abs(grid.nodes - px)))
         assert grid.nodes[i] == pytest.approx(px, abs=1e-13)
@@ -322,7 +312,7 @@ def test_grid_refinement_convergence():
     for n in (251, 501, 1001):
         grid = Grid1D.graded(n, 3.0, include=probes)
         op = assemble(grid, 0.5)
-        out = apply(op, GridFunction(grid, bump_vals(grid.nodes)))
+        out = op.apply(GridFunction(grid, bump_vals(grid.nodes)))
         err = max(
             abs(out.values[int(np.argmin(np.abs(grid.nodes - px)))] - ref)
             for px, ref in BUMP_REFERENCE.items()
@@ -339,14 +329,14 @@ def test_assembly_against_closed_form_torsion(alpha):
     errs = []
     for n in (301, 601):
         grid = Grid1D.graded(n, 3.0)
-        out = apply(assemble(grid, alpha), GridFunction(grid, torsion(alpha).value(grid.d)))
+        out = assemble(grid, alpha).apply(GridFunction(grid, torsion(alpha).value(grid.d)))
         errs.append(np.max(np.abs(out.values + 1.0)[grid.d > 0.01]))
     assert errs[1] < errs[0] < 5e-2
 
 
 def test_symmetric_output_for_symmetric_data(op301, grid301):
     u = GridFunction(grid301, bump_vals(grid301.nodes))
-    out = apply(op301, u).values
+    out = op301.apply(u).values
     assert out == pytest.approx(out[::-1], rel=1e-9, abs=1e-9)
 
 
@@ -383,15 +373,3 @@ def test_exterior_potential_boundary_rate():
     # the leading constant is the exterior kernel constant
     assert G[0] * d[0] ** 1.5 == pytest.approx(eval_C_tilde(-0.5, 0.5), rel=1e-3)
 
-
-def test_exterior_potential_tabulated_matches_quadrature_of_table():
-    zs = np.linspace(-0.5, -1e-3, 60)
-    gs = (-zs) ** -0.5
-    ext_t = ExteriorData(kind="tabulated", table_z=tuple(zs), table_g=tuple(gs))
-    x = np.array([0.4])
-    got = exterior_potential(ext_t, 0.5, x)
-    ref = sum(
-        quad(lambda z: np.interp(z, zs, gs) * (x[0] - z) ** -2.0, a, b)[0]
-        for a, b in zip(zs[:-1], zs[1:])
-    )
-    assert got[0] == pytest.approx(ref, rel=1e-9)

@@ -73,28 +73,28 @@ def test_band_mismatched_power_flag(grid):
     assert bmax / bmin > 100
 
 
-def test_prop32_below_and_above_root(kc05):
-    rep_i = verify_prop32(0.5, -0.8, kc05)
+def test_prop32_below_and_above_root():
+    rep_i = verify_prop32(0.5, -0.8)
     assert rep_i.case == "i" and rep_i.passed
     assert rep_i.exponent == pytest.approx(-1.8, rel=0.03)
-    rep_ii = verify_prop32(0.5, -0.2, kc05)
+    rep_ii = verify_prop32(0.5, -0.2)
     assert rep_ii.case == "ii" and rep_ii.passed
     assert rep_ii.exponent == pytest.approx(-1.2, rel=0.03)
 
 
 def test_prop32_at_root(kc05):
-    rep = verify_prop32(0.5, kc05.tau0, kc05)
+    rep = verify_prop32(0.5, kc05.tau0)
     assert rep.case == "iii"
     assert rep.bound_ok and rep.passed
 
 
 def test_prop32_sign_flip_at_root(kc05):
-    lo = verify_prop32(0.5, kc05.tau0 - 0.01, kc05)
-    hi = verify_prop32(0.5, kc05.tau0 + 0.01, kc05)
+    lo = verify_prop32(0.5, kc05.tau0 - 0.01)
+    hi = verify_prop32(0.5, kc05.tau0 + 0.01)
     assert lo.case == "i" and hi.case == "ii"
     assert lo.sign_ok and hi.sign_ok
 
 
-def test_prop32_guards(kc05):
+def test_prop32_guards():
     with pytest.raises(DomainError):
-        verify_prop32(0.5, -1.5, kc05)
+        verify_prop32(0.5, -1.5)

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from fraclap.barriers import make_existence_pair, torsion
+from fraclap.barriers import torsion
 from fraclap.errors import ConvergenceError, DomainError
-from fraclap.exponents import ProblemParams, classify_regime
+from fraclap.exponents import ProblemParams
 from fraclap.fields import ExteriorData, SourceField
 from fraclap.grid import Grid1D, GridFunction
-from fraclap.operator import apply, assemble
+from fraclap.operator import assemble, exterior_potential
 from fraclap.solvers import (
     IterationConfig,
     _factor_nested,
     _leading_solver,
     _monotone_iterate,
-    check_comparison,
     solve_blowup,
     solve_linear,
     solve_semilinear,
@@ -42,7 +41,7 @@ def test_solve_linear_is_negative_torsion(op301, grid301):
 def test_solve_linear_manufactured(op301, grid301):
     u_star = bump_vals(grid301.nodes)
     shift = 3.0
-    rhs = apply(op301, GridFunction(grid301, u_star)).values + shift * u_star
+    rhs = op301.apply(GridFunction(grid301, u_star)).values + shift * u_star
     u = solve_linear(op301, shift, rhs)
     assert np.max(np.abs(u.values - u_star)) < 1e-8
 
@@ -54,6 +53,26 @@ def test_solve_linear_maximum_principle(op301, grid301, rng):
         assert np.all(u.values >= 0)
     with pytest.raises(DomainError):
         solve_linear(op301, -1.0, np.ones(grid301.n_interior))
+
+
+def test_solve_linear_factors_in_place():
+    """The full solve factors the transpose of the shifted matrix in place:
+    its peak allocation stays near one n x n array (LAPACK would copy the
+    C-ordered matrix itself), and it matches a plain dense solve."""
+    import tracemalloc
+
+    grid = Grid1D.graded(601, 3.0)
+    op = assemble(grid, 0.5)
+    rhs = np.ones(grid.n_interior)
+    ref = np.linalg.solve(op.shifted_dense(0.5), rhs)
+    tracemalloc.start()
+    try:
+        u = solve_linear(op, 0.5, rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * grid.n_interior**2  # measured 1.13 n^2 doubles
+    assert np.max(np.abs(u.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_semilinear_zero_fixed_point(op301, grid301):
@@ -98,7 +117,7 @@ def test_semilinear_against_newton(op301, grid301):
     )
     ref = _newton_reference(op301, 2.0, f_vals, super_.values)
     assert np.max(np.abs(u.values - ref)) < 1e-7
-    assert trace.converged and trace.monotone
+    assert trace.converged  # a decreasing step would have raised
     # iterates stayed within the sandwich
     assert np.all(u.values >= -1e-12) and np.all(u.values <= super_.values + 1e-9)
 
@@ -111,7 +130,7 @@ def test_semilinear_monotone_trace_and_residual(op301, grid301, rng):
     cfg = IterationConfig(max_iters=2000, sup_tol=1e-11)
     u, trace = solve_semilinear(params, op301, sub, super_, cfg)
     assert trace.final_residual < 10 * cfg.sup_tol
-    assert trace.monotone
+    assert trace.converged  # a decreasing step would have raised
     # one recorded change per sweep: the sandwich shift is never rebuilt
     history = trace.to_dict()["sup_changes"]
     assert len(history) == trace.iterations - trace.shift_rebuilds
@@ -180,7 +199,7 @@ def test_semilinear_refuses_a_false_super_solution(op301, grid301):
         solve_semilinear(params, op301, zero, zero, IterationConfig(max_iters=50))
 
 
-def test_blowup_small_interaction(kc05, monkeypatch):
+def test_blowup_small_interaction(monkeypatch):
     import fraclap.solvers as solvers
 
     calls = []
@@ -196,7 +215,7 @@ def test_blowup_small_interaction(kc05, monkeypatch):
     grid = Grid1D.graded(401, 3.0, include=[1 / s for s in levels])
     op = assemble(grid, params.alpha)
     cfg = IterationConfig(max_iters=5000, sup_tol=1e-9, exhaustion_levels=levels)
-    res = solve_blowup(params, grid, kc05, cfg, op=op)
+    res = solve_blowup(params, grid, cfg, op=op)
     # one LU of the mirror-folded system serves every exhaustion level
     assert calls == [(grid.n_half, grid.n_half)]
     assert all(lev.trace.shift_rebuilds == 0 for lev in res.levels)
@@ -247,23 +266,40 @@ def test_factor_nested_leading_blocks_and_pivot_guard(rng):
         _factor_nested(np.array([[1.0, 2.0], [3.0, 1.0]]), np.zeros(2))
 
 
-def test_blowup_full_shell_requires_positive_source(kc05):
+def test_blowup_full_shell_requires_positive_source():
     params = ProblemParams(0.5, 2.5)
     grid = Grid1D.graded(201, 3.0, include=[1 / 8])
     full = int(2.0 / grid.min_spacing)
     cfg = IterationConfig(max_iters=5000, exhaustion_levels=(8, full))
     with pytest.raises(DomainError):
-        solve_blowup(params, grid, kc05, cfg)
+        solve_blowup(params, grid, cfg)
 
 
-def test_blowup_rejects_nonzero_exterior(kc05):
-    params = ProblemParams(0.5, 2.5, exterior=ExteriorData.power_collar(beta=-0.5))
-    grid = Grid1D.graded(201, 3.0, include=[1 / 8])
-    with pytest.raises(DomainError, match="exterior"):
-        solve_blowup(params, grid, kc05, IterationConfig(exhaustion_levels=(8,)))
+def test_exterior_data_enters_as_source(op301, grid301):
+    """Exterior data g reaches the solver only as the source term
+    G = exterior_potential(g): the problem with source f and exterior g is the
+    zero-exterior problem with source f + G at the nodes.  G > 0 for g > 0, so
+    by comparison its solution lies above the g = 0 solution."""
+    nodes = grid301.nodes
+    G = exterior_potential(ExteriorData.power_collar(beta=-0.5), 0.5, nodes)
+    assert np.all(G > 0)
+    f_vals = SourceField.power_collar(-0.5).value(nodes)
+    cfg = IterationConfig(max_iters=2000, sup_tol=1e-11)
+
+    def solve(source_vals):
+        source = SourceField(kind="tabulated", table_x=tuple(nodes), table_f=tuple(source_vals))
+        assert np.array_equal(source.value(nodes), source_vals)
+        params = ProblemParams(0.5, 3.0, source=source)
+        super_ = solve_linear(op301, 0.0, source_vals)
+        return solve_semilinear(params, op301, GridFunction.zeros(grid301), super_, cfg)[0]
+
+    u = solve(f_vals + G)
+    residual = op301.apply(u).values + u.values**3 - (f_vals + G)
+    assert np.max(np.abs(residual)) < 1e-8 * np.max(f_vals + G)
+    assert np.all(u.values > solve(f_vals).values)
 
 
-def test_blowup_full_shell_rejects_negative_tabulated_source(kc05):
+def test_blowup_full_shell_rejects_negative_tabulated_source():
     source = SourceField(kind="tabulated", table_x=(0.01, 0.5, 0.99), table_f=(1.0, -1.0, 1.0))
     assert not source.sign_nonneg
     assert SourceField(kind="tabulated", table_x=(0.1, 0.9), table_f=(0.0, 2.0)).sign_nonneg
@@ -273,18 +309,18 @@ def test_blowup_full_shell_rejects_negative_tabulated_source(kc05):
     full = int(2.0 / grid.min_spacing)
     cfg = IterationConfig(max_iters=5000, exhaustion_levels=(8, full))
     with pytest.raises(DomainError, match="full-depth"):
-        solve_blowup(params, grid, kc05, cfg)
+        solve_blowup(params, grid, cfg)
 
 
-def test_blowup_rejects_asymmetric_tabulated_source(kc05):
+def test_blowup_rejects_asymmetric_tabulated_source():
     source = SourceField(kind="tabulated", table_x=(0.2, 0.8), table_f=(0.5, 2.0))
     params = ProblemParams(0.5, 2.5, source=source)
     grid = Grid1D.graded(201, 3.0, include=[1 / 8])
     with pytest.raises(DomainError, match="symmetric"):
-        solve_blowup(params, grid, kc05, IterationConfig(exhaustion_levels=(8,)))
+        solve_blowup(params, grid, IterationConfig(exhaustion_levels=(8,)))
 
 
-def test_blowup_path_stays_below_one_dense_matrix(kc05):
+def test_blowup_path_stays_below_one_dense_matrix():
     """Assembled inside solve_blowup, the operator is folded and released:
     the call's peak allocation stays below one n x n float64 matrix."""
     import tracemalloc
@@ -293,37 +329,24 @@ def test_blowup_path_stays_below_one_dense_matrix(kc05):
     levels = (8, 16, 32)
     grid = Grid1D.graded(801, 3.0, include=[1 / s for s in levels])
     cfg = IterationConfig(max_iters=5000, sup_tol=1e-9, exhaustion_levels=levels)
-    warm = solve_blowup(params, grid, kc05, cfg)  # fills the rule caches
+    warm = solve_blowup(params, grid, cfg)  # fills the rule caches
     tracemalloc.start()
     try:
-        res = solve_blowup(params, grid, kc05, cfg)
+        res = solve_blowup(params, grid, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * grid.n_interior**2
     assert np.array_equal(res.final.values, warm.final.values)
-    given = solve_blowup(params, grid, kc05, cfg, op=assemble(grid, params.alpha))
+    given = solve_blowup(params, grid, cfg, op=assemble(grid, params.alpha))
     assert np.array_equal(given.final.values, res.final.values)
 
 
-def test_blowup_rejects_nonexistence_zone(kc05):
+def test_blowup_rejects_nonexistence_zone():
     params = ProblemParams(0.5, 5.0)  # beyond the critical power, no source
     grid = Grid1D.graded(201, 3.0, include=[1 / 8])
     with pytest.raises(DomainError):
-        solve_blowup(params, grid, kc05, IterationConfig(exhaustion_levels=(8,)))
-
-
-def test_check_comparison(op301, grid301, kc05):
-    params = ProblemParams(0.5, 2.5)
-    regime = classify_regime(params, kc=kc05)
-    sup, sub = make_existence_pair(params, kc05, regime)
-    u = GridFunction(grid301, np.asarray(sup.value(grid301.nodes)))
-    v = GridFunction(grid301, np.asarray(sub.value(grid301.nodes)))
-    rep = check_comparison(op301, u, v, params)
-    assert rep.ordered and rep.violations.size == 0
-    rep_bad = check_comparison(op301, u, GridFunction(grid301, v.values + 50.0), params)
-    assert not rep_bad.ordered
-    assert rep_bad.violations.size > 0
+        solve_blowup(params, grid, IterationConfig(exhaustion_levels=(8,)))
 
 
 def test_iteration_config_validation():
@@ -355,7 +378,7 @@ def test_randomized_monotone_invariants(rng):
         assert np.all(super_.values >= 0)  # maximum principle
         cfg = IterationConfig(max_iters=3000, sup_tol=1e-10)
         u, trace = solve_semilinear(params, op, sub, super_, cfg)
-        assert trace.monotone
+        assert trace.converged  # a decreasing step would have raised
         assert trace.final_residual < 10 * cfg.sup_tol
 
 
@@ -368,7 +391,7 @@ def test_blowup_critical_family_gap_band(kc05):
     levels = (8, 16, 32, 64, 128, 256)
     grid = Grid1D.graded(1001, 3.0, include=[1 / s for s in levels])
     cfg = IterationConfig(max_iters=20000, sup_tol=1e-10, exhaustion_levels=levels)
-    res = solve_blowup(params, grid, kc05, cfg, family_t=1.0)
+    res = solve_blowup(params, grid, cfg, family_t=1.0)
     assert res.monotone_in_levels and res.sandwich_ok
     tau1 = min(kc05.tau0 * params.p + 2 * params.alpha, 0.0)
     gap = GridFunction(grid, grid.d**kc05.tau0 - res.final.values)
@@ -389,7 +412,7 @@ def test_blowup_other_alphas(alpha, p):
     grid = Grid1D.graded(601, 3.0, include=[1 / s for s in levels])
     cfg = IterationConfig(max_iters=20000, sup_tol=1e-9, exhaustion_levels=levels)
     params = ProblemParams(alpha, p)
-    res = solve_blowup(params, grid, kc, cfg)
+    res = solve_blowup(params, grid, cfg)
     assert res.monotone_in_levels and res.sandwich_ok
     fit = fit_exponent(res.final, (2.5 / 64, 0.1))
     predicted = -2 * alpha / (p - 1)
