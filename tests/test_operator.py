@@ -254,6 +254,17 @@ def test_apply_zero_function_gives_zero(op301, grid301):
     assert out.values == pytest.approx(np.zeros(grid301.n_interior))
 
 
+def test_apply_zero_and_exterior_load(op301, grid301):
+    """The operator of the zero function with exterior g is the zero-exterior
+    operator of 0 minus G = exterior_potential(g): the exterior load is -G at
+    the nodes, negative since G > 0 for g >= 0 not identically zero."""
+    ext = ExteriorData.power_collar(beta=-0.5, kappa_g=1.0, eta=0.5)
+    G = exterior_potential(ext, 0.5, grid301.nodes)
+    load = op301.apply(GridFunction.zeros(grid301)).values - G
+    assert load == pytest.approx(-G)
+    assert np.all(load < 0)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_apply_linearity(seed):
