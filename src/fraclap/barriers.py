@@ -394,7 +394,8 @@ def nonexistence_search(alpha: float, t: float, tau: float):
     """
     if t <= 0:
         raise DomainError("family parameter t must be positive")
-    xs = np.unique(np.concatenate([collar_points(), np.linspace(0.1, 0.5, 12)]))
+    # sorted and deduplicated without np.unique, which imports numpy.ma
+    xs = np.array(sorted({*collar_points().tolist(), *np.linspace(0.1, 0.5, 12).tolist()}))
     power, indicator = PowerTerm(DistanceProfile(tau=tau)), IndicatorTerm()
     base = BarrierSpec(alpha, ((t, power), (1.0, indicator)))
     (_, lead_vals, lead_ops), (_, ind_vals, ind_ops) = base.term_arrays(xs)

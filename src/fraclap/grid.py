@@ -70,7 +70,9 @@ class Grid1D:
             if half[j] == 0.5:  # never move the midpoint
                 j -= 1
             half[j] = q
-        half = np.unique(half)
+        # sorted and deduplicated; np.unique would import numpy.ma (about
+        # 13 ms of every run) to rule out a masked array
+        half = np.array(sorted(set(half.tolist())))
         if half[-1] != 0.5:
             half = np.append(half, 0.5)
         nodes = np.concatenate([half, 1.0 - half[:-1][::-1]])

@@ -44,6 +44,13 @@ call) plus a regular correction built from a fixed graded Gauss-Legendre rule
 and closed-form 2F1 pieces; interior points use a fixed Gauss-Jacobi window and
 fixed logarithmic Gauss-Legendre rules on per-point pieces of equal count, with
 the collar crossings in closed form.  The rules are built on first use.
+
+Special functions.  Every closed-form piece, and the incomplete beta of the
+exterior potential, is one 2F1 family, 2F1(a, b; b+1; z), summed as its Gauss
+series at z <= 1/2 (the interior windows) or z < delta/(1-delta) (the
+collar) with the tail bound of `_gauss_series`; the Gauss-Jacobi and
+Gauss-Legendre rules are Golub-Welsch (`_gauss_jacobi`).  The module needs
+nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -53,9 +60,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache as _lru_cache
 
 import numpy as np
-from scipy.special import betainc
-from scipy.special import beta as beta_fn
-from scipy.special import hyp2f1
 
 from .errors import DomainError, FraclapError, GridMismatchError
 from .fields import ExteriorData
@@ -173,11 +177,32 @@ class DistanceProfile:
 
 
 @_lru_cache(maxsize=64)
-def _jacobi_rule(alpha: float):
-    """48 Gauss-Jacobi nodes/weights for the weight (1+t)^(1-2*alpha) on [-1, 1]."""
-    from scipy.special import roots_jacobi
+def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss nodes and weights for the weight (1+t)^b on [-1, 1],
+    b > -1 (b = 0 is Gauss-Legendre).
 
-    return roots_jacobi(48, 0.0, 1.0 - 2.0 * alpha)
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the orthonormal Jacobi polynomials p_k (parameters 0
+    and b).  The weights come from the Christoffel function,
+    w_i = 1 / sum_k p_k(t_i)^2, a sum of positive terms, so the tiny weights
+    near t = -1 keep their relative accuracy (the squared first eigenvector
+    components would not).
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * k + b
+    diag = np.empty(n)
+    diag[0] = b / (b + 2.0)
+    diag[1:] = b * b / (s * (s + 2.0))
+    off = np.sqrt(4.0 * k * k * (k + b) * (k + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    # orthonormal recurrence off[j] p_(j+1) = (t - diag[j]) p_j - off[j-1] p_(j-1)
+    # from p_(-1) = 0 and p_0 = mu0^(-1/2), mu0 = int (1+t)^b dt over [-1, 1]
+    p_prev, p = np.zeros(n), np.full(n, (2.0 ** (b + 1.0) / (b + 1.0)) ** -0.5)
+    total = p * p
+    for j in range(n - 1):
+        p_prev, p = p, ((t - diag[j]) * p - off[j - 1] * p_prev) / off[j]
+        total += p * p
+    return t, 1.0 / total
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +226,7 @@ def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
     Returned as (panels, nodes per panel) arrays so callers can sweep one
     panel at a time.
     """
-    t, wts = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    t, wts = _gauss_jacobi(_PANEL_NODES, 0.0)
     edges = np.concatenate(([0.0], _GRADE_RATIO ** np.arange(_GRADE_LEVELS, -1, -1.0)))
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
     return lo + width * (t + 1.0) / 2.0, width * wts / 2.0
@@ -215,7 +240,7 @@ def _log_rule() -> tuple[np.ndarray, np.ndarray]:
     In log r an integrand with an algebraic singularity at r = 0 is analytic
     in a strip, so the rule is uniformly accurate however small a/b is.
     """
-    t, wts = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    t, wts = _gauss_jacobi(_PANEL_NODES, 0.0)
     lo = np.arange(_LOG_PANELS)[:, None] / _LOG_PANELS
     nodes = lo + (t + 1.0) / (2.0 * _LOG_PANELS)
     return nodes, np.broadcast_to(wts / (2.0 * _LOG_PANELS), nodes.shape)
@@ -303,11 +328,33 @@ def _second_difference(
     return np.where(use_p & use_m, both, single)
 
 
-def _power_window(c, u, tau: float, alpha: float):
-    """int_0^u s^tau (c - s)^(-1-2a) ds for 0 < u < c, in closed form:
-    c^(-1-2a) u^(tau+1) / (tau+1) * 2F1(1+2a, tau+1; tau+2; u/c)."""
-    return c ** (-1.0 - 2.0 * alpha) * u ** (tau + 1.0) / (tau + 1.0) * hyp2f1(
-        1.0 + 2.0 * alpha, tau + 1.0, tau + 2.0, u / c
+def _gauss_series(a: float, b: float, z, z_max: float = 0.5):
+    """2F1(a, b; b+1; z) = sum_k (a)_k / k! * b / (b+k) * z^k for |a| <= 3,
+    b > 0 and an array 0 <= z <= z_max < 1, summed to the K terms with
+    z_max^K <= 2^-80 (K = 80 for z_max = 1/2).
+
+    Tail bound: the term ratio is |t_(k+1) / t_k| = |a+k| / (k+1) *
+    (b+k) / (b+k+1) * z <= rho = z_max (K+3) / (K+1) for k >= K, so the
+    remainder after K terms is at most |t_K| / (1 - rho), with
+    |t_K| <= (|a|)_K / K! * z_max^K <= (K+1)(K+2)/2 * 2^-80.  For
+    z_max = 1/2 that is below 6e-21, while the sum is at least 1/4 at every
+    call here.  Horner's rule does the same operations on every entry of z,
+    so a batch equals its points evaluated one at a time.
+    """
+    k = np.arange(1.0, math.ceil(80.0 * math.log(2.0) / -math.log(z_max)))
+    coef = np.cumprod((a + k - 1.0) / k) * (b / (b + k))
+    out = np.zeros(np.shape(z))
+    for c in coef[::-1]:
+        out += c
+        out *= z
+    return out + 1.0
+
+
+def _power_window(c, u, tau: float, alpha: float, u_max: float = 0.5):
+    """int_0^u s^tau (c - s)^(-1-2a) ds for 0 < u <= u_max c, u_max < 1, in
+    closed form: c^(-1-2a) u^(tau+1) / (tau+1) * 2F1(1+2a, tau+1; tau+2; u/c)."""
+    return c ** (-1.0 - 2.0 * alpha) * u ** (tau + 1.0) / (tau + 1.0) * _gauss_series(
+        1.0 + 2.0 * alpha, tau + 1.0, u / c, u_max
     )
 
 
@@ -327,7 +374,7 @@ def _collar_values(profile: DistanceProfile, alpha: float, x: np.ndarray, c_val:
     w = -1.0 - 2.0 * alpha
     t, wts = _graded_rule()
     z_seam = delta + (0.5 - delta) * t
-    g_half, w_half = np.polynomial.legendre.leggauss(2 * _PANEL_NODES)
+    g_half, w_half = _gauss_jacobi(2 * _PANEL_NODES, 0.0)
     z_half = 0.5 + (0.5 - delta) * (g_half + 1.0) / 2.0
     panels = [(z_seam[k], (0.5 - delta) * wts[k]) for k in range(t.shape[0])]
     panels.append((z_half, (0.5 - delta) * w_half / 2.0))
@@ -339,9 +386,13 @@ def _collar_values(profile: DistanceProfile, alpha: float, x: np.ndarray, c_val:
         else:
             d_z = profile.value(z) - z**tau
         corr += ((z[None, :] - x[:, None]) ** w * (d_z * wz)).sum(axis=1)
-    corr += _power_window(1.0 - x, delta, tau, alpha)
+    # both 2F1 arguments are below delta / (1 - delta), since x < delta
+    z_max = delta / (1.0 - delta)
+    corr += _power_window(1.0 - x, delta, tau, alpha, z_max)
     b = 2.0 * alpha - tau
-    corr -= (1.0 - delta) ** (-b) / b * hyp2f1(1.0 + 2.0 * alpha, b, b + 1.0, x / (1.0 - delta))
+    corr -= (1.0 - delta) ** (-b) / b * _gauss_series(
+        1.0 + 2.0 * alpha, b, x / (1.0 - delta), z_max
+    )
     return -c_val * x ** (tau - 2.0 * alpha) - corr
 
 
@@ -368,7 +419,7 @@ def _interior_values(profile: DistanceProfile, alpha: float, x: np.ndarray):
     r0 = np.minimum(0.45 * dists.min(axis=0), 0.1)
 
     # near window: int_0^r0 [second difference / r^2] r^(1-2a) dr
-    t, wts = _jacobi_rule(alpha)
+    t, wts = _gauss_jacobi(48, 1.0 - 2.0 * alpha)
     r = r0[:, None] * (1.0 + t) / 2.0
     xc = x[:, None]
     coef = _taylor(profile._q, xc)
@@ -378,8 +429,9 @@ def _interior_values(profile: DistanceProfile, alpha: float, x: np.ndarray):
     # crossing windows, removed from the quadrature and added back exactly
     lo_minus = np.maximum.reduce([r0, x - delta, x / 2.0])
     lo_plus = np.maximum.reduce([r0, R - delta, R / 2.0])
-    windows = _power_window(x, x - lo_minus, tau, alpha)
-    windows += _power_window(R, R - lo_plus, tau, alpha)
+    windows = _power_window(
+        np.concatenate((x, R)), np.concatenate((x - lo_minus, R - lo_plus)), tau, alpha
+    ).reshape(2, -1).sum(axis=0)
 
     # middle range: all pieces of all points stacked along the first axis
     cuts = np.stack([r0, x - delta, lo_minus, 0.5 - x, lo_plus, x, R])
@@ -453,13 +505,26 @@ def eval_on_power(
 # ---------------------------------------------------------------------------
 
 
+def _incomplete_beta(a: float, b: float, x):
+    """B_x(a, b) = int_0^x t^(a-1) (1-t)^(b-1) dt for a, b in (0, 3) and an
+    array x in (0, 1): x^a / a * 2F1(1-b, a; a+1; x) for x <= 1/2, and
+    B(a, b) - B_(1-x)(b, a) above, so the series always has z <= 1/2."""
+    x = np.asarray(x, dtype=float)
+    low = x <= 0.5
+    out = np.empty_like(x)
+    xl, xh = x[low], 1.0 - x[~low]
+    out[low] = xl**a / a * _gauss_series(1.0 - b, a, xl)
+    full = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    out[~low] = full - xh**b / b * _gauss_series(1.0 - a, b, xh)
+    return out
+
+
 def _power_collar_potential(beta: float, kappa: float, eta: float, alpha: float, x):
     """Potential of the one-sided collar density s^beta, distance offset x:
     kappa * int_0^eta s^beta (x+s)^(-1-2a) ds + frozen continuation beyond."""
     x = np.asarray(x, dtype=float)
-    a_par, b_par = beta + 1.0, 2.0 * alpha - beta
     T = eta / x
-    inc = betainc(a_par, b_par, T / (1.0 + T)) * beta_fn(a_par, b_par)
+    inc = _incomplete_beta(beta + 1.0, 2.0 * alpha - beta, T / (1.0 + T))
     collar = x ** (beta - 2.0 * alpha) * inc
     frozen = eta**beta * (x + eta) ** (-2.0 * alpha) / (2.0 * alpha)
     return kappa * (collar + frozen)

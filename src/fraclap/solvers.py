@@ -13,7 +13,15 @@ come from solving on the exhaustion domains {d > 1/shell} with the global
 sub-solution W imposed on the remaining nodes; its matrix action on the free
 nodes is the collar load.  The blow-up shift D is nodal and the same for every
 level, and the nodes are ordered centre-out, so every free set is a leading
-block and one LU factorization of L + D serves all levels.
+block and one factorization of L + D serves all levels.
+
+The factorization is `lu_factor`, a numpy block LDU without pivoting whose
+blocks end at the level sizes: each diagonal block holds the inverse of its
+Schur block, and a level solve (`lu_solve`) is block substitution over the
+level's leading blocks, on views of the factors.  L + D is a row-strictly
+dominant M-matrix, so its Schur complements are too and no pivoting is
+needed; each Schur block is checked to be row-strictly dominant, and a
+failure raises ConvergenceError.
 
 Every blow-up datum (the source, the zero exterior, the barrier pair) is a
 function of d = min(x, 1-x), so each level is mirror-symmetric and
@@ -24,9 +32,9 @@ off-diagonals stay <= 0 and the row sums are unchanged: the folded L + D is
 still a row-strictly dominant M-matrix and the comparison argument above
 holds for it unchanged.  `solve_linear` and `solve_semilinear` keep the full
 matrix, because their data need not be symmetric (a right-hand side can be
-anything), and share one in-place factorization, `_full_solver`.  Both
-monotone solvers take the same shift, `_sandwich_shift` of their ordered
-pair, and factor once.
+anything), and share one in-place factorization of fixed-size blocks,
+`_full_solver`.  Both monotone solvers take the same shift, `_sandwich_shift`
+of their ordered pair, and factor once.
 
 Every solver works with zero exterior data.  Exterior data g enters as the
 source term G = `fraclap.operator.exterior_potential`(g): solve with the
@@ -38,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .barriers import (
     BarrierSpec,
@@ -64,6 +71,9 @@ __all__ = [
 ]
 
 MONOTONE_SLACK = 1e-12
+
+# widest diagonal block of `lu_factor`; blocks also end at every level size
+BLOCK_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -113,21 +123,75 @@ class IterationTrace:
         }
 
 
-def _full_solver(op: OperatorMatrix, shift):
-    """Solver of the full n x n system (L + diag(shift)) u = b.
+def _block_edges(n: int, sizes) -> tuple:
+    """Block edges 0 = e_0 < e_1 < ... < e_J = n: every size in (0, n) is an
+    edge, and no block is wider than BLOCK_CAP."""
+    edges = [0]
+    for cut in sorted({int(m) for m in sizes if 0 < m < n} | {n}):
+        while cut - edges[-1] > BLOCK_CAP:
+            edges.append(edges[-1] + BLOCK_CAP)
+        edges.append(cut)
+    return tuple(edges)
 
-    The transpose of the C-ordered `shifted_dense` array is Fortran-ordered,
-    so LAPACK factors it in place (one n x n array, no copy) and trans=1
-    solves with the matrix itself.
+
+def lu_factor(a: np.ndarray, sizes=()) -> tuple[np.ndarray, tuple]:
+    """Block LDU factorization of the square matrix a, in place and without
+    pivoting; returns (a, edges) for `lu_solve`.
+
+    The blocks end at every size in `sizes` (and are at most BLOCK_CAP wide),
+    so for each edge m the leading m x m part of the factors factors the
+    leading m x m block of a.  Diagonal block k is overwritten by inv(S_k),
+    S_k the k-th Schur block; the blocks left of it by those of L D (L unit
+    lower, D = diag(S_k)), and the blocks right of it by those of the unit
+    upper U.  The products run on bands of rows or columns sized so that no
+    temporary exceeds an eighth of a.
+
+    Each S_k must be row-strictly diagonally dominant, hence invertible, or
+    ConvergenceError is raised: that certifies the factorization without
+    pivoting.  A row-strictly dominant M-matrix, as every shifted operator
+    here is, always passes, since its Schur complements are again row-strictly
+    dominant M-matrices.
     """
-    try:
-        lu = lu_factor(op.shifted_dense(shift).T, overwrite_a=True)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise ConvergenceError(
-            f"linear solve failed ({exc}); with a finite nonnegative shift the system "
-            "is an M-matrix, so this points at the shift or at assembly corruption"
-        ) from exc
-    return lambda b: lu_solve(lu, b, trans=1)
+    n = a.shape[0]
+    edges = _block_edges(n, sizes)
+    budget = n * n // 8  # entries of the largest temporary
+    for k0, k1 in zip(edges[:-1], edges[1:]):
+        s = a[k0:k1, k0:k1]
+        if not np.all(2.0 * np.abs(np.diagonal(s)) > np.abs(s).sum(axis=1)):
+            raise ConvergenceError(
+                f"the system is not diagonally dominant: Schur block {k0}:{k1} fails "
+                "the row test, so LU without pivoting is not certified"
+            )
+        s[...] = np.linalg.inv(s)
+        cols = max(1, budget // (k1 - k0))
+        for c0 in range(k1, n, cols):
+            a[k0:k1, c0 : c0 + cols] = s @ a[k0:k1, c0 : c0 + cols]
+        rows = max(1, budget // max(1, n - k1))
+        for r0 in range(k1, n, rows):
+            a[r0 : r0 + rows, k1:] -= a[r0 : r0 + rows, k0:k1] @ a[k0:k1, k1:]
+    return a, edges
+
+
+def lu_solve(lu: tuple[np.ndarray, tuple], b: np.ndarray, m: int | None = None) -> np.ndarray:
+    """Solve with the leading m x m block (default: all) of a `lu_factor`
+    matrix; m must be one of its block edges.  Block forward substitution
+    with L D, then back substitution with U, on views of the factors."""
+    a, edges = lu
+    m = a.shape[0] if m is None else m
+    e = edges[: edges.index(m) + 1]
+    x = np.empty(m)
+    for k0, k1 in zip(e[:-1], e[1:]):
+        x[k0:k1] = a[k0:k1, k0:k1] @ (b[k0:k1] - a[k0:k1, :k0] @ x[:k0])
+    for k0, k1 in zip(e[-2::-1], e[:0:-1]):
+        x[k0:k1] -= a[k0:k1, k1:m] @ x[k1:m]
+    return x
+
+
+def _full_solver(op: OperatorMatrix, shift):
+    """Solver of the full n x n system (L + diag(shift)) u = b: `lu_factor`
+    overwrites the one n x n array `shifted_dense` makes."""
+    lu = lu_factor(op.shifted_dense(shift))
+    return lambda b: lu_solve(lu, b)
 
 
 def solve_linear(op: OperatorMatrix, shift, rhs) -> GridFunction:
@@ -254,30 +318,6 @@ def solve_semilinear(
     return GridFunction(op.grid, u), trace
 
 
-def _factor_nested(a: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU of (a + diag(diag)).T, computed in the memory of a, whose leading
-    m x m block factors the leading m x m block of a + diag(diag) for every m.
-
-    That needs partial pivoting to swap no rows, which holds when a + diag(diag)
-    is row-strictly diagonally dominant (its transpose is column dominant).
-    The pivots are checked, not assumed.  `_leading_solver` solves a block.
-    """
-    a[np.diag_indices_from(a)] += diag
-    lu, piv = lu_factor(a.T, overwrite_a=True, check_finite=False)
-    if np.any(piv != np.arange(piv.size)):
-        raise ConvergenceError(
-            "the shifted exhaustion system is not diagonally dominant: partial "
-            "pivoting swapped rows, so its leading blocks do not factor the levels"
-        )
-    return lu, piv
-
-
-def _leading_solver(lu: np.ndarray, piv: np.ndarray, m: int):
-    """Solve with the leading m x m block of a `_factor_nested` matrix."""
-    block = np.asfortranarray(lu[:m, :m])  # one copy per level; lu itself if m == n
-    return lambda b: lu_solve((block, piv[:m]), b, trans=1, check_finite=False)
-
-
 @dataclass
 class BlowupLevel:
     shell: int
@@ -322,8 +362,9 @@ def solve_blowup(
 
     Every level iterates with the same nodal shift, `_sandwich_shift` of the
     globalized sandwich pair (W, U), so one factorization serves all levels
-    (`_factor_nested`).  An iterate that leaves the range max(|W|, |U|) the
-    shift is certified on raises ConvergenceError naming its shell.
+    (`lu_factor`, with blocks ending at the level sizes).  An iterate that
+    leaves the range max(|W|, |U|) the shift is certified on raises
+    ConvergenceError naming its shell.
 
     The pair is globalized grid-free, with the closed-form torsion of
     `barriers.torsion`; the one LU factorization on this path is the
@@ -385,19 +426,22 @@ def solve_blowup(
     shift, cap = _sandwich_shift(p, W, U)
     # centre-out order (decreasing d, the reversed index): every free set
     # {d > 1/shell} is a leading block, so one factorization of the
-    # level-independent folded system serves every level
+    # level-independent folded system, with blocks ending at the level
+    # sizes, serves every level
     order = np.arange(h)[::-1]
-    lu, piv = _factor_nested(A_f[::-1, ::-1].copy(), shift[::-1])
+    free_masks = [grid.free_mask(shell) for shell in cfg.exhaustion_levels]
+    sizes = [int(np.count_nonzero(free[:h])) for free in free_masks]
+    a = A_f[::-1, ::-1].copy()
+    a[np.diag_indices(h)] += shift[::-1]
+    lu = lu_factor(a, sizes)
 
     levels: list[BlowupLevel] = []
     u_curr = W.copy()
     prev_free = np.zeros(h, dtype=bool)
     monotone_levels = True
 
-    for shell in cfg.exhaustion_levels:
-        free_full = grid.free_mask(shell)
+    for shell, free_full, m in zip(cfg.exhaustion_levels, free_masks, sizes):
         free = free_full[:h]
-        m = int(np.count_nonzero(free))
         if m == 0:
             continue
         idx = order[:m]
@@ -425,7 +469,7 @@ def solve_blowup(
                 # negative excursion of the torsion-globalized W
                 u0 = np.maximum(u0, 0.0)
         uf, trace = _monotone_iterate(
-            _leading_solver(lu, piv, m), shift[idx], rhs_of, residual_of, u0, cfg,
+            lambda b, m=m: lu_solve(lu, b, m), shift[idx], rhs_of, residual_of, u0, cfg,
             cap[idx], f"exhaustion shell {shell}",
         )
 

@@ -367,16 +367,26 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
-def test_cold_import_leaves_out_integrate_and_optimize():
-    # a fresh process, because this one already imported scipy.integrate
-    # (tests/conftest.py uses quad for its oracles)
+def test_cold_import_leaves_out_integrate_and_optimize(tmp_path):
+    """A fresh process (this one imported scipy for the test oracles) imports
+    the CLI and runs tau0, ctau, a small sweep and a small blowup through
+    `main` without loading any scipy module: the runtime is numpy-only."""
+    commands = [
+        ["tau0", "--alpha", "0.3"],
+        ["ctau", "--alpha", "0.3", "--tau-grid=-0.9:-0.1:0.4"],
+        ["sweep", "--alpha", "0.5", "--p-grid", "1.5:3.5:1.0", "--tau-grid=-0.8:-0.2:0.3"],
+        ["blowup", "--alpha", "0.5", "--p", "4", "--gamma", "-1.8", "--n", "201",
+         "--levels", "8,16", "--fit-lo", "0.05", "--fit-hi", "0.3", "--fit-tol", "0.9"],
+    ]
+    commands = [cmd + ["--out", str(tmp_path / cmd[0])] for cmd in commands]
     proc = _run_child(
         "-c",
         "import sys, fraclap.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])",
+        f"codes = [fraclap.cli.main(cmd) for cmd in {commands!r}]; "
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[0, 0, 0, 0] []"
 
 
 def test_convergence_failure_exit_code(tmp_path):

@@ -1,14 +1,22 @@
-"""Static hygiene of the package source: no unused imports and no unused
-function parameters, found by scanning the syntax tree of every module in
-src/fraclap (the project runs no linter, so this test is the check)."""
+"""Static hygiene of the code: no unused imports in src/fraclap, tests and
+scripts, and no unused function parameters in src/fraclap, found by scanning
+the syntax tree of every module (the project runs no linter, so this test is
+the check).  Tests and scripts get the import check only: a pytest fixture
+can be a parameter that the test body never names."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fraclap"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fraclap"
 MODULES = sorted(SRC.glob("*.py"))
+OTHER = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def _module_id(path: Path) -> str:
+    return path.name if path.parent == SRC else f"{path.parent.name}/{path.name}"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -60,12 +68,12 @@ def unused_parameters(tree: ast.Module) -> list:
     return sorted(out)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + OTHER, ids=_module_id)
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_no_unused_parameters(path):
     assert unused_parameters(_tree(path)) == []
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import beta as beta_fn
+from scipy.special import betainc, hyp2f1, roots_jacobi
 
 from fraclap.barriers import torsion
 from fraclap.errors import DomainError, GridMismatchError
@@ -14,6 +16,9 @@ from fraclap.fields import ExteriorData
 from fraclap.grid import Grid1D, GridFunction
 from fraclap.operator import (
     DistanceProfile,
+    _gauss_jacobi,
+    _gauss_series,
+    _incomplete_beta,
     assemble,
     eval_on_power,
     exterior_potential,
@@ -163,6 +168,49 @@ def test_eval_on_power_array_floor():
         eval_on_power(-0.5, 0.5, np.array([0.01, 0.3, 1.0 - 5e-7]))
     with pytest.raises(DomainError):
         eval_on_power(-0.5, 0.5, np.array([0.2, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# special functions of the semi-analytic path, against scipy
+# ---------------------------------------------------------------------------
+
+
+def test_gauss_series_against_hyp2f1():
+    """2F1(1+2a, b; b+1; z) over the parameters of `_power_window` and the
+    collar tail: z <= 1/2, and z <= delta / (1 - delta) with that bound given
+    (fewer terms for the default collar delta = 0.1, more for a wide one)."""
+    rng = np.random.default_rng(1)
+    for z_max in (0.5, 0.1 / 0.9, 0.45 / 0.55):
+        for _ in range(200):
+            a = 1.0 + 2.0 * rng.uniform(0.02, 0.98)
+            b = rng.uniform(0.01, 2.5)
+            z = np.append(rng.uniform(0.0, z_max, 15), z_max)
+            got = _gauss_series(a, b, z, z_max)
+            assert np.max(np.abs(got / hyp2f1(a, b, b + 1.0, z) - 1.0)) < 1e-14
+
+
+def test_incomplete_beta_both_branches():
+    """B_x(beta+1, 2 alpha - beta), the exterior potential's incomplete beta,
+    on both sides of x = 1/2 (series below, symmetry above)."""
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        alpha, beta = rng.uniform(0.02, 0.98), -rng.uniform(0.0, 0.999)
+        a, b = beta + 1.0, 2.0 * alpha - beta
+        x = np.concatenate((rng.uniform(0.0, 0.5, 8), rng.uniform(0.5, 1.0, 8), [0.5]))
+        ref = betainc(a, b, x) * beta_fn(a, b)
+        assert np.max(np.abs(_incomplete_beta(a, b, x) / ref - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "n,b",
+    # the 48-point window rules, b = 1 - 2 alpha, and the Gauss-Legendre panels
+    [(48, 1.0 - 2.0 * alpha) for alpha in (0.02, 0.25, 0.5, 0.75, 0.98)] + [(14, 0.0), (28, 0.0)],
+)
+def test_gauss_jacobi_against_roots_jacobi(n, b):
+    t, w = _gauss_jacobi(n, b)
+    t_ref, w_ref = roots_jacobi(n, 0.0, b)
+    assert np.max(np.abs(t - t_ref)) <= 1e-15
+    assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

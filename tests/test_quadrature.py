@@ -9,7 +9,7 @@ a second check that shares no code with the formula.
 
 import math
 
-import numpy as np
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from fraclap.errors import DomainError
 from fraclap.quadrature import (
     KernelConstants,
+    _psi01,
     eval_C,
     eval_C_derivatives,
     eval_C_tilde,
@@ -119,6 +120,19 @@ def test_second_derivative_positive(alpha, u):
     assume(-1.0 < tau < 2.0 * alpha)
     _, c2 = eval_C_derivatives(tau, alpha)
     assert c2 > 0
+
+
+def test_psi01_against_mpmath():
+    """digamma and trigamma over (0, 3), the range of their arguments 1 + tau
+    and 2 alpha - tau, including the root of digamma near 1.4616; the
+    tolerance is absolute where the values are O(1) and relative near x = 0,
+    where both grow like powers of 1/x."""
+    xs = [0.01 * k for k in range(1, 300)] + [1e-3, 1.4616321449683623, 2.999]
+    for x in xs:
+        psi, psi1 = _psi01(x)
+        ref, ref1 = float(mpmath.digamma(x)), float(mpmath.psi(1, x))
+        assert abs(psi - ref) <= 1e-13 * max(1.0, abs(ref))
+        assert abs(psi1 - ref1) <= 1e-13 * max(1.0, ref1)
 
 
 def test_derivative_consistent_with_convexity():

@@ -11,10 +11,11 @@ from fraclap.fields import ExteriorData, SourceField
 from fraclap.grid import Grid1D, GridFunction
 from fraclap.operator import assemble, exterior_potential
 from fraclap.solvers import (
+    BLOCK_CAP,
     IterationConfig,
-    _factor_nested,
-    _leading_solver,
     _monotone_iterate,
+    lu_factor as block_lu_factor,
+    lu_solve as block_lu_solve,
     solve_blowup,
     solve_linear,
     solve_semilinear,
@@ -56,9 +57,9 @@ def test_solve_linear_maximum_principle(op301, grid301, rng):
 
 
 def test_solve_linear_factors_in_place():
-    """The full solve factors the transpose of the shifted matrix in place:
-    its peak allocation stays near one n x n array (LAPACK would copy the
-    C-ordered matrix itself), and it matches a plain dense solve."""
+    """The full solve factors the shifted matrix in place: its peak
+    allocation stays near one n x n array, and it matches a plain dense
+    solve."""
     import tracemalloc
 
     grid = Grid1D.graded(601, 3.0)
@@ -71,7 +72,7 @@ def test_solve_linear_factors_in_place():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * grid.n_interior**2  # measured 1.13 n^2 doubles
+    assert peak < 1.5 * 8 * grid.n_interior**2  # measured 1.17 n^2 doubles
     assert np.max(np.abs(u.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -183,7 +184,7 @@ def test_semilinear_factors_once_with_the_sandwich_shift(op301, grid301, monkeyp
     n = grid301.n_interior
     assert calls == [(n, n)]
     # the LU overwrites the shifted matrix and the residual uses op.apply:
-    # one n x n array at a time (measured 1.14 n^2 doubles at n = 301)
+    # one n x n array at a time (measured 1.32 n^2 doubles at n = 301)
     assert peak < 1.5 * 8 * n**2
     assert trace.converged and trace.shift_rebuilds == 0
     assert np.all(u.values <= super_.values)
@@ -249,21 +250,24 @@ def test_blowup_small_interaction(monkeypatch):
 
 
 def test_factor_nested_leading_blocks_and_pivot_guard(rng):
-    # a row-strictly dominant M-matrix: every leading block is factored by
-    # the leading block of one LU of the transpose
-    n = 7
+    # a row-strictly dominant M-matrix: one block LDU with blocks ending at
+    # the level sizes solves every level-aligned leading block
+    n = 3 * BLOCK_CAP + 17
+    sizes = (5, BLOCK_CAP + 40, BLOCK_CAP + 41, 3 * BLOCK_CAP)
     a = -rng.random((n, n))
     np.fill_diagonal(a, 0.0)
-    diag = -a.sum(axis=1) + rng.random(n)
-    full = a + np.diag(diag)
-    lu, piv = _factor_nested(a.copy(), diag)
-    for m in range(1, n + 1):
+    full = a + np.diag(-a.sum(axis=1) + 1.0 + rng.random(n))
+    lu = block_lu_factor(full.copy(), sizes)
+    assert set(sizes) < set(lu[1])
+    assert max(np.diff(lu[1])) <= BLOCK_CAP
+    for m in sizes + (n,):
         b = rng.random(m)
-        x = _leading_solver(lu, piv, m)(b)
-        assert np.allclose(full[:m, :m] @ x, b, rtol=0, atol=1e-12)
-    # not diagonally dominant: partial pivoting swaps rows, which is refused
+        x = block_lu_solve(lu, b, m)
+        ref = np.linalg.solve(full[:m, :m], b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # not diagonally dominant: no factorization without pivoting is certified
     with pytest.raises(ConvergenceError, match="not diagonally dominant"):
-        _factor_nested(np.array([[1.0, 2.0], [3.0, 1.0]]), np.zeros(2))
+        block_lu_factor(np.array([[1.0, 2.0], [3.0, 1.0]]))
 
 
 def test_blowup_full_shell_requires_positive_source():
