@@ -8,11 +8,16 @@ power profile's operator values come from the semi-analytic path in
 `fraclap.operator`; the indicator's and the torsion's are closed forms.  This
 module imports nothing from `fraclap.grid`: verification and globalization
 never depend on a grid.
+
+Every amplitude (mu on the collar, lambda on the torsion) is the first rung
+of a fixed ladder at which the barrier inequality holds.  `_margins`
+computes the margins of a whole ladder at once, one row per rung, elementwise
+exactly as `verify_barrier` computes one candidate's, and `_first_pass`
+picks the first passing row.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +42,7 @@ __all__ = [
     "collar_points",
 ]
 
-MU_SWEEP_RANGE = 20  # geometric search mu in {2^k}, k in [-MU_SWEEP_RANGE, MU_SWEEP_RANGE]
+MU_SWEEP_RANGE = 20  # geometric ladder mu in {2^k}, k in [-MU_SWEEP_RANGE, MU_SWEEP_RANGE]
 TOL_REL = 1e-6  # relative slack of every sign verdict, for quadrature noise
 
 
@@ -66,7 +71,7 @@ class PowerTerm:
         return self.profile.value(x)
 
     def op(self, x, alpha: float):
-        return eval_on_power(self.profile.tau, alpha, x, self.profile)
+        return eval_on_power(self.profile.tau, alpha, x)
 
     def describe(self) -> dict:
         return {"kind": "power_distance", "tau": self.profile.tau, "delta": self.profile.delta}
@@ -172,23 +177,18 @@ class BarrierReport:
     margins: np.ndarray
     mu: float | None = None
     zone: str | None = None
-    notes: str = ""
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "role": self.role,
-                "passed": bool(self.passed),
-                "worst_margin": float(self.worst_margin),
-                "worst_x": float(self.worst_x),
-                "mu": self.mu,
-                "zone": self.zone,
-                "notes": self.notes,
-                "nodes": [float(v) for v in self.nodes],
-                "margins": [float(v) for v in self.margins],
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "role": self.role,
+            "passed": bool(self.passed),
+            "worst_margin": float(self.worst_margin),
+            "worst_x": float(self.worst_x),
+            "mu": self.mu,
+            "zone": self.zone,
+            "nodes": [float(v) for v in self.nodes],
+            "margins": [float(v) for v in self.margins],
+        }
 
 
 def _signed_power(u: np.ndarray, p: float) -> np.ndarray:
@@ -200,37 +200,54 @@ def _combine(arrays) -> tuple[np.ndarray, np.ndarray]:
     return sum(c * v for c, v, _ in arrays), sum(c * o for c, _, o in arrays)
 
 
-def _report(
-    xs: np.ndarray,
-    vals: np.ndarray,
-    ops: np.ndarray,
-    f_vals: np.ndarray,
-    params: ProblemParams,
-    role: str,
-    tau: float,
-    zone: str | None = None,
-) -> BarrierReport:
-    """Sign report of the residual op + |v|^(p-1) v - f at the points xs.
+def _margins(xs, vals, ops, f_vals, p: float, tau: float) -> np.ndarray:
+    """Super-signed margins (op + |v|^(p-1) v - f) / d^(tau*p) at the points
+    xs, one row per candidate when vals and ops hold one row each.
 
-    The residual is normalized by d^(tau*p), the natural magnitude of its
-    leading terms, and its sign flipped for a sub-solution, so a margin below
-    -TOL_REL is a violation whatever the role.
+    d^(tau*p) is the natural magnitude of the residual's leading terms.  A
+    ladder of amplitudes may overflow |v|^p in rows past the first that
+    passes; an overflowed row is +-inf, which is still its sign verdict.
     """
-    residuals = ops + _signed_power(vals, params.p) - f_vals
-    d = np.minimum(xs, 1.0 - xs)
-    margins = residuals / d ** (tau * params.p)
-    if role != "super":
-        margins = -margins
+    with np.errstate(over="ignore"):
+        return (ops + _signed_power(vals, p) - f_vals) / np.minimum(xs, 1.0 - xs) ** (tau * p)
+
+
+def _passes(margins: np.ndarray):
+    """Verdict per row: no margin below -TOL_REL (slack for quadrature noise)."""
+    return margins.min(axis=-1) >= -TOL_REL
+
+
+def _report(xs: np.ndarray, margins: np.ndarray, role: str) -> BarrierReport:
+    """Report of one row of margins, already signed for `role`."""
     worst = int(np.argmin(margins))
     return BarrierReport(
         role=role,
-        passed=bool(margins[worst] >= -TOL_REL),
+        passed=bool(_passes(margins)),
         worst_margin=float(margins[worst]),
         worst_x=float(xs[worst]),
         nodes=xs,
         margins=margins,
-        zone=zone,
     )
+
+
+def _first_pass(ladder, margins, xs, role: str, what: str):
+    """(amplitude, report) of the first rung of `ladder` whose row of
+    super-signed `margins` verifies as `role` (rows are negated for "sub").
+    Raises VerificationError naming the last rung's worst margin if none does.
+    """
+    if role == "sub":
+        margins = -margins
+    ok = _passes(margins)
+    if not ok.any():
+        last = _report(xs, margins[-1], role)
+        raise VerificationError(
+            f"no admissible amplitude found for {what} "
+            f"(worst margin {last.worst_margin:.3e} at x={last.worst_x:.3e})"
+        )
+    i = int(np.argmax(ok))
+    report = _report(xs, margins[i], role)
+    report.mu = float(ladder[i])
+    return ladder[i], report
 
 
 def verify_barrier(
@@ -251,7 +268,8 @@ def verify_barrier(
         raise DomainError(f"role must be 'super' or 'sub', got {role!r}")
     xs = np.atleast_1d(np.asarray(collar_nodes, dtype=float))
     vals, ops = _combine(b.term_arrays(xs))
-    return _report(xs, vals, ops, params.source.value(xs), params, role, b.leading_tau)
+    margins = _margins(xs, vals, ops, params.source.value(xs), params.p, b.leading_tau)
+    return _report(xs, margins if role == "super" else -margins, role)
 
 
 # ---------------------------------------------------------------------------
@@ -269,45 +287,29 @@ def _existence_tau(params: ProblemParams, regime: RegimeReport) -> float:
     raise DomainError(f"no existence barrier construction for zone {regime.zone}")
 
 
-def _sweep_mu(test_fn, mus, what: str):
-    """Return the first mu accepted by test_fn, else raise with the last report."""
-    last = None
-    for mu in mus:
-        report = test_fn(mu)
-        if report.passed:
-            report.mu = float(mu)
-            return mu, report
-        last = report
-    msg = f"no admissible amplitude found for {what}"
-    if last is not None:
-        msg += f" (worst margin {last.worst_margin:.3e} at x={last.worst_x:.3e})"
-    raise VerificationError(msg)
-
-
 def make_existence_pair(
     params: ProblemParams, regime: RegimeReport
 ) -> tuple[BarrierSpec, BarrierSpec]:
     """Ordered (super, sub) pair mu_bar * V_tau >= mu * V_tau on the collar.
 
-    tau is the regime's boundary exponent; the amplitudes come from a geometric
-    sweep (large for the super-solution, small for the sub-solution), each kept
-    at the first verifying value, on the `collar_points`.
+    tau is the regime's boundary exponent; the amplitudes come from one
+    evaluation of the geometric ladder mu = 2^k on the `collar_points`: the
+    super-solution takes the smallest verifying rung, the sub-solution the
+    largest.
     """
     tau = _existence_tau(params, regime)
     base = BarrierSpec(params.alpha, ((1.0, PowerTerm(DistanceProfile(tau=tau))),))
     xs = collar_points()
     ((_, vals, ops),) = base.term_arrays(xs)
     f_vals = params.source.value(xs)
-
-    def test(mu, role):
-        return _report(xs, mu * vals, mu * ops, f_vals, params, role, tau)
-
-    ks = range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)
-    mu_super, _ = _sweep_mu(lambda m: test(m, "super"), [2.0**k for k in ks], "super-solution")
-    mu_sub, _ = _sweep_mu(lambda m: test(m, "sub"), [2.0**k for k in reversed(ks)], "sub-solution")
+    mus = [2.0**k for k in range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)]
+    col = np.array(mus)[:, None]
+    margins = _margins(xs, col * vals, col * ops, f_vals, params.p, tau)
+    mu_super, _ = _first_pass(mus, margins, xs, "super", "super-solution")
+    mu_sub, _ = _first_pass(mus[::-1], margins[::-1], xs, "sub", "sub-solution")
     if mu_super < 2.0 * mu_sub:
         mu_super = 2.0 * mu_sub
-        if not test(mu_super, "super").passed:
+        if not _passes(_margins(xs, mu_super * vals, mu_super * ops, f_vals, params.p, tau)):
             raise VerificationError("super-solution amplitude lost admissibility when re-ordered")
     return base.scaled(mu_super), base.scaled(mu_sub)
 
@@ -332,23 +334,20 @@ def make_special_pair(params: ProblemParams, t: float) -> tuple[BarrierSpec, Bar
     xs = collar_points()
     probe = BarrierSpec(params.alpha, ((t, lead), (-1.0, second)))
     (_, lead_vals, lead_ops), (_, sec_vals, sec_ops) = probe.term_arrays(xs)
-    f_vals = params.source.value(xs)
-
-    def test(mu, role):
-        vals = t * lead_vals - mu * sec_vals
-        ops = t * lead_ops - mu * sec_ops
-        return _report(xs, vals, ops, f_vals, params, role, tau0)
-
     scale = t**params.p
     mus = [0.0] + [scale * 2.0**k for k in range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)]
-    mu1, _ = _sweep_mu(lambda m: test(m, "super"), mus, "critical-family super-solution")
-    mu2, _ = _sweep_mu(lambda m: test(m, "sub"), mus[1:], "critical-family sub-solution")
+    col = np.array(mus)[:, None]
+    margins = _margins(
+        xs, t * lead_vals - col * sec_vals, t * lead_ops - col * sec_ops,
+        params.source.value(xs), params.p, tau0,
+    )
+    mu1, _ = _first_pass(mus, margins, xs, "super", "critical-family super-solution")
+    mu2, _ = _first_pass(mus[1:], margins[1:], xs, "sub", "critical-family sub-solution")
     if not mu2 > mu1:
         raise VerificationError(
             f"critical-family amplitudes failed to order: mu_super={mu1}, mu_sub={mu2}"
         )
-    mk = lambda mu: BarrierSpec(params.alpha, ((t, lead), (-mu, second)))
-    return mk(mu1), mk(mu2)
+    return tuple(BarrierSpec(params.alpha, ((t, lead), (-mu, second))) for mu in (mu1, mu2))
 
 
 _ZONE_ROLES = {1: "super", 2: "super", 3: "sub", 4: "super", 5: "sub"}
@@ -388,9 +387,10 @@ def nonexistence_search(alpha: float, t: float, tau: float):
     The operator values of V_tau and V_0 on the `collar_points` and 12
     interior points in [0.1, 0.5] do not depend on p, so they are evaluated
     here, once.  The returned
-    search(params, zone, role) -> (family, report) then tries mu with the sign
-    the zone prescribes (positive for super-solution zones, negative for
-    sub-solution zones) and records the zone, role and amplitude in the report.
+    search(params, zone, role) -> (family, report) evaluates the ladder
+    mu = +-2^k with the sign the zone prescribes (positive for super-solution
+    zones, negative for sub-solution zones) in one pass, keeps the first
+    verifying rung and records the zone, role and amplitude in the report.
     """
     if t <= 0:
         raise DomainError("family parameter t must be positive")
@@ -401,16 +401,15 @@ def nonexistence_search(alpha: float, t: float, tau: float):
     (_, lead_vals, lead_ops), (_, ind_vals, ind_ops) = base.term_arrays(xs)
 
     def search(params: ProblemParams, zone: int, role: str) -> tuple[BarrierSpec, BarrierReport]:
-        f_vals = params.source.value(xs)
-
-        def test(mu):
-            vals = t * lead_vals + mu * ind_vals
-            ops = t * lead_ops + mu * ind_ops
-            return _report(xs, vals, ops, f_vals, params, role, tau, zone=f"zone{zone}")
-
         sign = 1.0 if role == "super" else -1.0
         mus = [sign * 2.0**k for k in range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)]
-        mu, report = _sweep_mu(test, mus, f"nonexistence family in zone {zone}")
+        col = np.array(mus)[:, None]
+        margins = _margins(
+            xs, t * lead_vals + col * ind_vals, t * lead_ops + col * ind_ops,
+            params.source.value(xs), params.p, tau,
+        )
+        mu, report = _first_pass(mus, margins, xs, role, f"nonexistence family in zone {zone}")
+        report.zone = f"zone{zone}"
         return BarrierSpec(alpha, ((t, power), (mu, indicator))), report
 
     return search
@@ -435,14 +434,14 @@ def torsion(alpha: float) -> TorsionTerm:
 
 def globalize_pair(
     pair: tuple[BarrierSpec, BarrierSpec],
-    torsion_term: TorsionTerm,
     params: ProblemParams,
     nodes,
 ) -> tuple[BarrierSpec, BarrierSpec]:
     """Extend a collar-verified pair to all of the interval by adding
-    +-lambda times the torsion function (operator value -1), with lambda from
-    a geometric search (at most 40 steps) until both inequalities hold at
-    every supplied node.
+    +-lambda times the torsion function V = `torsion`(params.alpha)
+    (operator value -1), with the first lambda in {0, 1, 2, 4, ..., 2^38} at
+    which both inequalities hold at every supplied node.  Each role's margins
+    are evaluated for the whole ladder at once.
 
     The torsion term is negative, so the super-solution gains -lambda * V
     (pointwise increase, operator gain +lambda) and the sub-solution gains
@@ -451,29 +450,29 @@ def globalize_pair(
     sup, sub = pair
     xs = np.atleast_1d(np.asarray(nodes, dtype=float))
     f_vals = params.source.value(xs)
-    tor_vals, tor_ops = torsion_term.value(xs), torsion_term.op(xs, sup.alpha)
-
-    def report_for(spec, arrays, lam_signed, role):
-        vals, ops = _combine(arrays)
-        vals, ops = vals + lam_signed * tor_vals, ops + lam_signed * tor_ops
-        return _report(xs, vals, ops, f_vals, params, role, spec.leading_tau)
+    tor = torsion(params.alpha)
+    tor_vals, tor_ops = tor.value(xs), tor.op(xs, params.alpha)
 
     # the constructors give sup and sub the same term objects: evaluate each once
     terms = {id(term): term for _, term in sup.terms + sub.terms}
     shared = BarrierSpec(sup.alpha, tuple((1.0, term) for term in terms.values()))
     evaluated = {key: (v, o) for key, (_, v, o) in zip(terms, shared.term_arrays(xs))}
-    sup_arrays = [(c, *evaluated[id(term)]) for c, term in sup.terms]
-    sub_arrays = [(c, *evaluated[id(term)]) for c, term in sub.terms]
-    lam = 0.0
-    for _ in range(40):
-        r_sup = report_for(sup, sup_arrays, -lam, "super")
-        r_sub = report_for(sub, sub_arrays, +lam, "sub")
-        if r_sup.passed and r_sub.passed:
-            sup_g = sup.with_term(-lam, torsion_term) if lam else sup
-            sub_g = sub.with_term(+lam, torsion_term) if lam else sub
-            return sup_g, sub_g
-        lam = max(1.0, 2.0 * lam)
-    raise VerificationError(
-        f"global extension failed: worst margins super={r_sup.worst_margin:.3e}, "
-        f"sub={r_sub.worst_margin:.3e}"
-    )
+    lams = [0.0] + [2.0**k for k in range(39)]
+    rows = []
+    for spec, sign in ((sup, -1.0), (sub, 1.0)):
+        vals, ops = _combine([(c, *evaluated[id(term)]) for c, term in spec.terms])
+        col = sign * np.array(lams)[:, None]
+        rows.append(_margins(
+            xs, vals + col * tor_vals, ops + col * tor_ops, f_vals, params.p, spec.leading_tau
+        ))
+    sup_m, sub_m = rows[0], -rows[1]
+    ok = _passes(sup_m) & _passes(sub_m)
+    if not ok.any():
+        raise VerificationError(
+            f"global extension failed: worst margins super={sup_m[-1].min():.3e}, "
+            f"sub={sub_m[-1].min():.3e}"
+        )
+    lam = lams[int(np.argmax(ok))]
+    if not lam:
+        return sup, sub
+    return sup.with_term(-lam, tor), sub.with_term(lam, tor)

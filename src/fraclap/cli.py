@@ -273,7 +273,7 @@ def cmd_verify_barriers(args, outdir: Path) -> int:
     params = ProblemParams(args.alpha, args.p, source=_source_from(args))
     if args.tau is not None:
         fam, report = make_nonexistence_family(params, args.family_t, args.tau)
-        payload = {"family": fam.describe(), "report": json.loads(report.to_json())}
+        payload = {"family": fam.describe(), "report": report.to_dict()}
         ok = report.passed
     else:
         if args.family_t is not None:
@@ -286,8 +286,8 @@ def cmd_verify_barriers(args, outdir: Path) -> int:
         r_sup = verify_barrier(sup, params, "super", collar_points())
         r_sub = verify_barrier(sub, params, "sub", collar_points())
         payload.update(
-            super=json.loads(r_sup.to_json()),
-            sub=json.loads(r_sub.to_json()),
+            super=r_sup.to_dict(),
+            sub=r_sub.to_dict(),
             super_terms=sup.describe(),
             sub_terms=sub.describe(),
         )

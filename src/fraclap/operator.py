@@ -141,18 +141,16 @@ def _quintic_log_blend(tau: float, delta: float) -> np.ndarray:
 @dataclass(frozen=True)
 class DistanceProfile:
     """The function equal to d(x)^tau on the boundary collar {d <= delta},
-    extended to a positive C^2 function of d on the interior and by zero
-    outside (0, 1)."""
+    delta = 0.1, extended to a positive C^2 function of d on the interior and
+    by zero outside (0, 1)."""
 
     tau: float
-    delta: float = 0.1
     _q: np.ndarray = field(init=False, repr=False)
+    delta = 0.1  # collar width: a class constant, not a field
 
     def __post_init__(self):
         if not -1.0 < self.tau <= 0.0:
             raise DomainError(f"profile exponent tau={self.tau} outside (-1, 0]")
-        if not 0.0 < self.delta < 0.5:
-            raise DomainError(f"collar width delta={self.delta} outside (0, 1/2)")
         object.__setattr__(self, "_q", _quintic_log_blend(self.tau, self.delta))
 
     # -- profile as a function of the boundary distance s ------------------
@@ -455,13 +453,9 @@ def _interior_values(profile: DistanceProfile, alpha: float, x: np.ndarray):
     return -(fx * total + windows)
 
 
-def eval_on_power(
-    tau: float,
-    alpha: float,
-    x,
-    profile: DistanceProfile | None = None,
-):
-    """Operator values of the d^tau barrier profile at points x in (0, 1).
+def eval_on_power(tau: float, alpha: float, x):
+    """Operator values of the d^tau barrier profile (`DistanceProfile`) at
+    points x in (0, 1).
 
     x may be a scalar (a float is returned) or an array (an array of the same
     shape is returned).  The profile is symmetric, so every point is mapped
@@ -473,10 +467,7 @@ def eval_on_power(
     the call raises.  Points with d >= delta go through the batched
     second-difference integral.
     """
-    if profile is None:
-        profile = DistanceProfile(tau=tau)
-    elif abs(profile.tau - tau) > 1e-12:
-        raise DomainError("profile exponent disagrees with tau argument")
+    profile = DistanceProfile(tau=tau)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
     xs = np.asarray(x, dtype=float)

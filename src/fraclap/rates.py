@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError
 from .exponents import find_tau0
 from .grid import GridFunction
-from .operator import DistanceProfile, eval_on_power
+from .operator import eval_on_power
 
 __all__ = ["RateFit", "Prop32Report", "fit_exponent", "check_band", "verify_prop32"]
 
@@ -143,7 +143,6 @@ class Prop32Report:
     exponent_ok: bool | None
     band: tuple
     bound_ok: bool | None
-    collar: tuple
 
     @property
     def passed(self) -> bool:
@@ -183,8 +182,7 @@ def verify_prop32(alpha: float, tau: float, collar=None) -> Prop32Report:
     if not -1.0 < tau < 0.0:
         raise DomainError(f"tau={tau} outside (-1, 0)")
     ds = np.geomspace(1e-4, 1e-2, 25) if collar is None else np.asarray(collar, dtype=float)
-    profile = DistanceProfile(tau=tau)
-    ops = eval_on_power(tau, alpha, ds, profile)
+    ops = eval_on_power(tau, alpha, ds)
     tau0 = find_tau0(alpha).tau0
 
     if abs(tau - tau0) <= 1e-8 * max(1.0, abs(tau0)):
@@ -200,7 +198,7 @@ def verify_prop32(alpha: float, tau: float, collar=None) -> Prop32Report:
             tau=tau, alpha=alpha, case="iii", sign_ok=True,
             exponent=float("nan"), expected_exponent=None, exponent_ok=None,
             band=(float(normalized.min()), float(normalized.max())),
-            bound_ok=bound_ok, collar=(float(ds[0]), float(ds[-1])),
+            bound_ok=bound_ok,
         )
 
     case = "i" if tau < tau0 else "ii"
@@ -214,5 +212,5 @@ def verify_prop32(alpha: float, tau: float, collar=None) -> Prop32Report:
         tau=tau, alpha=alpha, case=case, sign_ok=sign_ok,
         exponent=slope, expected_exponent=expected, exponent_ok=exponent_ok,
         band=(float(normalized.min()), float(normalized.max())),
-        bound_ok=None, collar=(float(ds[0]), float(ds[-1])),
+        bound_ok=None,
     )

@@ -15,6 +15,13 @@ nodes is the collar load.  The blow-up shift D is nodal and the same for every
 level, and the nodes are ordered centre-out, so every free set is a leading
 block and one factorization of L + D serves all levels.
 
+Both solvers run the same loop, `_monotone_iterate`.  It takes the operator
+with the level's imposed values in place, apply(u), and forms the load
+apply(0), each sweep's right-hand side and the final residual
+apply(u) + |u|^(p-1) u - f itself: `solve_semilinear` passes `op.apply`
+(nothing imposed, so the load is zero) and `solve_blowup` one folded
+operator per level with W imposed outside the shell.
+
 The factorization is `lu_factor`, a numpy block LDU without pivoting whose
 blocks end at the level sizes: each diagonal block holds the inverse of its
 Schur block, and a level solve (`lu_solve`) is block substitution over the
@@ -53,10 +60,9 @@ from .barriers import (
     globalize_pair,
     make_existence_pair,
     make_special_pair,
-    torsion,
 )
 from .errors import ConvergenceError, DomainError, GridMismatchError
-from .exponents import ProblemParams, RegimeZone, classify_regime
+from .exponents import ProblemParams, classify_regime
 from .grid import Grid1D, GridFunction
 from .operator import OperatorMatrix, assemble
 
@@ -101,12 +107,12 @@ class IterationConfig:
 
 @dataclass
 class IterationTrace:
-    """Record of one monotone iteration.  A decreasing step raises, so a
-    returned trace is monotone by construction."""
+    """Record of one monotone iteration.  A decreasing step, and a stop that is
+    not a converged one, raise, so a returned trace is monotone and
+    converged by construction."""
 
     sup_changes: list = field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
     shift_rebuilds: int = 0
     final_residual: float = float("nan")
     final_residual_rel: float = float("nan")
@@ -114,7 +120,6 @@ class IterationTrace:
     def to_dict(self) -> dict:
         return {
             "iterations": self.iterations,
-            "converged": self.converged,
             "shift_rebuilds": self.shift_rebuilds,
             "final_residual": self.final_residual,
             "final_residual_rel": self.final_residual_rel,
@@ -224,26 +229,31 @@ def _sandwich_shift(p: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
 def _monotone_iterate(
     solve,
     shift,
-    rhs_of,
-    residual_of,
+    apply,
+    f: np.ndarray,
+    p: float,
     u0: np.ndarray,
     cfg: IterationConfig,
     cap: np.ndarray,
     where: str,
 ) -> tuple[np.ndarray, IterationTrace]:
-    """Core shifted fixed-point loop; rhs_of(u) excludes the shift term.
+    """Shifted fixed-point loop for A u + |u|^(p-1) u = f on the free nodes.
 
-    solve(b) applies the inverse of A + diag(shift), and shift is certified on
-    the nodal range |u| <= cap.  An iterate that leaves that range, or a
-    decreasing step, is a hard error, and so is a stop whose relative residual
-    exceeds sqrt(sup_tol) (a large shift makes the steps, and with them the
-    sup-change test, small long before the fixed point).  Every
-    ConvergenceError names `where`.
+    apply(u) is A u with the imposed values of the level in place, so the
+    load of the imposed values is apply(0); each sweep solves with the
+    right-hand side f - load - |u|^(p-1) u + shift u, and the final residual
+    is apply(u) + |u|^(p-1) u - f.  solve(b) applies the inverse of
+    A + diag(shift), and shift is certified on the nodal range |u| <= cap.
+    An iterate that leaves that range, or a decreasing step, is a hard error,
+    and so is a stop whose relative residual exceeds sqrt(sup_tol) (a large
+    shift makes the steps, and with them the sup-change test, small long
+    before the fixed point).  Every ConvergenceError names `where`.
     """
     trace = IterationTrace()
+    load = apply(np.zeros_like(u0))
     u = u0.copy()
     for k in range(1, cfg.max_iters + 1):
-        u_next = solve(rhs_of(u) + shift * u)
+        u_next = solve(f - load - _signed_power(u, p) + shift * u)
         if np.any(np.abs(u_next) > cap):
             raise ConvergenceError(
                 f"{where}: an iterate left the sandwich range max(|sub|, |super|) "
@@ -260,17 +270,16 @@ def _monotone_iterate(
         u = u_next
         if change < cfg.sup_tol * (1.0 + float(np.max(np.abs(u)))):
             trace.iterations = k
-            trace.converged = True
             break
     else:
         raise ConvergenceError(
             f"{where}: monotone iteration did not converge within {cfg.max_iters} "
             f"sweeps (last sup-change {trace.sup_changes[-1]:.3e})"
         )
-    r = residual_of(u)
+    r = apply(u) + _signed_power(u, p) - f
     trace.final_residual = float(np.max(np.abs(r)))
     trace.final_residual_rel = trace.final_residual / (
-        1.0 + float(np.max(np.abs(rhs_of(u))))
+        1.0 + float(np.max(np.abs(f - load - _signed_power(u, p))))
     )
     if trace.final_residual_rel > np.sqrt(cfg.sup_tol):
         raise ConvergenceError(
@@ -301,19 +310,10 @@ def solve_semilinear(
         raise GridMismatchError("sub/super grids do not match the operator")
     if np.any(sub.values > super_.values + MONOTONE_SLACK):
         raise DomainError("sub-solution exceeds super-solution somewhere")
-    f_vals = params.source.value(op.grid.nodes)
-    p = params.p
-    shift, cap = _sandwich_shift(p, sub.values, super_.values)
-
-    def rhs_of(u):
-        return f_vals - _signed_power(u, p)
-
-    def residual_of(u):
-        return op.apply(GridFunction(op.grid, u)).values + _signed_power(u, p) - f_vals
-
+    shift, cap = _sandwich_shift(params.p, sub.values, super_.values)
     u, trace = _monotone_iterate(
-        _full_solver(op, shift), shift, rhs_of, residual_of, sub.values, cfg, cap,
-        "solve_semilinear",
+        _full_solver(op, shift), shift, lambda u: op.apply(GridFunction(op.grid, u)).values,
+        params.source.value(op.grid.nodes), params.p, sub.values, cfg, cap, "solve_semilinear",
     )
     return GridFunction(op.grid, u), trace
 
@@ -399,20 +399,13 @@ def solve_blowup(
     if pair is None and family_t is not None:
         pair = make_special_pair(params, family_t)
     elif pair is None:
-        regime = classify_regime(params)
-        if regime.zone not in (
-            RegimeZone.EXISTENCE_INTERACTION,
-            RegimeZone.WEAK_SOURCE,
-            RegimeZone.STRONG_SOURCE,
-        ):
-            raise DomainError(f"parameters fall in zone {regime.zone}, not an existence zone")
-        pair = make_existence_pair(params, regime)
+        pair = make_existence_pair(params, classify_regime(params))
 
     # every datum is a function of d, so the levels are mirror-symmetric and
     # are solved on the left half, where d = x increases with the index
     h = grid.n_half
     x = grid.nodes[:h]
-    sup_g, sub_g = globalize_pair(pair, torsion(params.alpha), params, x[x > 2e-6])
+    sup_g, sub_g = globalize_pair(pair, params, x[x > 2e-6])
 
     if not np.any(grid.free_mask(max_shell)):
         raise DomainError("grid has no nodes inside the deepest exhaustion shell")
@@ -446,16 +439,13 @@ def solve_blowup(
             continue
         idx = order[:m]
         w = np.where(free, 0.0, W)
-        collar_load = (A_f @ w)[idx]
-        ff = f[idx]
 
-        def rhs_of(u, ff=ff, load=collar_load):
-            return ff - load - _signed_power(u, p)
-
-        def residual_of(u, ff=ff, w=w, idx=idx):
+        def apply(u):
+            # the folded operator with W imposed outside the shell; called
+            # only by this level's `_monotone_iterate` below
             full = w.copy()
             full[idx] = u
-            return (A_f @ full)[idx] + _signed_power(u, p) - ff
+            return (A_f @ full)[idx]
 
         if m == h:
             # full-depth shell (admissible source checked above): climb from 0
@@ -469,8 +459,8 @@ def solve_blowup(
                 # negative excursion of the torsion-globalized W
                 u0 = np.maximum(u0, 0.0)
         uf, trace = _monotone_iterate(
-            lambda b, m=m: lu_solve(lu, b, m), shift[idx], rhs_of, residual_of, u0, cfg,
-            cap[idx], f"exhaustion shell {shell}",
+            lambda b: lu_solve(lu, b, m), shift[idx], apply, f[idx], p, u0, cfg, cap[idx],
+            f"exhaustion shell {shell}",
         )
 
         u_next = W.copy()

@@ -238,7 +238,8 @@ def test_criterion_10_monotone_invariants():
         super_ = solve_linear(op, 0.0, f_vals)
         cfg = IterationConfig(max_iters=4000, sup_tol=1e-10)
         u, trace = solve_semilinear(params, op, sub, super_, cfg)
-        cfg_ok = trace.converged and trace.final_residual < 10 * cfg.sup_tol
+        stopped = trace.sup_changes[-1] < cfg.sup_tol * (1.0 + np.max(np.abs(u.values)))
+        cfg_ok = stopped and trace.final_residual < 10 * cfg.sup_tol
         all_ok &= mp_ok and cfg_ok
     elapsed = time.perf_counter() - t0
     report(

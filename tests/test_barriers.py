@@ -1,6 +1,5 @@
 """Barrier constructions and their sign verification."""
 
-import json
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from fraclap.barriers import (
     torsion,
     verify_barrier,
 )
-from fraclap.errors import DomainError
+from fraclap.errors import DomainError, VerificationError
 from fraclap.exponents import ProblemParams, classify_regime
 from fraclap.fields import SourceField
 from fraclap.grid import Grid1D
@@ -114,7 +113,7 @@ def test_nonexistence_family_mu_signs(p, tau, zone, mu_sign):
     assert report.zone == f"zone{zone}"
     mu = fam.terms[1][0]
     assert np.sign(mu) == mu_sign
-    payload = json.loads(report.to_json())
+    payload = report.to_dict()
     assert payload["zone"] == f"zone{zone}"
 
 
@@ -173,22 +172,18 @@ def test_torsion_richardson_reference():
 
 def test_globalized_pair(grid301, interaction):
     params, pair = interaction
-    tor = torsion(0.5)
     nodes = grid301.nodes[grid301.d > 1e-4]
-    sup_g, sub_g = globalize_pair(pair, tor, params, nodes)
+    sup_g, sub_g = globalize_pair(pair, params, nodes)
     r_sup = verify_barrier(sup_g, params, "super", nodes)
     r_sub = verify_barrier(sub_g, params, "sub", nodes)
     assert r_sup.passed and r_sub.passed
     assert np.all(sup_g.value(nodes) >= sub_g.value(nodes))
-    with pytest.raises(DomainError):  # a torsion of another order
-        globalize_pair(pair, torsion(0.25), params, nodes)
 
 
 def test_globalize_pair_evaluates_shared_terms_once(grid301, interaction, monkeypatch):
     """sup and sub share their power term, so one globalization evaluates its
     operator once; a second call evaluates it again (nothing is memoized)."""
     params, pair = interaction
-    tor = torsion(0.5)
     nodes = grid301.nodes[grid301.d > 1e-4]
     calls = []
     real = barriers.eval_on_power
@@ -198,9 +193,9 @@ def test_globalize_pair_evaluates_shared_terms_once(grid301, interaction, monkey
         return real(*args, **kwargs)
 
     monkeypatch.setattr(barriers, "eval_on_power", counting)
-    first = globalize_pair(pair, tor, params, nodes)
+    first = globalize_pair(pair, params, nodes)
     assert len(calls) == 1
-    second = globalize_pair(pair, tor, params, nodes)
+    second = globalize_pair(pair, params, nodes)
     assert len(calls) == 2
     for a, b in zip(first, second):
         assert a.describe() == b.describe()
@@ -249,11 +244,110 @@ def test_discrete_residual_signs_stable_under_refinement(interaction):
     for n in (301, 601):
         grid = Grid1D.graded(n, 3.0)
         op = assemble(grid, 0.5)
-        tor = torsion(0.5)
         nodes = grid.nodes[grid.d > 2e-6]
-        sup_g, sub_g = globalize_pair(pair, tor, params, nodes)
+        sup_g, sub_g = globalize_pair(pair, params, nodes)
         for b, sgn in ((sup_g, 1.0), (sub_g, -1.0)):
             vals = np.asarray(b.value(grid.nodes))
             resid = op.shifted_dense(0.0) @ vals + np.sign(vals) * np.abs(vals) ** params.p
             margins = sgn * resid / grid.d ** (b.leading_tau * params.p)
             assert margins[grid.d > 1e-3].min() > 0
+
+
+# ---------------------------------------------------------------------------
+# each ladder search against one-candidate-at-a-time verification
+# ---------------------------------------------------------------------------
+
+POWERS = [2.0**k for k in range(-barriers.MU_SWEEP_RANGE, barriers.MU_SWEEP_RANGE + 1)]
+
+
+def _first_verifying(ladder, spec_of, params, role, xs):
+    """The first rung whose single candidate passes `verify_barrier` (so every
+    earlier rung fails), or None."""
+    for mu in ladder:
+        if verify_barrier(spec_of(mu), params, role, xs).passed:
+            return mu
+    return None
+
+
+@pytest.mark.parametrize("p,gamma", [(2.5, None), (4.0, -1.2), (4.0, -1.8)])
+def test_existence_ladder_matches_single_checks(p, gamma):
+    source = SourceField.zero() if gamma is None else SourceField.power_collar(gamma)
+    params = ProblemParams(0.5, p, source=source)
+    sup, sub = make_existence_pair(params, classify_regime(params))
+    base = sup.scaled(1.0 / sup.terms[0][0])
+    xs = collar_points()
+    mu_sub = _first_verifying(POWERS[::-1], base.scaled, params, "sub", xs)
+    mu_sup = _first_verifying(POWERS, base.scaled, params, "super", xs)
+    assert sub.terms[0][0] == mu_sub
+    # the super amplitude is re-ordered to at least twice the sub amplitude
+    assert sup.terms[0][0] == max(mu_sup, 2.0 * mu_sub)
+
+
+@pytest.mark.parametrize("alpha,p", [(0.5, 2.5), (0.75, 5.0)])
+def test_special_ladder_matches_single_checks(alpha, p):
+    params = ProblemParams(alpha, p)
+    sup, sub = make_special_pair(params, t=1.0)
+    (t, lead), (_, second) = sup.terms
+
+    def spec_of(mu):
+        return BarrierSpec(alpha, ((t, lead), (-mu, second)))
+
+    xs = collar_points()
+    ladder = [0.0] + POWERS  # t**p = 1
+    assert -sup.terms[1][0] == _first_verifying(ladder, spec_of, params, "super", xs)
+    assert -sub.terms[1][0] == _first_verifying(ladder[1:], spec_of, params, "sub", xs)
+
+
+def test_nonexistence_ladder_matches_single_checks(kc05):
+    cases = [(2.5, -0.3), (4.0, -0.8), (2.5, -0.55), (kc05.p_star, kc05.tau0), (1.5, -0.7)]
+    for zone, (p, tau) in enumerate(cases, start=1):
+        params = ProblemParams(0.5, p)
+        fam, report = make_nonexistence_family(params, t=1.0, tau=tau)
+        assert report.zone == f"zone{zone}"
+        (t, power), (mu, indicator) = fam.terms
+
+        def spec_of(m):
+            return BarrierSpec(0.5, ((t, power), (m, indicator)))
+
+        sign = 1.0 if report.role == "super" else -1.0
+        ladder = [sign * v for v in POWERS]
+        assert mu == report.mu == _first_verifying(
+            ladder, spec_of, params, report.role, report.nodes
+        )
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_globalize_ladder_matches_single_checks(grid301, interaction, scale):
+    # scale 1: the super-solution sets lambda; scale 2: the sub-solution does
+    params, pair = interaction
+    sup, sub = (b.scaled(scale) for b in pair)
+    nodes = grid301.nodes[grid301.d > 1e-4]
+    sup_g, sub_g = globalize_pair((sup, sub), params, nodes)
+    lam = -sup_g.terms[-1][0] if len(sup_g.terms) > len(sup.terms) else 0.0
+    tor = torsion(0.5)
+    first = None
+    for cand in [0.0] + [2.0**k for k in range(39)]:
+        pair = (sup.with_term(-cand, tor), sub.with_term(cand, tor)) if cand else (sup, sub)
+        if all(verify_barrier(b, params, role, nodes).passed
+               for b, role in zip(pair, ("super", "sub"))):
+            first = cand
+            break
+    assert first is not None and lam == first
+    assert sub_g.describe() == (sub.with_term(lam, tor) if lam else sub).describe()
+
+
+def test_ladder_error_names_the_last_rung():
+    # t = 1e6 swamps every sub-solution amplitude of zone 5 (p = 1.6, tau = -0.75)
+    params = ProblemParams(0.5, 1.6)
+    assert classify_zone6(1.6, -0.75, 0.5) == (5, "sub")
+    xs = np.array(sorted({*collar_points().tolist(), *np.linspace(0.1, 0.5, 12).tolist()}))
+    power, indicator = PowerTerm(DistanceProfile(tau=-0.75)), IndicatorTerm()
+    last = BarrierSpec(0.5, ((1e6, power), (-(2.0**barriers.MU_SWEEP_RANGE), indicator)))
+    r = verify_barrier(last, params, "sub", xs)
+    assert not r.passed
+    with pytest.raises(VerificationError) as info:
+        make_nonexistence_family(params, t=1e6, tau=-0.75)
+    assert str(info.value) == (
+        "no admissible amplitude found for nonexistence family in zone 5 "
+        f"(worst margin {r.worst_margin:.3e} at x={r.worst_x:.3e})"
+    )

@@ -194,7 +194,8 @@ def test_solve_command(tmp_path):
     lines = (out / "solution.csv").read_text().splitlines()
     assert lines[0] == "x,d,value"
     m = load_manifest(out)
-    assert m["trace"]["converged"] is True
+    # a returned trace stopped on the sup-change test (default sup_tol 1e-9)
+    assert m["trace"]["sup_change_last"] < 1e-9 * (1.0 + m["sup_norm"])
     _check_history(m["trace"])
 
 

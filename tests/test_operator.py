@@ -79,7 +79,7 @@ def bump_vals(x):
 def test_profile_positive_and_c2_at_seam():
     h = 1e-5
     for tau in (-0.95, -0.5, -0.1):
-        prof = DistanceProfile(tau=tau, delta=0.1)
+        prof = DistanceProfile(tau=tau)
         s = np.geomspace(1e-6, 0.5, 500)
         assert np.all(prof.v(s) > 0)
 
@@ -93,7 +93,7 @@ def test_profile_positive_and_c2_at_seam():
 
 
 def test_profile_collar_is_exact_power():
-    prof = DistanceProfile(tau=-0.6, delta=0.1)
+    prof = DistanceProfile(tau=-0.6)
     x = np.array([1e-4, 0.05, 0.95, 1.0 - 1e-4])
     d = np.minimum(x, 1 - x)
     assert prof.value(x) == pytest.approx(d**-0.6)
@@ -103,8 +103,6 @@ def test_profile_collar_is_exact_power():
 def test_profile_domain_errors():
     with pytest.raises(DomainError):
         DistanceProfile(tau=-1.2)
-    with pytest.raises(DomainError):
-        DistanceProfile(tau=-0.5, delta=0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +120,8 @@ def test_collar_asymptotics_match_kernel_constant():
 
 
 def test_eval_on_power_symmetry_and_signs():
-    prof = DistanceProfile(tau=-0.4, delta=0.1)
-    assert eval_on_power(-0.4, 0.5, 0.3, prof) == pytest.approx(
-        eval_on_power(-0.4, 0.5, 0.7, prof), rel=1e-9
+    assert eval_on_power(-0.4, 0.5, 0.3) == pytest.approx(
+        eval_on_power(-0.4, 0.5, 0.7), rel=1e-9
     )
     # below the root the collar operator is negative, above positive
     assert eval_on_power(-0.8, 0.5, 1e-3) < 0
@@ -147,20 +144,18 @@ def test_eval_on_power_matches_profile_reference():
 def test_eval_on_power_mirror_symmetry():
     xs = np.array([3e-3, 0.05, 0.099, 0.101, 0.3, 0.4985])
     for alpha, tau in ((0.25, -0.6), (0.5, -0.45), (0.75, -0.3)):
-        prof = DistanceProfile(tau=tau)
-        left = eval_on_power(tau, alpha, xs, prof)
-        right = eval_on_power(tau, alpha, 1.0 - xs, prof)
+        left = eval_on_power(tau, alpha, xs)
+        right = eval_on_power(tau, alpha, 1.0 - xs)
         assert np.max(np.abs(left - right) / np.abs(left)) < 1e-12
 
 
 def test_eval_on_power_array_call_equals_scalar_calls():
     xs = np.concatenate([np.geomspace(1e-5, 0.1, 9), np.linspace(0.1, 0.9, 9), [0.4985, 0.9995]])
     for alpha, tau in ((0.25, -0.6), (0.75, -0.3)):
-        prof = DistanceProfile(tau=tau)
-        batch = eval_on_power(tau, alpha, xs, prof)
-        assert np.array_equal(batch, [eval_on_power(tau, alpha, float(x), prof) for x in xs])
-        assert isinstance(eval_on_power(tau, alpha, 0.3, prof), float)
-        assert eval_on_power(tau, alpha, xs.reshape(4, 5), prof).shape == (4, 5)
+        batch = eval_on_power(tau, alpha, xs)
+        assert np.array_equal(batch, [eval_on_power(tau, alpha, float(x)) for x in xs])
+        assert isinstance(eval_on_power(tau, alpha, 0.3), float)
+        assert eval_on_power(tau, alpha, xs.reshape(4, 5)).shape == (4, 5)
 
 
 def test_eval_on_power_array_floor():
