@@ -178,18 +178,6 @@ class BarrierReport:
     mu: float | None = None
     zone: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "role": self.role,
-            "passed": bool(self.passed),
-            "worst_margin": float(self.worst_margin),
-            "worst_x": float(self.worst_x),
-            "mu": self.mu,
-            "zone": self.zone,
-            "nodes": [float(v) for v in self.nodes],
-            "margins": [float(v) for v in self.margins],
-        }
-
 
 def _signed_power(u: np.ndarray, p: float) -> np.ndarray:
     return np.sign(u) * np.abs(u) ** p
@@ -204,12 +192,17 @@ def _margins(xs, vals, ops, f_vals, p: float, tau: float) -> np.ndarray:
     """Super-signed margins (op + |v|^(p-1) v - f) / d^(tau*p) at the points
     xs, one row per candidate when vals and ops hold one row each.
 
-    d^(tau*p) is the natural magnitude of the residual's leading terms.  A
-    ladder of amplitudes may overflow |v|^p in rows past the first that
-    passes; an overflowed row is +-inf, which is still its sign verdict.
+    d^(tau*p) is the natural magnitude of the residual's leading terms.  It
+    is applied as (op - f) / s^p + |v/s|^(p-1) v/s with s = d^tau, because
+    |v|^p and d^(tau*p) each overflow once |tau*p| passes about 60 at the
+    deepest collar point, and their ratio would be NaN; s^p may still
+    overflow, which sends the (then negligible) first term to 0.  A ladder
+    of amplitudes may overflow |v/s|^p in rows past the first that passes;
+    an overflowed row is +-inf, which is still its sign verdict.
     """
+    s = np.minimum(xs, 1.0 - xs) ** tau
     with np.errstate(over="ignore"):
-        return (ops + _signed_power(vals, p) - f_vals) / np.minimum(xs, 1.0 - xs) ** (tau * p)
+        return (ops - f_vals) / s**p + _signed_power(vals / s, p)
 
 
 def _passes(margins: np.ndarray):

@@ -14,6 +14,8 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -77,28 +79,6 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _write_manifest(outdir: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["library_version"] = __version__
-    payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    outdir.mkdir(parents=True, exist_ok=True)
-    with (outdir / "manifest.json").open("w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=float)
-        fh.write("\n")
-
-
-def _write_error(outdir: Path, kind: str, message: str) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    with (outdir / "error.json").open("w") as fh:
-        json.dump({"error": kind, "message": message}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _echo(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
 def _source_from(args) -> SourceField:
     gamma = getattr(args, "gamma", None)
     if gamma is None:
@@ -118,12 +98,31 @@ def _levels(args, grid: Grid1D) -> tuple:
     return levels
 
 
+def _jsonable(obj):
+    """json.dump's hook for what JSON lacks: a result dataclass becomes its
+    fields, an enum its value, an array a list and a numpy scalar a float."""
+    if is_dataclass(obj):
+        return asdict(obj)
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return float(obj)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with path.open("w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2, default=_jsonable)
+        fh.write("\n")
+
+
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its CSVs to args.out, which exists, and returns
+# (manifest payload, ok); main writes the manifest
 # --------------------------------------------------------------------------
 
 
-def cmd_ctau(args, outdir: Path) -> int:
+def cmd_ctau(args):
     rows = []
     taus = _grid_spec(args.tau_grid) if args.tau_grid else [args.tau]
     if taus[0] is None:
@@ -132,58 +131,32 @@ def cmd_ctau(args, outdir: Path) -> int:
         c = eval_C(float(tau), args.alpha)
         c1, c2 = eval_C_derivatives(float(tau), args.alpha)
         rows.append((float(tau), c, c1, c2))
-    outdir.mkdir(parents=True, exist_ok=True)
-    with (outdir / "ctau.csv").open("w") as fh:
+    with (Path(args.out) / "ctau.csv").open("w") as fh:
         fh.write("tau,C,C1,C2\n")
         for row in rows:
             fh.write(",".join(repr(v) for v in row) + "\n")
-    _write_manifest(
-        outdir,
-        {
-            "command": "ctau",
-            "config": _echo(args),
-            "n_points": len(rows),
-            "C_first": rows[0][1],
-            "C_last": rows[-1][1],
-            "convex_everywhere": bool(all(r[3] > 0 for r in rows)),
-        },
-    )
-    return 0
+    return {
+        "n_points": len(rows),
+        "C_first": rows[0][1],
+        "C_last": rows[-1][1],
+        "convex_everywhere": bool(all(r[3] > 0 for r in rows)),
+    }, True
 
 
-def cmd_tau0(args, outdir: Path) -> int:
+def cmd_tau0(args):
     kc = find_tau0(args.alpha)
-    _write_manifest(
-        outdir,
-        {
-            "command": "tau0",
-            "config": _echo(args),
-            "tau0": kc.tau0,
-            "p_star": kc.p_star,
-            "residual": abs(eval_C(kc.tau0, args.alpha)),
-        },
-    )
-    return 0
+    residual = abs(eval_C(kc.tau0, args.alpha))
+    return {"tau0": kc.tau0, "p_star": kc.p_star, "residual": residual}, True
 
 
-def cmd_regime(args, outdir: Path) -> int:
+def cmd_regime(args):
     kc = find_tau0(args.alpha)
     params = ProblemParams(args.alpha, args.p, source=_source_from(args))
     report = classify_regime(params, gamma=args.gamma, tau=args.tau)
-    _write_manifest(
-        outdir,
-        {
-            "command": "regime",
-            "config": _echo(args),
-            "tau0": kc.tau0,
-            "p_star": kc.p_star,
-            **report.to_dict(),
-        },
-    )
-    return 0
+    return {"tau0": kc.tau0, "p_star": kc.p_star, **asdict(report)}, True
 
 
-def cmd_solve(args, outdir: Path) -> int:
+def cmd_solve(args):
     source = _source_from(args)
     if source.kind == "power_collar" and source.kappa_f < 0:
         raise DomainError("solve expects a nonnegative source")
@@ -195,22 +168,15 @@ def cmd_solve(args, outdir: Path) -> int:
     super_ = solve_linear(op, 0.0, f_vals)
     cfg = IterationConfig(max_iters=args.max_iters, sup_tol=args.sup_tol)
     u, trace = solve_semilinear(params, op, sub, super_, cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
-    u.to_csv(outdir / "solution.csv")
-    _write_manifest(
-        outdir,
-        {
-            "command": "solve",
-            "config": _echo(args),
-            "trace": trace.to_dict(),
-            "sup_norm": float(np.max(np.abs(u.values))),
-            "profiles": ["solution.csv"],
-        },
-    )
-    return 0
+    u.to_csv(Path(args.out) / "solution.csv")
+    return {
+        "trace": trace,
+        "sup_norm": float(np.max(np.abs(u.values))),
+        "profiles": ["solution.csv"],
+    }, True
 
 
-def cmd_blowup(args, outdir: Path) -> int:
+def cmd_blowup(args):
     kc = find_tau0(args.alpha)
     params = ProblemParams(args.alpha, args.p, source=_source_from(args))
     grid = _build_grid(args)
@@ -221,7 +187,7 @@ def cmd_blowup(args, outdir: Path) -> int:
         exhaustion_levels=levels,
     )
     result = solve_blowup(params, grid, cfg, family_t=args.family_t)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(args.out)
     profiles = []
     for lev in result.levels:
         name = f"level_{lev.shell}.csv"
@@ -243,38 +209,29 @@ def cmd_blowup(args, outdir: Path) -> int:
         predicted is not None
         and abs(fit.exponent - predicted) <= args.fit_tol * abs(predicted)
     )
-    _write_manifest(
-        outdir,
-        {
-            "command": "blowup",
-            "config": _echo(args),
-            "tau0": kc.tau0,
-            "p_star": kc.p_star,
-            "zone": regime.zone.value,
-            "predicted_exponent": predicted,
-            "fit": fit.to_dict(),
-            "fit_within_tolerance": bool(fit_ok),
-            "monotone_in_levels": result.monotone_in_levels,
-            "sandwich_ok": result.sandwich_ok,
-            "positive_on_final_shell": bool(
-                np.all(result.final.values[result.final_free] > 0)
-            ),
-            "levels": [lev.trace.to_dict() | {"shell": lev.shell} for lev in result.levels],
-            "profiles": profiles,
-        },
-    )
-    return 0 if fit_ok else EXIT_VERIFICATION
+    return {
+        "tau0": kc.tau0,
+        "p_star": kc.p_star,
+        "zone": regime.zone,
+        "predicted_exponent": predicted,
+        "fit": fit,
+        "fit_within_tolerance": bool(fit_ok),
+        "monotone_in_levels": result.monotone_in_levels,
+        "sandwich_ok": result.sandwich_ok,
+        "positive_on_final_shell": bool(np.all(result.final.values[result.final_free] > 0)),
+        "levels": [{"shell": lev.shell, **asdict(lev.trace)} for lev in result.levels],
+        "profiles": profiles,
+    }, fit_ok
 
 
-def cmd_verify_barriers(args, outdir: Path) -> int:
+def cmd_verify_barriers(args):
     if args.tau is not None and args.family_t is None:
         raise DomainError("verify-barriers --tau selects a nonexistence family member: "
                           "it needs --family-t")
     params = ProblemParams(args.alpha, args.p, source=_source_from(args))
     if args.tau is not None:
         fam, report = make_nonexistence_family(params, args.family_t, args.tau)
-        payload = {"family": fam.describe(), "report": report.to_dict()}
-        ok = report.passed
+        ok, payload = report.passed, {"family": fam.describe(), "report": report}
     else:
         if args.family_t is not None:
             sup, sub = make_special_pair(params, args.family_t)
@@ -282,33 +239,20 @@ def cmd_verify_barriers(args, outdir: Path) -> int:
         else:
             regime = classify_regime(params)
             sup, sub = make_existence_pair(params, regime)
-            payload = {"zone": regime.zone.value}
+            payload = {"zone": regime.zone}
         r_sup = verify_barrier(sup, params, "super", collar_points())
         r_sub = verify_barrier(sub, params, "sub", collar_points())
-        payload.update(
-            super=r_sup.to_dict(),
-            sub=r_sub.to_dict(),
-            super_terms=sup.describe(),
-            sub_terms=sub.describe(),
-        )
+        payload.update(super=r_sup, sub=r_sub, super_terms=sup.describe(), sub_terms=sub.describe())
         ok = r_sup.passed and r_sub.passed
-    _write_manifest(
-        outdir,
-        {"command": "verify-barriers", "config": _echo(args), "passed": bool(ok), **payload},
-    )
-    return 0 if ok else EXIT_VERIFICATION
+    return {"passed": ok, **payload}, ok
 
 
-def cmd_verify_prop32(args, outdir: Path) -> int:
+def cmd_verify_prop32(args):
     report = verify_prop32(args.alpha, args.tau)
-    _write_manifest(
-        outdir,
-        {"command": "verify-prop32", "config": _echo(args), **report.to_dict()},
-    )
-    return 0 if report.passed else EXIT_VERIFICATION
+    return {**asdict(report), "passed": report.passed}, report.passed
 
 
-def cmd_sweep(args, outdir: Path) -> int:
+def cmd_sweep(args):
     taus = [float(tau) for tau in _grid_spec(args.tau_grid)]
     outside = [tau for tau in taus if not -1.0 < tau <= 0.0]
     if outside:
@@ -356,110 +300,76 @@ def cmd_sweep(args, outdir: Path) -> int:
             except (VerificationError, DomainError) as exc:
                 row.update(mu=float("nan"), passed=False, note=str(exc))
     rows.sort(key=lambda r: (r["p"], r["tau"]))
-    outdir.mkdir(parents=True, exist_ok=True)
-    with (outdir / "zone_map.csv").open("w") as fh:
+    with (Path(args.out) / "zone_map.csv").open("w") as fh:
         fh.write("p,tau,zone,role,mu,passed,regime,predicted_exponent,note\n")
         for r in rows:
             fh.write(
                 f'{r["p"]!r},{r["tau"]!r},{r["zone"]},{r["role"]},{r["mu"]!r},'
                 f'{r["passed"]},{r["regime"]},{r["predicted_exponent"]},"{r["note"]}"\n'
             )
-    n_passed = sum(1 for r in rows if r["passed"])
-    _write_manifest(
-        outdir,
-        {
-            "command": "sweep",
-            "config": _echo(args),
-            "tau0": kc.tau0,
-            "p_star": kc.p_star,
-            "n_points": len(rows),
-            "n_passed": n_passed,
-            "outputs": ["zone_map.csv"],
-        },
-    )
-    return 0
+    return {
+        "tau0": kc.tau0,
+        "p_star": kc.p_star,
+        "n_points": len(rows),
+        "n_passed": sum(1 for r in rows if r["passed"]),
+        "outputs": ["zone_map.csv"],
+    }, True
 
 
 # --------------------------------------------------------------------------
 # argument wiring
 # --------------------------------------------------------------------------
 
+# flag: add_argument keywords (every subcommand takes --out and --config)
+OPTIONS = {
+    "--out": dict(default="fraclap-out", help="output directory"),
+    "--config": dict(default=None, help="flat key=value config file"),
+    "--alpha": dict(type=float, default=None),
+    "--p": dict(type=float, default=None),
+    "--gamma": dict(type=float, default=None, help="source exponent (power collar)"),
+    "--kappa-f": dict(type=float, default=1.0, help="source amplitude"),
+    "--tau": dict(type=float, default=None),
+    "--tau-grid": dict(default=None, help="lo:hi:step"),
+    "--p-grid": dict(default=None, help="lo:hi:step"),
+    "--n": dict(type=int, default=1001, help="interior grid nodes"),
+    "--grading": dict(type=float, default=3.0),
+    "--max-iters": dict(type=int, default=20000),
+    "--sup-tol": dict(type=float, default=1e-9),
+    "--levels": dict(type=lambda s: tuple(int(v) for v in s.split(",")),
+                     default=(8, 16, 32, 64, 128)),
+    "--full-level": dict(action="store_true",
+                         help="append a shell below grid resolution (needs f > 0)"),
+    "--family-t": dict(type=float, default=None, help="barrier family parameter t"),
+    "--fit-lo": dict(type=float, default=None,
+                     help="fit window start (default: 2.5 / deepest shell)"),
+    "--fit-hi": dict(type=float, default=None,
+                     help="fit window end (default: max(0.02, 10 / deepest shell))"),
+    "--fit-tol": dict(type=float, default=0.05),
+}
 
-def _add_common(sp):
-    sp.add_argument("--out", default="fraclap-out", help="output directory")
-    sp.add_argument("--config", default=None, help="flat key=value config file")
+PROBLEM = ("--alpha", "--p", "--gamma", "--kappa-f")
+SOLVER = ("--n", "--grading", "--max-iters", "--sup-tol")
 
-
-def _add_alpha(sp):
-    sp.add_argument("--alpha", type=float, default=None)
-
-
-def _add_tau(sp):
-    sp.add_argument("--tau", type=float, default=None)
-
-
-def _add_tau_grid(sp):
-    sp.add_argument("--tau-grid", default=None, help="lo:hi:step")
-
-
-def _add_problem(sp):
-    _add_alpha(sp)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None, help="source exponent (power collar)")
-    sp.add_argument("--kappa-f", type=float, default=1.0, help="source amplitude")
-
-
-def _add_solver(sp):
-    sp.add_argument("--n", type=int, default=1001, help="interior grid nodes")
-    sp.add_argument("--grading", type=float, default=3.0)
-    sp.add_argument("--max-iters", type=int, default=20000)
-    sp.add_argument("--sup-tol", type=float, default=1e-9)
-
-
-def _add_blowup(sp):
-    sp.add_argument(
-        "--levels",
-        type=lambda s: tuple(int(v) for v in s.split(",")),
-        default=(8, 16, 32, 64, 128),
-    )
-    sp.add_argument("--full-level", action="store_true",
-                    help="append a shell below grid resolution (needs f > 0)")
-    sp.add_argument("--family-t", type=float, default=None,
-                    help="critical-rate family parameter t")
-    sp.add_argument("--fit-lo", type=float, default=None,
-                    help="fit window start (default: 2.5 / deepest shell)")
-    sp.add_argument("--fit-hi", type=float, default=None,
-                    help="fit window end (default: max(0.02, 10 / deepest shell))")
-    sp.add_argument("--fit-tol", type=float, default=0.05)
-
-
-def _add_family_t(sp):
-    sp.add_argument("--family-t", type=float, default=None)
-
-
-def _add_sweep(sp):
-    sp.add_argument("--p-grid", default=None, help="lo:hi:step")
-    _add_tau_grid(sp)
-    sp.add_argument("--family-t", type=float, default=1.0)
-
-
-# name: (handler, help, option adders after --out/--config, required options)
+# name: (handler, help, flags after --out/--config, required options,
+#        defaults that differ from OPTIONS)
 COMMANDS = {
     "ctau": (cmd_ctau, "kernel constant C and its derivatives",
-             (_add_alpha, _add_tau, _add_tau_grid), ("alpha",)),
-    "tau0": (cmd_tau0, "critical exponent tau0 and p*", (_add_alpha,), ("alpha",)),
+             ("--alpha", "--tau", "--tau-grid"), ("alpha",), {}),
+    "tau0": (cmd_tau0, "critical exponent tau0 and p*", ("--alpha",), ("alpha",), {}),
     "regime": (cmd_regime, "classify parameters against the existence/nonexistence zones",
-               (_add_problem, _add_tau), ("alpha", "p")),
+               PROBLEM + ("--tau",), ("alpha", "p"), {}),
     "solve": (cmd_solve, "bounded monotone semilinear solve",
-              (_add_problem, _add_solver), ("alpha", "p")),
+              PROBLEM + SOLVER, ("alpha", "p"), {}),
     "blowup": (cmd_blowup, "boundary blow-up solve by exhaustion",
-               (_add_problem, _add_solver, _add_blowup), ("alpha", "p")),
+               PROBLEM + SOLVER + ("--levels", "--full-level", "--family-t", "--fit-lo",
+                                   "--fit-hi", "--fit-tol"), ("alpha", "p"), {}),
     "verify-barriers": (cmd_verify_barriers, "verify super/sub-solution constructions",
-                        (_add_problem, _add_tau, _add_family_t), ("alpha", "p")),
+                        PROBLEM + ("--tau", "--family-t"), ("alpha", "p"), {}),
     "verify-prop32": (cmd_verify_prop32, "verify barrier asymptotics for one tau",
-                      (_add_alpha, _add_tau), ("alpha", "tau")),
+                      ("--alpha", "--tau"), ("alpha", "tau"), {}),
     "sweep": (cmd_sweep, "zone map over a (p, tau) grid",
-              (_add_alpha, _add_sweep), ("alpha", "p_grid", "tau_grid")),
+              ("--alpha", "--p-grid", "--tau-grid", "--family-t"),
+              ("alpha", "p_grid", "tau_grid"), {"family_t": 1.0}),
 }
 
 
@@ -477,13 +387,12 @@ def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, d
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {}
-    for name, (func, help_text, adders, _) in COMMANDS.items():
+    for name, (_, help_text, flags, _, defaults) in COMMANDS.items():
         if command in (None, name):
             sp = parsers[name] = sub.add_parser(name, help=help_text)
-            _add_common(sp)
-            for add in adders:
-                add(sp)
-            sp.set_defaults(func=func)
+            for flag in ("--out", "--config", *flags):
+                sp.add_argument(flag, **OPTIONS[flag])
+            sp.set_defaults(**defaults)
     return parser, parsers
 
 
@@ -521,26 +430,35 @@ def main(argv=None) -> int:
                     print(f"fraclap: config error: {key}={raw!r}: {exc}", file=sys.stderr)
                     return EXIT_CONFIG
         args = argparse.Namespace(**ns)
-    missing = [k for k in COMMANDS[args.command][3] if getattr(args, k, None) is None]
+    func, _, _, required, _ = COMMANDS[args.command]
+    missing = [k for k in required if getattr(args, k, None) is None]
     if missing:
         print(f"fraclap: config error: missing required option(s) {missing}", file=sys.stderr)
         return EXIT_CONFIG
 
     outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     try:
-        return args.func(args, outdir)
-    except (DomainError, AmbiguousRegimeError) as exc:
-        _write_error(outdir, type(exc).__name__, str(exc))
-        print(f"fraclap: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, DomainError) else EXIT_VERIFICATION
-    except ConvergenceError as exc:
-        _write_error(outdir, "ConvergenceError", str(exc))
-        print(f"fraclap: convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (VerificationError, FraclapError) as exc:
-        _write_error(outdir, type(exc).__name__, str(exc))
-        print(f"fraclap: verification failure: {exc}", file=sys.stderr)
+        payload, ok = func(args)
+    except FraclapError as exc:
+        _write_json(outdir / "error.json", {"error": type(exc).__name__, "message": str(exc)})
+        if isinstance(exc, DomainError):
+            print(f"fraclap: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        if isinstance(exc, ConvergenceError):
+            print(f"fraclap: convergence failure: {exc}", file=sys.stderr)
+            return EXIT_CONVERGENCE
+        label = "" if isinstance(exc, AmbiguousRegimeError) else "verification failure: "
+        print(f"fraclap: {label}{exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    _write_json(outdir / "manifest.json", {
+        "command": args.command,
+        "config": vars(args),
+        **payload,
+        "library_version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+    })
+    return 0 if ok else EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -70,13 +70,6 @@ class RegimeReport:
     predicted_exponent: float | None = None
     notes: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "zone": self.zone.value,
-            "predicted_exponent": self.predicted_exponent,
-            "notes": self.notes,
-        }
-
 
 def find_tau0(alpha: float) -> KernelConstants:
     """Critical constants of alpha: the root tau0 = alpha - 1 of C in (-1, 0)

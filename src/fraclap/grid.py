@@ -17,10 +17,6 @@ __all__ = ["Grid1D", "GridFunction"]
 class Grid1D:
     """Strictly interior nodes of (0, 1), symmetric about 1/2.
 
-    Node density scales like d^(grading_exponent - 1) near each endpoint, so
-    grading_exponent = 1 is uniform and larger values cluster nodes at the
-    boundary (needed to resolve d^tau profiles with tau near -1).
-
     The left-half nodes x <= 1/2 are exact; each right-half node stands for
     the exact mirror 1 - x of its partner, of which it is only the rounded
     value (so 1 - x there is off by up to 2^-54 absolute: 4.3e-8 relative
@@ -33,7 +29,6 @@ class Grid1D:
     """
 
     nodes: np.ndarray
-    grading_exponent: float = 1.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -44,18 +39,22 @@ class Grid1D:
             raise DomainError("grid nodes must be strictly increasing inside (0, 1)")
         if not is_mirrored(nodes):
             raise DomainError("grid must be symmetric about 1/2")
-        if self.grading_exponent < 1.0:
-            raise DomainError("grading_exponent must be >= 1")
 
     @classmethod
     def graded(cls, n: int, grading_exponent: float = 3.0, include=()) -> "Grid1D":
         """Symmetric graded grid with roughly n interior nodes.
+
+        Node density scales like d^(grading_exponent - 1) near each endpoint,
+        so grading_exponent = 1 is uniform and larger values cluster nodes at
+        the boundary (needed to resolve d^tau profiles with tau near -1).
 
         Points listed in `include` (and their mirrors) are snapped onto the
         grid exactly, replacing the nearest generated node; exhaustion shells
         and probe locations are pinned this way so they never fall between
         nodes.
         """
+        if grading_exponent < 1.0:
+            raise DomainError("grading_exponent must be >= 1")
         m = max(2, (int(n) + 1) // 2)
         s = np.arange(1, m + 1) / m
         half = 0.5 * s**grading_exponent
@@ -76,7 +75,7 @@ class Grid1D:
         if half[-1] != 0.5:
             half = np.append(half, 0.5)
         nodes = np.concatenate([half, 1.0 - half[:-1][::-1]])
-        return cls(nodes=nodes, grading_exponent=float(grading_exponent))
+        return cls(nodes=nodes)
 
     @property
     def n_interior(self) -> int:

@@ -35,19 +35,6 @@ class RateFit:
     exponent_right: float
     verified: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "window": list(self.window),
-            "band": list(self.band),
-            "n_points": self.n_points,
-            "exponent_left": self.exponent_left,
-            "exponent_right": self.exponent_right,
-            "verified": self.verified,
-        }
-
 
 def _collar_fit(logd: np.ndarray, logu: np.ndarray) -> tuple[float, float]:
     slope, intercept = np.polyfit(logd, logu, 1)
@@ -152,20 +139,6 @@ class Prop32Report:
         if self.bound_ok is not None:
             checks.append(self.bound_ok)
         return all(checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "alpha": self.alpha,
-            "case": self.case,
-            "sign_ok": self.sign_ok,
-            "exponent": self.exponent,
-            "expected_exponent": self.expected_exponent,
-            "exponent_ok": self.exponent_ok,
-            "band": list(self.band),
-            "bound_ok": self.bound_ok,
-            "passed": self.passed,
-        }
 
 
 def verify_prop32(alpha: float, tau: float, collar=None) -> Prop32Report:

@@ -117,16 +117,6 @@ class IterationTrace:
     final_residual: float = float("nan")
     final_residual_rel: float = float("nan")
 
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "shift_rebuilds": self.shift_rebuilds,
-            "final_residual": self.final_residual,
-            "final_residual_rel": self.final_residual_rel,
-            "sup_change_last": self.sup_changes[-1] if self.sup_changes else None,
-            "sup_changes": list(self.sup_changes),
-        }
-
 
 def _block_edges(n: int, sizes) -> tuple:
     """Block edges 0 = e_0 < e_1 < ... < e_J = n: every size in (0, n) is an
@@ -328,7 +318,6 @@ class BlowupLevel:
 
 @dataclass
 class BlowupResult:
-    params: ProblemParams
     final: GridFunction
     levels: list
     pair_global: tuple
@@ -490,7 +479,6 @@ def solve_blowup(
         and np.all(u_curr <= U + 1e-9 * (1.0 + np.abs(U)))
     )
     return BlowupResult(
-        params=params,
         final=levels[-1].solution,
         levels=levels,
         pair_global=(sup_g, sub_g),

@@ -1,6 +1,8 @@
 """Barrier constructions and their sign verification."""
 
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from fraclap.barriers import (
     make_existence_pair,
     make_nonexistence_family,
     make_special_pair,
+    nonexistence_search,
     torsion,
     verify_barrier,
 )
@@ -113,8 +116,19 @@ def test_nonexistence_family_mu_signs(p, tau, zone, mu_sign):
     assert report.zone == f"zone{zone}"
     mu = fam.terms[1][0]
     assert np.sign(mu) == mu_sign
-    payload = report.to_dict()
-    assert payload["zone"] == f"zone{zone}"
+    assert asdict(report)["zone"] == f"zone{zone}"
+
+
+def test_nonexistence_search_at_large_p():
+    # at the deepest collar point |v|^p and d^(tau p) each overflow once
+    # |tau p| passes about 60; the margins must stay finite and verify
+    search = nonexistence_search(0.5, 1.0, -0.9)
+    for p in (30.0, 80.0, 120.0):
+        zone, role = classify_zone6(p, -0.9, 0.5)
+        fam, report = search(ProblemParams(0.5, p), zone, role)
+        assert zone == 2 and report.passed and np.all(np.isfinite(report.margins))
+        if p == 30.0:
+            assert fam.terms[1][0] == 2.0**-20
 
 
 def test_nonexistence_family_zone4(kc05):

@@ -23,11 +23,13 @@ def load_manifest(outdir):
         return json.load(fh)
 
 
-def _check_history(trace):
-    # one recorded sup-change per sweep: the sandwich shift is never rebuilt
+def _check_history(trace, sup_norm):
+    # one recorded sup-change per sweep: the sandwich shift is never rebuilt;
+    # the last one passed the stop test at the default sup_tol 1e-9 (sup_norm
+    # bounds max|u| on the free nodes, so the bound holds a fortiori)
     changes = trace["sup_changes"]
     assert len(changes) == trace["iterations"] - trace["shift_rebuilds"]
-    assert changes[-1] == trace["sup_change_last"]
+    assert changes[-1] < 1e-9 * (1.0 + sup_norm)
 
 
 def test_tau0_command(tmp_path):
@@ -75,6 +77,11 @@ def test_config_error_exit_code(tmp_path):
     out = tmp_path / "bad"
     code = run_cli(["regime", "--alpha", "1.5", "--p", "2.5", "--out", str(out)])
     assert code == 2
+    out = tmp_path / "grading"
+    code = run_cli(["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--n", "151",
+                    "--grading", "0.5", "--out", str(out)])
+    assert code == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "DomainError"
 
 
 def test_missing_required_from_config(tmp_path):
@@ -194,9 +201,7 @@ def test_solve_command(tmp_path):
     lines = (out / "solution.csv").read_text().splitlines()
     assert lines[0] == "x,d,value"
     m = load_manifest(out)
-    # a returned trace stopped on the sup-change test (default sup_tol 1e-9)
-    assert m["trace"]["sup_change_last"] < 1e-9 * (1.0 + m["sup_norm"])
-    _check_history(m["trace"])
+    _check_history(m["trace"], m["sup_norm"])
 
 
 def test_solve_refuses_a_stop_far_from_the_fixed_point(tmp_path):
@@ -226,7 +231,8 @@ def test_blowup_command_small(tmp_path):
     m = load_manifest(out)
     assert m["monotone_in_levels"] and m["sandwich_ok"]
     for lev in m["levels"]:
-        _check_history(lev)
+        with (out / f"level_{lev['shell']}.csv").open() as fh:
+            _check_history(lev, max(abs(float(r["value"])) for r in csv.DictReader(fh)))
     assert (out / "solution.csv").exists()
     assert (out / "level_8.csv").exists()
 
@@ -339,6 +345,77 @@ def test_sweep_evaluates_operator_once_per_tau(tmp_path, monkeypatch):
         inner = {float(r["tau"]) for r in rows if r["zone"] != "boundary"}
         assert len(inner) == 2
         assert sorted(taus) == sorted(inner)
+
+
+_RUN = {"command", "config", "library_version", "timestamp"}
+_TRACE = {"final_residual", "final_residual_rel", "iterations", "shift_rebuilds", "sup_changes"}
+_REPORT = {"margins", "mu", "nodes", "passed", "role", "worst_margin", "worst_x", "zone"}
+_PROBLEM = {"command", "config", "out", "alpha", "p", "gamma", "kappa_f"}
+_SOLVER = {"n", "grading", "max_iters", "sup_tol"}
+
+# argv, then the key set of the manifest and of each named entry
+MANIFEST_KEYS = {
+    "ctau": (["ctau", "--alpha", "0.5", "--tau", "-0.5"], {
+        "": _RUN | {"n_points", "C_first", "C_last", "convex_everywhere"},
+        "config": {"command", "config", "out", "alpha", "tau", "tau_grid"},
+    }),
+    "tau0": (["tau0", "--alpha", "0.5"], {
+        "": _RUN | {"tau0", "p_star", "residual"},
+        "config": {"command", "config", "out", "alpha"},
+    }),
+    "regime": (["regime", "--alpha", "0.5", "--p", "4", "--gamma", "-1.2"], {
+        "": _RUN | {"tau0", "p_star", "zone", "predicted_exponent", "notes"},
+        "config": _PROBLEM | {"tau"},
+    }),
+    "solve": (["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--n", "151"], {
+        "": _RUN | {"trace", "sup_norm", "profiles"},
+        "trace": _TRACE,
+        "config": _PROBLEM | _SOLVER,
+    }),
+    "blowup": (["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "201", "--levels", "8,16",
+                "--fit-tol", "1.0"], {
+        "": _RUN | {"tau0", "p_star", "zone", "predicted_exponent", "fit",
+                    "fit_within_tolerance", "monotone_in_levels", "sandwich_ok",
+                    "positive_on_final_shell", "levels", "profiles"},
+        "fit": {"exponent", "intercept", "r_squared", "window", "band", "n_points",
+                "exponent_left", "exponent_right", "verified"},
+        "levels": _TRACE | {"shell"},
+        "config": _PROBLEM | _SOLVER | {"levels", "full_level", "family_t", "fit_lo", "fit_hi",
+                                        "fit_tol"},
+    }),
+    "verify-barriers": (["verify-barriers", "--alpha", "0.5", "--p", "2.5"], {
+        "": _RUN | {"passed", "zone", "super", "sub", "super_terms", "sub_terms"},
+        "super": _REPORT,
+        "config": _PROBLEM | {"tau", "family_t"},
+    }),
+    "verify-barriers-family": (["verify-barriers", "--alpha", "0.5", "--p", "2.5", "--tau",
+                                "-0.3", "--family-t", "1"], {
+        "": _RUN | {"passed", "family", "report"},
+        "report": _REPORT,
+        "config": _PROBLEM | {"tau", "family_t"},
+    }),
+    "verify-prop32": (["verify-prop32", "--alpha", "0.5", "--tau", "-0.8"], {
+        "": _RUN | {"tau", "alpha", "case", "sign_ok", "exponent", "expected_exponent",
+                    "exponent_ok", "band", "bound_ok", "passed"},
+        "config": {"command", "config", "out", "alpha", "tau"},
+    }),
+    "sweep": (["sweep", "--alpha", "0.5", "--p-grid", "1.5:2.5:1", "--tau-grid=-0.8:-0.5:0.3"], {
+        "": _RUN | {"tau0", "p_star", "n_points", "n_passed", "outputs"},
+        "config": {"command", "config", "out", "alpha", "p_grid", "tau_grid", "family_t"},
+    }),
+}
+
+
+@pytest.mark.parametrize("case", MANIFEST_KEYS)
+def test_manifest_keys(tmp_path, case):
+    """Each subcommand's manifest carries exactly these keys: the run's own,
+    the result dataclasses' fields, and one config entry per option."""
+    argv, keys = MANIFEST_KEYS[case]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+    m = load_manifest(tmp_path)
+    for name, expected in keys.items():
+        entry = m if name == "" else m[name]
+        assert set(entry[0] if name == "levels" else entry) == expected, name
 
 
 def test_manifest_reproducible_modulo_timestamp(tmp_path):

@@ -68,6 +68,8 @@ def test_grid_validation():
         with pytest.raises(DomainError):
             Grid1D(nodes=np.array([0.1, 0.5, 0.9 + off]))
     Grid1D(nodes=np.array([0.1, 0.5, 0.9]))  # 1 - 0.9 != 0.1 in binary
+    with pytest.raises(DomainError, match="grading_exponent must be >= 1"):
+        Grid1D.graded(101, 0.5)  # would thin the nodes near the boundary
 
 
 def test_grid_function_roundtrip(tmp_path):

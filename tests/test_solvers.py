@@ -133,7 +133,7 @@ def test_semilinear_monotone_trace_and_residual(op301, grid301, rng):
     assert trace.final_residual < 10 * cfg.sup_tol
     assert trace.final_residual_rel <= np.sqrt(cfg.sup_tol)  # the residual gate
     # one recorded change per sweep: the sandwich shift is never rebuilt
-    history = trace.to_dict()["sup_changes"]
+    history = trace.sup_changes
     assert len(history) == trace.iterations - trace.shift_rebuilds
     assert history[-1] < cfg.sup_tol * (1.0 + float(np.max(np.abs(u.values))))
 
