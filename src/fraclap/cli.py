@@ -3,9 +3,10 @@
 Every operation of the library is reachable through a subcommand; each run
 writes a manifest.json (full configuration echo, computed constants, fitted
 exponents, pass flags) plus CSV profiles for any produced grid function.
-Options may come from command-line flags or from a flat key=value file passed
-with --config (flags win).  Exit codes: 0 success, 2 configuration error,
-3 convergence failure, 4 verification failure.
+An argument @FILE stands for the arguments in FILE, one per line
+(`--alpha=0.5`); an option given twice takes its later value.  Exit codes:
+0 success, 2 configuration error, 3 convergence failure, 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -66,24 +67,13 @@ def _grid_spec(text: str) -> np.ndarray:
     return vals
 
 
-def _load_config(path: str) -> dict:
-    out = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"config line {raw!r} is not key=value")
-        key, val = (s.strip() for s in line.split("=", 1))
-        out[key.replace("-", "_")] = val
-    return out
-
-
 def _source_from(args) -> SourceField:
-    gamma = getattr(args, "gamma", None)
-    if gamma is None:
+    if args.gamma is None:
+        if args.kappa_f is not None:
+            raise DomainError("--kappa-f is the amplitude of the source d^gamma: "
+                              "it needs --gamma")
         return SourceField.zero()
-    return SourceField.power_collar(gamma, kappa_f=getattr(args, "kappa_f", 1.0))
+    return SourceField.power_collar(args.gamma, 1.0 if args.kappa_f is None else args.kappa_f)
 
 
 def _build_grid(args) -> Grid1D:
@@ -123,11 +113,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_ctau(args):
+    if (args.tau is None) == (args.tau_grid is None):
+        raise DomainError("ctau needs exactly one of --tau and --tau-grid")
     rows = []
-    taus = _grid_spec(args.tau_grid) if args.tau_grid else [args.tau]
-    if taus[0] is None:
-        raise DomainError("ctau needs --tau or --tau-grid")
-    for tau in taus:
+    for tau in _grid_spec(args.tau_grid) if args.tau is None else [args.tau]:
         c = eval_C(float(tau), args.alpha)
         c1, c2 = eval_C_derivatives(float(tau), args.alpha)
         rows.append((float(tau), c, c1, c2))
@@ -186,7 +175,8 @@ def cmd_blowup(args):
         sup_tol=args.sup_tol,
         exhaustion_levels=levels,
     )
-    result = solve_blowup(params, grid, cfg, family_t=args.family_t)
+    pair = None if args.family_t is None else make_special_pair(params, args.family_t)
+    result = solve_blowup(params, grid, cfg, pair=pair)
     outdir = Path(args.out)
     profiles = []
     for lev in result.levels:
@@ -320,14 +310,13 @@ def cmd_sweep(args):
 # argument wiring
 # --------------------------------------------------------------------------
 
-# flag: add_argument keywords (every subcommand takes --out and --config)
+# flag: add_argument keywords (every subcommand takes --out)
 OPTIONS = {
     "--out": dict(default="fraclap-out", help="output directory"),
-    "--config": dict(default=None, help="flat key=value config file"),
     "--alpha": dict(type=float, default=None),
     "--p": dict(type=float, default=None),
     "--gamma": dict(type=float, default=None, help="source exponent (power collar)"),
-    "--kappa-f": dict(type=float, default=1.0, help="source amplitude"),
+    "--kappa-f": dict(type=float, default=None, help="source amplitude (default 1)"),
     "--tau": dict(type=float, default=None),
     "--tau-grid": dict(default=None, help="lo:hi:step"),
     "--p-grid": dict(default=None, help="lo:hi:step"),
@@ -350,31 +339,31 @@ OPTIONS = {
 PROBLEM = ("--alpha", "--p", "--gamma", "--kappa-f")
 SOLVER = ("--n", "--grading", "--max-iters", "--sup-tol")
 
-# name: (handler, help, flags after --out/--config, required options,
+# name: (handler, help, flags after --out, the required ones among them,
 #        defaults that differ from OPTIONS)
 COMMANDS = {
     "ctau": (cmd_ctau, "kernel constant C and its derivatives",
-             ("--alpha", "--tau", "--tau-grid"), ("alpha",), {}),
-    "tau0": (cmd_tau0, "critical exponent tau0 and p*", ("--alpha",), ("alpha",), {}),
+             ("--alpha", "--tau", "--tau-grid"), ("--alpha",), {}),
+    "tau0": (cmd_tau0, "critical exponent tau0 and p*", ("--alpha",), ("--alpha",), {}),
     "regime": (cmd_regime, "classify parameters against the existence/nonexistence zones",
-               PROBLEM + ("--tau",), ("alpha", "p"), {}),
+               PROBLEM + ("--tau",), ("--alpha", "--p"), {}),
     "solve": (cmd_solve, "bounded monotone semilinear solve",
-              PROBLEM + SOLVER, ("alpha", "p"), {}),
+              PROBLEM + SOLVER, ("--alpha", "--p"), {}),
     "blowup": (cmd_blowup, "boundary blow-up solve by exhaustion",
                PROBLEM + SOLVER + ("--levels", "--full-level", "--family-t", "--fit-lo",
-                                   "--fit-hi", "--fit-tol"), ("alpha", "p"), {}),
+                                   "--fit-hi", "--fit-tol"), ("--alpha", "--p"), {}),
     "verify-barriers": (cmd_verify_barriers, "verify super/sub-solution constructions",
-                        PROBLEM + ("--tau", "--family-t"), ("alpha", "p"), {}),
+                        PROBLEM + ("--tau", "--family-t"), ("--alpha", "--p"), {}),
     "verify-prop32": (cmd_verify_prop32, "verify barrier asymptotics for one tau",
-                      ("--alpha", "--tau"), ("alpha", "tau"), {}),
+                      ("--alpha", "--tau"), ("--alpha", "--tau"), {}),
     "sweep": (cmd_sweep, "zone map over a (p, tau) grid",
               ("--alpha", "--p-grid", "--tau-grid", "--family-t"),
-              ("alpha", "p_grid", "tau_grid"), {"family_t": 1.0}),
+              ("--alpha", "--p-grid", "--tau-grid"), {"family_t": 1.0}),
 }
 
 
-def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
-    """The fraclap parser and its subcommand parsers by name.
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The fraclap parser.
 
     With `command` only that subcommand's parser is built, since every option
     costs argparse a formatter; without it all are, for --help and errors.
@@ -383,59 +372,23 @@ def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, d
         prog="fraclap",
         description="critical constants, barriers and blow-up solves for the "
         "fractional semilinear problem on the unit interval",
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
-    for name, (_, help_text, flags, _, defaults) in COMMANDS.items():
+    for name, (_, help_text, flags, required, defaults) in COMMANDS.items():
         if command in (None, name):
-            sp = parsers[name] = sub.add_parser(name, help=help_text)
-            for flag in ("--out", "--config", *flags):
-                sp.add_argument(flag, **OPTIONS[flag])
+            sp = sub.add_parser(name, help=help_text)
+            for flag in ("--out", *flags):
+                sp.add_argument(flag, required=flag in required, **OPTIONS[flag])
             sp.set_defaults(**defaults)
-    return parser, parsers
-
-
-def _switch(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, parsers = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            overrides = _load_config(args.config)
-        except (OSError, DomainError) as exc:
-            print(f"fraclap: config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        ns = vars(args)
-        sp = parsers[args.command]
-        # each key is cast by its option's own type (a switch reads 1/true/yes)
-        casts = {a.dest: _switch if a.nargs == 0 else a.type or str for a in sp._actions}
-        # argparse fills a default only where the namespace lacks the option,
-        # so a second parse leaves this marker on exactly the flags not given
-        unset = object()
-        given = vars(sp.parse_args(argv[1:], argparse.Namespace(**dict.fromkeys(casts, unset))))
-        for key, raw in overrides.items():
-            if key not in ns or key not in casts:
-                print(f"fraclap: config error: unknown key {key!r}", file=sys.stderr)
-                return EXIT_CONFIG
-            # a flag given on the command line wins over the file
-            if given[key] is unset:
-                try:
-                    ns[key] = casts[key](raw)
-                except ValueError as exc:
-                    print(f"fraclap: config error: {key}={raw!r}: {exc}", file=sys.stderr)
-                    return EXIT_CONFIG
-        args = argparse.Namespace(**ns)
-    func, _, _, required, _ = COMMANDS[args.command]
-    missing = [k for k in required if getattr(args, k, None) is None]
-    if missing:
-        print(f"fraclap: config error: missing required option(s) {missing}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    func = COMMANDS[args.command][0]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:

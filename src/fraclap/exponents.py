@@ -101,6 +101,18 @@ def special_window(params: ProblemParams) -> tuple[float, float] | None:
     return (left, right)
 
 
+def _rate_report(zone: RegimeZone, predicted: float, tau: float | None, what: str,
+                 notes: str) -> RegimeReport:
+    """`zone` with its one rate d^predicted, unless tau asks for another rate."""
+    if tau is None or _tie(tau, predicted):
+        return RegimeReport(zone, predicted, notes)
+    return RegimeReport(
+        RegimeZone.UNCLASSIFIED,
+        None,
+        f"{what} admits only rate d^{predicted:.6g}; rate d^{tau:.6g} is excluded",
+    )
+
+
 def classify_regime(
     params: ProblemParams,
     gamma: float | None = None,
@@ -141,17 +153,7 @@ def classify_regime(
             # strong source
             tie_check(p, p_low, "strong-source power bound")
             if p > p_low:
-                predicted = gamma / p
-                if tau is not None:
-                    if _tie(tau, predicted):
-                        return RegimeReport(RegimeZone.STRONG_SOURCE, predicted)
-                    return RegimeReport(
-                        RegimeZone.UNCLASSIFIED,
-                        None,
-                        f"strong source admits only rate d^{predicted:.6g}; "
-                        f"rate d^{tau:.6g} is excluded",
-                    )
-                return RegimeReport(RegimeZone.STRONG_SOURCE, predicted)
+                return _rate_report(RegimeZone.STRONG_SOURCE, gamma / p, tau, "strong source", "")
             return RegimeReport(
                 RegimeZone.UNCLASSIFIED, None, "strong source with p <= 1+2*alpha: not covered"
             )
@@ -159,23 +161,17 @@ def classify_regime(
         if gamma < -2.0 * alpha:
             tie_check(p, p_star, "critical power")
             if p > p_star:
-                predicted = gamma + 2.0 * alpha
-                if tau is not None:
-                    if _tie(tau, predicted):
-                        return RegimeReport(RegimeZone.WEAK_SOURCE, predicted)
-                    return RegimeReport(
-                        RegimeZone.UNCLASSIFIED,
-                        None,
-                        f"weak source admits only rate d^{predicted:.6g}; "
-                        f"rate d^{tau:.6g} is excluded",
-                    )
-                return RegimeReport(RegimeZone.WEAK_SOURCE, predicted)
+                return _rate_report(
+                    RegimeZone.WEAK_SOURCE, gamma + 2.0 * alpha, tau, "weak source", ""
+                )
             # p below critical with a source that still satisfies the growth cap
             tie_check(p, p_low, "interaction power range")
             if p > p_low:
-                return RegimeReport(
+                return _rate_report(
                     RegimeZone.EXISTENCE_INTERACTION,
                     tau_inter,
+                    tau,
+                    "weak-range source below the critical power",
                     "source within the admissible growth cap; interaction rate prevails",
                 )
             return RegimeReport(

@@ -59,7 +59,6 @@ from .barriers import (
     _signed_power,
     globalize_pair,
     make_existence_pair,
-    make_special_pair,
 )
 from .errors import ConvergenceError, DomainError, GridMismatchError
 from .exponents import ProblemParams, classify_regime
@@ -334,7 +333,6 @@ def solve_blowup(
     grid: Grid1D,
     cfg: IterationConfig = IterationConfig(),
     pair: tuple[BarrierSpec, BarrierSpec] | None = None,
-    family_t: float | None = None,
     op: OperatorMatrix | None = None,
 ) -> BlowupResult:
     """Boundary blow-up solution by exhaustion of the interval.
@@ -355,6 +353,8 @@ def solve_blowup(
     leaves the range max(|W|, |U|) the shift is certified on raises
     ConvergenceError naming its shell.
 
+    Without `pair` the barriers are `make_existence_pair` of the problem's
+    zone; the critical-rate family passes `make_special_pair(params, t)`.
     The pair is globalized grid-free, with the closed-form torsion of
     `barriers.torsion`; the one LU factorization on this path is the
     exhaustion system's.  The source, the zero exterior and the pair depend
@@ -385,9 +385,7 @@ def solve_blowup(
             "source; with f = 0 the free discrete system only has the zero "
             "solution, so keep an imposed collar shell"
         )
-    if pair is None and family_t is not None:
-        pair = make_special_pair(params, family_t)
-    elif pair is None:
+    if pair is None:
         pair = make_existence_pair(params, classify_regime(params))
 
     # every datum is a function of d, so the levels are mirror-symmetric and

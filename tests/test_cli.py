@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,13 @@ def test_regime_command(tmp_path):
     m = load_manifest(out)
     assert m["zone"] == "weak_source"
     assert abs(m["predicted_exponent"] + 0.2) < 1e-9
+    # at p = 2.5 the same source leaves the interaction rate -2/3 alone:
+    # a --tau asking for another rate is excluded, not ignored
+    out = tmp_path / "r_tau"
+    assert run_cli(["regime", "--alpha", "0.5", "--p", "2.5", "--gamma", "-1.2",
+                    "--tau", "-0.3", "--out", str(out)]) == 0
+    m = load_manifest(out)
+    assert m["zone"] == "unclassified" and m["predicted_exponent"] is None
 
 
 def test_regime_ambiguity_exit_code(tmp_path):
@@ -84,86 +92,125 @@ def test_config_error_exit_code(tmp_path):
     assert json.loads((out / "error.json").read_text())["error"] == "DomainError"
 
 
-def test_missing_required_from_config(tmp_path):
-    assert run_cli(["tau0", "--out", str(tmp_path / "x")]) == 2
+def test_missing_required_from_config(tmp_path, capsys):
+    # argparse enforces the required options, given as flags or in an option
+    # file alike, and reads the file itself: exit 2 before any work
+    cfg = tmp_path / "run.args"
+    cfg.write_text(f"--out={tmp_path / 'x'}\n")
+    for argv, named in ((["tau0", "--out", str(tmp_path / "x")], "--alpha"),
+                        (["tau0", f"@{cfg}"], "--alpha"),
+                        (["sweep", "--alpha", "0.5", "--p-grid", "1.5:3.5:1.0", f"@{cfg}"],
+                         "--tau-grid"),
+                        (["tau0", "--alpha", "0.5", f"@{tmp_path / 'absent.args'}"],
+                         "absent.args")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_file_and_flag_override(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 0.5\n# comment\n")
+    # @FILE stands for the arguments in FILE, one per line, and an option
+    # given twice takes its later value: a flag after the file wins, a flag
+    # before it loses.  The file may hold the subcommand too.
+    cfg = tmp_path / "run.args"
+    cfg.write_text("--alpha=0.5\n")
     out1 = tmp_path / "o1"
-    assert run_cli(["tau0", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert run_cli(["tau0", f"@{cfg}", "--out", str(out1)]) == 0
     m1 = load_manifest(out1)
     assert m1["config"]["alpha"] == 0.5
     out2 = tmp_path / "o2"
-    assert run_cli(
-        ["tau0", "--config", str(cfg), "--alpha", "0.25", "--out", str(out2)]
-    ) == 0
+    assert run_cli(["tau0", f"@{cfg}", "--alpha", "0.25", "--out", str(out2)]) == 0
     assert abs(load_manifest(out2)["tau0"] + 0.75) < 1e-7
+    out3 = tmp_path / "o3"
+    assert run_cli(["tau0", "--alpha", "0.25", f"@{cfg}", "--out", str(out3)]) == 0
+    assert load_manifest(out3)["tau0"] == -0.5
+    cfg.write_text("tau0\n--alpha=0.25\n")
+    out4 = tmp_path / "o4"
+    assert run_cli([f"@{cfg}", "--out", str(out4)]) == 0
+    assert load_manifest(out4)["command"] == "tau0"
+    assert load_manifest(out4)["tau0"] == -0.75
 
 
 def test_config_sets_options_that_have_defaults(tmp_path):
-    # a config value counts wherever the flag was left at its subcommand
-    # default, not only where that default is None
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"alpha = 0.5\nout = {tmp_path / 'from_cfg'}\n")
-    assert run_cli(["tau0", "--config", str(cfg)]) == 0
+    # the file sets options that have defaults (--out) as well as required
+    # ones, and a flag after the file overrides them
+    cfg = tmp_path / "run.args"
+    cfg.write_text(f"--alpha=0.5\n--out={tmp_path / 'from_cfg'}\n")
+    assert run_cli(["tau0", f"@{cfg}"]) == 0
     assert load_manifest(tmp_path / "from_cfg")["config"]["alpha"] == 0.5
-    assert run_cli(["tau0", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 0
+    assert run_cli(["tau0", f"@{cfg}", "--out", str(tmp_path / "flag")]) == 0
     assert (tmp_path / "flag" / "manifest.json").exists()
 
 
 def test_flag_given_at_its_default_beats_config(tmp_path, monkeypatch):
-    # a flag typed on the command line wins over the file even when its value
-    # equals the subcommand default, in any spelling argparse accepts
+    # a flag typed after the file wins over it even when its value equals the
+    # subcommand default, in any spelling argparse accepts; the file's lines
+    # may abbreviate a flag as well
     monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("out = from_cfg\n")
+    cfg = tmp_path / "run.args"
+    cfg.write_text("--ou=from_cfg\n")
     manifest = tmp_path / "fraclap-out" / "manifest.json"
     spellings = (["--alpha", "0.5", "--out", "fraclap-out"], ["--alp", "0.5", "--out=fraclap-out"])
     for flags in spellings:
         manifest.unlink(missing_ok=True)
-        assert run_cli(["tau0", *flags, "--config", str(cfg)]) == 0
+        assert run_cli(["tau0", f"@{cfg}", *flags]) == 0
         assert manifest.exists()
         assert not (tmp_path / "from_cfg").exists()
-    cfg.write_text("levels = 8,16\nout = levels_out\n")
+    cfg.write_text("--lev=8,16\n--out=levels_out\n")
     # a loose fit tolerance: two shells are too shallow for the rate, and
     # this test is about which shells ran
     args = ["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "401", "--sup-tol", "1e-7",
             "--fit-tol", "1.0"]
-    assert run_cli(args + ["--levels", "8,16,32,64,128", "--config", str(cfg)]) == 0
+    assert run_cli(args + [f"@{cfg}", "--levels", "8,16,32,64,128"]) == 0
     m = load_manifest(tmp_path / "levels_out")
     assert m["config"]["levels"] == [8, 16, 32, 64, 128]
-    assert run_cli(args + ["--config", str(cfg)]) == 0
+    assert run_cli(args + ["--levels", "8,16,32,64,128", f"@{cfg}"]) == 0
     assert load_manifest(tmp_path / "levels_out")["config"]["levels"] == [8, 16]
 
 
 def test_unknown_config_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus = 1\n")
-    assert run_cli(["tau0", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    # tau0 is exact, so the root finder's tol is gone; a config that still
-    # sets it is rejected rather than silently ignored
-    cfg.write_text("alpha = 0.5\ntol = 1e-8\n")
-    assert run_cli(["tau0", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "unknown key 'tol'" in capsys.readouterr().err
-    # parser bookkeeping is not an option either
-    cfg.write_text("alpha = 0.5\ncommand = blowup\n")
-    assert run_cli(["tau0", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "unknown key 'command'" in capsys.readouterr().err
+    # tau0 is exact, so the root finder's tol is gone; an option file that
+    # still sets it is rejected rather than silently ignored, and so is the
+    # parser's own bookkeeping
+    cfg = tmp_path / "run.args"
+    for text in ("--bogus=1", "--tol=1e-8", "--command=blowup"):
+        cfg.write_text(f"--alpha=0.5\n{text}\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["tau0", f"@{cfg}", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {text}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_value_that_fails_to_parse(tmp_path, capsys):
-    # each key is cast by its option's own type: a value that type refuses
-    # is a config error (exit 2), before any work
-    for cmd, text in ((["tau0"], "alpha = half\n"),
-                      (["blowup", "--alpha", "0.5", "--p", "2.5"], "levels = 8,x\n")):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
+    # each value is cast by its option's own type: a value that type refuses
+    # is a configuration error (exit 2), before any work
+    for cmd, text in ((["tau0"], "--alpha=half"),
+                      (["blowup", "--alpha", "0.5", "--p", "2.5"], "--levels=8,x")):
+        cfg = tmp_path / "run.args"
+        cfg.write_text(text + "\n")
         out = tmp_path / "o"
-        assert run_cli(cmd + ["--config", str(cfg), "--out", str(out)]) == 2
-        assert "config error: " + text.split(" =")[0] in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli(cmd + [f"@{cfg}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument " + text.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_options_that_would_be_ignored_are_refused(tmp_path):
+    # --kappa-f scales the source d^gamma, and ctau evaluates either one tau
+    # or a tau grid: a combination that would drop an option exits 2
+    for name, cmd in (
+        ("kappa", ["solve", "--alpha", "0.5", "--p", "2", "--kappa-f", "5", "--n", "101"]),
+        ("both", ["ctau", "--alpha", "0.5", "--tau", "-0.3", "--tau-grid=-0.9:-0.1:0.4"]),
+        ("neither", ["ctau", "--alpha", "0.5"]),
+    ):
+        out = tmp_path / name
+        assert run_cli(cmd + ["--out", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "DomainError"
+        assert not (out / "manifest.json").exists()
 
 
 def test_verify_prop32_command(tmp_path):
@@ -239,17 +286,17 @@ def test_blowup_command_small(tmp_path):
 
 def test_shift_mode_option_is_rejected(tmp_path, capsys):
     # each solver has one automatic shift policy, so there is no shift mode
-    # to choose: the flag and the config key are both errors
+    # to choose: the flag is an error, typed or in an option file
+    cfg = tmp_path / "run.args"
+    cfg.write_text("--shift-mode=adaptive\n")
     for cmd in (["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--n", "151"],
                 ["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "151", "--levels", "8"]):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(cmd + ["--shift-mode", "scalar", "--out", str(tmp_path / "b")])
-        assert exc.value.code == 2
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("shift_mode = adaptive\n")
-        assert run_cli(cmd + ["--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
-        assert "unknown key 'shift_mode'" in capsys.readouterr().err
-        assert not (tmp_path / "b").exists() and not (tmp_path / "c").exists()
+        for given in (["--shift-mode", "scalar"], [f"@{cfg}"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(cmd + given + ["--out", str(tmp_path / "b")])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --shift-mode" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
 
 def _zone_map_rows(outdir):
@@ -350,18 +397,18 @@ def test_sweep_evaluates_operator_once_per_tau(tmp_path, monkeypatch):
 _RUN = {"command", "config", "library_version", "timestamp"}
 _TRACE = {"final_residual", "final_residual_rel", "iterations", "shift_rebuilds", "sup_changes"}
 _REPORT = {"margins", "mu", "nodes", "passed", "role", "worst_margin", "worst_x", "zone"}
-_PROBLEM = {"command", "config", "out", "alpha", "p", "gamma", "kappa_f"}
+_PROBLEM = {"command", "out", "alpha", "p", "gamma", "kappa_f"}
 _SOLVER = {"n", "grading", "max_iters", "sup_tol"}
 
 # argv, then the key set of the manifest and of each named entry
 MANIFEST_KEYS = {
     "ctau": (["ctau", "--alpha", "0.5", "--tau", "-0.5"], {
         "": _RUN | {"n_points", "C_first", "C_last", "convex_everywhere"},
-        "config": {"command", "config", "out", "alpha", "tau", "tau_grid"},
+        "config": {"command", "out", "alpha", "tau", "tau_grid"},
     }),
     "tau0": (["tau0", "--alpha", "0.5"], {
         "": _RUN | {"tau0", "p_star", "residual"},
-        "config": {"command", "config", "out", "alpha"},
+        "config": {"command", "out", "alpha"},
     }),
     "regime": (["regime", "--alpha", "0.5", "--p", "4", "--gamma", "-1.2"], {
         "": _RUN | {"tau0", "p_star", "zone", "predicted_exponent", "notes"},
@@ -397,11 +444,11 @@ MANIFEST_KEYS = {
     "verify-prop32": (["verify-prop32", "--alpha", "0.5", "--tau", "-0.8"], {
         "": _RUN | {"tau", "alpha", "case", "sign_ok", "exponent", "expected_exponent",
                     "exponent_ok", "band", "bound_ok", "passed"},
-        "config": {"command", "config", "out", "alpha", "tau"},
+        "config": {"command", "out", "alpha", "tau"},
     }),
     "sweep": (["sweep", "--alpha", "0.5", "--p-grid", "1.5:2.5:1", "--tau-grid=-0.8:-0.5:0.3"], {
         "": _RUN | {"tau0", "p_star", "n_points", "n_passed", "outputs"},
-        "config": {"command", "config", "out", "alpha", "p_grid", "tau_grid", "family_t"},
+        "config": {"command", "out", "alpha", "p_grid", "tau_grid", "family_t"},
     }),
 }
 
@@ -416,6 +463,22 @@ def test_manifest_keys(tmp_path, case):
     for name, expected in keys.items():
         entry = m if name == "" else m[name]
         assert set(entry[0] if name == "levels" else entry) == expected, name
+
+
+def _readme_commands():
+    """Each `fraclap ...` line of the README, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("fraclap ")]
+
+
+def test_readme_commands_parse():
+    """Every README example parses, required options included; none is run."""
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        args = cli.build_parser(argv[0]).parse_args(argv)
+        assert args.command == argv[0]
 
 
 def test_manifest_reproducible_modulo_timestamp(tmp_path):

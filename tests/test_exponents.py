@@ -84,6 +84,18 @@ def test_classify_strong_source():
     assert rep.predicted_exponent == pytest.approx(-0.45)
 
 
+def test_weak_range_source_at_interaction_power_honours_tau():
+    # gamma = -1.2 is in the weak range at p = 2.5 < p* = 3, where the
+    # interaction rate -2/3 prevails: any other rate d^tau is excluded
+    params = ProblemParams(0.5, 2.5, source=SourceField.power_collar(-1.2))
+    rep = classify_regime(params, tau=-0.3)
+    assert rep.zone is RegimeZone.UNCLASSIFIED and rep.predicted_exponent is None
+    assert "rate d^-0.3 is excluded" in rep.notes
+    rep = classify_regime(params, tau=-2.0 / 3.0)
+    assert rep.zone is RegimeZone.EXISTENCE_INTERACTION
+    assert rep.predicted_exponent == pytest.approx(-2.0 / 3.0)
+
+
 def test_classify_nonexistence_cases():
     rep = classify_regime(ProblemParams(0.5, 1.5), tau=-0.3)
     assert rep.zone is RegimeZone.NONEXISTENCE_III

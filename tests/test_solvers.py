@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from fraclap.barriers import torsion
+from fraclap.barriers import make_special_pair, torsion
 from fraclap.errors import ConvergenceError, DomainError
 from fraclap.exponents import ProblemParams
 from fraclap.fields import ExteriorData, SourceField
@@ -394,7 +394,7 @@ def test_blowup_critical_family_gap_band(kc05):
     levels = (8, 16, 32, 64, 128, 256)
     grid = Grid1D.graded(1001, 3.0, include=[1 / s for s in levels])
     cfg = IterationConfig(max_iters=20000, sup_tol=1e-10, exhaustion_levels=levels)
-    res = solve_blowup(params, grid, cfg, family_t=1.0)
+    res = solve_blowup(params, grid, cfg, pair=make_special_pair(params, 1.0))
     assert res.monotone_in_levels and res.sandwich_ok
     tau1 = min(kc05.tau0 * params.p + 2 * params.alpha, 0.0)
     gap = GridFunction(grid, grid.d**kc05.tau0 - res.final.values)
