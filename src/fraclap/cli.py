@@ -211,7 +211,7 @@ def cmd_blowup(args):
         "positive_on_final_shell": bool(np.all(result.final.values[result.final_free] > 0)),
         "levels": [{"shell": lev.shell, **asdict(lev.trace)} for lev in result.levels],
         "profiles": profiles,
-    }, fit_ok
+    }, fit_ok and result.sandwich_ok and result.monotone_in_levels
 
 
 def cmd_verify_barriers(args):

@@ -123,9 +123,6 @@ class Grid1D:
             and np.array_equal(self.nodes, other.nodes)
         )
 
-    def __hash__(self):
-        return hash((self.nodes.size, float(self.nodes[0]), float(self.nodes[1])))
-
 
 @dataclass
 class GridFunction:

@@ -31,21 +31,17 @@ class RateFit:
     window: tuple
     band: tuple
     n_points: int
-    exponent_left: float
-    exponent_right: float
     verified: bool
-
-
-def _collar_fit(logd: np.ndarray, logu: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(logd, logu, 1)
-    return float(slope), float(intercept)
 
 
 def fit_exponent(u: GridFunction, window: tuple | None = None) -> RateFit:
     """Least-squares boundary exponent of a positive grid function.
 
-    Both endpoint collars are fitted separately and averaged; the returned
-    band is the range of u * d^(-exponent) over the window, and `verified`
+    One least-squares line through the window's nodes of both endpoint
+    collars: the grid is mirrored, so both collars share the same log d
+    abscissae and this slope is the mean of the two per-collar slopes (the
+    midpoint, if inside the window, has no partner).  The returned band
+    is the range of u * d^(-exponent) over the window, and `verified`
     requires a positive band minimum.  The default window is
     [max(5 * min spacing, 1e-5), 0.02], which excludes under-resolved cells
     and the non-asymptotic interior.
@@ -55,7 +51,6 @@ def fit_exponent(u: GridFunction, window: tuple | None = None) -> RateFit:
     lo, hi = window
     if not 0 < lo < hi:
         raise DomainError(f"invalid window {window}")
-    x = u.grid.nodes
     d = u.grid.d
     vals = u.values
     sel = (d > lo) & (d < hi)
@@ -64,21 +59,9 @@ def fit_exponent(u: GridFunction, window: tuple | None = None) -> RateFit:
     if np.any(vals[sel] <= 0.0):
         raise DomainError("fit requires positive values on the window")
 
-    left = sel & (x < 0.5)
-    right = sel & (x > 0.5)
-    slopes = []
-    s_left = s_right = float("nan")
-    if np.count_nonzero(left) >= 2:
-        s_left, _ = _collar_fit(np.log(d[left]), np.log(vals[left]))
-        slopes.append(s_left)
-    if np.count_nonzero(right) >= 2:
-        s_right, _ = _collar_fit(np.log(d[right]), np.log(vals[right]))
-        slopes.append(s_right)
-    exponent = float(np.mean(slopes))
-
     logd, logu = np.log(d[sel]), np.log(vals[sel])
-    slope_all, intercept = _collar_fit(logd, logu)
-    pred = slope_all * logd + intercept
+    exponent, intercept = (float(c) for c in np.polyfit(logd, logu, 1))
+    pred = exponent * logd + intercept
     ss_res = float(np.sum((logu - pred) ** 2))
     ss_tot = float(np.sum((logu - logu.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
@@ -87,13 +70,11 @@ def fit_exponent(u: GridFunction, window: tuple | None = None) -> RateFit:
     band = (float(band_vals.min()), float(band_vals.max()))
     return RateFit(
         exponent=exponent,
-        intercept=float(intercept),
+        intercept=intercept,
         r_squared=r2,
         window=(lo, hi),
         band=band,
         n_points=int(np.count_nonzero(sel)),
-        exponent_left=s_left,
-        exponent_right=s_right,
         verified=band[0] > 0.0,
     )
 

@@ -12,15 +12,18 @@ increase monotonically and stay below the super-solution.  Blow-up solutions
 come from solving on the exhaustion domains {d > 1/shell} with the global
 sub-solution W imposed on the remaining nodes; its matrix action on the free
 nodes is the collar load.  The blow-up shift D is nodal and the same for every
-level, and the nodes are ordered centre-out, so every free set is a leading
-block and one factorization of L + D serves all levels.
+level.  The nodes are ordered centre-out (by decreasing d), once: every free
+set is then the leading m unknowns and its imposed set the rest, so each
+level quantity is a [:m] or [m:] slice of one centre-out array, and one
+factorization of L + D serves all levels.
 
 Both solvers run the same loop, `_monotone_iterate`.  It takes the operator
 with the level's imposed values in place, apply(u), and forms the load
 apply(0), each sweep's right-hand side and the final residual
 apply(u) + |u|^(p-1) u - f itself: `solve_semilinear` passes `op.apply`
-(nothing imposed, so the load is zero) and `solve_blowup` one folded
-operator per level with W imposed outside the shell.
+(nothing imposed, so the load is zero) and `solve_blowup` the leading m rows
+of the centre-out folded operator, applied to u followed by the imposed
+W[m:].
 
 The factorization is `lu_factor`, a numpy block LDU without pivoting whose
 blocks end at the level sizes: each diagonal block holds the inverse of its
@@ -99,6 +102,10 @@ class IterationConfig:
         if self.sup_tol <= 0:
             raise DomainError("sup_tol must be positive")
         levels = tuple(int(v) for v in self.exhaustion_levels)
+        if not levels:
+            raise DomainError("exhaustion_levels must name at least one shell")
+        if min(levels) < 2:
+            raise DomainError("exhaustion shell must satisfy shell >= 2")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise DomainError("exhaustion_levels must be strictly increasing")
         object.__setattr__(self, "exhaustion_levels", levels)
@@ -348,8 +355,13 @@ def solve_blowup(
     profile equals the last level inside its shell and the imposed W outside.
 
     Every level iterates with the same nodal shift, `_sandwich_shift` of the
-    globalized sandwich pair (W, U), so one factorization serves all levels
-    (`lu_factor`, with blocks ending at the level sizes).  An iterate that
+    globalized sandwich pair (W, U).  The system and every nodal datum are
+    put in centre-out order once, so the free set of a shell is the leading
+    m = #{d > 1/shell} unknowns and each level is a slice: it starts from
+    max(u[:m], W[:m]), imposes W[m:], applies the rows A[:m] and solves with
+    the leading block of the one factorization (`lu_factor`, with blocks
+    ending at the level sizes).  A shell with m = 0 yields no level; the
+    deepest shell must free some node.  An iterate that
     leaves the range max(|W|, |U|) the shift is certified on raises
     ConvergenceError naming its shell.
 
@@ -370,10 +382,12 @@ def solve_blowup(
             "solve_blowup solves the mirror-folded system, which needs a source "
             "symmetric about x = 1/2; the tabulated source table is not"
         )
-    max_shell = max(cfg.exhaustion_levels)
-    if np.all(grid.free_mask(max_shell)) and (
-        params.source.is_zero or not params.source.sign_nonneg
-    ):
+    # every datum is a function of d, so the levels are mirror-symmetric and
+    # are solved on the left half, where d = x increases with the index
+    h = grid.n_half
+    x = grid.nodes[:h]
+    sizes = [int(np.count_nonzero(x > 1.0 / shell)) for shell in cfg.exhaustion_levels]
+    if sizes[-1] == h and (params.source.is_zero or not params.source.sign_nonneg):
         # the deepest shell is below the grid resolution: nothing is imposed
         # and the discrete system has a unique fixed point.  Without a source
         # that fixed point is the zero solution (the blow-up amplitude lives
@@ -385,96 +399,73 @@ def solve_blowup(
             "source; with f = 0 the free discrete system only has the zero "
             "solution, so keep an imposed collar shell"
         )
+    if sizes[-1] == 0:
+        raise DomainError("grid has no nodes inside the deepest exhaustion shell")
     if pair is None:
         pair = make_existence_pair(params, classify_regime(params))
-
-    # every datum is a function of d, so the levels are mirror-symmetric and
-    # are solved on the left half, where d = x increases with the index
-    h = grid.n_half
-    x = grid.nodes[:h]
     sup_g, sub_g = globalize_pair(pair, params, x[x > 2e-6])
 
-    if not np.any(grid.free_mask(max_shell)):
-        raise DomainError("grid has no nodes inside the deepest exhaustion shell")
-    A_f = (op if op is not None else assemble(grid, params.alpha)).folded()
-
-    W = np.asarray(sub_g.value(x), dtype=float)
-    U = np.asarray(sup_g.value(x), dtype=float)
-    f = params.source.value(x)
+    # centre-out order (decreasing d): the free set of each shell is the
+    # leading m unknowns, so one factorization of the folded system, with
+    # blocks ending at the level sizes, serves every level
+    A = (op if op is not None else assemble(grid, params.alpha)).folded()[::-1, ::-1].copy()
+    W = np.asarray(sub_g.value(x), dtype=float)[::-1]
+    U = np.asarray(sup_g.value(x), dtype=float)[::-1]
+    f = params.source.value(x)[::-1]
     p = params.p
-
     shift, cap = _sandwich_shift(p, W, U)
-    # centre-out order (decreasing d, the reversed index): every free set
-    # {d > 1/shell} is a leading block, so one factorization of the
-    # level-independent folded system, with blocks ending at the level
-    # sizes, serves every level
-    order = np.arange(h)[::-1]
-    free_masks = [grid.free_mask(shell) for shell in cfg.exhaustion_levels]
-    sizes = [int(np.count_nonzero(free[:h])) for free in free_masks]
-    a = A_f[::-1, ::-1].copy()
-    a[np.diag_indices(h)] += shift[::-1]
+    a = A.copy()
+    a[np.diag_indices(h)] += shift
     lu = lu_factor(a, sizes)
 
     levels: list[BlowupLevel] = []
-    u_curr = W.copy()
-    prev_free = np.zeros(h, dtype=bool)
+    u = W
+    prev = 0
     monotone_levels = True
-
-    for shell, free_full, m in zip(cfg.exhaustion_levels, free_masks, sizes):
-        free = free_full[:h]
+    for shell, m in zip(cfg.exhaustion_levels, sizes):
         if m == 0:
             continue
-        idx = order[:m]
-        w = np.where(free, 0.0, W)
 
-        def apply(u):
+        def apply(v):
             # the folded operator with W imposed outside the shell; called
             # only by this level's `_monotone_iterate` below
-            full = w.copy()
-            full[idx] = u
-            return (A_f @ full)[idx]
+            return A[:m] @ np.concatenate([v, W[m:]])
 
         if m == h:
             # full-depth shell (admissible source checked above): climb from 0
             u0 = np.zeros(m)
         else:
-            u0 = np.maximum(u_curr[idx], W[idx])
-            if params.source.sign_nonneg and np.all(w >= 0.0):
+            u0 = np.maximum(u[:m], W[:m])
+            if params.source.sign_nonneg and np.all(W[m:] >= 0.0):
                 # for f >= 0 and nonnegative imposed data the zero function is
                 # itself a sub-solution of the level problem, so the climb may
                 # start from max(previous level, W, 0); this avoids the deep
                 # negative excursion of the torsion-globalized W
                 u0 = np.maximum(u0, 0.0)
         uf, trace = _monotone_iterate(
-            lambda b: lu_solve(lu, b, m), shift[idx], apply, f[idx], p, u0, cfg, cap[idx],
+            lambda b: lu_solve(lu, b, m), shift[:m], apply, f[:m], p, u0, cfg, cap[:m],
             f"exhaustion shell {shell}",
         )
-
-        u_next = W.copy()
-        u_next[idx] = uf
-        shared = prev_free & free
         # the monotone-in-levels property belongs to the imposed-W shells; a
         # final full-depth shell swaps the imposed collar for solved values and
         # sits outside that comparison
-        if np.any(shared) and m < h:
-            defect = np.min(
-                (u_next[shared] - u_curr[shared]) / (1.0 + np.abs(u_curr[shared]))
-            )
+        if prev and m < h:
+            defect = np.min((uf[:prev] - u[:prev]) / (1.0 + np.abs(u[:prev])))
             if defect < -100 * MONOTONE_SLACK:
                 monotone_levels = False
-        u_curr, prev_free = u_next, free
+        u, prev = np.concatenate([uf, W[m:]]), m
         levels.append(
             BlowupLevel(
                 shell=shell,
-                free=free_full,
-                solution=GridFunction(grid, grid.mirror(u_next)),
+                free=grid.free_mask(shell),
+                solution=GridFunction(grid, grid.mirror(u[::-1])),
                 trace=trace,
             )
         )
 
     sandwich_ok = bool(
-        np.all(u_curr >= W - 1e-9 * (1.0 + np.abs(W)))
-        and np.all(u_curr <= U + 1e-9 * (1.0 + np.abs(U)))
+        np.all(u >= W - 1e-9 * (1.0 + np.abs(W)))
+        and np.all(u <= U + 1e-9 * (1.0 + np.abs(U)))
     )
     return BlowupResult(
         final=levels[-1].solution,

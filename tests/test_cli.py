@@ -1,6 +1,7 @@
 """Command-line runner: manifests, CSV artifacts, exit codes, reproducibility."""
 
 import csv
+import dataclasses
 import json
 import os
 import shlex
@@ -284,6 +285,23 @@ def test_blowup_command_small(tmp_path):
     assert (out / "level_8.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["sandwich_ok", "monotone_in_levels"])
+def test_blowup_false_flag_exits_4(tmp_path, monkeypatch, flag):
+    # a blow-up whose rate fits but whose sandwich or level ordering fails is
+    # a verification failure, recorded in the manifest
+    real = cli.solve_blowup
+    monkeypatch.setattr(
+        cli, "solve_blowup", lambda *a, **k: dataclasses.replace(real(*a, **k), **{flag: False})
+    )
+    out = tmp_path / "b"
+    code = run_cli(["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "201", "--levels", "8,16",
+                    "--fit-tol", "1.0", "--out", str(out)])
+    assert code == 4
+    m = load_manifest(out)
+    assert m[flag] is False
+    assert m["fit_within_tolerance"] is True
+
+
 def test_shift_mode_option_is_rejected(tmp_path, capsys):
     # each solver has one automatic shift policy, so there is no shift mode
     # to choose: the flag is an error, typed or in an option file
@@ -425,7 +443,7 @@ MANIFEST_KEYS = {
                     "fit_within_tolerance", "monotone_in_levels", "sandwich_ok",
                     "positive_on_final_shell", "levels", "profiles"},
         "fit": {"exponent", "intercept", "r_squared", "window", "band", "n_points",
-                "exponent_left", "exponent_right", "verified"},
+                "verified"},
         "levels": _TRACE | {"shell"},
         "config": _PROBLEM | _SOLVER | {"levels", "full_level", "family_t", "fit_lo", "fit_hi",
                                         "fit_tol"},

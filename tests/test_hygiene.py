@@ -1,10 +1,12 @@
 """Static hygiene of the code: no unused imports in src/fraclap, tests and
-scripts, and no unused function parameters in src/fraclap, found by scanning
-the syntax tree of every module (the project runs no linter, so this test is
-the check).  Tests and scripts get the import check only: a pytest fixture
-can be a parameter that the test body never names."""
+scripts, no unused function parameters in src/fraclap, and no module-level
+private function of src/fraclap that nothing in src/fraclap calls, found by
+scanning the syntax tree of every module (the project runs no linter, so this
+test is the check).  Tests and scripts get the import check only: a pytest
+fixture can be a parameter that the test body never names."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,29 @@ def unused_parameters(tree: ast.Module) -> list:
     return sorted(out)
 
 
+def _named(node: ast.AST) -> Counter:
+    """How often each name is loaded or looked up as an attribute in node."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def orphaned_private_functions(tree: ast.Module, trees: list) -> list:
+    """Module-level private functions of tree that no module of trees names
+    outside the function's own definition."""
+    named = sum((_named(t) for t in trees), Counter())
+    return sorted(
+        f"{node.name} (line {node.lineno})"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and named[node.name] <= _named(node)[node.name]
+    )
+
+
 @pytest.mark.parametrize("path", MODULES + OTHER, ids=_module_id)
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -78,6 +103,11 @@ def test_no_unused_parameters(path):
     assert unused_parameters(_tree(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
+def test_no_orphaned_private_functions(path):
+    assert orphaned_private_functions(_tree(path), [_tree(p) for p in MODULES]) == []
+
+
 def test_scanner_flags_what_it_should():
     tree = ast.parse(
         "import os\nfrom x import y as z, w\n__all__ = ['w']\n"
@@ -86,3 +116,13 @@ def test_scanner_flags_what_it_should():
     )
     assert unused_imports(tree) == ["os (line 1)", "z (line 2)"]
     assert unused_parameters(tree) == ["<lambda>(v) (line 6)", "f(b) (line 4)"]
+    tree = ast.parse(
+        "def _used():\n    pass\n"
+        "def _recursive(k):\n    return _recursive(k - 1)\n"
+        "def _orphan():\n    pass\n"
+        "def __dunder__():\n    pass\n"
+        "def public():\n    return _used()\n"
+    )
+    other = ast.parse("import m\nm._orphan\n")
+    assert orphaned_private_functions(tree, [tree]) == ["_orphan (line 5)", "_recursive (line 3)"]
+    assert orphaned_private_functions(tree, [tree, other]) == ["_recursive (line 3)"]

@@ -22,7 +22,15 @@ def test_exact_power(grid):
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert fit.band[0] == pytest.approx(1.0, rel=1e-9)
     assert fit.verified
-    assert fit.exponent_left == pytest.approx(fit.exponent_right, abs=1e-12)
+    # one pooled line: on the mirrored grid its slope is the mean of the two
+    # collars' slopes, here of a profile that differs between the collars
+    x, d = grid.nodes, grid.d
+    v = d**-0.5 * (1.0 + 0.5 * x)
+    sel = (d > 1e-4) & (d < 1e-2)
+    sides = [np.polyfit(np.log(d[s]), np.log(v[s]), 1)[0] for s in (sel & (x < 0.5), sel & (x > 0.5))]
+    assert sides[0] != pytest.approx(sides[1], abs=1e-3)
+    pooled = fit_exponent(GridFunction(grid, v), (1e-4, 1e-2)).exponent
+    assert pooled == pytest.approx(np.mean(sides), abs=1e-12)
 
 
 @settings(max_examples=15, deadline=None)

@@ -351,9 +351,33 @@ def test_blowup_rejects_nonexistence_zone():
         solve_blowup(params, grid, IterationConfig(exhaustion_levels=(8,)))
 
 
+def test_blowup_skips_a_shell_with_no_nodes():
+    # no node has d > 1/2: shell 2 frees nothing and yields no level
+    params = ProblemParams(0.5, 2.5)
+    grid = Grid1D.graded(401, 3.0, include=[1 / 2, 1 / 8, 1 / 16])
+
+    def run(levels):
+        cfg = IterationConfig(max_iters=5000, sup_tol=1e-9, exhaustion_levels=levels)
+        return solve_blowup(params, grid, cfg)
+
+    skipped, ref = run((2, 8, 16)), run((8, 16))
+    assert [lev.shell for lev in skipped.levels] == [8, 16]
+    for lev, want in zip(skipped.levels, ref.levels):
+        assert np.array_equal(lev.free, want.free)
+        assert np.array_equal(lev.solution.values, want.solution.values)
+    assert skipped.monotone_in_levels and skipped.sandwich_ok
+    with pytest.raises(DomainError, match="no nodes inside the deepest exhaustion shell"):
+        run((2,))
+
+
 def test_iteration_config_validation():
     with pytest.raises(DomainError):
         IterationConfig(exhaustion_levels=(8, 8))
+    with pytest.raises(DomainError, match="at least one shell"):
+        IterationConfig(exhaustion_levels=())
+    for levels in ((1, 8), (0,), (-4, 8)):
+        with pytest.raises(DomainError, match="shell >= 2"):
+            IterationConfig(exhaustion_levels=levels)
     with pytest.raises(DomainError):
         IterationConfig(sup_tol=0.0)
 
