@@ -199,6 +199,7 @@ def cmd_blowup(args):
         predicted is not None
         and abs(fit.exponent - predicted) <= args.fit_tol * abs(predicted)
     )
+    positive = bool(np.all(result.final.values[result.final_free] > 0))
     return {
         "tau0": kc.tau0,
         "p_star": kc.p_star,
@@ -208,10 +209,10 @@ def cmd_blowup(args):
         "fit_within_tolerance": bool(fit_ok),
         "monotone_in_levels": result.monotone_in_levels,
         "sandwich_ok": result.sandwich_ok,
-        "positive_on_final_shell": bool(np.all(result.final.values[result.final_free] > 0)),
+        "positive_on_final_shell": positive,
         "levels": [{"shell": lev.shell, **asdict(lev.trace)} for lev in result.levels],
         "profiles": profiles,
-    }, fit_ok and result.sandwich_ok and result.monotone_in_levels
+    }, fit_ok and result.sandwich_ok and result.monotone_in_levels and positive
 
 
 def cmd_verify_barriers(args):

@@ -41,9 +41,11 @@ at an array of points in one vectorized pass, with no adaptive quadrature: the
 points are mirrored to their boundary distance d and each distinct d is
 evaluated once.  Collar points use the half-line identity (C(tau) once per
 call) plus a regular correction built from a fixed graded Gauss-Legendre rule
-and closed-form 2F1 pieces; interior points use a fixed Gauss-Jacobi window and
-fixed logarithmic Gauss-Legendre rules on per-point pieces of equal count, with
-the collar crossings in closed form.  The rules are built on first use.
+and closed-form 2F1 pieces; interior points use a Gauss-Jacobi window and a
+fixed logarithmic Gauss-Legendre rule on per-point pieces of equal count, with
+the collar crossings in closed form.  The two fixed Gauss-Legendre tables are
+built once at import and are read-only; the alpha-dependent window rule is
+built per call.
 
 Special functions.  Every closed-form piece, and the incomplete beta of the
 exterior potential, is one 2F1 family, 2F1(a, b; b+1; z), summed as its Gauss
@@ -57,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache as _lru_cache
 
 import numpy as np
 
@@ -146,12 +147,16 @@ class DistanceProfile:
 
     tau: float
     _q: np.ndarray = field(init=False, repr=False)
+    # c3, c4, c5 of the quintic's Taylor expansion at the seam (`_seam_log_gap`)
+    _seam: tuple = field(init=False, repr=False)
     delta = 0.1  # collar width: a class constant, not a field
 
     def __post_init__(self):
         if not -1.0 < self.tau <= 0.0:
             raise DomainError(f"profile exponent tau={self.tau} outside (-1, 0]")
-        object.__setattr__(self, "_q", _quintic_log_blend(self.tau, self.delta))
+        q = _quintic_log_blend(self.tau, self.delta)
+        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "_seam", tuple(_taylor(q, self.delta)[2:]))
 
     # -- profile as a function of the boundary distance s ------------------
     def v(self, s):
@@ -174,7 +179,6 @@ class DistanceProfile:
         return out[0] if scalar else out
 
 
-@_lru_cache(maxsize=64)
 def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss nodes and weights for the weight (1+t)^b on [-1, 1],
     b > -1 (b = 0 is Gauss-Legendre).
@@ -208,7 +212,7 @@ def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 # Gauss-Legendre nodes per panel; geometric ratio and depth of the graded
-# rule (it resolves an endpoint singularity down to ratio**levels of the
+# panels (they resolve the seam singularity down to ratio**levels of the
 # interval); panels of the logarithmic rule
 _PANEL_NODES = 14
 _GRADE_RATIO = 0.25
@@ -216,32 +220,29 @@ _GRADE_LEVELS = 20
 _LOG_PANELS = 6
 
 
-@_lru_cache(maxsize=None)
-def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], in panels graded
-    geometrically toward 0: [0, q^L], [q^L, q^(L-1)], ..., [q, 1].
-
-    Returned as (panels, nodes per panel) arrays so callers can sweep one
-    panel at a time.
-    """
+def _legendre_panels(edges: np.ndarray):
+    """_PANEL_NODES-point Gauss-Legendre nodes and weights on the panels
+    [edges[k], edges[k+1]], as read-only (panels, nodes) arrays."""
     t, wts = _gauss_jacobi(_PANEL_NODES, 0.0)
-    edges = np.concatenate(([0.0], _GRADE_RATIO ** np.arange(_GRADE_LEVELS, -1, -1.0)))
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    return lo + width * (t + 1.0) / 2.0, width * wts / 2.0
+    z, w = lo + width * (t + 1.0) / 2.0, width * wts / 2.0
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
-@_lru_cache(maxsize=None)
-def _log_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre on [0, 1] in equal panels, as (panels, nodes) arrays,
-    for the substitution r = a (b/a)^u of an integral over [a, b], 0 < a <= b.
-
-    In log r an integrand with an algebraic singularity at r = 0 is analytic
-    in a strip, so the rule is uniformly accurate however small a/b is.
-    """
-    t, wts = _gauss_jacobi(_PANEL_NODES, 0.0)
-    lo = np.arange(_LOG_PANELS)[:, None] / _LOG_PANELS
-    nodes = lo + (t + 1.0) / (2.0 * _LOG_PANELS)
-    return nodes, np.broadcast_to(wts / (2.0 * _LOG_PANELS), nodes.shape)
+# The collar rule on [delta, 1 - delta]: _GRADE_LEVELS + 1 panels graded
+# geometrically toward the C^2 seam at delta, [delta, delta + q^L (1/2 -
+# delta)], ..., up to 1/2, then two panels on [1/2, 1 - delta].
+_COLLAR_RULE = _legendre_panels(
+    DistanceProfile.delta
+    + (0.5 - DistanceProfile.delta)
+    * np.concatenate(([0.0], _GRADE_RATIO ** np.arange(_GRADE_LEVELS, -1, -1.0), [1.5, 2.0]))
+)
+# The logarithmic rule: equal panels on [0, 1] for the substitution
+# r = a (b/a)^u of an integral over [a, b], 0 < a <= b.  In log r an
+# integrand with an algebraic singularity at r = 0 is analytic in a strip, so
+# the rule is uniformly accurate however small a/b is.
+_LOG_RULE = _legendre_panels(np.linspace(0.0, 1.0, _LOG_PANELS + 1))
 
 
 def _taylor(a: np.ndarray, x) -> list:
@@ -268,7 +269,7 @@ def _seam_log_gap(profile: DistanceProfile, s: np.ndarray) -> np.ndarray:
     subtracted, and the two branches of the profile meet exactly C^2.
     """
     tau, delta = profile.tau, profile.delta
-    _, _, c3, c4, c5 = _taylor(profile._q, delta)
+    c3, c4, c5 = profile._seam
     h = s - delta
     # phi(u) = log1p(u) - u + u^2/2, by its Taylor series where that cancels
     u = h / delta
@@ -362,28 +363,23 @@ def _collar_values(profile: DistanceProfile, alpha: float, x: np.ndarray, c_val:
     Splitting the profile as z_+^tau plus a remainder D vanishing on
     (-inf, delta], the half-line identity gives -C(tau) x^(tau-2a), and the
     remainder contributes -int_delta^inf D(z) (z - x)^(-1-2a) dz, which is
-    regular in x.  Its pieces: D = profile - z^tau on [delta, 1-delta]
-    (graded Gauss-Legendre toward the C^2 seam at delta, where D vanishes to
-    third order, and plain Gauss-Legendre past the C^2 point 1/2); the
-    (1-z)^tau power on [1-delta, 1] and the z^tau tail on [1-delta, inf) in
-    closed hypergeometric form.
+    regular in x.  Its pieces: D = profile - z^tau on [delta, 1-delta] by
+    the collar rule (graded toward the C^2 seam at delta, where D vanishes to
+    third order); the (1-z)^tau power on [1-delta, 1] and the z^tau tail on
+    [1-delta, inf) in closed hypergeometric form.
     """
     tau, delta = profile.tau, profile.delta
     w = -1.0 - 2.0 * alpha
-    t, wts = _graded_rule()
-    z_seam = delta + (0.5 - delta) * t
-    g_half, w_half = _gauss_jacobi(2 * _PANEL_NODES, 0.0)
-    z_half = 0.5 + (0.5 - delta) * (g_half + 1.0) / 2.0
-    panels = [(z_seam[k], (0.5 - delta) * wts[k]) for k in range(t.shape[0])]
-    panels.append((z_half, (0.5 - delta) * w_half / 2.0))
+    z, wz = _COLLAR_RULE
+    # with s = d(z), profile - z^tau = s^tau expm1(gap(s)) + (s^tau - z^tau),
+    # whose second term is exactly 0 left of 1/2
+    s = np.minimum(z, 1.0 - z)
+    v = s**tau
+    d_w = (v * np.expm1(_seam_log_gap(profile, s)) + (v - z**tau)) * wz
 
     corr = np.zeros_like(x)
-    for k, (z, wz) in enumerate(panels):
-        if k < len(panels) - 1:
-            d_z = z**tau * np.expm1(_seam_log_gap(profile, z))
-        else:
-            d_z = profile.value(z) - z**tau
-        corr += ((z[None, :] - x[:, None]) ** w * (d_z * wz)).sum(axis=1)
+    for z_k, d_k in zip(z, d_w):
+        corr += ((z_k - x[:, None]) ** w * d_k).sum(axis=1)
     # both 2F1 arguments are below delta / (1 - delta), since x < delta
     z_max = delta / (1.0 - delta)
     corr += _power_window(1.0 - x, delta, tau, alpha, z_max)
@@ -443,7 +439,7 @@ def _interior_values(profile: DistanceProfile, alpha: float, x: np.ndarray):
     coef = _taylor(profile._q, xs)
     log_ratio = np.log(b / a)[:, None]
     mid_sum = np.zeros_like(a)
-    for uk, wk in zip(*_log_rule()):
+    for uk, wk in zip(*_LOG_RULE):
         r = a[:, None] * np.exp(log_ratio * uk)  # dr = r log(b/a) du
         diff = _second_difference(profile, xs, coef, r, keep_plus, keep_minus)
         mid_sum += (diff * r ** (w + 1.0) * wk).sum(axis=1)

@@ -14,6 +14,7 @@ import pytest
 import fraclap
 from fraclap import barriers, cli
 from fraclap.cli import main
+from fraclap.grid import GridFunction
 
 
 def run_cli(args):
@@ -300,6 +301,30 @@ def test_blowup_false_flag_exits_4(tmp_path, monkeypatch, flag):
     m = load_manifest(out)
     assert m[flag] is False
     assert m["fit_within_tolerance"] is True
+
+
+def test_blowup_negative_final_shell_exits_4(tmp_path, monkeypatch):
+    # a blow-up that fits, keeps its sandwich and its level ordering but has a
+    # nonpositive value on the final free set (here the midpoint, free at
+    # every shell and outside the fit window [2.5/16, 0.4]) is a
+    # verification failure
+    real = cli.solve_blowup
+
+    def negative_midpoint(*a, **k):
+        res = real(*a, **k)
+        values = res.final.values.copy()
+        values[values.size // 2] = -1.0
+        return dataclasses.replace(res, final=GridFunction(res.final.grid, values))
+
+    monkeypatch.setattr(cli, "solve_blowup", negative_midpoint)
+    out = tmp_path / "b"
+    code = run_cli(["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "201", "--levels", "8,16",
+                    "--fit-tol", "1.0", "--fit-hi", "0.4", "--out", str(out)])
+    assert code == 4
+    m = load_manifest(out)
+    assert m["positive_on_final_shell"] is False
+    assert m["fit_within_tolerance"] is True
+    assert m["sandwich_ok"] is True and m["monotone_in_levels"] is True
 
 
 def test_shift_mode_option_is_rejected(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Static hygiene of the code: no unused imports in src/fraclap, tests and
-scripts, no unused function parameters in src/fraclap, and no module-level
-private function of src/fraclap that nothing in src/fraclap calls, found by
-scanning the syntax tree of every module (the project runs no linter, so this
-test is the check).  Tests and scripts get the import check only: a pytest
+scripts, no unused function parameters in src/fraclap, no module-level
+private function of src/fraclap that nothing in src/fraclap calls, and no
+functools cache decorator in src/fraclap (module-level mutable state), found
+by scanning the syntax tree of every module (the project runs no linter, so
+this test is the check).  Tests and scripts get the import check only: a pytest
 fixture can be a parameter that the test body never names."""
 
 import ast
@@ -93,6 +94,38 @@ def orphaned_private_functions(tree: ast.Module, trees: list) -> list:
     )
 
 
+_CACHES = {"lru_cache", "cache"}
+
+
+def cache_decorated_functions(tree: ast.Module) -> list:
+    """Functions decorated with functools.lru_cache or functools.cache, under
+    whatever name the module imports them or functools itself."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names if a.name in _CACHES}
+
+    def is_cache(dec):
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name):
+            return target.id in names
+        return (
+            isinstance(target, ast.Attribute)
+            and target.attr in _CACHES
+            and isinstance(target.value, ast.Name)
+            and target.value.id in modules
+        )
+
+    return sorted(
+        f"{node.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(is_cache(dec) for dec in node.decorator_list)
+    )
+
+
 @pytest.mark.parametrize("path", MODULES + OTHER, ids=_module_id)
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -106,6 +139,11 @@ def test_no_unused_parameters(path):
 @pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_no_orphaned_private_functions(path):
     assert orphaned_private_functions(_tree(path), [_tree(p) for p in MODULES]) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
+def test_no_cache_decorators(path):
+    assert cache_decorated_functions(_tree(path)) == []
 
 
 def test_scanner_flags_what_it_should():
@@ -126,3 +164,12 @@ def test_scanner_flags_what_it_should():
     other = ast.parse("import m\nm._orphan\n")
     assert orphaned_private_functions(tree, [tree]) == ["_orphan (line 5)", "_recursive (line 3)"]
     assert orphaned_private_functions(tree, [tree, other]) == ["_recursive (line 3)"]
+    tree = ast.parse(
+        "import functools as ft\nfrom functools import lru_cache as _lc, cache, wraps\n"
+        "@_lc(maxsize=None)\ndef a():\n    pass\n"
+        "@cache\ndef b():\n    pass\n"
+        "@ft.lru_cache\ndef c():\n    pass\n"
+        "@wraps(a)\ndef d():\n    pass\n"
+        "@other.cache\ndef e():\n    pass\n"
+    )
+    assert cache_decorated_functions(tree) == ["a (line 4)", "b (line 7)", "c (line 10)"]

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, hyp2f1, roots_jacobi
 
+import fraclap.operator as fop
 from fraclap.barriers import torsion
 from fraclap.errors import DomainError, GridMismatchError
 from fraclap.fields import ExteriorData
@@ -137,8 +138,8 @@ def test_eval_on_power_floor():
 
 def test_eval_on_power_matches_profile_reference():
     for (alpha, tau, d), ref in PROFILE_REFERENCE.items():
-        assert eval_on_power(tau, alpha, d) == pytest.approx(ref, rel=1e-9)
-        assert eval_on_power(tau, alpha, 1.0 - d) == pytest.approx(ref, rel=1e-9)
+        assert eval_on_power(tau, alpha, d) == pytest.approx(ref, rel=5e-12)
+        assert eval_on_power(tau, alpha, 1.0 - d) == pytest.approx(ref, rel=5e-12)
 
 
 def test_eval_on_power_mirror_symmetry():
@@ -156,6 +157,29 @@ def test_eval_on_power_array_call_equals_scalar_calls():
         assert np.array_equal(batch, [eval_on_power(tau, alpha, float(x)) for x in xs])
         assert isinstance(eval_on_power(tau, alpha, 0.3), float)
         assert eval_on_power(tau, alpha, xs.reshape(4, 5)).shape == (4, 5)
+
+
+def test_rule_tables(monkeypatch):
+    """The collar table on [delta, 1-delta] and the logarithmic table on
+    [0, 1] are read-only and integrate z^k exactly for k <= 27 (14-node
+    Gauss-Legendre panels); a batch of collar points evaluates the seam gap
+    once, over the whole collar table."""
+    for table in (*fop._COLLAR_RULE, *fop._LOG_RULE):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+    k = np.arange(28.0)
+    delta = DistanceProfile.delta
+    for (z, w), exact in (
+        (fop._COLLAR_RULE, ((1.0 - delta) ** (k + 1) - delta ** (k + 1)) / (k + 1)),
+        (fop._LOG_RULE, 1.0 / (k + 1)),
+    ):
+        moments = (w[..., None] * z[..., None] ** k).sum(axis=(0, 1))
+        assert np.max(np.abs(moments / exact - 1.0)) <= 1e-13
+    calls = []
+    real = fop._seam_log_gap
+    monkeypatch.setattr(fop, "_seam_log_gap", lambda *a: calls.append(a) or real(*a))
+    eval_on_power(-0.5, 0.5, np.geomspace(1e-5, 0.09, 20))
+    assert len(calls) == 1
 
 
 def test_eval_on_power_array_floor():
@@ -198,7 +222,8 @@ def test_incomplete_beta_both_branches():
 
 @pytest.mark.parametrize(
     "n,b",
-    # the 48-point window rules, b = 1 - 2 alpha, and the Gauss-Legendre panels
+    # the 48-point window rules, b = 1 - 2 alpha, the 14-node Gauss-Legendre
+    # panels of the rule tables, and a longer Gauss-Legendre rule
     [(48, 1.0 - 2.0 * alpha) for alpha in (0.02, 0.25, 0.5, 0.75, 0.98)] + [(14, 0.0), (28, 0.0)],
 )
 def test_gauss_jacobi_against_roots_jacobi(n, b):

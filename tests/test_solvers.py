@@ -331,7 +331,7 @@ def test_blowup_path_stays_below_one_dense_matrix():
     levels = (8, 16, 32)
     grid = Grid1D.graded(801, 3.0, include=[1 / s for s in levels])
     cfg = IterationConfig(max_iters=5000, sup_tol=1e-9, exhaustion_levels=levels)
-    warm = solve_blowup(params, grid, cfg)  # fills the rule caches
+    warm = solve_blowup(params, grid, cfg)  # first-call allocations stay untraced
     tracemalloc.start()
     try:
         res = solve_blowup(params, grid, cfg)
