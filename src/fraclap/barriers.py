@@ -12,8 +12,9 @@ never depend on a grid.
 Every amplitude (mu on the collar, lambda on the torsion) is the first rung
 of a fixed ladder at which the barrier inequality holds.  `_margins`
 computes the margins of a whole ladder at once, one row per rung, elementwise
-exactly as `verify_barrier` computes one candidate's, and `_first_pass`
-picks the first passing row.
+exactly as `verify_barrier` computes one candidate's, from the p-free
+normalization s = `_scale`(xs, tau) and values already divided by it, and
+`_first_pass` picks the first passing row.
 """
 
 from __future__ import annotations
@@ -188,21 +189,29 @@ def _combine(arrays) -> tuple[np.ndarray, np.ndarray]:
     return sum(c * v for c, v, _ in arrays), sum(c * o for c, _, o in arrays)
 
 
-def _margins(xs, vals, ops, f_vals, p: float, tau: float) -> np.ndarray:
-    """Super-signed margins (op + |v|^(p-1) v - f) / d^(tau*p) at the points
-    xs, one row per candidate when vals and ops hold one row each.
+def _scale(xs, tau: float) -> np.ndarray:
+    """s = d^tau at the points xs: the part of the `_margins` normalization
+    that does not depend on p."""
+    return np.minimum(xs, 1.0 - xs) ** tau
+
+
+def _margins(s, scaled_vals, ops, f_vals, p: float) -> np.ndarray:
+    """Super-signed margins (op + |v|^(p-1) v - f) / d^(tau*p), from
+    s = `_scale`(xs, tau) and the values already divided by it,
+    scaled_vals = v / s; one row per candidate when scaled_vals and ops hold
+    one row each.
 
     d^(tau*p) is the natural magnitude of the residual's leading terms.  It
-    is applied as (op - f) / s^p + |v/s|^(p-1) v/s with s = d^tau, because
-    |v|^p and d^(tau*p) each overflow once |tau*p| passes about 60 at the
-    deepest collar point, and their ratio would be NaN; s^p may still
-    overflow, which sends the (then negligible) first term to 0.  A ladder
-    of amplitudes may overflow |v/s|^p in rows past the first that passes;
-    an overflowed row is +-inf, which is still its sign verdict.
+    is applied as (op - f) / s^p + |v/s|^(p-1) v/s, because |v|^p and
+    d^(tau*p) each overflow once |tau*p| passes about 60 at the deepest
+    collar point, and their ratio would be NaN; s^p may still overflow,
+    which sends the (then negligible) first term to 0.  A ladder of
+    amplitudes may overflow |v/s|^p in rows past the first that passes; an
+    overflowed row is +-inf, which is still its sign verdict.  A caller that
+    checks one ladder at many p forms s, v / s and the operator rows once.
     """
-    s = np.minimum(xs, 1.0 - xs) ** tau
     with np.errstate(over="ignore"):
-        return (ops - f_vals) / s**p + _signed_power(vals / s, p)
+        return (ops - f_vals) / s**p + _signed_power(scaled_vals, p)
 
 
 def _passes(margins: np.ndarray):
@@ -261,7 +270,8 @@ def verify_barrier(
         raise DomainError(f"role must be 'super' or 'sub', got {role!r}")
     xs = np.atleast_1d(np.asarray(collar_nodes, dtype=float))
     vals, ops = _combine(b.term_arrays(xs))
-    margins = _margins(xs, vals, ops, params.source.value(xs), params.p, b.leading_tau)
+    s = _scale(xs, b.leading_tau)
+    margins = _margins(s, vals / s, ops, params.source.value(xs), params.p)
     return _report(xs, margins if role == "super" else -margins, role)
 
 
@@ -295,14 +305,15 @@ def make_existence_pair(
     xs = collar_points()
     ((_, vals, ops),) = base.term_arrays(xs)
     f_vals = params.source.value(xs)
+    s = _scale(xs, tau)
     mus = [2.0**k for k in range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)]
     col = np.array(mus)[:, None]
-    margins = _margins(xs, col * vals, col * ops, f_vals, params.p, tau)
+    margins = _margins(s, col * vals / s, col * ops, f_vals, params.p)
     mu_super, _ = _first_pass(mus, margins, xs, "super", "super-solution")
     mu_sub, _ = _first_pass(mus[::-1], margins[::-1], xs, "sub", "sub-solution")
     if mu_super < 2.0 * mu_sub:
         mu_super = 2.0 * mu_sub
-        if not _passes(_margins(xs, mu_super * vals, mu_super * ops, f_vals, params.p, tau)):
+        if not _passes(_margins(s, mu_super * vals / s, mu_super * ops, f_vals, params.p)):
             raise VerificationError("super-solution amplitude lost admissibility when re-ordered")
     return base.scaled(mu_super), base.scaled(mu_sub)
 
@@ -330,9 +341,10 @@ def make_special_pair(params: ProblemParams, t: float) -> tuple[BarrierSpec, Bar
     scale = t**params.p
     mus = [0.0] + [scale * 2.0**k for k in range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)]
     col = np.array(mus)[:, None]
+    s = _scale(xs, tau0)
     margins = _margins(
-        xs, t * lead_vals - col * sec_vals, t * lead_ops - col * sec_ops,
-        params.source.value(xs), params.p, tau0,
+        s, (t * lead_vals - col * sec_vals) / s, t * lead_ops - col * sec_ops,
+        params.source.value(xs), params.p,
     )
     mu1, _ = _first_pass(mus, margins, xs, "super", "critical-family super-solution")
     mu2, _ = _first_pass(mus[1:], margins[1:], xs, "sub", "critical-family sub-solution")
@@ -377,13 +389,17 @@ def classify_zone6(p: float, tau: float, alpha: float) -> tuple[int, str]:
 def nonexistence_search(alpha: float, t: float, tau: float):
     """Amplitude search for the rate-excluding family t*V_tau + mu*V_0.
 
-    The operator values of V_tau and V_0 on the `collar_points` and 12
-    interior points in [0.1, 0.5] do not depend on p, so they are evaluated
-    here, once.  The returned
-    search(params, zone, role) -> (family, report) evaluates the ladder
+    Of the margins, only the source values and the powers depend on the
+    params; the rest is formed here, once: the operator values of V_tau and
+    V_0 on the `collar_points` and 12 interior points in [0.1, 0.5],
+    s = d^tau, and for each ladder sign the whole ladder's operator rows
+    t*op(V_tau) + mu*op(V_0) and scaled value rows (t*V_tau + mu*V_0) / s.
+    The returned
+    search(params, zone, role) -> (family, report) takes the ladder
     mu = +-2^k with the sign the zone prescribes (positive for super-solution
-    zones, negative for sub-solution zones) in one pass, keeps the first
-    verifying rung and records the zone, role and amplitude in the report.
+    zones, negative for sub-solution zones), evaluates its `_margins` at
+    params.p in one pass, keeps the first verifying rung and records the
+    zone, role and amplitude in the report.
     """
     if t <= 0:
         raise DomainError("family parameter t must be positive")
@@ -392,15 +408,16 @@ def nonexistence_search(alpha: float, t: float, tau: float):
     power, indicator = PowerTerm(DistanceProfile(tau=tau)), IndicatorTerm()
     base = BarrierSpec(alpha, ((t, power), (1.0, indicator)))
     (_, lead_vals, lead_ops), (_, ind_vals, ind_ops) = base.term_arrays(xs)
-
-    def search(params: ProblemParams, zone: int, role: str) -> tuple[BarrierSpec, BarrierReport]:
-        sign = 1.0 if role == "super" else -1.0
+    s = _scale(xs, tau)
+    ladders = {}
+    for sign in (1.0, -1.0):
         mus = [sign * 2.0**k for k in range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)]
         col = np.array(mus)[:, None]
-        margins = _margins(
-            xs, t * lead_vals + col * ind_vals, t * lead_ops + col * ind_ops,
-            params.source.value(xs), params.p, tau,
-        )
+        ladders[sign] = (mus, (t * lead_vals + col * ind_vals) / s, t * lead_ops + col * ind_ops)
+
+    def search(params: ProblemParams, zone: int, role: str) -> tuple[BarrierSpec, BarrierReport]:
+        mus, scaled_vals, ops = ladders[1.0 if role == "super" else -1.0]
+        margins = _margins(s, scaled_vals, ops, params.source.value(xs), params.p)
         mu, report = _first_pass(mus, margins, xs, role, f"nonexistence family in zone {zone}")
         report.zone = f"zone{zone}"
         return BarrierSpec(alpha, ((t, power), (mu, indicator))), report
@@ -455,9 +472,8 @@ def globalize_pair(
     for spec, sign in ((sup, -1.0), (sub, 1.0)):
         vals, ops = _combine([(c, *evaluated[id(term)]) for c, term in spec.terms])
         col = sign * np.array(lams)[:, None]
-        rows.append(_margins(
-            xs, vals + col * tor_vals, ops + col * tor_ops, f_vals, params.p, spec.leading_tau
-        ))
+        s = _scale(xs, spec.leading_tau)
+        rows.append(_margins(s, (vals + col * tor_vals) / s, ops + col * tor_ops, f_vals, params.p))
     sup_m, sub_m = rows[0], -rows[1]
     ok = _passes(sup_m) & _passes(sub_m)
     if not ok.any():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -47,17 +48,26 @@ from .rates import fit_exponent, verify_prop32
 from .solvers import IterationConfig, solve_blowup, solve_linear, solve_semilinear
 
 EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_VERIFICATION = 2, 3, 4
+GRID_MAX_POINTS = 100_000  # the most points a lo:hi:step grid spec may ask for
 
 
 def _grid_spec(text: str) -> np.ndarray:
-    """Parse lo:hi:step into an inclusive grid."""
+    """Parse lo:hi:step into an inclusive grid of at most GRID_MAX_POINTS
+    points, refused before any allocation otherwise."""
     try:
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise DomainError(f"grid spec {text!r} is not lo:hi:step") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise DomainError(f"grid spec {text!r} must have finite lo, hi and step")
     if step <= 0 or hi < lo:
         raise DomainError(f"grid spec {text!r} must have lo <= hi and step > 0")
-    n = int(round((hi - lo) / step))
+    # round(intervals) + 1 points; hi - lo may overflow to inf, and the
+    # quotient too: both fail the test
+    intervals = (hi - lo) / step
+    if not intervals < GRID_MAX_POINTS - 0.5:
+        raise DomainError(f"grid spec {text!r} asks for more than {GRID_MAX_POINTS} points")
+    n = int(round(intervals))
     vals = lo + step * np.arange(n + 1)
     # lo + step*k drifts by rounding: pin the end point, and a crossing of 0
     # (where the tau domain (-1, 0] ends), to their exact values

@@ -44,8 +44,9 @@ call) plus a regular correction built from a fixed graded Gauss-Legendre rule
 and closed-form 2F1 pieces; interior points use a Gauss-Jacobi window and a
 fixed logarithmic Gauss-Legendre rule on per-point pieces of equal count, with
 the collar crossings in closed form.  The two fixed Gauss-Legendre tables are
-built once at import and are read-only; the alpha-dependent window rule is
-built per call.
+built once at import and are read-only, and both are summed by
+`_panel_sums` in cache-sized blocks of points; the alpha-dependent window
+rule is built per call.
 
 Special functions.  Every closed-form piece, and the incomplete beta of the
 exterior potential, is one 2F1 family, 2F1(a, b; b+1; z), summed as its Gauss
@@ -218,6 +219,10 @@ _PANEL_NODES = 14
 _GRADE_RATIO = 0.25
 _GRADE_LEVELS = 20
 _LOG_PANELS = 6
+# entries (rows x panels x nodes) of one block of `_panel_sums`: blocks this
+# small stay in cache and keep the peak memory of a batch flat; one block
+# over a whole batch of points costs megabytes and, on some machines, time
+_BLOCK_ENTRIES = 4096
 
 
 def _legendre_panels(edges: np.ndarray):
@@ -327,6 +332,25 @@ def _second_difference(
     return np.where(use_p & use_m, both, single)
 
 
+def _panel_sums(n_rows: int, n_panels: int, integrand) -> np.ndarray:
+    """Quadrature sums of rows 0..n_rows-1 over a rule of n_panels panels:
+    integrand(rows) returns the weighted integrand on the (rows, n_panels,
+    _PANEL_NODES) nodes of a slice of rows.
+
+    The rows go in blocks of at most _BLOCK_ENTRIES entries.  In each block
+    the nodes of every panel are summed, then the panel sums are added in
+    table order, so a row's sum does not depend on the block it falls in and
+    a batch equals its points evaluated one at a time.
+    """
+    out = np.empty(n_rows)
+    step = max(1, _BLOCK_ENTRIES // (n_panels * _PANEL_NODES))
+    for start in range(0, n_rows, step):
+        rows = slice(start, start + step)
+        # a running sum adds the panels strictly in order, as a loop would
+        out[rows] = np.cumsum(integrand(rows).sum(axis=-1), axis=1)[:, -1]
+    return out
+
+
 def _gauss_series(a: float, b: float, z, z_max: float = 0.5):
     """2F1(a, b; b+1; z) = sum_k (a)_k / k! * b / (b+k) * z^k for |a| <= 3,
     b > 0 and an array 0 <= z <= z_max < 1, summed to the K terms with
@@ -366,7 +390,9 @@ def _collar_values(profile: DistanceProfile, alpha: float, x: np.ndarray, c_val:
     regular in x.  Its pieces: D = profile - z^tau on [delta, 1-delta] by
     the collar rule (graded toward the C^2 seam at delta, where D vanishes to
     third order); the (1-z)^tau power on [1-delta, 1] and the z^tau tail on
-    [1-delta, inf) in closed hypergeometric form.
+    [1-delta, inf) in closed hypergeometric form.  D times the weights is
+    formed once over the whole table; the kernel sum takes each point as one
+    row of `_panel_sums`, blocks of points at a time.
     """
     tau, delta = profile.tau, profile.delta
     w = -1.0 - 2.0 * alpha
@@ -377,9 +403,7 @@ def _collar_values(profile: DistanceProfile, alpha: float, x: np.ndarray, c_val:
     v = s**tau
     d_w = (v * np.expm1(_seam_log_gap(profile, s)) + (v - z**tau)) * wz
 
-    corr = np.zeros_like(x)
-    for z_k, d_k in zip(z, d_w):
-        corr += ((z_k - x[:, None]) ** w * d_k).sum(axis=1)
+    corr = _panel_sums(x.size, z.shape[0], lambda rows: (z - x[rows, None, None]) ** w * d_w)
     # both 2F1 arguments are below delta / (1 - delta), since x < delta
     z_max = delta / (1.0 - delta)
     corr += _power_window(1.0 - x, delta, tau, alpha, z_max)
@@ -398,10 +422,12 @@ def _interior_values(profile: DistanceProfile, alpha: float, x: np.ndarray):
     cut per point at every radius where x - r or x + r crosses a breakpoint
     of the profile, plus the window starts below, and integrated with the
     logarithmic Gauss-Legendre rule on each piece (zero-length pieces pad
-    every point to the same shape).  Near the two crossings r -> x and r -> 1-x
-    the profile is the collar power, so the windows [max(c - delta, c/2), c]
-    of each crossing radius c drop that term from the quadrature and add it
-    back in closed form.  Beyond 1 - x only the constant tail remains.
+    every point to the same shape); each piece is one row of `_panel_sums`,
+    so all the log rule's panels of a block of pieces are one array.  Near
+    the two crossings r -> x and r -> 1-x the profile is the collar power, so
+    the windows [max(c - delta, c/2), c] of each crossing radius c drop that
+    term from the quadrature and add it back in closed form.  Beyond 1 - x
+    only the constant tail remains.
     """
     tau, delta = profile.tau, profile.delta
     w = -1.0 - 2.0 * alpha
@@ -433,17 +459,22 @@ def _interior_values(profile: DistanceProfile, alpha: float, x: np.ndarray):
     n_pieces = cuts.shape[0] - 1
     a, b = cuts[:-1].ravel(), cuts[1:].ravel()
     mid = (a + b) / 2.0
-    keep_minus = (mid < np.tile(lo_minus, n_pieces))[:, None]
-    keep_plus = (mid < np.tile(lo_plus, n_pieces))[:, None]
-    xs = np.tile(x, n_pieces)[:, None]
+    keep_minus = (mid < np.tile(lo_minus, n_pieces))[:, None, None]
+    keep_plus = (mid < np.tile(lo_plus, n_pieces))[:, None, None]
+    xs = np.tile(x, n_pieces)[:, None, None]
     coef = _taylor(profile._q, xs)
-    log_ratio = np.log(b / a)[:, None]
-    mid_sum = np.zeros_like(a)
-    for uk, wk in zip(*_LOG_RULE):
-        r = a[:, None] * np.exp(log_ratio * uk)  # dr = r log(b/a) du
-        diff = _second_difference(profile, xs, coef, r, keep_plus, keep_minus)
-        mid_sum += (diff * r ** (w + 1.0) * wk).sum(axis=1)
-    total += (mid_sum * log_ratio[:, 0]).reshape(n_pieces, -1).sum(axis=0)
+    log_ratio = np.log(b / a)
+    u, wu = _LOG_RULE
+
+    def integrand(rows):
+        r = a[rows, None, None] * np.exp(log_ratio[rows, None, None] * u)  # dr = r log(b/a) du
+        diff = _second_difference(
+            profile, xs[rows], [c[rows] for c in coef], r, keep_plus[rows], keep_minus[rows]
+        )
+        return diff * r ** (w + 1.0) * wu
+
+    mid_sum = _panel_sums(a.size, u.shape[0], integrand)
+    total += (mid_sum * log_ratio).reshape(n_pieces, -1).sum(axis=0)
 
     total -= 2.0 * R ** (-2.0 * alpha) / (2.0 * alpha)
     return -(fx * total + windows)

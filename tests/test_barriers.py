@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from fraclap import barriers
+from fraclap import barriers, cli
 from fraclap.barriers import (
     BarrierSpec,
     IndicatorTerm,
@@ -129,6 +129,49 @@ def test_nonexistence_search_at_large_p():
         assert zone == 2 and report.passed and np.all(np.isfinite(report.margins))
         if p == 30.0:
             assert fam.terms[1][0] == 2.0**-20
+
+
+def test_nonexistence_search_shares_one_ladder_per_tau(monkeypatch):
+    """The ladder blocks formed once per tau give, at every p of the seed-0
+    sweep grid (and at p = 2, 3, 4 exactly, where numpy's scalar-power fast
+    path applies), the margins of each rung evaluated alone by `_margins`,
+    bit for bit, and the same first passing rung."""
+    alpha, t = 0.5, 1.0
+    ps = sorted({*cli._grid_spec("1.2:4:0.1").tolist(), 2.0, 3.0, 4.0})
+    seen = []
+    real_first_pass = barriers._first_pass
+    monkeypatch.setattr(
+        barriers, "_first_pass", lambda ladder, margins, *a: seen.append(margins)
+        or real_first_pass(ladder, margins, *a)
+    )
+    for tau in cli._grid_spec("-0.9:-0.1:0.05")[[0, 7, 15]]:
+        search = nonexistence_search(alpha, t, tau)
+        xs = np.array(sorted({*collar_points().tolist(), *np.linspace(0.1, 0.5, 12).tolist()}))
+        power = PowerTerm(DistanceProfile(tau=tau))
+        spec = BarrierSpec(alpha, ((t, power), (1.0, IndicatorTerm())))
+        (_, lead_vals, lead_ops), (_, ind_vals, ind_ops) = spec.term_arrays(xs)
+        s = barriers._scale(xs, tau)
+        for p in ps:
+            params = ProblemParams(alpha, p)
+            f_vals = params.source.value(xs)
+            for role, sign in (("super", 1.0), ("sub", -1.0)):
+                mus = [sign * 2.0**k for k in range(-barriers.MU_SWEEP_RANGE,
+                                                    barriers.MU_SWEEP_RANGE + 1)]
+                direct = np.array([
+                    barriers._margins(s, (t * lead_vals + mu * ind_vals) / s,
+                                      t * lead_ops + mu * ind_ops, f_vals, p)
+                    for mu in mus
+                ])
+                passing = [mu for mu, row in zip(mus, direct)
+                           if barriers._passes(row if role == "super" else -row)]
+                seen.clear()
+                if passing:
+                    fam, report = search(params, 1, role)
+                    assert fam.terms[1][0] == report.mu == passing[0]
+                else:
+                    with pytest.raises(VerificationError):
+                        search(params, 1, role)
+                assert np.array_equal(seen[0], direct)
 
 
 def test_nonexistence_family_zone4(kc05):

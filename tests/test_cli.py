@@ -14,6 +14,7 @@ import pytest
 import fraclap
 from fraclap import barriers, cli
 from fraclap.cli import main
+from fraclap.errors import DomainError
 from fraclap.grid import GridFunction
 
 
@@ -412,6 +413,36 @@ def test_sweep_command(tmp_path):
     assert len(regime) == 6
     assert all(v == "boundary" for (p, _), v in regime.items() if p == 2.0)
     assert regime[(2.5, 0.0)] == "unclassified"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--alpha", "0.5", "--p-grid", "2:3:nan", "--tau-grid=-0.8:-0.2:0.3"],
+    ["sweep", "--alpha", "0.5", "--p-grid", "inf:inf:1", "--tau-grid=-0.8:-0.2:0.3"],
+    ["sweep", "--alpha", "0.5", "--p-grid", "1.5:3.5:1", "--tau-grid=-0.8:-0.2:-inf"],
+    ["ctau", "--alpha", "0.5", "--tau-grid=-0.5:inf:0.1"],
+    ["ctau", "--alpha", "0.5", "--tau-grid=nan:0:0.1"],
+    # finite, but more points than the ceiling: refused before any allocation
+    ["sweep", "--alpha", "0.5", "--p-grid", "2:1e300:1e-300", "--tau-grid=-0.8:-0.2:0.3"],
+    ["sweep", "--alpha", "0.5", "--p-grid=-1e308:1e308:1", "--tau-grid=-0.8:-0.2:0.3"],
+    ["ctau", "--alpha", "0.5", f"--tau-grid=-0.9:-0.1:{0.4 / cli.GRID_MAX_POINTS}"],
+])
+def test_grid_spec_refuses_nonfinite_and_oversized(tmp_path, argv):
+    out = tmp_path / "grid"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "DomainError"
+    assert err["message"].startswith("grid spec ")
+
+
+def test_grid_spec_ceiling():
+    # the largest grid the ceiling admits is built; one point more is not,
+    # also where the interval count rounds up to it
+    n = cli.GRID_MAX_POINTS - 1
+    assert cli._grid_spec(f"0:{n}:1").size == cli.GRID_MAX_POINTS
+    assert cli._grid_spec(f"0:{n + 0.4}:1").size == cli.GRID_MAX_POINTS
+    for hi in (n + 1, n + 0.6):
+        with pytest.raises(DomainError):
+            cli._grid_spec(f"0:{hi}:1")
 
 
 def test_sweep_evaluates_operator_once_per_tau(tmp_path, monkeypatch):

@@ -158,6 +158,22 @@ def test_eval_on_power_array_call_equals_scalar_calls():
         assert isinstance(eval_on_power(tau, alpha, 0.3), float)
         assert eval_on_power(tau, alpha, xs.reshape(4, 5)).shape == (4, 5)
 
+    # a batch spanning several `_panel_sums` blocks on both paths: a collar
+    # point is one row of the collar table, an interior point 6 rows (its
+    # pieces) of the logarithmic table
+    collar_rows = fop._BLOCK_ENTRIES // fop._COLLAR_RULE[0].size
+    interior_rows = fop._BLOCK_ENTRIES // fop._LOG_RULE[0].size
+    xs = np.concatenate([
+        np.geomspace(1e-5, 0.099, 3 * collar_rows + 5),
+        np.linspace(0.1, 0.9, 2 * (3 * interior_rows // 6 + 5)),
+    ])
+    for alpha, tau in ((0.25, -0.6), (0.75, -0.3)):
+        batch = eval_on_power(tau, alpha, xs)
+        assert np.array_equal(batch, [eval_on_power(tau, alpha, float(x)) for x in xs])
+        for cut in (7, xs.size // 2 + 3):
+            halves = [eval_on_power(tau, alpha, part) for part in np.split(xs, [cut])]
+            assert np.array_equal(batch, np.concatenate(halves))
+
 
 def test_rule_tables(monkeypatch):
     """The collar table on [delta, 1-delta] and the logarithmic table on
