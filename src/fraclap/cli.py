@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -193,7 +194,8 @@ def cmd_blowup(args):
         name = f"level_{lev.shell}.csv"
         lev.solution.to_csv(outdir / name)
         profiles.append(name)
-    result.final.to_csv(outdir / "solution.csv")
+    # the final profile is the last level's solution: copy its bytes
+    shutil.copyfile(outdir / profiles[-1], outdir / "solution.csv")
     profiles.append("solution.csv")
 
     regime = classify_regime(params)

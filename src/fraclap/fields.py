@@ -16,15 +16,19 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["ExteriorData", "SourceField", "is_mirrored"]
+__all__ = ["ExteriorData", "SourceField", "is_mirrored", "MIRROR_TOL"]
+
+# how far a point may sit from the mirror 1 - x of its partner: a few units in
+# the last place of 1, the rounding of 1 - x
+MIRROR_TOL = 4 * np.finfo(float).eps
 
 
 def is_mirrored(xs) -> bool:
     """True when the increasing points xs are symmetric about 1/2 up to the
-    rounding of 1 - x: each point within a few units in the last place of 1
-    of its partner's mirror."""
+    rounding of 1 - x: each point within MIRROR_TOL of its partner's
+    mirror."""
     xs = np.asarray(xs, dtype=float)
-    return bool(np.all(np.abs(xs - (1.0 - xs[::-1])) <= 4 * np.finfo(float).eps))
+    return bool(np.all(np.abs(xs - (1.0 - xs[::-1])) <= MIRROR_TOL))
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, GridMismatchError
-from .fields import is_mirrored
+from .fields import MIRROR_TOL, is_mirrored
 
 __all__ = ["Grid1D", "GridFunction"]
 
@@ -51,16 +52,20 @@ class Grid1D:
         Points listed in `include` (and their mirrors) are snapped onto the
         grid exactly, replacing the nearest generated node; exhaustion shells
         and probe locations are pinned this way so they never fall between
-        nodes.
+        nodes.  Two points that would snap onto the same node are refused
+        (one of them would silently not be a node) unless they are mirror
+        images: q and 1 - q count as one point, to within `MIRROR_TOL`, and
+        the later one is kept.
         """
         if grading_exponent < 1.0:
             raise DomainError("grading_exponent must be >= 1")
         m = max(2, (int(n) + 1) // 2)
         s = np.arange(1, m + 1) / m
         half = 0.5 * s**grading_exponent
-        for q in include:
-            q = float(q)
-            q = min(q, 1.0 - q)
+        snapped = {}  # generated node index -> the point snapped onto it
+        for point in include:
+            point = float(point)
+            q = min(point, 1.0 - point)
             if not 0.0 < q <= 0.5:
                 raise DomainError(f"cannot snap point {q} into (0, 1/2]")
             if q == 0.5:
@@ -68,6 +73,12 @@ class Grid1D:
             j = int(np.argmin(np.abs(half - q)))
             if half[j] == 0.5:  # never move the midpoint
                 j -= 1
+            if j in snapped and abs(half[j] - q) > MIRROR_TOL:
+                raise DomainError(
+                    f"include points {snapped[j]!r} and {point!r} snap onto the same "
+                    f"grid node at n={n}; a larger n keeps both"
+                )
+            snapped[j] = point
             half[j] = q
         # sorted and deduplicated; np.unique would import numpy.ma (about
         # 13 ms of every run) to rule out a masked array
@@ -105,6 +116,13 @@ class Grid1D:
     @property
     def min_spacing(self) -> float:
         return float(min(self.nodes[0], np.diff(self.nodes).min()))
+
+    @cached_property
+    def _csv_prefixes(self) -> list:
+        """The `x,d,` start of every node's profile row, as shortest
+        round-trip reprs: the same in every profile on the grid, so formatted
+        once per grid object."""
+        return [f"{x!r},{d!r}," for x, d in zip(self.nodes.tolist(), self.d.tolist())]
 
     def cell_edges(self) -> np.ndarray:
         """Node list extended by the boundary points 0 and 1."""
@@ -150,7 +168,9 @@ class GridFunction:
     def to_csv(self, path) -> None:
         """Columns x, d, value as shortest round-trip reprs.  The bytes are
         those of csv.writer's default dialect (comma, CRLF); a finite float's
-        repr never needs quoting, so the rows are joined directly."""
-        rows = zip(self.grid.nodes.tolist(), self.grid.d.tolist(), self.values.tolist())
-        text = "".join([f"{x!r},{d!r},{v!r}\r\n" for x, d, v in rows])
+        repr never needs quoting, so the rows are joined directly.  The x and
+        d columns come preformatted from the grid; only the values are
+        formatted here."""
+        rows = zip(self.grid._csv_prefixes, self.values.tolist())
+        text = "".join([f"{xd}{v!r}\r\n" for xd, v in rows])
         Path(path).write_text("x,d,value\r\n" + text, newline="")

@@ -18,7 +18,9 @@ symmetric window around the collocation node the three-point parabola replaces
 the linear interpolant, which removes the kink divergence at alpha >= 1/2 and
 restores second-order consistency.  All kernel moments are power antiderivatives
 in closed form (with the stable log branch at 2*alpha = 1); the singular kernel
-is never sampled pointwise.
+is never sampled pointwise.  A row's far cells share their edges, so `assemble`
+takes one log per edge distance and forms the moments of every far cell of
+the row, on both sides of the node, in one pass.
 
 Mirror symmetry.  The grid is symmetric about 1/2, so the matrix satisfies
 A[n-1-i, n-1-j] = A[i, j]: `assemble` integrates and stores only the (n+1)/2
@@ -90,26 +92,13 @@ def tail_coefficient(x, alpha: float):
     return (x ** (-2.0 * alpha) + (1.0 - x) ** (-2.0 * alpha)) / (2.0 * alpha)
 
 
-def _pow_antideriv(log_lo, log_hi, expo: float):
-    """int_{r_lo}^{r_hi} r^expo dr from log r_lo and log r_hi, stable through
-    expo == -1 (log branch)."""
-    s = expo + 1.0
-    dlog = log_hi - log_lo
+def _pow_antideriv(log_lo, dlog, s: float):
+    """int_{r_lo}^{r_hi} r^(s-1) dr from log r_lo and dlog = log r_hi -
+    log r_lo, stable through s == 0 (log branch)."""
     if abs(s) < 1e-9:
         # e^(s log lo) * expm1(s dlog) / s, expanded around s = 0
         return np.exp(s * log_lo) * dlog * (1.0 + 0.5 * s * dlog * (1.0 + s * dlog / 3.0))
     return np.exp(s * log_lo) * np.expm1(s * dlog) / s
-
-
-def _linear_cell_moments(lo, hi, expo: float):
-    """Moments of r^expo over cells [lo, hi], 0 < lo < hi, against a linear
-    function of r: (m0, near, far), the plain moment and the weights of the
-    values at r = lo and r = hi (near + far = m0 in exact arithmetic)."""
-    log_lo, log_hi = np.log(lo), np.log(hi)
-    m0 = _pow_antideriv(log_lo, log_hi, expo)
-    m1 = _pow_antideriv(log_lo, log_hi, expo + 1.0)
-    h = hi - lo
-    return m0, (hi * m0 - m1) / h, (m1 - lo * m0) / h
 
 
 # ---------------------------------------------------------------------------
@@ -623,19 +612,25 @@ def assemble(grid: Grid1D, alpha: float) -> OperatorMatrix:
 
     All moments are closed-form power antiderivatives; a non-finite row is a
     hard failure (it would signal a degenerate spacing or an exponent branch
-    that escaped the stable antiderivative).
+    that escaped the stable antiderivative).  Per row, the far cells on both
+    sides are one array: one log per edge distance, each cell's log ratio
+    the difference of its edges' logs, then one pass for the plain and first
+    moments and the two endpoint weights.  exp and expm1 stay per cell: a
+    plain difference of powers would lose up to 9 digits on graded cells.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
     nodes = grid.nodes
     n = nodes.size
     edges = grid.cell_edges()
+    # antiderivative exponents of the far-cell moments of r^w0 and r^(w0+1),
+    # rounded as w0 + 1 and (w0 + 1) + 1
     w0 = -1.0 - 2.0 * alpha
+    s0 = w0 + 1.0
+    s1 = s0 + 1.0
 
     n_left = grid.n_half
     rows = np.empty((n_left, n))  # every row is written below
-    cell_lo_all = edges[:-1]
-    cell_hi_all = edges[1:]
 
     for i in range(n_left):
         x = nodes[i]
@@ -653,33 +648,40 @@ def assemble(grid: Grid1D, alpha: float) -> OperatorMatrix:
         row[i + 1] -= m_sym * (h_minus + h_plus) / denom
 
         # one-sided leftover of the local zone: piecewise-linear slope moment
-        if h_plus > h_m * (1.0 + 1e-14):
-            m_sl = float(_pow_antideriv(np.log(h_m), np.log(h_plus), -2.0 * alpha))
-            row[i + 2] += m_sl / h_plus
-            row[i + 1] -= m_sl / h_plus
-        elif h_minus > h_m * (1.0 + 1e-14):
-            m_sl = float(_pow_antideriv(np.log(h_m), np.log(h_minus), -2.0 * alpha))
-            row[i] += m_sl / h_minus
-            row[i + 1] -= m_sl / h_minus
+        h_out, j_out = (h_plus, i + 2) if h_plus > h_minus else (h_minus, i)
+        if h_out > h_m * (1.0 + 1e-14):
+            log_hm = np.log(h_m)
+            m_sl = float(_pow_antideriv(log_hm, np.log(h_out) - log_hm, 1.0 - 2.0 * alpha))
+            row[j_out] += m_sl / h_out
+            row[i + 1] -= m_sl / h_out
 
-        # far cells, vectorized: right of the local zone
-        if i + 2 <= n:
-            m0, near, far = _linear_cell_moments(
-                cell_lo_all[i + 2 :] - x, cell_hi_all[i + 2 :] - x, w0
-            )
-            row[i + 2 : n + 1] += near
-            row[i + 3 : n + 2] += far
-            row[i + 1] -= m0.sum()
+        # far cells: moments of r^w0 against the linear interpolant, all
+        # cells of the row in one pass over the edge distances r = |x - e|,
+        # left edges i..0 then right edges i+2..n+1, each run increasing.
+        # Cell k is [r[k], r[k+1]]: left cells k < i, right cells k > i; the
+        # pair k = i straddles the local zone and is discarded (its width
+        # may be 0, so it gets a dummy one).
+        r = np.concatenate((x - edges[i::-1], edges[i + 2 :] - x))
+        log_r = np.log(r)
+        log_lo, dlog = log_r[:-1], log_r[1:] - log_r[:-1]
+        lo, hi = r[:-1], r[1:]
+        h = hi - lo
+        h[i] = 1.0
+        m0 = _pow_antideriv(log_lo, dlog, s0)
+        m1 = _pow_antideriv(log_lo, dlog, s1)
+        near = (hi * m0 - m1) / h  # weight of the value at r = lo
+        far = (m1 - lo * m0) / h  # weight of the value at r = hi
 
-        # far cells left of the local zone (r = x - z, so the roles of the
-        # endpoints mirror: the cell's right edge sits at the small-r end)
+        # right of the local zone: cell k = i+1+j is [edges[i+2+j], edges[i+3+j]]
+        row[i + 2 : n + 1] += near[i + 1 :]
+        row[i + 3 : n + 2] += far[i + 1 :]
+        row[i + 1] -= m0[i + 1 :].sum()
+        # left of it (r = x - z, so a cell's right edge sits at the small-r
+        # end); the cells run outward, the row and the moment sum inward
         if i >= 1:
-            m0, near, far = _linear_cell_moments(
-                x - cell_hi_all[:i], x - cell_lo_all[:i], w0
-            )
-            row[0:i] += far
-            row[1 : i + 1] += near
-            row[i + 1] -= m0.sum()
+            row[0:i] += far[i - 1 :: -1]
+            row[1 : i + 1] += near[i - 1 :: -1]
+            row[i + 1] -= m0[i - 1 :: -1].sum()
 
         # fold virtual boundary endpoints onto the extreme nodes
         # (constant extrapolation on the unresolved boundary cells)

@@ -324,7 +324,7 @@ class BlowupLevel:
 
 @dataclass
 class BlowupResult:
-    final: GridFunction
+    final: GridFunction  # levels[-1].solution, the same object
     levels: list
     pair_global: tuple
     monotone_in_levels: bool

@@ -287,6 +287,48 @@ def test_blowup_command_small(tmp_path):
     assert (out / "level_8.csv").exists()
 
 
+def test_blowup_profile_bytes(tmp_path, monkeypatch):
+    # every level profile is byte-equal to a csv.writer per-row reference of
+    # its level solution, and solution.csv to the last level's file
+    real, results = cli.solve_blowup, []
+
+    def recorded(*a, **k):
+        results.append(real(*a, **k))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "solve_blowup", recorded)
+    out = tmp_path / "b"
+    code = run_cli(["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "201", "--levels", "8,16",
+                    "--fit-tol", "1.0", "--out", str(out)])
+    assert code == 0
+    (res,) = results
+    assert load_manifest(out)["profiles"] == ["level_8.csv", "level_16.csv", "solution.csv"]
+    for lev in res.levels:
+        ref = tmp_path / "ref.csv"
+        with ref.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "d", "value"])
+            grid = lev.solution.grid
+            for x, d, v in zip(grid.nodes, grid.d, lev.solution.values):
+                writer.writerow([repr(float(x)), repr(float(d)), repr(float(v))])
+        assert (out / f"level_{lev.shell}.csv").read_bytes() == ref.read_bytes()
+    assert (out / "solution.csv").read_bytes() == (out / "level_16.csv").read_bytes()
+
+
+def test_blowup_refuses_shells_sharing_a_node(tmp_path):
+    # at n = 21 the shells 256 and 512 would snap onto one node, and the
+    # level of shell 256 would have no node on its boundary
+    out = tmp_path / "b"
+    levels = ",".join(str(2**k) for k in range(3, 15))
+    code = run_cli(["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "21", "--levels", levels,
+                    "--out", str(out)])
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "DomainError"
+    assert "0.00390625 and 0.001953125" in err["message"]
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("flag", ["sandwich_ok", "monotone_in_levels"])
 def test_blowup_false_flag_exits_4(tmp_path, monkeypatch, flag):
     # a blow-up whose rate fits but whose sandwich or level ordering fails is

@@ -28,6 +28,21 @@ def test_graded_grid_snapping():
         assert np.min(np.abs(g.nodes - (1 - q))) < 1e-15
 
 
+def test_graded_refuses_points_snapping_onto_one_node():
+    # the shells 8..16384 crowd the deepest nodes of a coarse grid: two of
+    # them would share one node and the earlier one would silently be lost
+    shells = [2**k for k in range(3, 15)]
+    first_pair = {21: (256, 512), 41: (2048, 4096), 61: (8192, 16384)}
+    for n, (s1, s2) in first_pair.items():
+        with pytest.raises(DomainError, match=f"{1 / s1!r} and {1 / s2!r}"):
+            Grid1D.graded(n, 3.0, include=[1 / s for s in shells])
+    g = Grid1D.graded(81, 3.0, include=[1 / s for s in shells])
+    assert all(1 / s in g.nodes for s in shells)
+    # mirror images are one point, though 1 - 0.8 is not 0.2 in binary
+    g = Grid1D.graded(21, 3.0, include=[0.2, 0.8, 0.2])
+    assert 0.2 in g.nodes and np.count_nonzero(np.abs(g.d - 0.2) < 1e-15) == 2
+
+
 def test_free_mask():
     g = Grid1D.graded(301, 3.0, include=[1 / 8])
     free = g.free_mask(8)

@@ -381,6 +381,83 @@ def test_grid_mismatch_raises(op301):
         op301.apply(GridFunction(other, np.zeros(other.n_interior)))
 
 
+def _reference_rows(grid, alpha):
+    """Left-half rows by the per-cell formula: every far cell takes the logs
+    of its own two edge distances, right cells first, then left cells in grid
+    order.  The float operations are those of `assemble`, only grouped per
+    cell, so the rows must agree bit for bit."""
+
+    def antideriv(log_lo, log_hi, expo):
+        s = expo + 1.0
+        dlog = log_hi - log_lo
+        if abs(s) < 1e-9:
+            return np.exp(s * log_lo) * dlog * (1.0 + 0.5 * s * dlog * (1.0 + s * dlog / 3.0))
+        return np.exp(s * log_lo) * np.expm1(s * dlog) / s
+
+    def cell_moments(lo, hi, expo):
+        log_lo, log_hi = np.log(lo), np.log(hi)
+        m0 = antideriv(log_lo, log_hi, expo)
+        m1 = antideriv(log_lo, log_hi, expo + 1.0)
+        return m0, (hi * m0 - m1) / (hi - lo), (m1 - lo * m0) / (hi - lo)
+
+    nodes, edges = grid.nodes, grid.cell_edges()
+    n, h = nodes.size, grid.n_half
+    w0 = -1.0 - 2.0 * alpha
+    rows = np.empty((h, n))
+    for i in range(h):
+        x = nodes[i]
+        row = np.zeros(n + 2)
+        h_minus, h_plus = x - edges[i], edges[i + 2] - x
+        h_m = min(h_minus, h_plus)
+        m_sym = 2.0 * h_m ** (2.0 - 2.0 * alpha) / (2.0 - 2.0 * alpha)
+        denom = h_minus * h_plus * (h_minus + h_plus)
+        row[i] += m_sym * h_plus / denom
+        row[i + 2] += m_sym * h_minus / denom
+        row[i + 1] -= m_sym * (h_minus + h_plus) / denom
+        for h_out, j in ((h_plus, i + 2), (h_minus, i)):
+            if h_out > h_m * (1.0 + 1e-14):
+                m_sl = float(antideriv(np.log(h_m), np.log(h_out), -2.0 * alpha))
+                row[j] += m_sl / h_out
+                row[i + 1] -= m_sl / h_out
+                break
+        m0, near, far = cell_moments(edges[i + 2 : -1] - x, edges[i + 3 :] - x, w0)
+        row[i + 2 : n + 1] += near
+        row[i + 3 : n + 2] += far
+        row[i + 1] -= m0.sum()
+        if i >= 1:
+            m0, near, far = cell_moments(x - edges[1 : i + 1], x - edges[:i], w0)
+            row[0:i] += far
+            row[1 : i + 1] += near
+            row[i + 1] -= m0.sum()
+        row[1] += row[0]
+        row[n] += row[n + 1]
+        rows[i] = -row[1 : n + 1]
+    if n % 2:
+        rows[-1, h:] = rows[-1, : h - 1][::-1]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "nodes, alphas",
+    [
+        (
+            Grid1D.graded(201, 3.0, include=[2.0**-k for k in range(3, 15)] + [0.2, 0.35]).nodes,
+            (0.25, 0.5, 0.5 + 1e-13, 0.75),
+        ),
+        ([0.1, 0.3, 0.45, 0.55, 0.7, 0.9], (0.25, 0.5, 0.75)),
+        # the doubling grid: at the first node the edge distances on both
+        # sides of the local zone are equal, so a pair spanning the zone has
+        # width 0
+        ([0.125, 0.25, 0.5, 0.75, 0.875], (0.25, 0.5, 0.75)),
+    ],
+    ids=["graded201", "even6", "doubling5"],
+)
+def test_assembly_rows_bit_exact_against_per_cell_reference(nodes, alphas):
+    grid = Grid1D(nodes=np.array(nodes))
+    for alpha in alphas:
+        assert np.array_equal(assemble(grid, alpha).rows, _reference_rows(grid, alpha))
+
+
 def test_assembly_special_value_log_branch():
     # 2*alpha = 1 exercises the logarithmic antiderivative branch
     grid = Grid1D.graded(101, 2.0)
