@@ -3,13 +3,7 @@
 Runs the interaction, weak-source and strong-source configurations on a shared
 graded grid, fits the boundary exponents, and prints a comparison against the
 predicted rates -2a/(p-1), gamma+2a and gamma/p.  Writes per-case profiles and
-a summary CSV next to --out.
-
-The operator is assembled once and passed to all three solves, so its
-(n+1)/2 x n left-half rows (16 MB at n = 2001) stay alive across the cases,
-beside each case's factorization; the `fraclap blowup` command assembles
-inside `solve_blowup`, which folds the operator and releases the rows before
-factoring, so its peak memory is lower than this script's.
+a summary CSV into --out.  Each solve assembles and folds its own operator.
 """
 
 import argparse
@@ -19,7 +13,6 @@ from pathlib import Path
 from fraclap.exponents import ProblemParams, classify_regime
 from fraclap.fields import SourceField
 from fraclap.grid import Grid1D
-from fraclap.operator import assemble
 from fraclap.rates import fit_exponent
 from fraclap.solvers import IterationConfig, solve_blowup
 
@@ -37,7 +30,6 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid = Grid1D.graded(args.n, args.grading, include=[1.0 / s for s in SHELLS])
-    op = assemble(grid, args.alpha)  # the three cases share the grid and alpha
     full = int(2.0 / grid.min_spacing)
 
     cases = [
@@ -62,7 +54,7 @@ def main() -> None:
             max_iters=40000, sup_tol=1e-10, exhaustion_levels=levels
         )
         t0 = time.perf_counter()
-        res = solve_blowup(params, grid, cfg, op=op)
+        res = solve_blowup(params, grid, cfg)
         fit = fit_exponent(res.final, window)
         predicted = classify_regime(params).predicted_exponent
         elapsed = time.perf_counter() - t0

@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, VerificationError
-from .exponents import ProblemParams, RegimeReport, RegimeZone, _tie, find_tau0, special_window
+from .exponents import (
+    ProblemParams,
+    RegimeReport,
+    RegimeZone,
+    classify_zone6,
+    find_tau0,
+    special_window,
+)
 from .operator import DistanceProfile, eval_on_power, tail_coefficient
 
 __all__ = [
@@ -280,27 +287,23 @@ def verify_barrier(
 # ---------------------------------------------------------------------------
 
 
-def _existence_tau(params: ProblemParams, regime: RegimeReport) -> float:
-    if regime.zone is RegimeZone.EXISTENCE_INTERACTION:
-        return params.interaction_exponent
-    if regime.zone is RegimeZone.WEAK_SOURCE:
-        return params.source.gamma + 2.0 * params.alpha
-    if regime.zone is RegimeZone.STRONG_SOURCE:
-        return params.source.gamma / params.p
-    raise DomainError(f"no existence barrier construction for zone {regime.zone}")
-
-
 def make_existence_pair(
     params: ProblemParams, regime: RegimeReport
 ) -> tuple[BarrierSpec, BarrierSpec]:
     """Ordered (super, sub) pair mu_bar * V_tau >= mu * V_tau on the collar.
 
-    tau is the regime's boundary exponent; the amplitudes come from one
-    evaluation of the geometric ladder mu = 2^k on the `collar_points`: the
+    tau is the regime's boundary exponent, `regime.predicted_exponent` of an
+    interaction, weak-source or strong-source zone of `classify_regime`; any
+    other zone raises DomainError.  The amplitudes come from one evaluation
+    of the geometric ladder mu = 2^k on the `collar_points`: the
     super-solution takes the smallest verifying rung, the sub-solution the
     largest.
     """
-    tau = _existence_tau(params, regime)
+    if regime.zone not in (
+        RegimeZone.EXISTENCE_INTERACTION, RegimeZone.WEAK_SOURCE, RegimeZone.STRONG_SOURCE
+    ):
+        raise DomainError(f"no existence barrier construction for zone {regime.zone}")
+    tau = regime.predicted_exponent
     base = BarrierSpec(params.alpha, ((1.0, PowerTerm(DistanceProfile(tau=tau))),))
     xs = collar_points()
     ((_, vals, ops),) = base.term_arrays(xs)
@@ -326,8 +329,8 @@ def make_special_pair(params: ProblemParams, t: float) -> tuple[BarrierSpec, Bar
     tau1 = min(tau0 * p + 2*alpha, 0); at tau1 = 0 the second term degenerates
     to the interval indicator.
     """
-    if t <= 0:
-        raise DomainError("family parameter t must be positive")
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"family parameter t={t!r} must be positive and finite")
     window = special_window(params)
     if window is None or not window[0] < params.p < window[1]:
         raise DomainError(f"p={params.p} outside the special-existence window {window}")
@@ -355,37 +358,6 @@ def make_special_pair(params: ProblemParams, t: float) -> tuple[BarrierSpec, Bar
     return tuple(BarrierSpec(params.alpha, ((t, lead), (-mu, second))) for mu in (mu1, mu2))
 
 
-_ZONE_ROLES = {1: "super", 2: "super", 3: "sub", 4: "super", 5: "sub"}
-
-
-def classify_zone6(p: float, tau: float, alpha: float) -> tuple[int, str]:
-    """Map (p, tau) to the nonexistence-family zone {1..5} and its role.
-
-    Zones 1, 2, 4 produce super-solutions (mu > 0); zones 3, 5 sub-solutions
-    (mu < 0).  Parameters on a zone boundary (a tie in the sense of
-    `classify_regime`) raise.
-    """
-    kc = find_tau0(alpha)
-    tau0, p_star = kc.tau0, kc.p_star
-    p_low = 1.0 + 2.0 * alpha
-    tau_i = -2.0 * alpha / (p - 1.0)
-    if _tie(tau, tau0) and _tie(p, p_star):
-        return 4, _ZONE_ROLES[4]
-    if _tie(tau, tau0) or (_tie(p, p_low) and tau < tau0) or (_tie(tau, tau_i) and p > p_low):
-        raise DomainError(
-            f"(p={p}, tau={tau}) sits on a zone boundary of the nonexistence family"
-        )
-    if tau > tau0:
-        return 1, _ZONE_ROLES[1]
-    if p > p_low and tau < tau_i:
-        return 2, _ZONE_ROLES[2]
-    if p_low < p <= p_star and tau_i < tau < tau0:
-        return 3, _ZONE_ROLES[3]
-    if p <= p_low and tau < tau0:
-        return 5, _ZONE_ROLES[5]
-    raise DomainError(f"(p={p}, tau={tau}) is not covered by any nonexistence zone")
-
-
 def nonexistence_search(alpha: float, t: float, tau: float):
     """Amplitude search for the rate-excluding family t*V_tau + mu*V_0.
 
@@ -401,8 +373,8 @@ def nonexistence_search(alpha: float, t: float, tau: float):
     params.p in one pass, keeps the first verifying rung and records the
     zone, role and amplitude in the report.
     """
-    if t <= 0:
-        raise DomainError("family parameter t must be positive")
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"family parameter t={t!r} must be positive and finite")
     # sorted and deduplicated without np.unique, which imports numpy.ma
     xs = np.array(sorted({*collar_points().tolist(), *np.linspace(0.1, 0.5, 12).tolist()}))
     power, indicator = PowerTerm(DistanceProfile(tau=tau)), IndicatorTerm()

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .barriers import (
-    classify_zone6,
     collar_points,
     make_existence_pair,
     make_nonexistence_family,
@@ -40,7 +39,7 @@ from .errors import (
     FraclapError,
     VerificationError,
 )
-from .exponents import ProblemParams, classify_regime, find_tau0
+from .exponents import ProblemParams, classify_regime, classify_zone6, find_tau0
 from .fields import SourceField
 from .grid import Grid1D, GridFunction
 from .operator import assemble
@@ -152,7 +151,7 @@ def cmd_tau0(args):
 def cmd_regime(args):
     kc = find_tau0(args.alpha)
     params = ProblemParams(args.alpha, args.p, source=_source_from(args))
-    report = classify_regime(params, gamma=args.gamma, tau=args.tau)
+    report = classify_regime(params, tau=args.tau)
     return {"tau0": kc.tau0, "p_star": kc.p_star, **asdict(report)}, True
 
 
@@ -161,12 +160,12 @@ def cmd_solve(args):
     if source.kind == "power_collar" and source.kappa_f < 0:
         raise DomainError("solve expects a nonnegative source")
     params = ProblemParams(args.alpha, args.p, source=source)
+    cfg = IterationConfig(max_iters=args.max_iters, sup_tol=args.sup_tol)
     grid = _build_grid(args)
     op = assemble(grid, args.alpha)
     f_vals = source.value(grid.nodes)
     sub = GridFunction.zeros(grid)
     super_ = solve_linear(op, 0.0, f_vals)
-    cfg = IterationConfig(max_iters=args.max_iters, sup_tol=args.sup_tol)
     u, trace = solve_semilinear(params, op, sub, super_, cfg)
     u.to_csv(Path(args.out) / "solution.csv")
     return {
@@ -177,6 +176,8 @@ def cmd_solve(args):
 
 
 def cmd_blowup(args):
+    if not 0.0 <= args.fit_tol < math.inf:
+        raise DomainError(f"blowup --fit-tol={args.fit_tol} must be finite and >= 0")
     kc = find_tau0(args.alpha)
     params = ProblemParams(args.alpha, args.p, source=_source_from(args))
     grid = _build_grid(args)
@@ -261,8 +262,8 @@ def cmd_sweep(args):
     if outside:
         # the family's profile d^tau exists only there: no row could verify
         raise DomainError(f"sweep tau={outside[0]!r} outside (-1, 0]")
-    if not args.family_t > 0:
-        raise DomainError(f"sweep --family-t must be positive, got {args.family_t!r}")
+    if not 0.0 < args.family_t < math.inf:
+        raise DomainError(f"sweep --family-t={args.family_t!r} must be positive and finite")
     kc = find_tau0(args.alpha)
     ps = [float(p) for p in _grid_spec(args.p_grid)]
     rows = []
@@ -291,7 +292,7 @@ def cmd_sweep(args):
                     row["regime"] = "boundary"
             try:
                 zone, role = classify_zone6(p, tau, args.alpha)
-            except (DomainError, AmbiguousRegimeError) as exc:
+            except DomainError as exc:
                 row.update(zone="boundary", role="", mu=float("nan"), passed=False, note=str(exc))
                 continue
             row.update(zone=f"zone{zone}", role=role)

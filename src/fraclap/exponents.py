@@ -24,6 +24,7 @@ __all__ = [
     "RegimeReport",
     "find_tau0",
     "classify_regime",
+    "classify_zone6",
     "special_window",
 ]
 
@@ -42,15 +43,10 @@ class ProblemParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha={self.alpha} outside (0, 1)")
-        if not self.p > 1.0:
-            raise DomainError(f"p={self.p} must exceed 1")
+        if not 1.0 < self.p < float("inf"):
+            raise DomainError(f"p={self.p} must be finite and exceed 1")
         if self.source.kind == "power_collar":
             self.source.validate_for(self.alpha)
-
-    @property
-    def interaction_exponent(self) -> float:
-        """Boundary exponent -2*alpha/(p-1) of the pure interaction regime."""
-        return -2.0 * self.alpha / (self.p - 1.0)
 
 
 class RegimeZone(enum.Enum):
@@ -113,18 +109,17 @@ def _rate_report(zone: RegimeZone, predicted: float, tau: float | None, what: st
     )
 
 
-def classify_regime(
-    params: ProblemParams,
-    gamma: float | None = None,
-    tau: float | None = None,
-) -> RegimeReport:
+def classify_regime(params: ProblemParams, tau: float | None = None) -> RegimeReport:
     """Assign (alpha, p [, gamma] [, tau]) to its existence/nonexistence zone.
 
-    gamma defaults to the exponent of a power-collar source on `params`; tau,
-    when given, asks specifically about solutions with boundary rate d^tau.
-    Comparisons that land within BOUNDARY_RTOL of a zone boundary raise
-    AmbiguousRegimeError instead of being silently resolved (the one exception
-    is the weak-source lower endpoint, which the theory closes).
+    gamma is the exponent of a power-collar source on `params`; tau, when
+    given, asks specifically about solutions with boundary rate d^tau.  An
+    existence zone's `predicted_exponent` is its one boundary rate
+    (-2*alpha/(p-1), gamma + 2*alpha or gamma/p), the rate at which
+    `fraclap.barriers.make_existence_pair` builds its barriers.  Comparisons
+    that land within BOUNDARY_RTOL of a zone boundary raise
+    AmbiguousRegimeError instead of being silently resolved (the one
+    exception is the weak-source lower endpoint, which the theory closes).
     """
     alpha, p = params.alpha, params.p
     kc = find_tau0(alpha)
@@ -132,10 +127,7 @@ def classify_regime(
     p_low = 1.0 + 2.0 * alpha
     tau_inter = -2.0 * alpha / (p - 1.0)
 
-    if gamma is None and params.source.kind == "power_collar":
-        gamma = params.source.gamma
-    if gamma is not None and not -1.0 - 2.0 * alpha < gamma < 0.0:
-        raise DomainError(f"gamma={gamma} outside (-1-2*alpha, 0)")
+    gamma = params.source.gamma if params.source.kind == "power_collar" else None
     if tau is not None and not -1.0 < tau < 0.0:
         raise DomainError(f"tau={tau} outside (-1, 0)")
 
@@ -222,3 +214,34 @@ def classify_regime(
             RegimeZone.UNCLASSIFIED, None, "tau0 rate with subcritical power: not covered"
         )
     return RegimeReport(RegimeZone.NONEXISTENCE_III, None)
+
+
+_ZONE_ROLES = {1: "super", 2: "super", 3: "sub", 4: "super", 5: "sub"}
+
+
+def classify_zone6(p: float, tau: float, alpha: float) -> tuple[int, str]:
+    """Map (p, tau) to the nonexistence-family zone {1..5} and its role.
+
+    Zones 1, 2, 4 produce super-solutions (mu > 0); zones 3, 5 sub-solutions
+    (mu < 0).  Parameters on a zone boundary (a tie in the sense of
+    `classify_regime`) raise DomainError.
+    """
+    kc = find_tau0(alpha)
+    tau0, p_star = kc.tau0, kc.p_star
+    p_low = 1.0 + 2.0 * alpha
+    tau_i = -2.0 * alpha / (p - 1.0)
+    if _tie(tau, tau0) and _tie(p, p_star):
+        return 4, _ZONE_ROLES[4]
+    if _tie(tau, tau0) or (_tie(p, p_low) and tau < tau0) or (_tie(tau, tau_i) and p > p_low):
+        raise DomainError(
+            f"(p={p}, tau={tau}) sits on a zone boundary of the nonexistence family"
+        )
+    if tau > tau0:
+        return 1, _ZONE_ROLES[1]
+    if p > p_low and tau < tau_i:
+        return 2, _ZONE_ROLES[2]
+    if p_low < p <= p_star and tau_i < tau < tau0:
+        return 3, _ZONE_ROLES[3]
+    if p <= p_low and tau < tau0:
+        return 5, _ZONE_ROLES[5]
+    raise DomainError(f"(p={p}, tau={tau}) is not covered by any nonexistence zone")

@@ -52,10 +52,10 @@ class ExteriorData:
         if self.kind == "power_collar":
             if not -1.0 < self.beta < 0.0:
                 raise DomainError("power-collar exterior needs beta in (-1, 0)")
-            if self.kappa_g <= 0:
-                raise DomainError("power-collar exterior needs kappa_g > 0")
-            if self.eta <= 0:
-                raise DomainError("power-collar exterior needs eta > 0")
+            if not 0.0 < self.kappa_g < np.inf:
+                raise DomainError(f"power-collar exterior: kappa_g={self.kappa_g} outside (0, inf)")
+            if not 0.0 < self.eta < np.inf:
+                raise DomainError(f"power-collar exterior: eta={self.eta} outside (0, inf)")
 
     @classmethod
     def zero(cls) -> "ExteriorData":
@@ -97,8 +97,11 @@ class SourceField:
     def __post_init__(self):
         if self.kind not in ("zero", "power_collar", "tabulated"):
             raise DomainError(f"unknown source kind {self.kind!r}")
-        if self.kind == "power_collar" and not self.gamma < 0:
-            raise DomainError("power-collar source needs gamma < 0")
+        if self.kind == "power_collar":
+            if not self.gamma < 0:
+                raise DomainError("power-collar source needs gamma < 0")
+            if not -np.inf < self.kappa_f < np.inf:
+                raise DomainError(f"power-collar source: kappa_f={self.kappa_f} is not finite")
 
     @classmethod
     def zero(cls) -> "SourceField":

@@ -43,7 +43,7 @@ class Grid1D:
 
     @classmethod
     def graded(cls, n: int, grading_exponent: float = 3.0, include=()) -> "Grid1D":
-        """Symmetric graded grid with roughly n interior nodes.
+        """Symmetric graded grid with roughly n >= 3 interior nodes.
 
         Node density scales like d^(grading_exponent - 1) near each endpoint,
         so grading_exponent = 1 is uniform and larger values cluster nodes at
@@ -57,9 +57,11 @@ class Grid1D:
         images: q and 1 - q count as one point, to within `MIRROR_TOL`, and
         the later one is kept.
         """
-        if grading_exponent < 1.0:
-            raise DomainError("grading_exponent must be >= 1")
-        m = max(2, (int(n) + 1) // 2)
+        if not n >= 3:
+            raise DomainError(f"a graded grid needs n >= 3 interior nodes, got n={n}")
+        if not 1.0 <= grading_exponent < np.inf:
+            raise DomainError(f"grading_exponent must be >= 1 and finite, got {grading_exponent}")
+        m = (int(n) + 1) // 2
         s = np.arange(1, m + 1) / m
         half = 0.5 * s**grading_exponent
         snapped = {}  # generated node index -> the point snapped onto it

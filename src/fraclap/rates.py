@@ -19,7 +19,6 @@ from .operator import eval_on_power
 
 __all__ = ["RateFit", "Prop32Report", "fit_exponent", "check_band", "verify_prop32"]
 
-DEFAULT_WINDOW = (1e-5, 0.02)
 BAND_RATIO_MAX = 100.0
 
 
@@ -34,67 +33,61 @@ class RateFit:
     verified: bool
 
 
-def fit_exponent(u: GridFunction, window: tuple | None = None) -> RateFit:
-    """Least-squares boundary exponent of a positive grid function.
-
-    One least-squares line through the window's nodes of both endpoint
-    collars: the grid is mirrored, so both collars share the same log d
-    abscissae and this slope is the mean of the two per-collar slopes (the
-    midpoint, if inside the window, has no partner).  The returned band
-    is the range of u * d^(-exponent) over the window, and `verified`
-    requires a positive band minimum.  The default window is
-    [max(5 * min spacing, 1e-5), 0.02], which excludes under-resolved cells
-    and the non-asymptotic interior.
-    """
-    if window is None:
-        window = (max(5.0 * u.grid.min_spacing, DEFAULT_WINDOW[0]), DEFAULT_WINDOW[1])
+def _on_window(u: GridFunction, window: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(d, u) at the nodes with lo < d < hi, window = (lo, hi) with
+    0 < lo < hi; fewer than 8 such nodes raise DomainError."""
     lo, hi = window
     if not 0 < lo < hi:
         raise DomainError(f"invalid window {window}")
     d = u.grid.d
-    vals = u.values
     sel = (d > lo) & (d < hi)
     if np.count_nonzero(sel) < 8:
         raise DomainError(f"fewer than 8 nodes with d inside {window}")
-    if np.any(vals[sel] <= 0.0):
+    return d[sel], u.values[sel]
+
+
+def fit_exponent(u: GridFunction, window: tuple) -> RateFit:
+    """Least-squares boundary exponent of a positive grid function.
+
+    One least-squares line through the nodes of both endpoint collars with
+    lo < d < hi, window = (lo, hi): the grid is mirrored, so both collars
+    share the same log d abscissae and this slope is the mean of the two
+    per-collar slopes (the midpoint, if inside the window, has no partner).
+    The returned band is the range of u * d^(-exponent) over the window, and
+    `verified` requires a positive band minimum.
+    """
+    d, vals = _on_window(u, window)
+    if np.any(vals <= 0.0):
         raise DomainError("fit requires positive values on the window")
 
-    logd, logu = np.log(d[sel]), np.log(vals[sel])
+    logd, logu = np.log(d), np.log(vals)
     exponent, intercept = (float(c) for c in np.polyfit(logd, logu, 1))
     pred = exponent * logd + intercept
     ss_res = float(np.sum((logu - pred) ** 2))
     ss_tot = float(np.sum((logu - logu.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
 
-    band_vals = vals[sel] * d[sel] ** (-exponent)
+    band_vals = vals * d ** (-exponent)
     band = (float(band_vals.min()), float(band_vals.max()))
     return RateFit(
         exponent=exponent,
         intercept=intercept,
         r_squared=r2,
-        window=(lo, hi),
+        window=tuple(window),
         band=band,
-        n_points=int(np.count_nonzero(sel)),
+        n_points=d.size,
         verified=band[0] > 0.0,
     )
 
 
-def check_band(
-    u: GridFunction,
-    tau: float,
-    window: tuple = DEFAULT_WINDOW,
-) -> tuple[float, float, bool]:
-    """Range of u * d^(-tau) over the window.
+def check_band(u: GridFunction, tau: float, window: tuple) -> tuple[float, float, bool]:
+    """Range of u * d^(-tau) over the nodes with lo < d < hi.
 
     The flag is True when the minimum is positive and max/min stays below
     BAND_RATIO_MAX: the finite-window stand-in for 0 < liminf <= limsup < inf.
     """
-    lo, hi = window
-    d = u.grid.d
-    sel = (d > lo) & (d < hi)
-    if np.count_nonzero(sel) < 8:
-        raise DomainError(f"fewer than 8 nodes with d inside {window}")
-    band = u.values[sel] * d[sel] ** (-tau)
+    d, vals = _on_window(u, window)
+    band = vals * d ** (-tau)
     bmin, bmax = float(band.min()), float(band.max())
     ok = bmin > 0.0 and bmax / bmin <= BAND_RATIO_MAX
     return bmin, bmax, ok
@@ -122,20 +115,21 @@ class Prop32Report:
         return all(checks)
 
 
-def verify_prop32(alpha: float, tau: float, collar=None) -> Prop32Report:
+def verify_prop32(alpha: float, tau: float) -> Prop32Report:
     """Reproduce the barrier asymptotics of the distance-power profile.
 
     Below the critical exponent the operator of the profile is negative with
     magnitude ~ d^(tau - 2 alpha); above it, positive with the same rate; at
     the root the leading term cancels and the magnitude is bounded by
     d^min(tau0, 2 tau0 - 2 alpha + 1).  The operator values come from the
-    grid-free collar evaluation, so the check is purely about the asymptotics.
+    grid-free collar evaluation at 25 geometric distances in [1e-4, 1e-2],
+    so the check is purely about the asymptotics.
     tau within 1e-8 relative of tau0 counts as the root; elsewhere the fitted
     exponent must lie within 3% of tau - 2 alpha.
     """
     if not -1.0 < tau < 0.0:
         raise DomainError(f"tau={tau} outside (-1, 0)")
-    ds = np.geomspace(1e-4, 1e-2, 25) if collar is None else np.asarray(collar, dtype=float)
+    ds = np.geomspace(1e-4, 1e-2, 25)
     ops = eval_on_power(tau, alpha, ds)
     tau0 = find_tau0(alpha).tau0
 

@@ -99,8 +99,8 @@ class IterationConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
-        if self.sup_tol <= 0:
-            raise DomainError("sup_tol must be positive")
+        if not 0.0 < self.sup_tol < np.inf:
+            raise DomainError(f"sup_tol={self.sup_tol!r} must be positive and finite")
         levels = tuple(int(v) for v in self.exhaustion_levels)
         if not levels:
             raise DomainError("exhaustion_levels must name at least one shell")
@@ -195,17 +195,18 @@ def _full_solver(op: OperatorMatrix, shift):
     return lambda b: lu_solve(lu, b)
 
 
-def solve_linear(op: OperatorMatrix, shift, rhs) -> GridFunction:
+def solve_linear(op: OperatorMatrix, shift, rhs: np.ndarray) -> GridFunction:
     """Solve (L + shift) u = rhs with zero exterior data.
 
     shift may be a scalar or a nodal array, but must be nonnegative: then the
     matrix is a strictly diagonally dominant M-matrix, the solve cannot fail,
-    and rhs >= 0 implies u >= 0 (discrete comparison).
+    and rhs >= 0 implies u >= 0 (discrete comparison).  rhs holds one value
+    per grid node.
     """
     shift_vec = np.broadcast_to(np.asarray(shift, dtype=float), (op.grid.n_interior,))
     if np.any(shift_vec < 0):
         raise DomainError("shift must be nonnegative")
-    rhs_vals = rhs.values if isinstance(rhs, GridFunction) else np.asarray(rhs, dtype=float)
+    rhs_vals = np.asarray(rhs, dtype=float)
     if rhs_vals.shape != (op.grid.n_interior,):
         raise GridMismatchError("rhs length does not match the grid")
     return GridFunction(op.grid, _full_solver(op, shift_vec)(rhs_vals))
@@ -291,7 +292,7 @@ def solve_semilinear(
     op: OperatorMatrix,
     sub: GridFunction,
     super_: GridFunction,
-    cfg: IterationConfig = IterationConfig(),
+    cfg: IterationConfig,
 ) -> tuple[GridFunction, IterationTrace]:
     """Monotone solve of L u + |u|^(p-1) u = f between an ordered pair.
 
@@ -317,30 +318,33 @@ def solve_semilinear(
 @dataclass
 class BlowupLevel:
     shell: int
-    free: np.ndarray
     solution: GridFunction
     trace: IterationTrace
 
 
 @dataclass
 class BlowupResult:
-    final: GridFunction  # levels[-1].solution, the same object
     levels: list
     pair_global: tuple
     monotone_in_levels: bool
     sandwich_ok: bool
 
     @property
+    def final(self) -> GridFunction:
+        """The blow-up profile: the last level's solution."""
+        return self.levels[-1].solution
+
+    @property
     def final_free(self) -> np.ndarray:
-        return self.levels[-1].free
+        """Nodes free at the last level, d > 1/shell."""
+        return self.final.grid.free_mask(self.levels[-1].shell)
 
 
 def solve_blowup(
     params: ProblemParams,
     grid: Grid1D,
-    cfg: IterationConfig = IterationConfig(),
+    cfg: IterationConfig,
     pair: tuple[BarrierSpec, BarrierSpec] | None = None,
-    op: OperatorMatrix | None = None,
 ) -> BlowupResult:
     """Boundary blow-up solution by exhaustion of the interval.
 
@@ -374,8 +378,8 @@ def solve_blowup(
     verification nodes, the factorization and the sweeps all work on the
     left half (`OperatorMatrix.folded`), and the levels are mirrored back.
     A tabulated source whose table is not symmetric raises DomainError.
-    Without `op` the operator is assembled here and folded at once, so the
-    path never holds an n x n array, nor the assembled rows beside the LU.
+    The operator is assembled here and folded at once, so the path never
+    holds an n x n array, nor the assembled rows beside the LU.
     """
     if not params.source.mirror_symmetric:
         raise DomainError(
@@ -408,7 +412,7 @@ def solve_blowup(
     # centre-out order (decreasing d): the free set of each shell is the
     # leading m unknowns, so one factorization of the folded system, with
     # blocks ending at the level sizes, serves every level
-    A = (op if op is not None else assemble(grid, params.alpha)).folded()[::-1, ::-1].copy()
+    A = assemble(grid, params.alpha).folded()[::-1, ::-1].copy()
     W = np.asarray(sub_g.value(x), dtype=float)[::-1]
     U = np.asarray(sup_g.value(x), dtype=float)[::-1]
     f = params.source.value(x)[::-1]
@@ -457,7 +461,6 @@ def solve_blowup(
         levels.append(
             BlowupLevel(
                 shell=shell,
-                free=grid.free_mask(shell),
                 solution=GridFunction(grid, grid.mirror(u[::-1])),
                 trace=trace,
             )
@@ -468,7 +471,6 @@ def solve_blowup(
         and np.all(u <= U + 1e-9 * (1.0 + np.abs(U)))
     )
     return BlowupResult(
-        final=levels[-1].solution,
         levels=levels,
         pair_global=(sup_g, sub_g),
         monotone_in_levels=monotone_levels,

@@ -15,9 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from fraclap.barriers import classify_zone6, make_existence_pair, make_nonexistence_family
+from fraclap.barriers import make_existence_pair, make_nonexistence_family
 from fraclap.errors import DomainError
-from fraclap.exponents import ProblemParams, classify_regime, find_tau0
+from fraclap.exponents import ProblemParams, classify_regime, classify_zone6, find_tau0
 from fraclap.fields import ExteriorData, SourceField
 from fraclap.grid import Grid1D, GridFunction
 from fraclap.operator import assemble, exterior_potential
@@ -36,11 +36,6 @@ def report(name, passed, detail=""):
 @pytest.fixture(scope="module")
 def blowup_grid():
     return Grid1D.graded(2001, 3.0, include=[1.0 / s for s in SHELLS])
-
-
-@pytest.fixture(scope="module")
-def blowup_op(blowup_grid):
-    return assemble(blowup_grid, 0.5)
 
 
 def _blowup_cfg(levels, full_of=None):
@@ -131,10 +126,9 @@ def test_criterion_04_limit_trends(tau0_reference):
 def test_criterion_05_barrier_asymptotics():
     t0 = time.perf_counter()
     kc = find_tau0(0.5)
-    collar = np.geomspace(1e-4, 1e-2, 25)
-    r_i = verify_prop32(0.5, -0.8, collar=collar)
-    r_ii = verify_prop32(0.5, -0.2, collar=collar)
-    r_iii = verify_prop32(0.5, kc.tau0, collar=collar)
+    r_i = verify_prop32(0.5, -0.8)
+    r_ii = verify_prop32(0.5, -0.2)
+    r_iii = verify_prop32(0.5, kc.tau0)
     ok = (
         r_i.case == "i" and r_i.sign_ok and abs(r_i.exponent + 1.8) <= 0.03 * 1.8
         and r_ii.case == "ii" and r_ii.sign_ok and abs(r_ii.exponent + 1.2) <= 0.03 * 1.2
@@ -149,11 +143,11 @@ def test_criterion_05_barrier_asymptotics():
     )
 
 
-def test_criterion_06_interaction_rate(blowup_grid, blowup_op):
+def test_criterion_06_interaction_rate(blowup_grid):
     t0 = time.perf_counter()
     params = ProblemParams(0.5, 2.5)
     cfg = _blowup_cfg(SHELLS)
-    res = solve_blowup(params, blowup_grid, cfg, op=blowup_op)
+    res = solve_blowup(params, blowup_grid, cfg)
     slope = _slope(res.final, blowup_grid, 10.0 / SHELLS[-1], 0.02)
     rel = abs(slope + 2.0 / 3.0) / (2.0 / 3.0)
     positive = bool(np.all(res.final.values[res.final_free] > 0))
@@ -174,11 +168,11 @@ def test_criterion_06_interaction_rate(blowup_grid, blowup_op):
     )
 
 
-def test_criterion_07_weak_source_rate(blowup_grid, blowup_op):
+def test_criterion_07_weak_source_rate(blowup_grid):
     t0 = time.perf_counter()
     params = ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.2, kappa_f=0.25))
     cfg = _blowup_cfg(SHELLS, full_of=blowup_grid)
-    res = solve_blowup(params, blowup_grid, cfg, op=blowup_op)
+    res = solve_blowup(params, blowup_grid, cfg)
     slope = _slope(res.final, blowup_grid, 1.5e-3, 1.5e-2)
     rel = abs(slope + 0.2) / 0.2
     elapsed = time.perf_counter() - t0
@@ -189,11 +183,11 @@ def test_criterion_07_weak_source_rate(blowup_grid, blowup_op):
     )
 
 
-def test_criterion_08_strong_source_rate(blowup_grid, blowup_op):
+def test_criterion_08_strong_source_rate(blowup_grid):
     t0 = time.perf_counter()
     params = ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.8, kappa_f=1.0))
     cfg = _blowup_cfg(SHELLS, full_of=blowup_grid)
-    res = solve_blowup(params, blowup_grid, cfg, op=blowup_op)
+    res = solve_blowup(params, blowup_grid, cfg)
     slope = _slope(res.final, blowup_grid, 3e-4, 2e-3)
     rel = abs(slope + 0.45) / 0.45
     elapsed = time.perf_counter() - t0
@@ -249,7 +243,7 @@ def test_criterion_10_monotone_invariants():
     )
 
 
-def test_criterion_11_empirical_uniqueness(blowup_grid, blowup_op):
+def test_criterion_11_empirical_uniqueness(blowup_grid):
     t0 = time.perf_counter()
     params = ProblemParams(0.5, 2.5)
     regime = classify_regime(params)
@@ -266,8 +260,8 @@ def test_criterion_11_empirical_uniqueness(blowup_grid, blowup_op):
     assert verify_barrier(w1, params, "sub", xs).passed
     assert verify_barrier(w2, params, "sub", xs).passed
     cfg = _blowup_cfg(SHELLS)
-    res1 = solve_blowup(params, blowup_grid, cfg, pair=(sup, w1), op=blowup_op)
-    res2 = solve_blowup(params, blowup_grid, cfg, pair=(sup, w2), op=blowup_op)
+    res1 = solve_blowup(params, blowup_grid, cfg, pair=(sup, w1))
+    res2 = solve_blowup(params, blowup_grid, cfg, pair=(sup, w2))
     mask = blowup_grid.d > 0.05
     gap = float(np.max(np.abs(res1.final.values[mask] - res2.final.values[mask])))
     elapsed = time.perf_counter() - t0

@@ -11,7 +11,6 @@ from fraclap.barriers import (
     BarrierSpec,
     IndicatorTerm,
     PowerTerm,
-    classify_zone6,
     collar_points,
     globalize_pair,
     make_existence_pair,
@@ -22,7 +21,7 @@ from fraclap.barriers import (
     verify_barrier,
 )
 from fraclap.errors import DomainError, VerificationError
-from fraclap.exponents import ProblemParams, classify_regime
+from fraclap.exponents import ProblemParams, classify_regime, classify_zone6
 from fraclap.fields import SourceField
 from fraclap.grid import Grid1D
 from fraclap.operator import DistanceProfile, assemble

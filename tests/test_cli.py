@@ -355,9 +355,11 @@ def test_blowup_negative_final_shell_exits_4(tmp_path, monkeypatch):
 
     def negative_midpoint(*a, **k):
         res = real(*a, **k)
-        values = res.final.values.copy()
+        last = res.levels[-1]
+        values = last.solution.values.copy()
         values[values.size // 2] = -1.0
-        return dataclasses.replace(res, final=GridFunction(res.final.grid, values))
+        last = dataclasses.replace(last, solution=GridFunction(last.solution.grid, values))
+        return dataclasses.replace(res, levels=res.levels[:-1] + [last])
 
     monkeypatch.setattr(cli, "solve_blowup", negative_midpoint)
     out = tmp_path / "b"
@@ -474,6 +476,46 @@ def test_grid_spec_refuses_nonfinite_and_oversized(tmp_path, argv):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "DomainError"
     assert err["message"].startswith("grid spec ")
+
+
+BLOWUP = ["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "201", "--levels", "8,16"]
+STRONG = ["--alpha", "0.5", "--p", "4", "--gamma", "-1.8"]
+SPECIAL = ["--alpha", "0.5", "--p", "2.5"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--n", "151",
+      "--sup-tol", "inf"], "sup_tol=inf"),
+    (BLOWUP + ["--sup-tol", "inf"], "sup_tol=inf"),
+    (["regime", "--alpha", "0.5", "--p", "inf"], "p=inf"),
+    (["regime", *STRONG, "--kappa-f", "nan"], "kappa_f=nan"),
+    (["blowup", *STRONG, "--n", "201", "--levels", "8,16", "--kappa-f", "nan"], "kappa_f=nan"),
+    (["verify-barriers", *STRONG, "--kappa-f", "nan"], "kappa_f=nan"),
+    (BLOWUP + ["--family-t", "nan"], "t=nan"),
+    (BLOWUP + ["--family-t", "inf"], "t=inf"),
+    (["verify-barriers", *SPECIAL, "--family-t", "nan"], "t=nan"),
+    (["verify-barriers", *SPECIAL, "--tau", "-0.3", "--family-t", "inf"], "t=inf"),
+    (["sweep", "--alpha", "0.5", "--p-grid", "2:3:1", "--tau-grid=-0.8:-0.2:0.3",
+      "--family-t", "inf"], "--family-t=inf"),
+    (["sweep", "--alpha", "0.5", "--p-grid", "2:3:1", "--tau-grid=-0.8:-0.2:0.3",
+      "--family-t", "nan"], "--family-t=nan"),
+    (BLOWUP + ["--fit-tol", "nan"], "--fit-tol=nan"),
+    (BLOWUP + ["--fit-tol", "-0.1"], "--fit-tol=-0.1"),
+    (BLOWUP + ["--fit-tol", "inf"], "--fit-tol=inf"),
+    (["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--n", "-5"], "n=-5"),
+    (["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--n", "2"], "n=2"),
+    (["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--grading", "nan"], "got nan"),
+    (["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--grading", "inf"], "got inf"),
+])
+def test_nonfinite_and_out_of_range_values_are_refused(tmp_path, argv, named):
+    # each value is refused by the validator that owns it, before any work:
+    # exit 2, an error.json naming the value, and no profile or manifest
+    out = tmp_path / "bad"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "DomainError"
+    assert named in err["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
 def test_grid_spec_ceiling():

@@ -109,7 +109,7 @@ def test_weak_source_left_endpoint_closed():
     # gamma exactly at -2a - 2a/(p-1) belongs to the weak range
     p = 4.0
     gamma = -1.0 - 1.0 / (p - 1.0)
-    rep = classify_regime(ProblemParams(0.5, p), gamma=gamma)
+    rep = classify_regime(ProblemParams(0.5, p, source=SourceField.power_collar(gamma)))
     assert rep.zone is RegimeZone.WEAK_SOURCE
 
 
@@ -120,7 +120,7 @@ def test_boundary_ties_are_reported(kc05):
         classify_regime(ProblemParams(0.5, kc05.p_star))
     with pytest.raises(AmbiguousRegimeError):
         # gamma at the open weak-source upper endpoint
-        classify_regime(ProblemParams(0.5, 4.0), gamma=-1.0)
+        classify_regime(ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.0)))
 
 
 def test_special_window(kc05):
@@ -148,7 +148,7 @@ def test_domain_validation():
     with pytest.raises(DomainError):
         ProblemParams(0.5, 0.9)
     with pytest.raises(DomainError):
-        classify_regime(ProblemParams(0.5, 2.5), gamma=-2.5)
+        ProblemParams(0.5, 2.5, source=SourceField.power_collar(-2.5))
     with pytest.raises(DomainError):
         classify_regime(ProblemParams(0.5, 2.5), tau=-1.5)
 
@@ -162,7 +162,8 @@ def test_domain_validation():
 def test_classification_is_a_partition(p, gamma, tau):
     """Every sampled point gets exactly one zone or an explicit tie report."""
     try:
-        rep = classify_regime(ProblemParams(0.5, p), gamma=gamma, tau=tau)
+        source = SourceField.zero() if gamma is None else SourceField.power_collar(gamma)
+        rep = classify_regime(ProblemParams(0.5, p, source=source), tau=tau)
     except AmbiguousRegimeError:
         return
     assert rep.zone in RegimeZone

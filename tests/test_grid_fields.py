@@ -158,3 +158,9 @@ def test_exterior_field():
         ExteriorData.power_collar(beta=-1.5)
     with pytest.raises(DomainError):
         ExteriorData(kind="tabulated")  # exterior data is a zero or power-collar g
+    # amplitude and collar width must lie in (0, inf), NaN included
+    for name, value in (("kappa_g", np.nan), ("kappa_g", np.inf), ("kappa_g", 0.0),
+                        ("eta", np.nan), ("eta", np.inf), ("eta", -1.0)):
+        with pytest.raises(DomainError, match=f"{name}={value}"):
+            ExteriorData.power_collar(beta=-0.5, **{name: value})
+
