@@ -6,8 +6,8 @@ interval indicator and the torsion function (operator value exactly -1).  A
 BarrierSpec is such a combination together with the fractional order.  The
 power profile's operator values come from the semi-analytic path in
 `fraclap.operator`; the indicator's and the torsion's are closed forms.  This
-module imports nothing from `fraclap.grid`: verification and globalization
-never depend on a grid.
+module imports nothing from `fraclap.grid`: `globalize_pair` is given the
+discrete system as nodes and a matrix, and the collar checks are grid-free.
 
 Every amplitude (mu on the collar, lambda on the torsion) is the first rung
 of a fixed ladder at which the barrier inequality holds.  `_margins`
@@ -191,11 +191,6 @@ def _signed_power(u: np.ndarray, p: float) -> np.ndarray:
     return np.sign(u) * np.abs(u) ** p
 
 
-def _combine(arrays) -> tuple[np.ndarray, np.ndarray]:
-    """Values and operator values of the sum of c * term, summed left to right."""
-    return sum(c * v for c, v, _ in arrays), sum(c * o for c, _, o in arrays)
-
-
 def _scale(xs, tau: float) -> np.ndarray:
     """s = d^tau at the points xs: the part of the `_margins` normalization
     that does not depend on p."""
@@ -222,8 +217,8 @@ def _margins(s, scaled_vals, ops, f_vals, p: float) -> np.ndarray:
 
 
 def _passes(margins: np.ndarray):
-    """Verdict per row: no margin below -TOL_REL (slack for quadrature noise)."""
-    return margins.min(axis=-1) >= -TOL_REL
+    """Verdict per row: no margin below -TOL_REL (quadrature slack); an empty row passes."""
+    return margins.min(axis=-1, initial=np.inf) >= -TOL_REL
 
 
 def _report(xs: np.ndarray, margins: np.ndarray, role: str) -> BarrierReport:
@@ -276,7 +271,8 @@ def verify_barrier(
     if role not in ("super", "sub"):
         raise DomainError(f"role must be 'super' or 'sub', got {role!r}")
     xs = np.atleast_1d(np.asarray(collar_nodes, dtype=float))
-    vals, ops = _combine(b.term_arrays(xs))
+    arrays = b.term_arrays(xs)
+    vals, ops = sum(c * v for c, v, _ in arrays), sum(c * o for c, _, o in arrays)
     s = _scale(xs, b.leading_tau)
     margins = _margins(s, vals / s, ops, params.source.value(xs), params.p)
     return _report(xs, margins if role == "super" else -margins, role)
@@ -418,42 +414,46 @@ def globalize_pair(
     pair: tuple[BarrierSpec, BarrierSpec],
     params: ProblemParams,
     nodes,
-) -> tuple[BarrierSpec, BarrierSpec]:
+    A: np.ndarray,
+    sub_rows: int,
+    super_rows: int,
+) -> tuple[tuple[BarrierSpec, BarrierSpec], tuple[np.ndarray, np.ndarray]]:
     """Extend a collar-verified pair to all of the interval by adding
-    +-lambda times the torsion function V = `torsion`(params.alpha)
-    (operator value -1), with the first lambda in {0, 1, 2, 4, ..., 2^38} at
-    which both inequalities hold at every supplied node.  Each role's margins
-    are evaluated for the whole ladder at once.
+    +-lambda V, V = `torsion`(params.alpha) < 0, with the first lambda in
+    {0, 1, 2, 4, ..., 2^38} at which the pair passes on the discrete system.
 
-    The torsion term is negative, so the super-solution gains -lambda * V
-    (pointwise increase, operator gain +lambda) and the sub-solution gains
-    +lambda * V; ordering is preserved automatically.
+    A is the operator's matrix on the values at `nodes` (zero exterior),
+    ordered so that the rows a level frees lead.  W = sub + lambda V must
+    satisfy A W + |W|^(p-1) W <= f on the first `sub_rows` rows, and
+    U = sup - lambda V the reverse on the first `super_rows` (then also with
+    W imposed outside a level, as A's off-diagonals are <= 0 and U >= W).
+    The operator values are three matvecs and each rung's `_margins` are
+    elementwise.  Returns the pair and its values (U, W) at the nodes; if no
+    rung passes, VerificationError names a failing role, its worst margin
+    on the last rung and its d.
     """
     sup, sub = pair
-    xs = np.atleast_1d(np.asarray(nodes, dtype=float))
-    f_vals = params.source.value(xs)
+    x = np.asarray(nodes, dtype=float)
     tor = torsion(params.alpha)
-    tor_vals, tor_ops = tor.value(xs), tor.op(xs, params.alpha)
-
-    # the constructors give sup and sub the same term objects: evaluate each once
-    terms = {id(term): term for _, term in sup.terms + sub.terms}
-    shared = BarrierSpec(sup.alpha, tuple((1.0, term) for term in terms.values()))
-    evaluated = {key: (v, o) for key, (_, v, o) in zip(terms, shared.term_arrays(xs))}
+    tor_vals = tor.value(x)
+    tor_ops = A[: max(sub_rows, super_rows)] @ tor_vals
     lams = [0.0] + [2.0**k for k in range(39)]
-    rows = []
-    for spec, sign in ((sup, -1.0), (sub, 1.0)):
-        vals, ops = _combine([(c, *evaluated[id(term)]) for c, term in spec.terms])
-        col = sign * np.array(lams)[:, None]
-        s = _scale(xs, spec.leading_tau)
-        rows.append(_margins(s, (vals + col * tor_vals) / s, ops + col * tor_ops, f_vals, params.p))
-    sup_m, sub_m = rows[0], -rows[1]
+    values, margins = [], []
+    for spec, rows, sign in ((sup, super_rows, -1.0), (sub, sub_rows, 1.0)):
+        vals, col = spec.value(x), sign * np.array(lams)[:, None]
+        values.append(vals + col * tor_vals)
+        s, f_vals = _scale(x[:rows], spec.leading_tau), params.source.value(x[:rows])
+        ops = A[:rows] @ vals + col * tor_ops[:rows]
+        margins.append(_margins(s, values[-1][:, :rows] / s, ops, f_vals, params.p))
+    sup_m, sub_m = margins[0], -margins[1]
     ok = _passes(sup_m) & _passes(sub_m)
     if not ok.any():
+        role, m = ("sub", sub_m) if not _passes(sub_m[-1]) else ("super", sup_m)
+        last = _report(x[: m.shape[1]], m[-1], role)
         raise VerificationError(
-            f"global extension failed: worst margins super={sup_m[-1].min():.3e}, "
-            f"sub={sub_m[-1].min():.3e}"
+            f"global extension failed: the {role}-solution fails the discrete check for every "
+            f"lambda (worst margin {last.worst_margin:.3e} at d={last.worst_x:.3e})"
         )
-    lam = lams[int(np.argmax(ok))]
-    if not lam:
-        return sup, sub
-    return sup.with_term(-lam, tor), sub.with_term(lam, tor)
+    i = int(np.argmax(ok))
+    specs = (sup.with_term(-lams[i], tor), sub.with_term(lams[i], tor)) if i else (sup, sub)
+    return specs, (values[0][i], values[1][i])

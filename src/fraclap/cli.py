@@ -44,7 +44,7 @@ from .fields import SourceField
 from .grid import Grid1D, GridFunction
 from .operator import assemble
 from .quadrature import eval_C, eval_C_derivatives
-from .rates import fit_exponent, verify_prop32
+from .rates import _on_window, fit_exponent, verify_prop32
 from .solvers import IterationConfig, solve_blowup, solve_linear, solve_semilinear
 
 EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_VERIFICATION = 2, 3, 4
@@ -187,6 +187,12 @@ def cmd_blowup(args):
         sup_tol=args.sup_tol,
         exhaustion_levels=levels,
     )
+    # by default keep the window clear of the deepest imposed shell, where
+    # the level solution is pinned to the barrier data
+    fit_lo = args.fit_lo if args.fit_lo is not None else 2.5 / max(levels)
+    fit_hi = args.fit_hi if args.fit_hi is not None else max(0.02, 10.0 / max(levels))
+    window = (fit_lo, fit_hi)
+    _on_window(grid, window)  # a window that cannot fit is refused before the solve
     pair = None if args.family_t is None else make_special_pair(params, args.family_t)
     result = solve_blowup(params, grid, cfg, pair=pair)
     outdir = Path(args.out)
@@ -200,11 +206,6 @@ def cmd_blowup(args):
     profiles.append("solution.csv")
 
     regime = classify_regime(params)
-    # by default keep the window clear of the deepest imposed shell, where
-    # the level solution is pinned to the barrier data
-    fit_lo = args.fit_lo if args.fit_lo is not None else 2.5 / max(levels)
-    fit_hi = args.fit_hi if args.fit_hi is not None else max(0.02, 10.0 / max(levels))
-    window = (fit_lo, fit_hi)
     fit = fit_exponent(result.final, window)
     # the critical-rate family carries the root exponent, not the zone rate
     predicted = kc.tau0 if args.family_t is not None else regime.predicted_exponent

@@ -87,7 +87,11 @@ class Grid1D:
         half = np.array(sorted(set(half.tolist())))
         if half[-1] != 0.5:
             half = np.append(half, 0.5)
-        nodes = np.concatenate([half, 1.0 - half[:-1][::-1]])
+        mirrors = 1.0 - half  # below d ~ 1e-16 these round to 1.0 or together
+        if mirrors[0] == 1.0 or np.any(np.diff(mirrors) >= 0.0):
+            raise DomainError(f"grading_exponent={grading_exponent} at n={n} puts a node too "
+                              f"near 0 (d={half[0]:.3e}) for its mirror 1 - d to be distinct")
+        nodes = np.concatenate([half, mirrors[:-1][::-1]])
         return cls(nodes=nodes)
 
     @property

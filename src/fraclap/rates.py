@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .exponents import find_tau0
-from .grid import GridFunction
+from .grid import Grid1D, GridFunction
 from .operator import eval_on_power
 
 __all__ = ["RateFit", "Prop32Report", "fit_exponent", "check_band", "verify_prop32"]
@@ -33,17 +33,17 @@ class RateFit:
     verified: bool
 
 
-def _on_window(u: GridFunction, window: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(d, u) at the nodes with lo < d < hi, window = (lo, hi) with
-    0 < lo < hi; fewer than 8 such nodes raise DomainError."""
+def _on_window(grid: Grid1D, window: tuple) -> np.ndarray:
+    """Mask of the nodes with lo < d < hi, window = (lo, hi) with
+    0 < lo < hi; fewer than 8 such nodes raise DomainError.  The grid alone
+    decides, so `blowup` checks its window here before it solves."""
     lo, hi = window
     if not 0 < lo < hi:
         raise DomainError(f"invalid window {window}")
-    d = u.grid.d
-    sel = (d > lo) & (d < hi)
+    sel = (grid.d > lo) & (grid.d < hi)
     if np.count_nonzero(sel) < 8:
         raise DomainError(f"fewer than 8 nodes with d inside {window}")
-    return d[sel], u.values[sel]
+    return sel
 
 
 def fit_exponent(u: GridFunction, window: tuple) -> RateFit:
@@ -56,7 +56,8 @@ def fit_exponent(u: GridFunction, window: tuple) -> RateFit:
     The returned band is the range of u * d^(-exponent) over the window, and
     `verified` requires a positive band minimum.
     """
-    d, vals = _on_window(u, window)
+    sel = _on_window(u.grid, window)
+    d, vals = u.grid.d[sel], u.values[sel]
     if np.any(vals <= 0.0):
         raise DomainError("fit requires positive values on the window")
 
@@ -86,7 +87,8 @@ def check_band(u: GridFunction, tau: float, window: tuple) -> tuple[float, float
     The flag is True when the minimum is positive and max/min stays below
     BAND_RATIO_MAX: the finite-window stand-in for 0 < liminf <= limsup < inf.
     """
-    d, vals = _on_window(u, window)
+    sel = _on_window(u.grid, window)
+    d, vals = u.grid.d[sel], u.values[sel]
     band = vals * d ** (-tau)
     bmin, bmax = float(band.min()), float(band.max())
     ok = bmin > 0.0 and bmax / bmin <= BAND_RATIO_MAX

@@ -17,21 +17,12 @@ set is then the leading m unknowns and its imposed set the rest, so each
 level quantity is a [:m] or [m:] slice of one centre-out array, and one
 factorization of L + D serves all levels.
 
-Both solvers run the same loop, `_monotone_iterate`.  It takes the operator
-with the level's imposed values in place, apply(u), and forms the load
-apply(0), each sweep's right-hand side and the final residual
-apply(u) + |u|^(p-1) u - f itself: `solve_semilinear` passes `op.apply`
-(nothing imposed, so the load is zero) and `solve_blowup` the leading m rows
-of the centre-out folded operator, applied to u followed by the imposed
-W[m:].
-
-The factorization is `lu_factor`, a numpy block LDU without pivoting whose
-blocks end at the level sizes: each diagonal block holds the inverse of its
-Schur block, and a level solve (`lu_solve`) is block substitution over the
-level's leading blocks, on views of the factors.  L + D is a row-strictly
-dominant M-matrix, so its Schur complements are too and no pivoting is
-needed; each Schur block is checked to be row-strictly dominant, and a
-failure raises ConvergenceError.
+Both solvers run the same loop, `_monotone_iterate`, given the operator
+with the level's imposed values in place: `op.apply` in `solve_semilinear`,
+the leading m rows of the centre-out folded operator applied to u followed
+by W[m:] in `solve_blowup`.  The factorization is `lu_factor`, a numpy
+block LDU without pivoting whose blocks end at the level sizes, so a level
+solve (`lu_solve`) runs over the level's leading blocks.
 
 Every blow-up datum (the source, the zero exterior, the barrier pair) is a
 function of d = min(x, 1-x), so each level is mirror-symmetric and
@@ -358,28 +349,23 @@ def solve_blowup(
     point independent of which admissible W seeded the run.  The returned
     profile equals the last level inside its shell and the imposed W outside.
 
-    Every level iterates with the same nodal shift, `_sandwich_shift` of the
-    globalized sandwich pair (W, U).  The system and every nodal datum are
-    put in centre-out order once, so the free set of a shell is the leading
-    m = #{d > 1/shell} unknowns and each level is a slice: it starts from
-    max(u[:m], W[:m]), imposes W[m:], applies the rows A[:m] and solves with
-    the leading block of the one factorization (`lu_factor`, with blocks
-    ending at the level sizes).  A shell with m = 0 yields no level; the
-    deepest shell must free some node.  An iterate that
-    leaves the range max(|W|, |U|) the shift is certified on raises
-    ConvergenceError naming its shell.
+    The levels are slices of one centre-out folded system (see the module
+    docstring): level m starts from max(u[:m], W[:m]), imposes W[m:] and
+    solves with the leading block of the one `lu_factor`, whose blocks end
+    at the level sizes.  A shell with m = 0 yields no level; the deepest
+    must free some node.  Every level uses the nodal shift `_sandwich_shift`
+    of (W, U), and an iterate leaving max(|W|, |U|) raises ConvergenceError
+    naming its shell.  The operator is assembled and folded here, so the
+    path never holds an n x n array, nor the assembled rows beside the LU.
+    A tabulated source whose table is not symmetric raises DomainError.
 
     Without `pair` the barriers are `make_existence_pair` of the problem's
     zone; the critical-rate family passes `make_special_pair(params, t)`.
-    The pair is globalized grid-free, with the closed-form torsion of
-    `barriers.torsion`; the one LU factorization on this path is the
-    exhaustion system's.  The source, the zero exterior and the pair depend
-    on d = min(x, 1-x) alone, so every level is mirror-symmetric: the pair's
-    verification nodes, the factorization and the sweeps all work on the
-    left half (`OperatorMatrix.folded`), and the levels are mirrored back.
-    A tabulated source whose table is not symmetric raises DomainError.
-    The operator is assembled here and folded at once, so the path never
-    holds an n x n array, nor the assembled rows beside the LU.
+    `barriers.globalize_pair` globalizes the pair on the folded system: W
+    must be a discrete sub-solution on the rows the deepest W-imposing level
+    frees, and U a discrete super-solution on those the deepest level frees,
+    as the comparison argument for the levels needs.  The pair's only
+    grid-free operator evaluation is its construction on the collar points.
     """
     if not params.source.mirror_symmetric:
         raise DomainError(
@@ -407,14 +393,14 @@ def solve_blowup(
         raise DomainError("grid has no nodes inside the deepest exhaustion shell")
     if pair is None:
         pair = make_existence_pair(params, classify_regime(params))
-    sup_g, sub_g = globalize_pair(pair, params, x[x > 2e-6])
 
     # centre-out order (decreasing d): the free set of each shell is the
     # leading m unknowns, so one factorization of the folded system, with
     # blocks ending at the level sizes, serves every level
     A = assemble(grid, params.alpha).folded()[::-1, ::-1].copy()
-    W = np.asarray(sub_g.value(x), dtype=float)[::-1]
-    U = np.asarray(sup_g.value(x), dtype=float)[::-1]
+    # the full-depth level climbs from 0, so only the levels that impose W need it
+    imposing = max((m for m in sizes if m < h), default=0)
+    (sup_g, sub_g), (U, W) = globalize_pair(pair, params, x[::-1], A, imposing, sizes[-1])
     f = params.source.value(x)[::-1]
     p = params.p
     shift, cap = _sandwich_shift(p, W, U)

@@ -25,7 +25,7 @@ from fraclap.exponents import ProblemParams, classify_regime, classify_zone6
 from fraclap.fields import SourceField
 from fraclap.grid import Grid1D
 from fraclap.operator import DistanceProfile, assemble
-from fraclap.solvers import solve_linear
+from fraclap.solvers import IterationConfig, solve_blowup, solve_linear
 
 TORSION_CONSTANT = {0.25: 2 * np.pi, 0.5: 2 * np.pi, 0.75: 4 * np.pi}
 
@@ -226,35 +226,63 @@ def test_torsion_richardson_reference():
     assert coarse_err < 0.01
 
 
-def test_globalized_pair(grid301, interaction):
-    params, pair = interaction
-    nodes = grid301.nodes[grid301.d > 1e-4]
-    sup_g, sub_g = globalize_pair(pair, params, nodes)
-    r_sup = verify_barrier(sup_g, params, "super", nodes)
-    r_sub = verify_barrier(sub_g, params, "sub", nodes)
-    assert r_sup.passed and r_sub.passed
-    assert np.all(sup_g.value(nodes) >= sub_g.value(nodes))
+def _centre_out(op):
+    """The left-half nodes and the folded operator in centre-out order (by
+    decreasing d): the system `solve_blowup` globalizes on."""
+    return op.grid.nodes[: op.grid.n_half][::-1], op.folded()[::-1, ::-1]
 
 
-def test_globalize_pair_evaluates_shared_terms_once(grid301, interaction, monkeypatch):
-    """sup and sub share their power term, so one globalization evaluates its
-    operator once; a second call evaluates it again (nothing is memoized)."""
+def _discrete_margins(spec, params, x, A, rows):
+    """Super-signed margins (A v + |v|^(p-1) v - f) / d^(tau p) of one
+    candidate v on the first `rows` rows of the centre-out system (x = d)."""
+    v = spec.value(x)
+    head = v[:rows]
+    resid = A[:rows] @ v + np.sign(head) * np.abs(head) ** params.p - params.source.value(x[:rows])
+    return resid / x[:rows] ** (spec.leading_tau * params.p)
+
+
+def test_globalized_pair(op301, interaction):
     params, pair = interaction
-    nodes = grid301.nodes[grid301.d > 1e-4]
+    x, A = _centre_out(op301)
+    rows = int(np.count_nonzero(x > 1e-4))
+    (sup_g, sub_g), (U, W) = globalize_pair(pair, params, x, A, rows, rows)
+    assert np.array_equal(U, sup_g.value(x)) and np.array_equal(W, sub_g.value(x))
+    assert _discrete_margins(sup_g, params, x, A, rows).min() >= -barriers.TOL_REL
+    assert -_discrete_margins(sub_g, params, x, A, rows).max() >= -barriers.TOL_REL
+    assert np.all(U >= W)
+
+
+def test_blowup_evaluates_the_barrier_operator_once(grid301, interaction, monkeypatch):
+    """The only grid-free operator evaluation of a blow-up solve is the
+    existence pair's, on the 64 collar points: the pair is globalized on the
+    assembled system."""
+    params, _ = interaction
     calls = []
     real = barriers.eval_on_power
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counting(tau, alpha, x):
+        calls.append(np.array(x, dtype=float))
+        return real(tau, alpha, x)
 
     monkeypatch.setattr(barriers, "eval_on_power", counting)
-    first = globalize_pair(pair, params, nodes)
+    solve_blowup(params, grid301, IterationConfig(max_iters=5000))
     assert len(calls) == 1
-    second = globalize_pair(pair, params, nodes)
-    assert len(calls) == 2
-    for a, b in zip(first, second):
-        assert a.describe() == b.describe()
+    assert np.array_equal(calls[0], collar_points())
+
+
+def test_globalize_failure_names_the_sub_node(interaction):
+    """On the whole n = 2001 folded system, W = mu d^tau fails the discrete
+    sub-solution inequality at the deepest node, d = 5e-10, for every lambda
+    (the constant extrapolation of the boundary cell makes its discrete
+    operator positive there), and the error names the role and that d."""
+    params, pair = interaction
+    grid = Grid1D.graded(2001, 3.0)
+    assert grid.nodes[0] == pytest.approx(5e-10, rel=0.01)
+    x, A = _centre_out(assemble(grid, params.alpha))
+    with pytest.raises(VerificationError) as info:
+        globalize_pair(pair, params, x, A, x.size, x.size)
+    msg = str(info.value)
+    assert "sub-solution" in msg and f"d={grid.nodes[0]:.3e}" in msg
 
 
 def test_verify_barrier_perturbed_sub_fails(interaction):
@@ -291,18 +319,24 @@ def test_special_pair_indicator_branch():
 def test_discrete_residual_signs_stable_under_refinement(interaction):
     """The collar verification is grid-free, so its margins cannot move with n;
     what refinement must preserve is the sign of the *discrete* residuals the
-    monotone solver leans on.  Unresolved cells below d ~ 1e-3 on these coarse
-    grids are excluded: there the piecewise-linear image of d^tau is O(1) off,
-    which is exactly why exhaustion shells never free them."""
-    from fraclap.operator import assemble
-
+    monotone solver leans on.  The pair is globalized on each grid's folded
+    system over the rows with d > 1e-3; both grids choose the same pair, and
+    it keeps its signs on the full system of both.  Unresolved cells below
+    d ~ 1e-3 on these coarse grids are excluded: there the piecewise-linear
+    image of d^tau is O(1) off, which is exactly why exhaustion shells never
+    free them."""
     params, pair = interaction
-    for n in (301, 601):
-        grid = Grid1D.graded(n, 3.0)
-        op = assemble(grid, 0.5)
-        nodes = grid.nodes[grid.d > 2e-6]
-        sup_g, sub_g = globalize_pair(pair, params, nodes)
-        for b, sgn in ((sup_g, 1.0), (sub_g, -1.0)):
+    ops = [assemble(Grid1D.graded(n, 3.0), 0.5) for n in (301, 601)]
+    chosen = []
+    for op in ops:
+        x, A = _centre_out(op)
+        rows = int(np.count_nonzero(x > 1e-3))
+        specs, _ = globalize_pair(pair, params, x, A, rows, rows)
+        chosen.append([b.describe() for b in specs])
+    assert chosen[0] == chosen[1]
+    for op in ops:
+        grid = op.grid
+        for b, sgn in zip(specs, (1.0, -1.0)):
             vals = np.asarray(b.value(grid.nodes))
             resid = op.shifted_dense(0.0) @ vals + np.sign(vals) * np.abs(vals) ** params.p
             margins = sgn * resid / grid.d ** (b.leading_tau * params.p)
@@ -373,19 +407,21 @@ def test_nonexistence_ladder_matches_single_checks(kc05):
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0])
-def test_globalize_ladder_matches_single_checks(grid301, interaction, scale):
+def test_globalize_ladder_matches_single_checks(op301, interaction, scale):
     # scale 1: the super-solution sets lambda; scale 2: the sub-solution does
     params, pair = interaction
     sup, sub = (b.scaled(scale) for b in pair)
-    nodes = grid301.nodes[grid301.d > 1e-4]
-    sup_g, sub_g = globalize_pair((sup, sub), params, nodes)
+    x, A = _centre_out(op301)
+    rows = int(np.count_nonzero(x > 1e-4))
+    (sup_g, sub_g), _ = globalize_pair((sup, sub), params, x, A, rows, rows)
     lam = -sup_g.terms[-1][0] if len(sup_g.terms) > len(sup.terms) else 0.0
     tor = torsion(0.5)
     first = None
     for cand in [0.0] + [2.0**k for k in range(39)]:
-        pair = (sup.with_term(-cand, tor), sub.with_term(cand, tor)) if cand else (sup, sub)
-        if all(verify_barrier(b, params, role, nodes).passed
-               for b, role in zip(pair, ("super", "sub"))):
+        cands = (sup.with_term(-cand, tor), sub.with_term(cand, tor)) if cand else (sup, sub)
+        sup_ok = _discrete_margins(cands[0], params, x, A, rows).min() >= -barriers.TOL_REL
+        sub_ok = -_discrete_margins(cands[1], params, x, A, rows).max() >= -barriers.TOL_REL
+        if sup_ok and sub_ok:
             first = cand
             break
     assert first is not None and lam == first

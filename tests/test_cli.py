@@ -506,6 +506,8 @@ SPECIAL = ["--alpha", "0.5", "--p", "2.5"]
     (["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--n", "2"], "n=2"),
     (["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--grading", "nan"], "got nan"),
     (["solve", "--alpha", "0.5", "--p", "2", "--gamma", "-0.5", "--grading", "inf"], "got inf"),
+    (BLOWUP + ["--fit-lo", "0.1", "--fit-hi", "0.05"], "invalid window (0.1, 0.05)"),
+    (["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "3", "--levels", "8"], "fewer than 8 nodes"),
 ])
 def test_nonfinite_and_out_of_range_values_are_refused(tmp_path, argv, named):
     # each value is refused by the validator that owns it, before any work:

@@ -87,6 +87,15 @@ def test_grid_validation():
         Grid1D.graded(101, 0.5)  # would thin the nodes near the boundary
 
 
+def test_graded_refuses_a_grading_whose_mirrors_round_away():
+    # at n = 51 a grading of 12 or more puts the deepest node below 1e-17,
+    # where 1 - d rounds to 1.0; the refusal names n and the grading
+    assert Grid1D.graded(51, 10.0).nodes[-1] < 1.0
+    for grading in (12.0, 15.0, 20.0):
+        with pytest.raises(DomainError, match=f"grading_exponent={grading} at n=51"):
+            Grid1D.graded(51, grading)
+
+
 def test_grid_function_roundtrip(tmp_path):
     g = Grid1D.graded(101, 2.0)
     u = GridFunction(g, np.sin(np.pi * g.nodes))

@@ -277,6 +277,16 @@ def test_blowup_full_shell_requires_positive_source():
         solve_blowup(params, grid, cfg)
 
 
+def test_blowup_full_depth_only_checks_w_on_no_row():
+    """A schedule whose only level is full depth imposes W nowhere and climbs
+    from 0, so the globalization checks W on no row and U on every row."""
+    params = ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.8))
+    grid = Grid1D.graded(201, 3.0)
+    cfg = IterationConfig(max_iters=5000, exhaustion_levels=(int(2.0 / grid.min_spacing),))
+    res = solve_blowup(params, grid, cfg)
+    assert len(res.levels) == 1 and res.final_free.all() and res.sandwich_ok
+
+
 def test_exterior_data_enters_as_source(op301, grid301):
     """Exterior data g reaches the solver only as the source term
     G = exterior_potential(g): the problem with source f and exterior g is the
