@@ -52,6 +52,7 @@ __all__ = [
 
 MU_SWEEP_RANGE = 20  # geometric ladder mu in {2^k}, k in [-MU_SWEEP_RANGE, MU_SWEEP_RANGE]
 TOL_REL = 1e-6  # relative slack of every sign verdict, for quadrature noise
+LADDER_BLOCK = 8  # rungs of the globalization ladder whose margins are formed at once
 
 
 def collar_points() -> np.ndarray:
@@ -222,7 +223,10 @@ def _passes(margins: np.ndarray):
 
 
 def _report(xs: np.ndarray, margins: np.ndarray, role: str) -> BarrierReport:
-    """Report of one row of margins, already signed for `role`."""
+    """Report of one row of margins, already signed for `role`; an empty row
+    passes, with worst margin inf at x = nan."""
+    if margins.size == 0:
+        return BarrierReport(role, True, np.inf, np.nan, xs, margins)
     worst = int(np.argmin(margins))
     return BarrierReport(
         role=role,
@@ -417,7 +421,11 @@ def globalize_pair(
     A: np.ndarray,
     sub_rows: int,
     super_rows: int,
-) -> tuple[tuple[BarrierSpec, BarrierSpec], tuple[np.ndarray, np.ndarray]]:
+) -> tuple[
+    tuple[BarrierSpec, BarrierSpec],
+    tuple[np.ndarray, np.ndarray],
+    tuple[BarrierReport, BarrierReport],
+]:
     """Extend a collar-verified pair to all of the interval by adding
     +-lambda V, V = `torsion`(params.alpha) < 0, with the first lambda in
     {0, 1, 2, 4, ..., 2^38} at which the pair passes on the discrete system.
@@ -428,9 +436,12 @@ def globalize_pair(
     U = sup - lambda V the reverse on the first `super_rows` (then also with
     W imposed outside a level, as A's off-diagonals are <= 0 and U >= W).
     The operator values are three matvecs and each rung's `_margins` are
-    elementwise.  Returns the pair and its values (U, W) at the nodes; if no
-    rung passes, VerificationError names a failing role, its worst margin
-    on the last rung and its d.
+    elementwise; the ladder is formed LADDER_BLOCK rungs at a time, up to the
+    first block that holds a passing rung.  Returns the pair, its values
+    (U, W) at the nodes and the (super, sub) reports of the chosen rung on
+    the rows checked, each with mu = lambda (a role checked on no row has
+    worst margin inf at x = nan).  If no rung passes, VerificationError
+    names a failing role, its worst margin on the last rung and its d.
     """
     sup, sub = pair
     x = np.asarray(nodes, dtype=float)
@@ -438,16 +449,24 @@ def globalize_pair(
     tor_vals = tor.value(x)
     tor_ops = A[: max(sub_rows, super_rows)] @ tor_vals
     lams = [0.0] + [2.0**k for k in range(39)]
-    values, margins = [], []
+    roles = []  # per role: sign of the torsion term, values, operator values, s, f
     for spec, rows, sign in ((sup, super_rows, -1.0), (sub, sub_rows, 1.0)):
-        vals, col = spec.value(x), sign * np.array(lams)[:, None]
-        values.append(vals + col * tor_vals)
+        vals = spec.value(x)
         s, f_vals = _scale(x[:rows], spec.leading_tau), params.source.value(x[:rows])
-        ops = A[:rows] @ vals + col * tor_ops[:rows]
-        margins.append(_margins(s, values[-1][:, :rows] / s, ops, f_vals, params.p))
-    sup_m, sub_m = margins[0], -margins[1]
-    ok = _passes(sup_m) & _passes(sub_m)
-    if not ok.any():
+        roles.append((sign, vals, A[:rows] @ vals, s, f_vals))
+    for start in range(0, len(lams), LADDER_BLOCK):
+        block = np.array(lams[start : start + LADDER_BLOCK])[:, None]
+        values, margins = [], []
+        for sign, vals, ops, s, f_vals in roles:
+            col = sign * block
+            values.append(vals + col * tor_vals)
+            rung_ops = ops + col * tor_ops[: s.size]
+            margins.append(_margins(s, values[-1][:, : s.size] / s, rung_ops, f_vals, params.p))
+        sup_m, sub_m = margins[0], -margins[1]
+        ok = _passes(sup_m) & _passes(sub_m)
+        if ok.any():
+            break
+    else:
         role, m = ("sub", sub_m) if not _passes(sub_m[-1]) else ("super", sup_m)
         last = _report(x[: m.shape[1]], m[-1], role)
         raise VerificationError(
@@ -455,5 +474,11 @@ def globalize_pair(
             f"lambda (worst margin {last.worst_margin:.3e} at d={last.worst_x:.3e})"
         )
     i = int(np.argmax(ok))
-    specs = (sup.with_term(-lams[i], tor), sub.with_term(lams[i], tor)) if i else (sup, sub)
-    return specs, (values[0][i], values[1][i])
+    lam = lams[start + i]
+    # the chosen rows are copied, so that no block of the ladder outlives the call
+    reports = []
+    for m, role in ((sup_m, "super"), (sub_m, "sub")):
+        reports.append(_report(x[: m.shape[1]], m[i].copy(), role))
+        reports[-1].mu = lam
+    specs = (sup.with_term(-lam, tor), sub.with_term(lam, tor)) if lam else (sup, sub)
+    return specs, (values[0][i].copy(), values[1][i].copy()), tuple(reports)

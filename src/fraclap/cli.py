@@ -225,6 +225,15 @@ def cmd_blowup(args):
         "sandwich_ok": result.sandwich_ok,
         "positive_on_final_shell": positive,
         "levels": [{"shell": lev.shell, **asdict(lev.trace)} for lev in result.levels],
+        # the chosen lambda, and per role its worst discrete margin and that
+        # node's d (null for a role checked on no row)
+        "globalization": {
+            "lambda": result.pair_reports[0].mu,
+            **{
+                r.role: {"worst_margin": r.worst_margin, "d": r.worst_x} if r.nodes.size else None
+                for r in result.pair_reports
+            },
+        },
         "profiles": profiles,
     }, fit_ok and result.sandwich_ok and result.monotone_in_levels and positive
 

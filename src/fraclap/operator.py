@@ -23,14 +23,17 @@ takes one log per edge distance and forms the moments of every far cell of
 the row, on both sides of the node, in one pass.
 
 Mirror symmetry.  The grid is symmetric about 1/2, so the matrix satisfies
-A[n-1-i, n-1-j] = A[i, j]: `assemble` integrates and stores only the (n+1)/2
-left-half rows (x <= 1/2, where the node is its own boundary distance).
-`OperatorMatrix.folded` restricts the operator to mirror-symmetric grid
-functions, adding each right-half column to its mirror; off-diagonals stay
-<= 0 and row sums are unchanged, so the folded matrix keeps the M-matrix
-property the solvers rely on.  Only the blow-up path folds, and it never holds
-an n x n array; `solve_linear` and `solve_semilinear` accept data that need
-not be symmetric and factor the full `OperatorMatrix.shifted_dense`.
+A[n-1-i, n-1-j] = A[i, j]: only the (n+1)/2 left-half rows (x <= 1/2, where
+the node is its own boundary distance) are integrated, one at a time, by
+`_assembled_rows`.  `assemble` stores them for `OperatorMatrix`;
+`solve_linear` and `solve_semilinear` accept data that need not be symmetric
+and factor the full `OperatorMatrix.shifted_dense`.  `assemble_centre_out`
+restricts the operator to mirror-symmetric grid functions for the blow-up
+path, adding each right-half column of a row to its mirror as the row is
+made, and stores the folded rows centre-out (by decreasing boundary
+distance); off-diagonals stay <= 0 and row sums are unchanged, so the folded
+matrix keeps the M-matrix property the solvers rely on.  That path holds
+neither an n x n array nor the left-half rows.
 
 Exterior data.  The matrix is the zero-exterior operator.  Exterior values g
 enter the equation only as the interior source G = `exterior_potential`(g):
@@ -74,6 +77,7 @@ __all__ = [
     "OperatorMatrix",
     "DistanceProfile",
     "assemble",
+    "assemble_centre_out",
     "eval_on_power",
     "exterior_potential",
     "tail_coefficient",
@@ -95,6 +99,9 @@ def tail_coefficient(x, alpha: float):
 def _pow_antideriv(log_lo, dlog, s: float):
     """int_{r_lo}^{r_hi} r^(s-1) dr from log r_lo and dlog = log r_hi -
     log r_lo, stable through s == 0 (log branch)."""
+    if s == 0.0:
+        # the exact log branch: the series below with every correction 0
+        return dlog
     if abs(s) < 1e-9:
         # e^(s log lo) * expm1(s dlog) / s, expanded around s = 0
         return np.exp(s * log_lo) * dlog * (1.0 + 0.5 * s * dlog * (1.0 + s * dlog / 3.0))
@@ -600,29 +607,18 @@ class OperatorMatrix:
         m[np.diag_indices(n)] += self.tail + np.broadcast_to(shift, (n,))
         return m
 
-    def folded(self) -> np.ndarray:
-        """The system on mirror-symmetric grid functions, h = n_half unknowns:
-        A_f[i, j] = A[i, j] + A[i, n-1-j] for i, j < h (the midpoint column of
-        odd n has no partner) plus diag(tail[:h]).  A_f v = (A mirror(v))[:h].
-        """
-        n, h = self.grid.n_interior, self.grid.n_half
-        m = self.rows[:, :h].copy()
-        m[:, : n - h] += self.rows[:, : h - 1 : -1]
-        m[np.diag_indices(h)] += self.tail[:h]
-        return m
 
+def _assembled_rows(grid: Grid1D, alpha: float):
+    """Yield the left-half rows A[i], i < n_half, of the interaction matrix,
+    each a fresh length-n array; the midpoint row of odd n is made its own
+    mirror exactly.
 
-def assemble(grid: Grid1D, alpha: float) -> OperatorMatrix:
-    """Assemble the dense zero-exterior operator matrix (its left-half rows)
-    on the grid.
-
-    All moments are closed-form power antiderivatives; a non-finite row is a
-    hard failure (it would signal a degenerate spacing or an exponent branch
-    that escaped the stable antiderivative).  Per row, the far cells on both
-    sides are one array: one log per edge distance, each cell's log ratio
-    the difference of its edges' logs, then one pass for the plain and first
-    moments and the two endpoint weights.  exp and expm1 stay per cell: a
-    plain difference of powers would lose up to 9 digits on graded cells.
+    All moments are closed-form power antiderivatives.  Per row, the far
+    cells on both sides are one array: one log per edge distance, each
+    cell's log ratio the difference of its edges' logs, then one pass for
+    the plain and first moments and the two endpoint weights.  exp and expm1
+    stay per cell: a plain difference of powers would lose up to 9 digits on
+    graded cells.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
@@ -634,9 +630,7 @@ def assemble(grid: Grid1D, alpha: float) -> OperatorMatrix:
     w0 = -1.0 - 2.0 * alpha
     s0 = w0 + 1.0
     s1 = s0 + 1.0
-
     n_left = grid.n_half
-    rows = np.empty((n_left, n))  # every row is written below
 
     for i in range(n_left):
         x = nodes[i]
@@ -693,13 +687,50 @@ def assemble(grid: Grid1D, alpha: float) -> OperatorMatrix:
         # (constant extrapolation on the unresolved boundary cells)
         row[1] += row[0]
         row[n] += row[n + 1]
-        rows[i] = -row[1 : n + 1]
+        out = -row[1 : n + 1]
+        if 2 * i + 1 == n:
+            # the midpoint row of odd n is its own mirror, exactly
+            out[n_left:] = out[: n_left - 1][::-1]
+        yield out
 
-    if not np.all(np.isfinite(rows)):
+
+def _require_finite(m: np.ndarray) -> None:
+    # a non-finite entry signals a degenerate spacing or an exponent branch
+    # that escaped the stable antiderivative
+    if not np.all(np.isfinite(m)):
         raise FraclapError("assembly produced a non-finite kernel moment")
-    # for odd n the midpoint row is its own mirror, exactly
-    if n % 2:
-        rows[-1, n_left:] = rows[-1, : n_left - 1][::-1]
 
-    tail = grid.mirror(tail_coefficient(nodes[:n_left], alpha))
+
+def assemble(grid: Grid1D, alpha: float) -> OperatorMatrix:
+    """Assemble the dense zero-exterior operator matrix (its left-half rows)
+    on the grid, row by row (`_assembled_rows`); a non-finite row is a hard
+    failure."""
+    rows = np.empty((grid.n_half, grid.n_interior))
+    for i, row in enumerate(_assembled_rows(grid, alpha)):
+        rows[i] = row
+    _require_finite(rows)
+    tail = grid.mirror(tail_coefficient(grid.nodes[: grid.n_half], alpha))
     return OperatorMatrix(alpha=alpha, grid=grid, rows=rows, tail=tail)
+
+
+def assemble_centre_out(grid: Grid1D, alpha: float) -> np.ndarray:
+    """The operator on mirror-symmetric grid functions, in centre-out order:
+    the h x h matrix B with B[h-1-i, h-1-j] = A[i, j] + A[i, n-1-j] for
+    i, j < h = n_half (the midpoint column of odd n has no partner) plus
+    tail[i] on the diagonal, A the interaction matrix of `OperatorMatrix`.
+    So B v is the operator of the mirror-symmetric function whose left-half
+    values are v[::-1], at the left-half nodes from the centre out.
+
+    Each left-half row is folded, reversed and stored as it is assembled,
+    so nothing larger than B is built; a non-finite row is a hard failure.
+    """
+    n, h = grid.n_interior, grid.n_half
+    tail = tail_coefficient(grid.nodes[:h], alpha)
+    out = np.empty((h, h))
+    for i, row in enumerate(_assembled_rows(grid, alpha)):
+        fold = row[:h]
+        fold[: n - h] += row[: h - 1 : -1]
+        fold[i] += tail[i]
+        out[h - 1 - i] = fold[::-1]
+    _require_finite(out)
+    return out

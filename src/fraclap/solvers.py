@@ -26,16 +26,20 @@ solve (`lu_solve`) runs over the level's leading blocks.
 
 Every blow-up datum (the source, the zero exterior, the barrier pair) is a
 function of d = min(x, 1-x), so each level is mirror-symmetric and
-`solve_blowup` works with the folded left-half system of
-`OperatorMatrix.folded`: (n+1)/2 unknowns, an eighth of the LU's flops and
-a quarter of each solve's.  Folding adds each right-half column to its mirror, so the
-off-diagonals stay <= 0 and the row sums are unchanged: the folded L + D is
-still a row-strictly dominant M-matrix and the comparison argument above
-holds for it unchanged.  `solve_linear` and `solve_semilinear` keep the full
-matrix, because their data need not be symmetric (a right-hand side can be
-anything), and share one in-place factorization of fixed-size blocks,
-`_full_solver`.  Both monotone solvers take the same shift, `_sandwich_shift`
-of their ordered pair, and factor once.
+`solve_blowup` works with the folded left-half system, (n+1)/2 unknowns: an
+eighth of the LU's flops and a quarter of each solve's.
+`fraclap.operator.assemble_centre_out` folds each operator row as it is
+assembled and stores it centre-out, so the blow-up path holds two h x h
+arrays, the operator and the factorization that overwrites its copy, and
+never the left-half rows.  Folding adds each right-half column to its
+mirror, so the off-diagonals stay <= 0 and the row sums are unchanged: the
+folded L + D is still a row-strictly dominant M-matrix and the comparison
+argument above holds for it unchanged.  `solve_linear` and
+`solve_semilinear` keep the full matrix, because their data need not be
+symmetric (a right-hand side can be anything), and share one in-place
+factorization of fixed-size blocks, `_full_solver`.  Both monotone solvers
+take the same shift, `_sandwich_shift` of their ordered pair, and factor
+once.
 
 Every solver works with zero exterior data.  Exterior data g enters as the
 source term G = `fraclap.operator.exterior_potential`(g): solve with the
@@ -57,7 +61,7 @@ from .barriers import (
 from .errors import ConvergenceError, DomainError, GridMismatchError
 from .exponents import ProblemParams, classify_regime
 from .grid import Grid1D, GridFunction
-from .operator import OperatorMatrix, assemble
+from .operator import OperatorMatrix, assemble_centre_out
 
 __all__ = [
     "IterationConfig",
@@ -319,6 +323,9 @@ class BlowupResult:
     pair_global: tuple
     monotone_in_levels: bool
     sandwich_ok: bool
+    # (super, sub) `BarrierReport`s of the globalized pair on the discrete
+    # system, mu = the chosen lambda, worst_x = the node's d
+    pair_reports: tuple
 
     @property
     def final(self) -> GridFunction:
@@ -355,8 +362,10 @@ def solve_blowup(
     at the level sizes.  A shell with m = 0 yields no level; the deepest
     must free some node.  Every level uses the nodal shift `_sandwich_shift`
     of (W, U), and an iterate leaving max(|W|, |U|) raises ConvergenceError
-    naming its shell.  The operator is assembled and folded here, so the
-    path never holds an n x n array, nor the assembled rows beside the LU.
+    naming its shell.  The operator is assembled here by
+    `assemble_centre_out`, folded row by row, so the path holds the folded
+    operator and its factorization (two h x h arrays, h = n_half) and never
+    an n x n array or the h x n left-half rows.
     A tabulated source whose table is not symmetric raises DomainError.
 
     Without `pair` the barriers are `make_existence_pair` of the problem's
@@ -364,8 +373,9 @@ def solve_blowup(
     `barriers.globalize_pair` globalizes the pair on the folded system: W
     must be a discrete sub-solution on the rows the deepest W-imposing level
     frees, and U a discrete super-solution on those the deepest level frees,
-    as the comparison argument for the levels needs.  The pair's only
-    grid-free operator evaluation is its construction on the collar points.
+    as the comparison argument for the levels needs; its reports of the
+    chosen rung are the result's `pair_reports`.  The pair's only grid-free
+    operator evaluation is its construction on the collar points.
     """
     if not params.source.mirror_symmetric:
         raise DomainError(
@@ -397,10 +407,12 @@ def solve_blowup(
     # centre-out order (decreasing d): the free set of each shell is the
     # leading m unknowns, so one factorization of the folded system, with
     # blocks ending at the level sizes, serves every level
-    A = assemble(grid, params.alpha).folded()[::-1, ::-1].copy()
+    A = assemble_centre_out(grid, params.alpha)
     # the full-depth level climbs from 0, so only the levels that impose W need it
     imposing = max((m for m in sizes if m < h), default=0)
-    (sup_g, sub_g), (U, W) = globalize_pair(pair, params, x[::-1], A, imposing, sizes[-1])
+    (sup_g, sub_g), (U, W), reports = globalize_pair(
+        pair, params, x[::-1], A, imposing, sizes[-1]
+    )
     f = params.source.value(x)[::-1]
     p = params.p
     shift, cap = _sandwich_shift(p, W, U)
@@ -461,4 +473,5 @@ def solve_blowup(
         pair_global=(sup_g, sub_g),
         monotone_in_levels=monotone_levels,
         sandwich_ok=sandwich_ok,
+        pair_reports=reports,
     )

@@ -24,7 +24,7 @@ from fraclap.errors import DomainError, VerificationError
 from fraclap.exponents import ProblemParams, classify_regime, classify_zone6
 from fraclap.fields import SourceField
 from fraclap.grid import Grid1D
-from fraclap.operator import DistanceProfile, assemble
+from fraclap.operator import DistanceProfile, assemble, assemble_centre_out
 from fraclap.solvers import IterationConfig, solve_blowup, solve_linear
 
 TORSION_CONSTANT = {0.25: 2 * np.pi, 0.5: 2 * np.pi, 0.75: 4 * np.pi}
@@ -202,9 +202,9 @@ def test_torsion(grid301):
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
 def test_folded_torsion_matches_full_solve(grid301, alpha):
-    op = assemble(grid301, alpha)
-    folded = grid301.mirror(np.linalg.solve(op.folded(), -np.ones(grid301.n_half)))
-    full = solve_linear(op, 0.0, np.ones(grid301.n_interior)).values
+    centre_out = np.linalg.solve(assemble_centre_out(grid301, alpha), -np.ones(grid301.n_half))
+    folded = grid301.mirror(centre_out[::-1])
+    full = solve_linear(assemble(grid301, alpha), 0.0, np.ones(grid301.n_interior)).values
     assert np.max(np.abs(folded + full) / np.abs(full)) <= 1e-13
 
 
@@ -226,10 +226,10 @@ def test_torsion_richardson_reference():
     assert coarse_err < 0.01
 
 
-def _centre_out(op):
+def _centre_out(grid, alpha=0.5):
     """The left-half nodes and the folded operator in centre-out order (by
     decreasing d): the system `solve_blowup` globalizes on."""
-    return op.grid.nodes[: op.grid.n_half][::-1], op.folded()[::-1, ::-1]
+    return grid.nodes[: grid.n_half][::-1], assemble_centre_out(grid, alpha)
 
 
 def _discrete_margins(spec, params, x, A, rows):
@@ -241,15 +241,25 @@ def _discrete_margins(spec, params, x, A, rows):
     return resid / x[:rows] ** (spec.leading_tau * params.p)
 
 
-def test_globalized_pair(op301, interaction):
+def test_globalized_pair(grid301, interaction):
     params, pair = interaction
-    x, A = _centre_out(op301)
+    x, A = _centre_out(grid301)
     rows = int(np.count_nonzero(x > 1e-4))
-    (sup_g, sub_g), (U, W) = globalize_pair(pair, params, x, A, rows, rows)
+    (sup_g, sub_g), (U, W), (r_sup, r_sub) = globalize_pair(pair, params, x, A, rows, rows)
     assert np.array_equal(U, sup_g.value(x)) and np.array_equal(W, sub_g.value(x))
-    assert _discrete_margins(sup_g, params, x, A, rows).min() >= -barriers.TOL_REL
-    assert -_discrete_margins(sub_g, params, x, A, rows).max() >= -barriers.TOL_REL
+    sup_m = _discrete_margins(sup_g, params, x, A, rows)
+    sub_m = -_discrete_margins(sub_g, params, x, A, rows)
+    assert sup_m.min() >= -barriers.TOL_REL
+    assert sub_m.min() >= -barriers.TOL_REL
     assert np.all(U >= W)
+    # the reports are those of the chosen rung on the rows checked
+    lam = -sup_g.terms[-1][0]
+    assert lam == sub_g.terms[-1][0] == r_sup.mu == r_sub.mu == 4.0
+    for r, m, role in ((r_sup, sup_m, "super"), (r_sub, sub_m, "sub")):
+        assert r.role == role and r.passed
+        assert r.margins.shape == (rows,) and np.array_equal(r.nodes, x[:rows])
+        assert r.worst_margin == pytest.approx(m.min(), rel=1e-12)
+        assert r.worst_x == x[:rows][np.argmin(r.margins)]
 
 
 def test_blowup_evaluates_the_barrier_operator_once(grid301, interaction, monkeypatch):
@@ -278,7 +288,7 @@ def test_globalize_failure_names_the_sub_node(interaction):
     params, pair = interaction
     grid = Grid1D.graded(2001, 3.0)
     assert grid.nodes[0] == pytest.approx(5e-10, rel=0.01)
-    x, A = _centre_out(assemble(grid, params.alpha))
+    x, A = _centre_out(grid, params.alpha)
     with pytest.raises(VerificationError) as info:
         globalize_pair(pair, params, x, A, x.size, x.size)
     msg = str(info.value)
@@ -329,9 +339,9 @@ def test_discrete_residual_signs_stable_under_refinement(interaction):
     ops = [assemble(Grid1D.graded(n, 3.0), 0.5) for n in (301, 601)]
     chosen = []
     for op in ops:
-        x, A = _centre_out(op)
+        x, A = _centre_out(op.grid)
         rows = int(np.count_nonzero(x > 1e-3))
-        specs, _ = globalize_pair(pair, params, x, A, rows, rows)
+        specs, _, _ = globalize_pair(pair, params, x, A, rows, rows)
         chosen.append([b.describe() for b in specs])
     assert chosen[0] == chosen[1]
     for op in ops:
@@ -407,13 +417,13 @@ def test_nonexistence_ladder_matches_single_checks(kc05):
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0])
-def test_globalize_ladder_matches_single_checks(op301, interaction, scale):
+def test_globalize_ladder_matches_single_checks(grid301, interaction, scale):
     # scale 1: the super-solution sets lambda; scale 2: the sub-solution does
     params, pair = interaction
     sup, sub = (b.scaled(scale) for b in pair)
-    x, A = _centre_out(op301)
+    x, A = _centre_out(grid301)
     rows = int(np.count_nonzero(x > 1e-4))
-    (sup_g, sub_g), _ = globalize_pair((sup, sub), params, x, A, rows, rows)
+    (sup_g, sub_g), _, _ = globalize_pair((sup, sub), params, x, A, rows, rows)
     lam = -sup_g.terms[-1][0] if len(sup_g.terms) > len(sup.terms) else 0.0
     tor = torsion(0.5)
     first = None
@@ -426,6 +436,52 @@ def test_globalize_ladder_matches_single_checks(op301, interaction, scale):
             break
     assert first is not None and lam == first
     assert sub_g.describe() == (sub.with_term(lam, tor) if lam else sub).describe()
+
+
+def _same_globalization(a, b):
+    (specs_a, vals_a, reps_a), (specs_b, vals_b, reps_b) = a, b
+    assert [s.describe() for s in specs_a] == [s.describe() for s in specs_b]
+    assert all(np.array_equal(u, v) for u, v in zip(vals_a, vals_b))
+    for r, q in zip(reps_a, reps_b):
+        assert (r.role, r.mu, r.passed, r.worst_margin, r.worst_x) == (
+            q.role, q.mu, q.passed, q.worst_margin, q.worst_x
+        )
+        assert np.array_equal(r.margins, q.margins) and np.array_equal(r.nodes, q.nodes)
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+@pytest.mark.parametrize("scale,lam", [(1.0, 4.0), (2.0, 2.0**17)])
+def test_blocked_ladder_matches_the_whole_ladder(grid301, interaction, monkeypatch, block,
+                                                 scale, lam):
+    """The globalization ladder formed a block of rungs at a time gives the
+    bits of the whole 40-rung ladder formed at once: the same lambda, U, W
+    and reports.  Scale 2 (the sub-solution sets lambda) passes at 2^17,
+    beyond the first blocks."""
+    params, pair = interaction
+    pair = tuple(b.scaled(scale) for b in pair)
+    x, A = _centre_out(grid301)
+    rows = int(np.count_nonzero(x > 1e-4))
+    monkeypatch.setattr(barriers, "LADDER_BLOCK", 40)
+    whole = globalize_pair(pair, params, x, A, rows, rows)
+    monkeypatch.setattr(barriers, "LADDER_BLOCK", block)
+    blocked = globalize_pair(pair, params, x, A, rows, rows)
+    _same_globalization(blocked, whole)
+    assert blocked[2][0].mu == lam
+
+
+def test_blocked_ladder_fails_with_the_whole_ladders_message(interaction, monkeypatch):
+    # no rung passes on the whole n = 2001 system (see
+    # test_globalize_failure_names_the_sub_node): the last block ends on the
+    # last rung, so the message is the one-block ladder's
+    params, pair = interaction
+    x, A = _centre_out(Grid1D.graded(2001, 3.0), params.alpha)
+    messages = []
+    for block in (40, barriers.LADDER_BLOCK, 3):
+        monkeypatch.setattr(barriers, "LADDER_BLOCK", block)
+        with pytest.raises(VerificationError) as info:
+            globalize_pair(pair, params, x, A, x.size, x.size)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == messages[2]
 
 
 def test_ladder_error_names_the_last_rung():

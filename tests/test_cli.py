@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fraclap
@@ -315,6 +316,38 @@ def test_blowup_profile_bytes(tmp_path, monkeypatch):
     assert (out / "solution.csv").read_bytes() == (out / "level_16.csv").read_bytes()
 
 
+def test_blowup_manifest_records_the_globalization(tmp_path, monkeypatch):
+    # the chosen lambda and, per role, the worst discrete margin on the rows
+    # checked and its d; a role checked on no row is recorded as null
+    real, results = cli.solve_blowup, []
+
+    def recorded(*a, **k):
+        results.append(real(*a, **k))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "solve_blowup", recorded)
+    argv = ["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "201", "--levels", "8,16",
+            "--fit-tol", "1.0"]
+    assert run_cli(argv + ["--out", str(tmp_path / "b")]) == 0
+    (res,) = results
+    r_sup, r_sub = res.pair_reports
+    sup_g, sub_g = res.pair_global
+    assert sub_g.terms[-1] == (r_sub.mu, barriers.torsion(0.5))
+    assert sup_g.terms[-1] == (-r_sup.mu, barriers.torsion(0.5))
+    assert load_manifest(tmp_path / "b")["globalization"] == {
+        "lambda": r_sup.mu,
+        "super": {"worst_margin": r_sup.worst_margin, "d": r_sup.worst_x},
+        "sub": {"worst_margin": r_sub.worst_margin, "d": r_sub.worst_x},
+    }
+    assert r_sup.passed and r_sub.passed and r_sub.mu == r_sup.mu > 0
+
+    unchecked = barriers._report(np.empty(0), np.empty(0), "sub")
+    monkeypatch.setattr(cli, "solve_blowup", lambda *a, **k: dataclasses.replace(
+        real(*a, **k), pair_reports=(r_sup, unchecked)))
+    assert run_cli(argv + ["--out", str(tmp_path / "c")]) == 0
+    assert load_manifest(tmp_path / "c")["globalization"]["sub"] is None
+
+
 def test_blowup_refuses_shells_sharing_a_node(tmp_path):
     # at n = 21 the shells 256 and 512 would snap onto one node, and the
     # level of shell 256 would have no node on its boundary
@@ -583,7 +616,8 @@ MANIFEST_KEYS = {
                 "--fit-tol", "1.0"], {
         "": _RUN | {"tau0", "p_star", "zone", "predicted_exponent", "fit",
                     "fit_within_tolerance", "monotone_in_levels", "sandwich_ok",
-                    "positive_on_final_shell", "levels", "profiles"},
+                    "positive_on_final_shell", "levels", "globalization", "profiles"},
+        "globalization": {"lambda", "super", "sub"},
         "fit": {"exponent", "intercept", "r_squared", "window", "band", "n_points",
                 "verified"},
         "levels": _TRACE | {"shell"},

@@ -12,7 +12,7 @@ from scipy.special import betainc, hyp2f1, roots_jacobi
 
 import fraclap.operator as fop
 from fraclap.barriers import torsion
-from fraclap.errors import DomainError, GridMismatchError
+from fraclap.errors import DomainError, FraclapError, GridMismatchError
 from fraclap.fields import ExteriorData
 from fraclap.grid import Grid1D, GridFunction
 from fraclap.operator import (
@@ -20,7 +20,9 @@ from fraclap.operator import (
     _gauss_jacobi,
     _gauss_series,
     _incomplete_beta,
+    _pow_antideriv,
     assemble,
+    assemble_centre_out,
     eval_on_power,
     exterior_potential,
     tail_coefficient,
@@ -284,7 +286,7 @@ def test_assembly_mirror_symmetric_and_folded_m_matrix(alpha):
     assert np.array_equal(dense, dense[::-1, ::-1])
     assert np.array_equal(op.tail, op.tail[::-1])
     h = grid.n_half
-    folded = op.folded()
+    folded = assemble_centre_out(grid, alpha)[::-1, ::-1]
     assert folded.shape == (h, h)
     assert np.max(folded - np.diag(np.diag(folded))) <= 0.0
     # every column of a left-half row lands in one folded column, so the row
@@ -304,7 +306,8 @@ def test_folded_acts_on_mirrored_functions(rng):
         h = grid.n_half
         full = op.rows @ u + op.tail[:h] * v
         scale = np.abs(op.rows).sum(axis=1) + op.tail[:h]
-        assert np.max(np.abs(op.folded() @ v - full) / scale) < 1e-14
+        centre_out = assemble_centre_out(grid, 0.5) @ v[::-1]
+        assert np.max(np.abs(centre_out[::-1] - full) / scale) < 1e-14
 
 
 def test_rows_storage_and_dense_mirror():
@@ -437,18 +440,19 @@ def _reference_rows(grid, alpha):
     return rows
 
 
+GRADED201 = Grid1D.graded(201, 3.0, include=[2.0**-k for k in range(3, 15)] + [0.2, 0.35]).nodes
+EVEN6 = [0.1, 0.3, 0.45, 0.55, 0.7, 0.9]
+# the doubling grid: at the first node the edge distances on both sides of
+# the local zone are equal, so a pair spanning the zone has width 0
+DOUBLING5 = [0.125, 0.25, 0.5, 0.75, 0.875]
+
+
 @pytest.mark.parametrize(
     "nodes, alphas",
     [
-        (
-            Grid1D.graded(201, 3.0, include=[2.0**-k for k in range(3, 15)] + [0.2, 0.35]).nodes,
-            (0.25, 0.5, 0.5 + 1e-13, 0.75),
-        ),
-        ([0.1, 0.3, 0.45, 0.55, 0.7, 0.9], (0.25, 0.5, 0.75)),
-        # the doubling grid: at the first node the edge distances on both
-        # sides of the local zone are equal, so a pair spanning the zone has
-        # width 0
-        ([0.125, 0.25, 0.5, 0.75, 0.875], (0.25, 0.5, 0.75)),
+        (GRADED201, (0.25, 0.5, 0.5 + 1e-13, 0.75)),
+        (EVEN6, (0.25, 0.5, 0.75)),
+        (DOUBLING5, (0.25, 0.5, 0.75)),
     ],
     ids=["graded201", "even6", "doubling5"],
 )
@@ -456,6 +460,46 @@ def test_assembly_rows_bit_exact_against_per_cell_reference(nodes, alphas):
     grid = Grid1D(nodes=np.array(nodes))
     for alpha in alphas:
         assert np.array_equal(assemble(grid, alpha).rows, _reference_rows(grid, alpha))
+
+
+@pytest.mark.parametrize(
+    "nodes", [GRADED201, EVEN6, DOUBLING5], ids=["graded201", "even6", "doubling5"]
+)
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.5 + 1e-13, 0.75])
+def test_centre_out_assembly_is_the_reversed_fold(nodes, alpha):
+    """`assemble_centre_out` is `assemble`'s rows folded (each right-half
+    column added to its mirror, the midpoint column of odd n unpaired), the
+    tail added on the diagonal, and then both axes reversed, bit for bit."""
+    grid = Grid1D(nodes=np.array(nodes))
+    op = assemble(grid, alpha)
+    n, h = grid.n_interior, grid.n_half
+    folded = op.rows[:, :h].copy()
+    folded[:, : n - h] += op.rows[:, : h - 1 : -1]
+    folded[np.diag_indices(h)] += op.tail[:h]
+    assert np.array_equal(assemble_centre_out(grid, alpha), folded[::-1, ::-1])
+
+
+def test_pow_antideriv_log_branch_is_the_series_at_zero():
+    """At s = 0 exactly the antiderivative is dlog, which is the series
+    branch's value bit for bit: exp(0) = 1 and every correction is 0."""
+    grid = Grid1D(nodes=np.array(GRADED201))
+    edges = grid.cell_edges()
+    for x in grid.nodes[::10]:
+        r = np.abs(edges - x)
+        log_r = np.log(r[r > 0.0])
+        log_lo, dlog = log_r[:-1], log_r[1:] - log_r[:-1]
+        s = 0.0
+        series = np.exp(s * log_lo) * dlog * (1.0 + 0.5 * s * dlog * (1.0 + s * dlog / 3.0))
+        assert np.array_equal(_pow_antideriv(log_lo, dlog, 0.0), series)
+
+
+def test_assembly_refuses_a_non_finite_moment(monkeypatch):
+    # both consumers of the row kernel refuse a row with a non-finite entry
+    monkeypatch.setattr(fop, "_pow_antideriv", lambda log_lo, dlog, s: dlog * np.nan)
+    grid = Grid1D(nodes=np.array(EVEN6))
+    for build in (assemble, assemble_centre_out):
+        with pytest.raises(FraclapError, match="non-finite"):
+            build(grid, 0.5)
 
 
 def test_assembly_special_value_log_branch():

@@ -1,7 +1,10 @@
 """End-to-end runs of the project's tooling: the pytest configuration under a
-failing property test, and the example scripts."""
+failing property test, the example scripts, and the names the benchmark's
+span tracer wraps."""
 
 import csv
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -53,3 +56,18 @@ def test_rate_study_script_reproduces_the_three_rates(tmp_path):
     assert [r["case"] for r in rows] == ["interaction", "weak_source", "strong_source"]
     for r in rows:
         assert float(r["relative_error"]) < 0.05, r
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps fraclap functions by module and attribute
+    # name and dies on a missing one; it imports only the standard library
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for name, module_name, attr, _ in spans.TARGETS:
+        obj = importlib.import_module(module_name)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+            assert obj is not None, f"{name}: {module_name}.{attr} does not resolve"
+        assert callable(obj), name
