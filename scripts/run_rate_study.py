@@ -1,22 +1,31 @@
 """Reproduce the three boundary blow-up rates at desk scale.
 
-Runs the interaction, weak-source and strong-source configurations on a shared
-graded grid, fits the boundary exponents, and prints a comparison against the
-predicted rates -2a/(p-1), gamma+2a and gamma/p.  Writes per-case profiles and
-a summary CSV into --out.  Each solve assembles and folds its own operator.
+Runs the interaction, weak-source and strong-source configurations through
+`fraclap blowup` on one graded grid and prints each fitted boundary exponent
+against the predicted rate -2a/(p-1), gamma+2a or gamma/p.  Each case writes
+its CLI output (profiles and manifest) into --out/<case>, and a summary CSV
+goes to --out/summary.csv.  A fit outside the CLI's tolerance (exit code 4)
+is reported like any other result.
 """
 
 import argparse
+import json
 import time
 from pathlib import Path
 
-from fraclap.exponents import ProblemParams, classify_regime
-from fraclap.fields import SourceField
-from fraclap.grid import Grid1D
-from fraclap.rates import fit_exponent
-from fraclap.solvers import IterationConfig, solve_blowup
+from fraclap import cli
 
 SHELLS = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
+
+# case: (problem flags, fit window); the source-driven cases append a
+# full-depth shell
+CASES = {
+    "interaction": (["--p", "2.5"], (10 / SHELLS[-1], 0.02)),
+    "weak_source": (["--p", "4", "--gamma", "-1.2", "--kappa-f", "0.25", "--full-level"],
+                    (1.5e-3, 1.5e-2)),
+    "strong_source": (["--p", "4", "--gamma", "-1.8", "--kappa-f", "1", "--full-level"],
+                      (3e-4, 2e-3)),
+}
 
 
 def main() -> None:
@@ -28,42 +37,28 @@ def main() -> None:
     args = ap.parse_args()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = Grid1D.graded(args.n, args.grading, include=[1.0 / s for s in SHELLS])
-    full = int(2.0 / grid.min_spacing)
-
-    cases = [
-        ("interaction", ProblemParams(args.alpha, 2.5), SHELLS, (10 / SHELLS[-1], 0.02)),
-        (
-            "weak_source",
-            ProblemParams(args.alpha, 4.0, source=SourceField.power_collar(-1.2, kappa_f=0.25)),
-            SHELLS + (full,),
-            (1.5e-3, 1.5e-2),
-        ),
-        (
-            "strong_source",
-            ProblemParams(args.alpha, 4.0, source=SourceField.power_collar(-1.8, kappa_f=1.0)),
-            SHELLS + (full,),
-            (3e-4, 2e-3),
-        ),
-    ]
-
     rows = []
-    for name, params, levels, window in cases:
-        cfg = IterationConfig(
-            max_iters=40000, sup_tol=1e-10, exhaustion_levels=levels
-        )
+    for name, (flags, (lo, hi)) in CASES.items():
+        # a failed run writes no manifest: remove one left by an earlier run
+        manifest = out / name / "manifest.json"
+        manifest.unlink(missing_ok=True)
         t0 = time.perf_counter()
-        res = solve_blowup(params, grid, cfg)
-        fit = fit_exponent(res.final, window)
-        predicted = classify_regime(params).predicted_exponent
+        code = cli.main([
+            "blowup", "--alpha", repr(args.alpha), *flags, "--n", str(args.n),
+            "--grading", repr(args.grading), "--levels", ",".join(map(str, SHELLS)),
+            "--max-iters", "40000", "--sup-tol", "1e-10",
+            "--fit-lo", repr(lo), "--fit-hi", repr(hi), "--out", str(out / name),
+        ])
         elapsed = time.perf_counter() - t0
-        res.final.to_csv(out / f"{name}.csv")
-        rel = abs(fit.exponent - predicted) / abs(predicted)
-        rows.append((name, predicted, fit.exponent, rel, elapsed))
+        if code not in (0, cli.EXIT_VERIFICATION) or not manifest.exists():
+            raise SystemExit(f"{name}: fraclap blowup exited {code}, see {out / name}")
+        m = json.loads(manifest.read_text())
+        predicted, fitted = m["predicted_exponent"], m["fit"]["exponent"]
+        rel = abs(fitted - predicted) / abs(predicted)
+        rows.append((name, predicted, fitted, rel, elapsed))
         print(
-            f"{name:14s} predicted {predicted:+.4f}  fitted {fit.exponent:+.4f} "
-            f"({rel:.2%})  monotone={res.monotone_in_levels}  {elapsed:5.1f}s"
+            f"{name:14s} predicted {predicted:+.4f}  fitted {fitted:+.4f} "
+            f"({rel:.2%})  monotone={m['monotone_in_levels']}  {elapsed:5.1f}s"
         )
 
     with (out / "summary.csv").open("w") as fh:

@@ -1,11 +1,13 @@
 """Explicit super/sub-solution candidates and their numerical verification.
 
-Every comparison object the solver machinery needs is a linear combination of
-three primitive shapes: the distance-power profile d^tau (collar singular), the
-interval indicator and the torsion function (operator value exactly -1).  A
+Every barrier is a linear combination of two primitive terms: the
+distance-power profile d^tau (collar singular) and the interval indicator.  A
 BarrierSpec is such a combination together with the fractional order.  The
 power profile's operator values come from the semi-analytic path in
-`fraclap.operator`; the indicator's and the torsion's are closed forms.  This
+`fraclap.operator`, the indicator's from a closed form.  `globalize_pair`
+extends a collar pair to the whole interval with the torsion function
+`torsion` (operator value exactly -1, a closed form too), on the discrete
+system only, so the globalized pair is a pair of nodal values.  This
 module imports nothing from `fraclap.grid`: `globalize_pair` is given the
 discrete system as nodes and a matrix, and the collar checks are grid-free.
 
@@ -39,7 +41,6 @@ __all__ = [
     "BarrierReport",
     "PowerTerm",
     "IndicatorTerm",
-    "TorsionTerm",
     "make_existence_pair",
     "make_special_pair",
     "make_nonexistence_family",
@@ -101,33 +102,6 @@ class IndicatorTerm:
         return {"kind": "indicator"}
 
 
-@dataclass(frozen=True)
-class TorsionTerm:
-    """Torsion function V, the solution of (operator) V = -1 with zero
-    exterior, in closed form (Getoor 1961; Dyda 2012):
-
-        V(x) = -(sin(pi alpha) / pi) (x (1 - x))^alpha   on (0, 1),
-
-    zero outside.  It is negative inside for every alpha in (0, 1) and
-    depends on x only through d = min(x, 1 - x), so it is mirror-symmetric.
-    """
-
-    alpha: float
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        d = np.maximum(np.minimum(x, 1.0 - x), 0.0)
-        return -(np.sin(np.pi * self.alpha) / np.pi) * (d * (1.0 - d)) ** self.alpha
-
-    def op(self, x, alpha: float):
-        if alpha != self.alpha:
-            raise DomainError(f"torsion of order alpha={self.alpha} used at alpha={alpha}")
-        return np.full(np.shape(x), -1.0)
-
-    def describe(self) -> dict:
-        return {"kind": "torsion", "alpha": self.alpha}
-
-
 # ---------------------------------------------------------------------------
 # barrier combinations
 # ---------------------------------------------------------------------------
@@ -166,9 +140,6 @@ class BarrierSpec:
 
     def scaled(self, factor: float) -> "BarrierSpec":
         return BarrierSpec(self.alpha, tuple((c * factor, t) for c, t in self.terms))
-
-    def with_term(self, coef: float, term) -> "BarrierSpec":
-        return BarrierSpec(self.alpha, self.terms + ((coef, term),))
 
     def describe(self) -> list:
         return [{"coefficient": c, **t.describe()} for c, t in self.terms]
@@ -407,11 +378,21 @@ def make_nonexistence_family(
     return search(params, zone, role)
 
 
-def torsion(alpha: float) -> TorsionTerm:
-    """The closed-form torsion term of order alpha (operator value -1)."""
+def torsion(alpha: float, x) -> np.ndarray:
+    """The torsion function V at the points x, the solution of
+    (operator) V = -1 with zero exterior, in closed form (Getoor 1961;
+    Dyda 2012):
+
+        V(x) = -(sin(pi alpha) / pi) (x (1 - x))^alpha   on (0, 1),
+
+    zero outside.  It is negative inside for every alpha in (0, 1) and
+    depends on x only through d = min(x, 1 - x), so it is mirror-symmetric.
+    """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"torsion needs alpha in (0, 1), got {alpha}")
-    return TorsionTerm(float(alpha))
+    x = np.asarray(x, dtype=float)
+    d = np.maximum(np.minimum(x, 1.0 - x), 0.0)
+    return -(np.sin(np.pi * alpha) / np.pi) * (d * (1.0 - d)) ** alpha
 
 
 def globalize_pair(
@@ -421,14 +402,11 @@ def globalize_pair(
     A: np.ndarray,
     sub_rows: int,
     super_rows: int,
-) -> tuple[
-    tuple[BarrierSpec, BarrierSpec],
-    tuple[np.ndarray, np.ndarray],
-    tuple[BarrierReport, BarrierReport],
-]:
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[BarrierReport, BarrierReport]]:
     """Extend a collar-verified pair to all of the interval by adding
-    +-lambda V, V = `torsion`(params.alpha) < 0, with the first lambda in
-    {0, 1, 2, 4, ..., 2^38} at which the pair passes on the discrete system.
+    +-lambda V, V = `torsion`(params.alpha, nodes) < 0, with the first lambda
+    in {0, 1, 2, 4, ..., 2^38} at which the pair passes on the discrete
+    system.
 
     A is the operator's matrix on the values at `nodes` (zero exterior),
     ordered so that the rows a level frees lead.  W = sub + lambda V must
@@ -436,17 +414,17 @@ def globalize_pair(
     U = sup - lambda V the reverse on the first `super_rows` (then also with
     W imposed outside a level, as A's off-diagonals are <= 0 and U >= W).
     The operator values are three matvecs and each rung's `_margins` are
-    elementwise; the ladder is formed LADDER_BLOCK rungs at a time, up to the
-    first block that holds a passing rung.  Returns the pair, its values
-    (U, W) at the nodes and the (super, sub) reports of the chosen rung on
-    the rows checked, each with mu = lambda (a role checked on no row has
-    worst margin inf at x = nan).  If no rung passes, VerificationError
-    names a failing role, its worst margin on the last rung and its d.
+    elementwise; the ladder is formed LADDER_BLOCK rungs at a time, on the
+    rows each role checks, up to the first block that holds a passing rung.
+    Returns the values (U, W) at the nodes and the (super, sub) reports of
+    the chosen rung on the rows checked, each with mu = lambda (a role
+    checked on no row has worst margin inf at x = nan).  If no rung passes,
+    VerificationError names a failing role, its worst margin on the last
+    rung and its d.
     """
     sup, sub = pair
     x = np.asarray(nodes, dtype=float)
-    tor = torsion(params.alpha)
-    tor_vals = tor.value(x)
+    tor_vals = torsion(params.alpha, x)
     tor_ops = A[: max(sub_rows, super_rows)] @ tor_vals
     lams = [0.0] + [2.0**k for k in range(39)]
     roles = []  # per role: sign of the torsion term, values, operator values, s, f
@@ -456,12 +434,11 @@ def globalize_pair(
         roles.append((sign, vals, A[:rows] @ vals, s, f_vals))
     for start in range(0, len(lams), LADDER_BLOCK):
         block = np.array(lams[start : start + LADDER_BLOCK])[:, None]
-        values, margins = [], []
+        margins = []
         for sign, vals, ops, s, f_vals in roles:
-            col = sign * block
-            values.append(vals + col * tor_vals)
-            rung_ops = ops + col * tor_ops[: s.size]
-            margins.append(_margins(s, values[-1][:, : s.size] / s, rung_ops, f_vals, params.p))
+            col, rows = sign * block, s.size
+            scaled_vals = (vals[:rows] + col * tor_vals[:rows]) / s
+            margins.append(_margins(s, scaled_vals, ops + col * tor_ops[:rows], f_vals, params.p))
         sup_m, sub_m = margins[0], -margins[1]
         ok = _passes(sup_m) & _passes(sub_m)
         if ok.any():
@@ -480,5 +457,5 @@ def globalize_pair(
     for m, role in ((sup_m, "super"), (sub_m, "sub")):
         reports.append(_report(x[: m.shape[1]], m[i].copy(), role))
         reports[-1].mu = lam
-    specs = (sup.with_term(-lam, tor), sub.with_term(lam, tor)) if lam else (sup, sub)
-    return specs, (values[0][i].copy(), values[1][i].copy()), tuple(reports)
+    U, W = (vals + sign * lam * tor_vals for sign, vals, *_ in roles)
+    return (U, W), tuple(reports)

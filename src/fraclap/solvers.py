@@ -320,7 +320,6 @@ class BlowupLevel:
 @dataclass
 class BlowupResult:
     levels: list
-    pair_global: tuple
     monotone_in_levels: bool
     sandwich_ok: bool
     # (super, sub) `BarrierReport`s of the globalized pair on the discrete
@@ -373,9 +372,11 @@ def solve_blowup(
     `barriers.globalize_pair` globalizes the pair on the folded system: W
     must be a discrete sub-solution on the rows the deepest W-imposing level
     frees, and U a discrete super-solution on those the deepest level frees,
-    as the comparison argument for the levels needs; its reports of the
-    chosen rung are the result's `pair_reports`.  The pair's only grid-free
-    operator evaluation is its construction on the collar points.
+    as the comparison argument for the levels needs.  The globalized pair
+    exists only as its nodal values (W, U) on the folded system, and the
+    result keeps its reports of the chosen rung, `pair_reports`, not the
+    pair.  The pair's only grid-free operator evaluation is its construction
+    on the collar points.
     """
     if not params.source.mirror_symmetric:
         raise DomainError(
@@ -410,7 +411,7 @@ def solve_blowup(
     A = assemble_centre_out(grid, params.alpha)
     # the full-depth level climbs from 0, so only the levels that impose W need it
     imposing = max((m for m in sizes if m < h), default=0)
-    (sup_g, sub_g), (U, W), reports = globalize_pair(
+    (U, W), reports = globalize_pair(
         pair, params, x[::-1], A, imposing, sizes[-1]
     )
     f = params.source.value(x)[::-1]
@@ -470,7 +471,6 @@ def solve_blowup(
     )
     return BlowupResult(
         levels=levels,
-        pair_global=(sup_g, sub_g),
         monotone_in_levels=monotone_levels,
         sandwich_ok=sandwich_ok,
         pair_reports=reports,

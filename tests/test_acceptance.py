@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from fraclap.barriers import make_existence_pair, make_nonexistence_family
+from fraclap.barriers import make_existence_pair, make_nonexistence_family, torsion
 from fraclap.errors import DomainError
 from fraclap.exponents import ProblemParams, classify_regime, classify_zone6, find_tau0
 from fraclap.fields import ExteriorData, SourceField
@@ -151,10 +151,12 @@ def test_criterion_06_interaction_rate(blowup_grid):
     slope = _slope(res.final, blowup_grid, 10.0 / SHELLS[-1], 0.02)
     rel = abs(slope + 2.0 / 3.0) / (2.0 / 3.0)
     positive = bool(np.all(res.final.values[res.final_free] > 0))
-    sup_g, sub_g = res.pair_global
-    # the pair depends on d alone and is evaluated at the grid's distances
-    w = np.asarray(sub_g.value(blowup_grid.d))
-    uu = np.asarray(sup_g.value(blowup_grid.d))
+    # the globalized pair (sub + lambda V, sup - lambda V) depends on d alone
+    # and is formed here from the collar pair at the grid's distances
+    sup, sub = make_existence_pair(params, classify_regime(params))
+    lam, d = res.pair_reports[0].mu, blowup_grid.d
+    w = sub.value(d) + lam * torsion(params.alpha, d)
+    uu = sup.value(d) - lam * torsion(params.alpha, d)
     sandwich = bool(
         np.all(res.final.values >= w - 1e-9 * (1 + np.abs(w)))
         and np.all(res.final.values <= uu + 1e-9 * (1 + np.abs(uu)))

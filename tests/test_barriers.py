@@ -183,21 +183,17 @@ def test_torsion(grid301):
     x = grid301.nodes
     dyadic = np.arange(1, 64) / 64.0  # 1 - x is exact, so symmetry is too
     for alpha in TORSION_CONSTANT:
-        term = torsion(alpha)
-        vals = term.value(x)
+        vals = torsion(alpha, x)
         assert np.all(vals < 0)
-        assert np.array_equal(term.value(dyadic), term.value(dyadic)[::-1])
-        assert term.value(1.0 - x) == pytest.approx(vals, rel=1e-12)
-        assert np.all(term.value(np.array([-1.0, 0.0, 1.0, 2.0])) == 0.0)
-        assert np.all(term.op(x, alpha) == -1.0)
-        assert term.describe() == {"kind": "torsion", "alpha": alpha}
+        assert np.array_equal(torsion(alpha, dyadic), torsion(alpha, dyadic)[::-1])
+        assert torsion(alpha, 1.0 - x) == pytest.approx(vals, rel=1e-12)
+        assert np.all(torsion(alpha, np.array([-1.0, 0.0, 1.0, 2.0])) == 0.0)
         # K_a = L (4x(1-x))^a, computed with mpmath by scripts/make_reference_values.py
         exact = -((4.0 * grid301.d * (1.0 - grid301.d)) ** alpha) / TORSION_CONSTANT[alpha]
         assert vals == pytest.approx(exact, rel=1e-14)
-    with pytest.raises(DomainError):
-        torsion(0.5).op(x, 0.25)
-    with pytest.raises(DomainError):
-        torsion(1.0)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(DomainError):
+            torsion(alpha, x)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
@@ -232,29 +228,36 @@ def _centre_out(grid, alpha=0.5):
     return grid.nodes[: grid.n_half][::-1], assemble_centre_out(grid, alpha)
 
 
-def _discrete_margins(spec, params, x, A, rows):
+def _discrete_margins(v, tau, params, x, A, rows):
     """Super-signed margins (A v + |v|^(p-1) v - f) / d^(tau p) of one
-    candidate v on the first `rows` rows of the centre-out system (x = d)."""
-    v = spec.value(x)
+    candidate's values v on the first `rows` rows of the centre-out system
+    (x = d)."""
     head = v[:rows]
     resid = A[:rows] @ v + np.sign(head) * np.abs(head) ** params.p - params.source.value(x[:rows])
-    return resid / x[:rows] ** (spec.leading_tau * params.p)
+    return resid / x[:rows] ** (tau * params.p)
+
+
+def _globalized(pair, lam, alpha, x):
+    """(U, W) = (sup - lam V, sub + lam V) at x, formed from the collar pair."""
+    sup, sub = pair
+    tor = torsion(alpha, x)
+    return sup.value(x) - lam * tor, sub.value(x) + lam * tor
 
 
 def test_globalized_pair(grid301, interaction):
     params, pair = interaction
     x, A = _centre_out(grid301)
     rows = int(np.count_nonzero(x > 1e-4))
-    (sup_g, sub_g), (U, W), (r_sup, r_sub) = globalize_pair(pair, params, x, A, rows, rows)
-    assert np.array_equal(U, sup_g.value(x)) and np.array_equal(W, sub_g.value(x))
-    sup_m = _discrete_margins(sup_g, params, x, A, rows)
-    sub_m = -_discrete_margins(sub_g, params, x, A, rows)
+    (U, W), (r_sup, r_sub) = globalize_pair(pair, params, x, A, rows, rows)
+    assert r_sup.mu == r_sub.mu == 4.0
+    sup_u, sub_w = _globalized(pair, r_sup.mu, params.alpha, x)
+    assert np.array_equal(U, sup_u) and np.array_equal(W, sub_w)
+    sup_m = _discrete_margins(U, pair[0].leading_tau, params, x, A, rows)
+    sub_m = -_discrete_margins(W, pair[1].leading_tau, params, x, A, rows)
     assert sup_m.min() >= -barriers.TOL_REL
     assert sub_m.min() >= -barriers.TOL_REL
     assert np.all(U >= W)
     # the reports are those of the chosen rung on the rows checked
-    lam = -sup_g.terms[-1][0]
-    assert lam == sub_g.terms[-1][0] == r_sup.mu == r_sub.mu == 4.0
     for r, m, role in ((r_sup, sup_m, "super"), (r_sub, sub_m, "sub")):
         assert r.role == role and r.passed
         assert r.margins.shape == (rows,) and np.array_equal(r.nodes, x[:rows])
@@ -298,7 +301,7 @@ def test_globalize_failure_names_the_sub_node(interaction):
 def test_verify_barrier_perturbed_sub_fails(interaction):
     params, (sup, sub) = interaction
     xs = collar_points()
-    shifted = sub.with_term(50.0, IndicatorTerm())
+    shifted = BarrierSpec(params.alpha, sub.terms + ((50.0, IndicatorTerm()),))
     r = verify_barrier(shifted, params, "sub", xs)
     assert not r.passed
     assert r.worst_margin < 0
@@ -341,13 +344,13 @@ def test_discrete_residual_signs_stable_under_refinement(interaction):
     for op in ops:
         x, A = _centre_out(op.grid)
         rows = int(np.count_nonzero(x > 1e-3))
-        specs, _, _ = globalize_pair(pair, params, x, A, rows, rows)
-        chosen.append([b.describe() for b in specs])
+        _, (r_sup, _) = globalize_pair(pair, params, x, A, rows, rows)
+        chosen.append(r_sup.mu)
     assert chosen[0] == chosen[1]
     for op in ops:
         grid = op.grid
-        for b, sgn in zip(specs, (1.0, -1.0)):
-            vals = np.asarray(b.value(grid.nodes))
+        values = _globalized(pair, chosen[0], params.alpha, grid.nodes)
+        for vals, b, sgn in zip(values, pair, (1.0, -1.0)):
             resid = op.shifted_dense(0.0) @ vals + np.sign(vals) * np.abs(vals) ** params.p
             margins = sgn * resid / grid.d ** (b.leading_tau * params.p)
             assert margins[grid.d > 1e-3].min() > 0
@@ -420,27 +423,24 @@ def test_nonexistence_ladder_matches_single_checks(kc05):
 def test_globalize_ladder_matches_single_checks(grid301, interaction, scale):
     # scale 1: the super-solution sets lambda; scale 2: the sub-solution does
     params, pair = interaction
-    sup, sub = (b.scaled(scale) for b in pair)
+    sup, sub = pair = tuple(b.scaled(scale) for b in pair)
     x, A = _centre_out(grid301)
     rows = int(np.count_nonzero(x > 1e-4))
-    (sup_g, sub_g), _, _ = globalize_pair((sup, sub), params, x, A, rows, rows)
-    lam = -sup_g.terms[-1][0] if len(sup_g.terms) > len(sup.terms) else 0.0
-    tor = torsion(0.5)
+    (U, W), (r_sup, _) = globalize_pair(pair, params, x, A, rows, rows)
     first = None
     for cand in [0.0] + [2.0**k for k in range(39)]:
-        cands = (sup.with_term(-cand, tor), sub.with_term(cand, tor)) if cand else (sup, sub)
-        sup_ok = _discrete_margins(cands[0], params, x, A, rows).min() >= -barriers.TOL_REL
-        sub_ok = -_discrete_margins(cands[1], params, x, A, rows).max() >= -barriers.TOL_REL
-        if sup_ok and sub_ok:
+        u, w = _globalized(pair, cand, params.alpha, x)
+        sup_m = _discrete_margins(u, sup.leading_tau, params, x, A, rows)
+        sub_m = -_discrete_margins(w, sub.leading_tau, params, x, A, rows)
+        if sup_m.min() >= -barriers.TOL_REL and sub_m.min() >= -barriers.TOL_REL:
             first = cand
             break
-    assert first is not None and lam == first
-    assert sub_g.describe() == (sub.with_term(lam, tor) if lam else sub).describe()
+    assert first is not None and r_sup.mu == first
+    assert all(map(np.array_equal, (U, W), _globalized(pair, first, params.alpha, x)))
 
 
 def _same_globalization(a, b):
-    (specs_a, vals_a, reps_a), (specs_b, vals_b, reps_b) = a, b
-    assert [s.describe() for s in specs_a] == [s.describe() for s in specs_b]
+    (vals_a, reps_a), (vals_b, reps_b) = a, b
     assert all(np.array_equal(u, v) for u, v in zip(vals_a, vals_b))
     for r, q in zip(reps_a, reps_b):
         assert (r.role, r.mu, r.passed, r.worst_margin, r.worst_x) == (
@@ -466,7 +466,7 @@ def test_blocked_ladder_matches_the_whole_ladder(grid301, interaction, monkeypat
     monkeypatch.setattr(barriers, "LADDER_BLOCK", block)
     blocked = globalize_pair(pair, params, x, A, rows, rows)
     _same_globalization(blocked, whole)
-    assert blocked[2][0].mu == lam
+    assert blocked[1][0].mu == lam
 
 
 def test_blocked_ladder_fails_with_the_whole_ladders_message(interaction, monkeypatch):

@@ -16,6 +16,7 @@ import fraclap
 from fraclap import barriers, cli
 from fraclap.cli import main
 from fraclap.errors import DomainError
+from fraclap.exponents import ProblemParams, classify_regime
 from fraclap.grid import GridFunction
 
 
@@ -331,9 +332,17 @@ def test_blowup_manifest_records_the_globalization(tmp_path, monkeypatch):
     assert run_cli(argv + ["--out", str(tmp_path / "b")]) == 0
     (res,) = results
     r_sup, r_sub = res.pair_reports
-    sup_g, sub_g = res.pair_global
-    assert sub_g.terms[-1] == (r_sub.mu, barriers.torsion(0.5))
-    assert sup_g.terms[-1] == (-r_sup.mu, barriers.torsion(0.5))
+    # the recorded lambda is the one the solve used: W = sub + lambda V is
+    # imposed outside the deepest shell, and the profile lies between W and
+    # U = sup - lambda V
+    params = ProblemParams(0.5, 2.5)
+    sup, sub = barriers.make_existence_pair(params, classify_regime(params))
+    d, u = res.final.grid.d, res.final.values
+    w = sub.value(d) + r_sub.mu * barriers.torsion(0.5, d)
+    uu = sup.value(d) - r_sup.mu * barriers.torsion(0.5, d)
+    assert np.array_equal(u[~res.final_free], w[~res.final_free])
+    assert np.all(u >= w - 1e-9 * (1 + np.abs(w)))
+    assert np.all(u <= uu + 1e-9 * (1 + np.abs(uu)))
     assert load_manifest(tmp_path / "b")["globalization"] == {
         "lambda": r_sup.mu,
         "super": {"worst_margin": r_sup.worst_margin, "d": r_sup.worst_x},

@@ -4,9 +4,12 @@ private function of src/fraclap that nothing in src/fraclap calls, and no
 functools cache decorator in src/fraclap (module-level mutable state), found
 by scanning the syntax tree of every module (the project runs no linter, so
 this test is the check).  Tests and scripts get the import check only: a pytest
-fixture can be a parameter that the test body never names."""
+fixture can be a parameter that the test body never names.  One check imports
+the package: every name in a module's __all__ must exist on that module, or
+`from module import *` fails."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -144,6 +147,13 @@ def test_no_orphaned_private_functions(path):
 @pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_no_cache_decorators(path):
     assert cache_decorated_functions(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
+def test_every_exported_name_resolves(path):
+    name = "fraclap" if path.stem == "__init__" else f"fraclap.{path.stem}"
+    module = importlib.import_module(name)
+    assert sorted(n for n in _exported(_tree(path)) if not hasattr(module, n)) == []
 
 
 def test_scanner_flags_what_it_should():

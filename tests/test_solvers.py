@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from fraclap.barriers import make_special_pair, torsion
+from fraclap.barriers import make_existence_pair, make_special_pair, torsion
 from fraclap.errors import ConvergenceError, DomainError
-from fraclap.exponents import ProblemParams
+from fraclap.exponents import ProblemParams, classify_regime
 from fraclap.fields import ExteriorData, SourceField
 from fraclap.grid import Grid1D, GridFunction
 from fraclap.operator import assemble, exterior_potential
@@ -34,7 +34,7 @@ def test_solve_linear_trivial(op301, grid301):
 def test_solve_linear_is_negative_torsion(op301, grid301):
     """The discrete solution of L u = 1 against the closed-form -V."""
     u = solve_linear(op301, 0.0, np.ones(grid301.n_interior)).values
-    rel = np.abs(u + torsion(0.5).value(grid301.d)) / u
+    rel = np.abs(u + torsion(0.5, grid301.d)) / u
     assert rel[int(np.argmin(np.abs(grid301.nodes - 0.5)))] < 2e-3
     assert rel[grid301.d > 1e-3].max() < 1e-2
 
@@ -223,10 +223,12 @@ def test_blowup_small_interaction(monkeypatch):
     assert [lev.shell for lev in res.levels] == [8, 16, 32]
     for lev in res.levels:
         assert np.array_equal(lev.solution.values, lev.solution.values[::-1])
-    # the pair depends on d alone and is evaluated at the grid's distances
-    sup_g, sub_g = res.pair_global
-    w = sub_g.value(grid.d)
-    u = sup_g.value(grid.d)
+    # the globalized pair (sub + lambda V, sup - lambda V) depends on d alone
+    # and is formed here from the collar pair at the grid's distances
+    sup, sub = make_existence_pair(params, classify_regime(params))
+    lam = res.pair_reports[0].mu
+    w = sub.value(grid.d) + lam * torsion(params.alpha, grid.d)
+    u = sup.value(grid.d) - lam * torsion(params.alpha, grid.d)
     assert np.all(res.final.values >= w - 1e-9 * (1 + np.abs(w)))
     assert np.all(res.final.values <= u + 1e-9 * (1 + np.abs(u)))
 
