@@ -329,16 +329,20 @@ def make_special_pair(params: ProblemParams, t: float) -> tuple[BarrierSpec, Bar
     return tuple(BarrierSpec(params.alpha, ((t, lead), (-mu, second))) for mu in (mu1, mu2))
 
 
-def nonexistence_search(alpha: float, t: float, tau: float):
-    """Amplitude search for the rate-excluding family t*V_tau + mu*V_0.
+def nonexistence_search(alpha: float, t: float, taus):
+    """Amplitude searches for the rate-excluding family t*V_tau + mu*V_0,
+    one per tau of the sequence `taus`, in order.
 
-    Of the margins, only the source values and the powers depend on the
-    params; the rest is formed here, once: the operator values of V_tau and
-    V_0 on the `collar_points` and 12 interior points in [0.1, 0.5],
-    s = d^tau, and for each ladder sign the whole ladder's operator rows
+    The points are the `collar_points` and 12 interior points in [0.1, 0.5].
+    This call evaluates the operator of V_tau there for every tau, in one
+    `eval_on_power` call, and that of V_0 in closed form.  Of the margins,
+    only the source values and the powers depend on the params; the rest of
+    a tau's search is formed when the returned iterator yields it: s = d^tau,
+    and for each ladder sign the whole ladder's operator rows
     t*op(V_tau) + mu*op(V_0) and scaled value rows (t*V_tau + mu*V_0) / s.
-    The returned
-    search(params, zone, role) -> (family, report) takes the ladder
+    A caller that drops each search before drawing the next holds one tau's
+    ladders at a time.
+    Each search(params, zone, role) -> (family, report) takes the ladder
     mu = +-2^k with the sign the zone prescribes (positive for super-solution
     zones, negative for sub-solution zones), evaluates its `_margins` at
     params.p in one pass, keeps the first verifying rung and records the
@@ -348,10 +352,21 @@ def nonexistence_search(alpha: float, t: float, tau: float):
         raise DomainError(f"family parameter t={t!r} must be positive and finite")
     # sorted and deduplicated without np.unique, which imports numpy.ma
     xs = np.array(sorted({*collar_points().tolist(), *np.linspace(0.1, 0.5, 12).tolist()}))
-    power, indicator = PowerTerm(DistanceProfile(tau=tau)), IndicatorTerm()
-    base = BarrierSpec(alpha, ((t, power), (1.0, indicator)))
-    (_, lead_vals, lead_ops), (_, ind_vals, ind_ops) = base.term_arrays(xs)
-    s = _scale(xs, tau)
+    taus = list(taus)
+    indicator = IndicatorTerm()
+    ind_vals, ind_ops = indicator.value(xs), indicator.op(xs, alpha)
+    power_ops = eval_on_power(np.array(taus, dtype=float), alpha, xs)
+    return (
+        _ladder_search(alpha, t, PowerTerm(DistanceProfile(tau=tau)), xs, ops, ind_vals, ind_ops)
+        for tau, ops in zip(taus, power_ops)
+    )
+
+
+def _ladder_search(alpha, t, power, xs, lead_ops, ind_vals, ind_ops):
+    """The search of `nonexistence_search` for one power term, given its
+    operator values and the indicator's at the points xs."""
+    lead_vals = power.value(xs)
+    s = _scale(xs, power.tau)
     ladders = {}
     for sign in (1.0, -1.0):
         mus = [sign * 2.0**k for k in range(-MU_SWEEP_RANGE, MU_SWEEP_RANGE + 1)]
@@ -363,7 +378,7 @@ def nonexistence_search(alpha: float, t: float, tau: float):
         margins = _margins(s, scaled_vals, ops, params.source.value(xs), params.p)
         mu, report = _first_pass(mus, margins, xs, role, f"nonexistence family in zone {zone}")
         report.zone = f"zone{zone}"
-        return BarrierSpec(alpha, ((t, power), (mu, indicator))), report
+        return BarrierSpec(alpha, ((t, power), (mu, IndicatorTerm()))), report
 
     return search
 
@@ -374,7 +389,7 @@ def make_nonexistence_family(
     """One member t*V_tau + mu(t)*V_0 of the rate-excluding family, with mu
     from `nonexistence_search` over collar and interior points together."""
     zone, role = classify_zone6(params.p, tau, params.alpha)
-    search = nonexistence_search(params.alpha, t, tau)
+    (search,) = nonexistence_search(params.alpha, t, [tau])
     return search(params, zone, role)
 
 

@@ -275,14 +275,14 @@ def cmd_sweep(args):
     if not 0.0 < args.family_t < math.inf:
         raise DomainError(f"sweep --family-t={args.family_t!r} must be positive and finite")
     kc = find_tau0(args.alpha)
-    ps = [float(p) for p in _grid_spec(args.p_grid)]
+    # the params depend on p alone: one per p, shared by every tau
+    grid_params = [ProblemParams(args.alpha, float(p)) for p in _grid_spec(args.p_grid)]
     rows = []
+    # per tau, the points off the zone boundaries: (row, params, zone, role)
+    searched = {}
     for tau in taus:
-        # the family's operator values depend on tau alone: evaluated for the
-        # first p that reaches the amplitude search, then shared by every p
-        search = None
-        for p in ps:
-            params = ProblemParams(args.alpha, p)
+        for params in grid_params:
+            p = params.p
             row = {"p": p, "tau": tau, "predicted_exponent": ""}
             rows.append(row)
             try:
@@ -306,13 +306,18 @@ def cmd_sweep(args):
                 row.update(zone="boundary", role="", mu=float("nan"), passed=False, note=str(exc))
                 continue
             row.update(zone=f"zone{zone}", role=role)
-            try:
-                if search is None:
-                    search = nonexistence_search(args.alpha, args.family_t, tau)
-                fam, report = search(params, zone, role)
-                row.update(mu=fam.terms[1][0], passed=bool(report.passed), note="")
-            except (VerificationError, DomainError) as exc:
-                row.update(mu=float("nan"), passed=False, note=str(exc))
+            searched.setdefault(tau, []).append((row, params, zone, role))
+    # the family's operator values depend on tau alone: one evaluation for
+    # every tau that reaches the amplitude search, each tau's shared by its p
+    if searched:
+        searches = nonexistence_search(args.alpha, args.family_t, list(searched))
+        for search, points in zip(searches, searched.values()):
+            for row, params, zone, role in points:
+                try:
+                    fam, report = search(params, zone, role)
+                    row.update(mu=fam.terms[1][0], passed=bool(report.passed), note="")
+                except (VerificationError, DomainError) as exc:
+                    row.update(mu=float("nan"), passed=False, note=str(exc))
     rows.sort(key=lambda r: (r["p"], r["tau"]))
     with (Path(args.out) / "zone_map.csv").open("w") as fh:
         fh.write("p,tau,zone,role,mu,passed,regime,predicted_exponent,note\n")

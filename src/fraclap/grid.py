@@ -176,7 +176,16 @@ class GridFunction:
         those of csv.writer's default dialect (comma, CRLF); a finite float's
         repr never needs quoting, so the rows are joined directly.  The x and
         d columns come preformatted from the grid; only the values are
-        formatted here."""
-        rows = zip(self.grid._csv_prefixes, self.values.tolist())
-        text = "".join([f"{xd}{v!r}\r\n" for xd, v in rows])
+        formatted here, and those of a mirror-symmetric profile (each
+        right-half value the same bits as its mirror) only on the left half,
+        each repr reused for the mirror row."""
+        v = self.values
+        n, h = v.size, self.grid.n_half
+        bits = v.view(np.int64)
+        if np.array_equal(bits[h:], bits[: n - h][::-1]):
+            left = [repr(x) for x in v[:h].tolist()]
+            reprs = left + left[: n - h][::-1]
+        else:
+            reprs = [repr(x) for x in v.tolist()]
+        text = "".join([f"{xd}{r}\r\n" for xd, r in zip(self.grid._csv_prefixes, reprs)])
         Path(path).write_text("x,d,value\r\n" + text, newline="")

@@ -45,13 +45,15 @@ Barrier profiles.  `eval_on_power` evaluates the operator of the d^tau profile
 at an array of points in one vectorized pass, with no adaptive quadrature: the
 points are mirrored to their boundary distance d and each distinct d is
 evaluated once.  Collar points use the half-line identity (C(tau) once per
-call) plus a regular correction built from a fixed graded Gauss-Legendre rule
+tau) plus a regular correction built from a fixed graded Gauss-Legendre rule
 and closed-form 2F1 pieces; interior points use a Gauss-Jacobi window and a
 fixed logarithmic Gauss-Legendre rule on per-point pieces of equal count, with
 the collar crossings in closed form.  The two fixed Gauss-Legendre tables are
 built once at import and are read-only, and both are summed by
-`_panel_sums` in cache-sized blocks of points; the alpha-dependent window
-rule is built per call.
+`_panel_sums` in cache-sized blocks of points.  One call may take an array of
+tau, one row per tau: the alpha-dependent window rule is built once per
+call for every tau, and everything else per tau, as for a call with that tau
+alone.
 
 Special functions.  Every closed-form piece, and the incomplete beta of the
 exterior potential, is one 2F1 family, 2F1(a, b; b+1; z), summed as its Gauss
@@ -410,16 +412,18 @@ def _collar_values(profile: DistanceProfile, alpha: float, x: np.ndarray, c_val:
     return -c_val * x ** (tau - 2.0 * alpha) - corr
 
 
-def _interior_values(profile: DistanceProfile, alpha: float, x: np.ndarray):
+def _interior_values(profile: DistanceProfile, alpha: float, x: np.ndarray, window):
     """Operator of the profile at points delta <= x <= 1/2 by the
     second-difference integral in the radius r, batched over x.
 
-    [0, r0]: fixed Gauss-Jacobi window on the weight r^(1-2a).  [r0, 1-x]:
-    cut per point at every radius where x - r or x + r crosses a breakpoint
-    of the profile, plus the window starts below, and integrated with the
-    logarithmic Gauss-Legendre rule on each piece (zero-length pieces pad
-    every point to the same shape); each piece is one row of `_panel_sums`,
-    so all the log rule's panels of a block of pieces are one array.  Near
+    [0, r0]: Gauss-Jacobi window on the weight r^(1-2a); `window` is its
+    rule, `_gauss_jacobi`(48, 1 - 2a), which depends on alpha only.
+    [r0, 1-x]: cut per point at every radius where x - r or x + r crosses a
+    breakpoint of the profile, plus the window starts below, and integrated
+    with the logarithmic Gauss-Legendre rule on each piece (zero-length
+    pieces pad every point to the same shape); each piece is one row of
+    `_panel_sums`, so all the log rule's panels of a block of pieces are one
+    array.  Near
     the two crossings r -> x and r -> 1-x the profile is the collar power, so
     the windows [max(c - delta, c/2), c] of each crossing radius c drop that
     term from the quadrature and add it back in closed form.  Beyond 1 - x
@@ -435,7 +439,7 @@ def _interior_values(profile: DistanceProfile, alpha: float, x: np.ndarray):
     r0 = np.minimum(0.45 * dists.min(axis=0), 0.1)
 
     # near window: int_0^r0 [second difference / r^2] r^(1-2a) dr
-    t, wts = _gauss_jacobi(48, 1.0 - 2.0 * alpha)
+    t, wts = window
     r = r0[:, None] * (1.0 + t) / 2.0
     xc = x[:, None]
     coef = _taylor(profile._q, xc)
@@ -476,16 +480,20 @@ def _interior_values(profile: DistanceProfile, alpha: float, x: np.ndarray):
     return -(fx * total + windows)
 
 
-def eval_on_power(tau: float, alpha: float, x):
+def eval_on_power(tau, alpha: float, x):
     """Operator values of the d^tau barrier profile (`DistanceProfile`) at
     points x in (0, 1).
 
     x may be a scalar (a float is returned) or an array (an array of the same
-    shape is returned).  The profile is symmetric, so every point is mapped
+    shape is returned).  tau may be a float, or a 1-D array of exponents:
+    then the result has one row per tau in front of the shape of x, each row
+    equal bit for bit to the call with that tau alone, and the Gauss-Jacobi
+    window of the interior points, which depends on alpha only, is built
+    once for all rows.  The profile is symmetric, so every point is mapped
     to its boundary distance d = min(x, 1-x) and each distinct d is
     evaluated once.  On the collar d < delta the half-line identity supplies
     the singular part -C(tau) d^(tau-2a) in closed form (C computed once per
-    call) and only a regular correction is integrated, so accuracy does not
+    tau) and only a regular correction is integrated, so accuracy does not
     depend on how small d is down to the floor EVAL_D_MIN; below the floor
     the call raises.  Points with d >= delta go through the batched
     second-difference integral.
@@ -496,7 +504,10 @@ def eval_on_power(tau: float, alpha: float, x):
     [0.1, 0.95] and tau in [-0.9, -0.05], at most 7.4e-10 at 0.5 - 1e-5 and
     1.9e-13 on [0.1, 0.499].  No library caller evaluates in (0.499, 1/2).
     """
-    profile = DistanceProfile(tau=tau)
+    taus = np.asarray(tau, dtype=float)
+    if taus.ndim > 1:
+        raise DomainError(f"tau must be a scalar or a 1-D array, got shape {taus.shape}")
+    profiles = [DistanceProfile(tau=t) for t in taus.reshape(-1).tolist()]
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
     xs = np.asarray(x, dtype=float)
@@ -510,14 +521,16 @@ def eval_on_power(tau: float, alpha: float, x):
         )
 
     d, inverse = np.unique(d_all, return_inverse=True)
-    out = np.empty_like(d)
-    collar = d < profile.delta
-    if np.any(collar):
-        out[collar] = _collar_values(profile, alpha, d[collar], eval_C(tau, alpha))
-    if not np.all(collar):
-        out[~collar] = _interior_values(profile, alpha, d[~collar])
-    vals = out[inverse].reshape(xs.shape)
-    return float(vals) if xs.ndim == 0 else vals
+    out = np.empty((len(profiles), d.size))
+    collar = d < DistanceProfile.delta
+    window = None if np.all(collar) else _gauss_jacobi(48, 1.0 - 2.0 * alpha)
+    for row, profile in zip(out, profiles):
+        if np.any(collar):
+            row[collar] = _collar_values(profile, alpha, d[collar], eval_C(profile.tau, alpha))
+        if window is not None:
+            row[~collar] = _interior_values(profile, alpha, d[~collar], window)
+    vals = out[:, inverse.reshape(-1)].reshape(taus.shape + xs.shape)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 # ---------------------------------------------------------------------------

@@ -239,25 +239,28 @@ def _monotone_iterate(
     An iterate that leaves that range, or a decreasing step, is a hard error,
     and so is a stop whose relative residual exceeds sqrt(sup_tol) (a large
     shift makes the steps, and with them the sup-change test, small long
-    before the fixed point).  Every ConvergenceError names `where`.
+    before the fixed point).  Every ConvergenceError names `where`; one for
+    running out of sweeps also names the largest nodal shift.
     """
     trace = IterationTrace()
-    load = apply(np.zeros_like(u0))
+    rhs = f - apply(np.zeros_like(u0))  # the source less the load
     u = u0.copy()
     for k in range(1, cfg.max_iters + 1):
-        u_next = solve(f - load - _signed_power(u, p) + shift * u)
+        u_next = solve(rhs - _signed_power(u, p) + shift * u)
         if np.any(np.abs(u_next) > cap):
             raise ConvergenceError(
                 f"{where}: an iterate left the sandwich range max(|sub|, |super|) "
                 "on which the nodal shift is certified"
             )
-        defect = float(np.min(u_next - u))
+        step = u_next - u
+        defect = float(step.min())
         if defect < -MONOTONE_SLACK:
             raise ConvergenceError(
                 f"{where}: monotone iteration produced a decreasing step ({defect:.3e}); "
                 "the Lipschitz shift is too small for the sandwich range"
             )
-        change = float(np.max(np.abs(u_next - u)))
+        # max |step|, from the step's extremes
+        change = max(float(step.max()), -defect)
         trace.sup_changes.append(change)
         u = u_next
         if change < cfg.sup_tol * (1.0 + float(np.max(np.abs(u)))):
@@ -266,12 +269,13 @@ def _monotone_iterate(
     else:
         raise ConvergenceError(
             f"{where}: monotone iteration did not converge within {cfg.max_iters} "
-            f"sweeps (last sup-change {trace.sup_changes[-1]:.3e})"
+            f"sweeps (last sup-change {trace.sup_changes[-1]:.3e}, largest nodal "
+            f"shift {float(np.max(shift)):.1e})"
         )
     r = apply(u) + _signed_power(u, p) - f
     trace.final_residual = float(np.max(np.abs(r)))
     trace.final_residual_rel = trace.final_residual / (
-        1.0 + float(np.max(np.abs(f - load - _signed_power(u, p))))
+        1.0 + float(np.max(np.abs(rhs - _signed_power(u, p))))
     )
     if trace.final_residual_rel > np.sqrt(cfg.sup_tol):
         raise ConvergenceError(
@@ -361,10 +365,11 @@ def solve_blowup(
     at the level sizes.  A shell with m = 0 yields no level; the deepest
     must free some node.  Every level uses the nodal shift `_sandwich_shift`
     of (W, U), and an iterate leaving max(|W|, |U|) raises ConvergenceError
-    naming its shell.  The operator is assembled here by
-    `assemble_centre_out`, folded row by row, so the path holds the folded
-    operator and its factorization (two h x h arrays, h = n_half) and never
-    an n x n array or the h x n left-half rows.
+    naming its shell and the globalization lambda, which sets the shift.
+    The operator is assembled here by `assemble_centre_out`, folded row by
+    row, so the path holds the folded operator and its factorization (two
+    h x h arrays, h = n_half) and never an n x n array or the h x n
+    left-half rows.
     A tabulated source whose table is not symmetric raises DomainError.
 
     Without `pair` the barriers are `make_existence_pair` of the problem's
@@ -447,7 +452,7 @@ def solve_blowup(
                 u0 = np.maximum(u0, 0.0)
         uf, trace = _monotone_iterate(
             lambda b: lu_solve(lu, b, m), shift[:m], apply, f[:m], p, u0, cfg, cap[:m],
-            f"exhaustion shell {shell}",
+            f"exhaustion shell {shell} (globalization lambda {reports[0].mu:.0f})",
         )
         # the monotone-in-levels property belongs to the imposed-W shells; a
         # final full-depth shell swaps the imposed collar for solved values and

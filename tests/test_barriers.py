@@ -121,7 +121,7 @@ def test_nonexistence_family_mu_signs(p, tau, zone, mu_sign):
 def test_nonexistence_search_at_large_p():
     # at the deepest collar point |v|^p and d^(tau p) each overflow once
     # |tau p| passes about 60; the margins must stay finite and verify
-    search = nonexistence_search(0.5, 1.0, -0.9)
+    (search,) = nonexistence_search(0.5, 1.0, [-0.9])
     for p in (30.0, 80.0, 120.0):
         zone, role = classify_zone6(p, -0.9, 0.5)
         fam, report = search(ProblemParams(0.5, p), zone, role)
@@ -131,9 +131,10 @@ def test_nonexistence_search_at_large_p():
 
 
 def test_nonexistence_search_shares_one_ladder_per_tau(monkeypatch):
-    """The ladder blocks formed once per tau give, at every p of the seed-0
-    sweep grid (and at p = 2, 3, 4 exactly, where numpy's scalar-power fast
-    path applies), the margins of each rung evaluated alone by `_margins`,
+    """The ladder blocks formed once per tau, from one operator evaluation
+    for all three tau, give, at every p of the seed-0 sweep grid (and at
+    p = 2, 3, 4 exactly, where numpy's scalar-power fast path applies), the
+    margins of each rung of a single-tau spec evaluated alone by `_margins`,
     bit for bit, and the same first passing rung."""
     alpha, t = 0.5, 1.0
     ps = sorted({*cli._grid_spec("1.2:4:0.1").tolist(), 2.0, 3.0, 4.0})
@@ -143,8 +144,8 @@ def test_nonexistence_search_shares_one_ladder_per_tau(monkeypatch):
         barriers, "_first_pass", lambda ladder, margins, *a: seen.append(margins)
         or real_first_pass(ladder, margins, *a)
     )
-    for tau in cli._grid_spec("-0.9:-0.1:0.05")[[0, 7, 15]]:
-        search = nonexistence_search(alpha, t, tau)
+    taus = cli._grid_spec("-0.9:-0.1:0.05")[[0, 7, 15]].tolist()
+    for tau, search in zip(taus, nonexistence_search(alpha, t, taus)):
         xs = np.array(sorted({*collar_points().tolist(), *np.linspace(0.1, 0.5, 12).tolist()}))
         power = PowerTerm(DistanceProfile(tau=tau))
         spec = BarrierSpec(alpha, ((t, power), (1.0, IndicatorTerm())))

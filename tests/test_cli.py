@@ -14,6 +14,7 @@ import pytest
 
 import fraclap
 from fraclap import barriers, cli
+from fraclap import operator as fop
 from fraclap.cli import main
 from fraclap.errors import DomainError
 from fraclap.exponents import ProblemParams, classify_regime
@@ -574,26 +575,39 @@ def test_grid_spec_ceiling():
 
 
 def test_sweep_evaluates_operator_once_per_tau(tmp_path, monkeypatch):
-    """Each sweep evaluates the family's power term once per tau that has a
-    point off the zone boundaries, and a second identical sweep in the same
-    process does the same work: nothing is carried between runs."""
-    taus = []
+    """Each sweep evaluates the family's power term in one call, for exactly
+    the taus that have a point off the zone boundaries, each once; a second
+    identical sweep in the same process makes the same call: nothing is
+    carried between runs."""
+    calls = []
     real = barriers.eval_on_power
 
     def counting(tau, *args, **kwargs):
-        taus.append(tau)
+        calls.append(np.array(tau, dtype=float))
         return real(tau, *args, **kwargs)
 
     monkeypatch.setattr(barriers, "eval_on_power", counting)
     # tau = -0.5 is the root tau0, on a zone boundary for every p of the grid
     argv = ["sweep", "--alpha", "0.5", "--p-grid", "1.5:3.5:1.0", "--tau-grid=-0.8:-0.2:0.3"]
     for run in ("first", "second"):
-        taus.clear()
+        calls.clear()
         assert run_cli(argv + ["--out", str(tmp_path / run)]) == 0
         rows = _zone_map_rows(tmp_path / run)
         inner = {float(r["tau"]) for r in rows if r["zone"] != "boundary"}
         assert len(inner) == 2
-        assert sorted(taus) == sorted(inner)
+        assert len(calls) == 1
+        assert calls[0].tolist() == sorted(inner)
+
+
+def test_sweep_builds_the_window_rule_once(tmp_path, monkeypatch):
+    """The interior points of every tau of a sweep share one 48-node
+    Gauss-Jacobi window rule."""
+    sizes = []
+    real = fop._gauss_jacobi
+    monkeypatch.setattr(fop, "_gauss_jacobi", lambda n, b: sizes.append(n) or real(n, b))
+    argv = ["sweep", "--alpha", "0.5", "--p-grid", "1.2:4:0.1", "--tau-grid=-0.9:-0.1:0.05"]
+    assert run_cli(argv + ["--out", str(tmp_path / "sweep")]) == 0
+    assert sizes == [48]
 
 
 _RUN = {"command", "config", "library_version", "timestamp"}
@@ -733,6 +747,24 @@ def test_cold_import_leaves_out_integrate_and_optimize(tmp_path):
     assert proc.stdout.strip() == "[0, 0, 0, 0] []"
 
 
+def test_runs_without_the_test_only_dependencies(tmp_path):
+    """numpy is the only runtime dependency (pyproject): with scipy and
+    mpmath blocked from import, tau0 and a small sweep run through `main`."""
+    commands = [
+        ["tau0", "--alpha", "0.3"],
+        ["sweep", "--alpha", "0.5", "--p-grid", "1.5:3.5:1.0", "--tau-grid=-0.8:-0.2:0.3"],
+    ]
+    commands = [cmd + ["--out", str(tmp_path / cmd[0])] for cmd in commands]
+    proc = _run_child(
+        "-c",
+        "import sys; sys.modules['scipy'] = sys.modules['mpmath'] = None; "
+        "import fraclap.cli; "
+        f"print([fraclap.cli.main(cmd) for cmd in {commands!r}])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0]"
+
+
 def test_convergence_failure_exit_code(tmp_path):
     out = tmp_path / "cv"
     code = run_cli(
@@ -742,3 +774,22 @@ def test_convergence_failure_exit_code(tmp_path):
     assert code == 3
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ConvergenceError"
+
+
+def test_sweep_limit_names_lambda_and_shift(tmp_path):
+    """A level that runs out of sweeps names its cause: the deep shell makes
+    the globalization take lambda = 2^24 (the default shells 8..128 take 4),
+    and the nodal shift on the level's free nodes grows with it to 1.2e10."""
+    out = tmp_path / "deep"
+    code = run_cli(
+        ["blowup", "--alpha", "0.5", "--p", "2.5", "--n", "201", "--levels", "1000000",
+         "--max-iters", "200", "--out", str(out)]
+    )
+    assert code == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConvergenceError"
+    assert err["message"].startswith(
+        f"exhaustion shell 1000000 (globalization lambda {2**24}): monotone iteration "
+        "did not converge within 200 sweeps"
+    )
+    assert err["message"].endswith(", largest nodal shift 1.2e+10)")

@@ -1,6 +1,7 @@
 """Grids, grid functions, and data-field descriptors."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -111,19 +112,49 @@ def test_grid_function_roundtrip(tmp_path):
     assert np.array_equal(vals, u.values)  # shortest reprs round-trip exactly
 
 
+def _csv_reference(g, values) -> bytes:
+    """The bytes of csv.writer, each value formatted on its own."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["x", "d", "value"])
+    for x, d, v in zip(g.nodes, g.d, values):
+        writer.writerow([repr(float(x)), repr(float(d)), repr(float(v))])
+    return buf.getvalue().encode()
+
+
 def test_to_csv_bytes_match_per_row_writer(tmp_path):
     g = Grid1D.graded(41, 3.0, include=[1 / 8])
     u = GridFunction(g, np.exp(-g.nodes) * np.array([1.0, -1e-300, 3e17] * 13 + [0.5, 2.0]))
     path = tmp_path / "fast.csv"
     u.to_csv(path)
-    ref = tmp_path / "ref.csv"
-    with ref.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "d", "value"])
-        for x, d, v in zip(g.nodes, g.d, u.values):
-            writer.writerow([repr(float(x)), repr(float(d)), repr(float(v))])
-    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_bytes() == _csv_reference(g, u.values)
     assert path.read_bytes().count(b"\r\n") == g.n_interior + 1
+
+
+@pytest.mark.parametrize(
+    "g", [Grid1D.graded(41, 3.0), Grid1D(nodes=np.linspace(0.0, 1.0, 42)[1:-1])],
+    ids=["odd", "even"],
+)
+@pytest.mark.parametrize(
+    "right",
+    [None, (4, -0.0), (0, 7.0), (19, 7.0)],
+    ids=["mirrored", "signed-zero", "last-differs", "middle-differs"],
+)
+def test_to_csv_mirrored_profile_bytes(tmp_path, g, right):
+    """A mirror-symmetric profile, whose left-half reprs are reused for the
+    mirror rows, and profiles one right-half value away from it (-0.0 for
+    the mirror of 0.0, or another value at the node nearest 1 or at the
+    right-half node nearest 1/2), all write the bytes of each value
+    formatted on its own."""
+    left = np.exp(-g.nodes[: g.n_half]) * np.resize([1.0, -1e-300, 3e17], g.n_half)
+    left[4] = 0.0
+    values = g.mirror(left)
+    if right is not None:
+        i, value = right
+        values[g.n_interior - 1 - i] = value
+    u = GridFunction(g, values)
+    u.to_csv(tmp_path / "profile.csv")
+    assert (tmp_path / "profile.csv").read_bytes() == _csv_reference(g, values)
 
 
 def test_grid_function_guards():

@@ -177,6 +177,33 @@ def test_eval_on_power_array_call_equals_scalar_calls():
             assert np.array_equal(batch, np.concatenate(halves))
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_eval_on_power_tau_array_rows_equal_scalar_tau_calls(alpha):
+    """A 1-D array of tau gives one row per tau, each equal bit for bit to
+    the call with that tau alone, on collar points, interior points and a
+    mix of both; the shape of x is kept behind the tau axis."""
+    taus = np.array([-0.9, -0.65, -0.5, alpha - 1.0, -0.2, -0.05, 0.0])
+    collar = np.geomspace(1e-5, 0.099, 40)
+    interior = np.concatenate([np.linspace(0.1, 0.5, 13), [0.73, 0.9]])
+    mixed = np.concatenate([collar[::7], interior[::3], 1.0 - collar[::9]])
+    for xs in (collar, interior, mixed):
+        rows = eval_on_power(taus, alpha, xs)
+        assert rows.shape == (taus.size, xs.size)
+        for tau, row in zip(taus, rows):
+            assert np.array_equal(row, eval_on_power(float(tau), alpha, xs))
+    assert eval_on_power(taus, alpha, 0.3).tolist() == [
+        eval_on_power(float(tau), alpha, 0.3) for tau in taus
+    ]
+    assert eval_on_power(taus[:2], alpha, mixed.reshape(-1, 1)).shape == (2, mixed.size, 1)
+
+
+def test_eval_on_power_tau_array_domain():
+    with pytest.raises(DomainError):
+        eval_on_power(np.array([-0.5, -1.0]), 0.5, 0.3)
+    with pytest.raises(DomainError):
+        eval_on_power(np.full((2, 2), -0.5), 0.5, 0.3)
+
+
 def test_rule_tables(monkeypatch):
     """The collar table on [delta, 1-delta] and the logarithmic table on
     [0, 1] are read-only and integrate z^k exactly for k <= 27 (14-node
