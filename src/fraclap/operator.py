@@ -59,8 +59,9 @@ Special functions.  Every closed-form piece, and the incomplete beta of the
 exterior potential, is one 2F1 family, 2F1(a, b; b+1; z), summed as its Gauss
 series at z <= 1/2 (the interior windows) or z < delta/(1-delta) (the
 collar) with the tail bound of `_gauss_series`; the Gauss-Jacobi and
-Gauss-Legendre rules are Golub-Welsch (`_gauss_jacobi`).  The module needs
-nothing beyond numpy.
+Gauss-Legendre rules come from Newton on their own three-term recurrence
+(`_gauss_jacobi`).  The module needs nothing beyond numpy, and no LAPACK
+routine: no matrix is factored or diagonalized here.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ __all__ = [
 # below this boundary distance double precision cancellation dominates the
 # semi-analytic evaluation; callers get a hard error rather than noise
 EVAL_D_MIN = 1e-6
+# Newton steps `_gauss_jacobi` may take (4 or 5 for n <= 48, |b| < 1)
+_NEWTON_STEPS = 10
 
 
 def tail_coefficient(x, alpha: float):
@@ -115,27 +118,31 @@ def _pow_antideriv(log_lo, dlog, s: float):
 # ---------------------------------------------------------------------------
 
 
-def _quintic_log_blend(tau: float, delta: float) -> np.ndarray:
-    """Coefficients of the quintic q with exp(q(d)) gluing d^tau at d = delta
-    (value and two derivatives) to a flat positive constant at d = 1/2.
+def _quintic_log_blend(tau: float, delta: float) -> tuple[np.ndarray, tuple]:
+    """The quintic q with exp(q(s)) gluing s^tau at s = delta (value and two
+    derivatives) to a flat positive constant at s = 1/2: its ascending
+    coefficients in s, and (c3, c4, c5) of its expansion at the seam.
 
-    Working on log-values keeps the continuation positive for every
-    tau in (-1, 0], which a plain polynomial blend does not guarantee.
+    Closed-form Hermite glue in h = s - delta, L = 1/2 - delta:
+    q = sum_k c_k h^k with c0, c1, c2 = tau log delta, tau/delta,
+    -tau/(2 delta^2) matching tau log s to second order at the seam, and
+    c3, c4, c5 the solution of the 3x3 system q(L) = tau log 1/2,
+    q'(L) = q''(L) = 0 (with the residuals A, B, C below).  Working on
+    log-values keeps the continuation positive for every tau in (-1, 0],
+    which a plain polynomial blend does not guarantee.
     """
-    half = 0.5
-
-    def rows(s):
-        return [
-            [s**k for k in range(6)],
-            [0.0] + [k * s ** (k - 1) for k in range(1, 6)],
-            [0.0, 0.0] + [k * (k - 1) * s ** (k - 2) for k in range(2, 6)],
-        ]
-
-    A = np.array(rows(delta) + rows(half), dtype=float)
-    b = np.array(
-        [tau * math.log(delta), tau / delta, -tau / delta**2, tau * math.log(half), 0.0, 0.0]
-    )
-    return np.linalg.solve(A, b)
+    L = 0.5 - delta
+    c0, c1, c2 = tau * math.log(delta), tau / delta, -tau / (2.0 * delta**2)
+    A = tau * math.log(0.5) - c0 - c1 * L - c2 * L**2
+    B = (-c1 - 2.0 * c2 * L) * L
+    C = -2.0 * c2 * L**2
+    c3 = (10.0 * A - 4.0 * B + C / 2.0) / L**3
+    c4 = (-15.0 * A + 7.0 * B - C) / L**4
+    c5 = (6.0 * A - 3.0 * B + C / 2.0) / L**5
+    c = (c0, c1, c2, c3, c4, c5)
+    # (s - delta)^k expanded by the binomial theorem
+    q = [sum(c[k] * math.comb(k, j) * (-delta) ** (k - j) for k in range(j, 6)) for j in range(6)]
+    return np.array(q), (c3, c4, c5)
 
 
 @dataclass(frozen=True)
@@ -146,16 +153,16 @@ class DistanceProfile:
 
     tau: float
     _q: np.ndarray = field(init=False, repr=False)
-    # c3, c4, c5 of the quintic's Taylor expansion at the seam (`_seam_log_gap`)
+    # c3, c4, c5 of the quintic's expansion at the seam (`_seam_log_gap`)
     _seam: tuple = field(init=False, repr=False)
     delta = 0.1  # collar width: a class constant, not a field
 
     def __post_init__(self):
         if not -1.0 < self.tau <= 0.0:
             raise DomainError(f"profile exponent tau={self.tau} outside (-1, 0]")
-        q = _quintic_log_blend(self.tau, self.delta)
+        q, seam = _quintic_log_blend(self.tau, self.delta)
         object.__setattr__(self, "_q", q)
-        object.__setattr__(self, "_seam", tuple(_taylor(q, self.delta)[2:]))
+        object.__setattr__(self, "_seam", seam)
 
     # -- profile as a function of the boundary distance s ------------------
     def v(self, s):
@@ -182,27 +189,44 @@ def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss nodes and weights for the weight (1+t)^b on [-1, 1],
     b > -1 (b = 0 is Gauss-Legendre).
 
-    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
-    Jacobi matrix of the orthonormal Jacobi polynomials p_k (parameters 0
-    and b).  The weights come from the Christoffel function,
-    w_i = 1 / sum_k p_k(t_i)^2, a sum of positive terms, so the tiny weights
-    near t = -1 keep their relative accuracy (the squared first eigenvector
-    components would not).
+    The nodes are the roots of p_n, found by Newton on the three-term
+    recurrence of the orthonormal Jacobi polynomials p_k (parameters 0 and
+    b), all nodes at once, from t = cos((k - 1/4) pi / (n + (b+1)/2)) for
+    k = n..1 (Hale and Townsend, SIAM J. Sci. Comput. 35, 2013).  The
+    derivative comes from the Jacobi identity
+    (1 - t^2) p_n' = -n (b/s + t) p_n + (s+1) off_n p_(n-1), s = 2n + b,
+    so each step is one pass of the recurrence.  The same pass sums the
+    Christoffel function, w_i = 1 / sum_(k<n) p_k(t_i)^2, a sum of positive
+    terms, so the tiny weights near t = -1 keep their relative accuracy; the
+    weights are those of the last pass, whose step is below 1e-15.
+    FraclapError if the steps do not get there within _NEWTON_STEPS or the
+    nodes are not strictly increasing in (-1, 1).
     """
-    k = np.arange(1.0, n)
+    k = np.arange(1.0, n + 1.0)
     s = 2.0 * k + b
     diag = np.empty(n)
     diag[0] = b / (b + 2.0)
-    diag[1:] = b * b / (s * (s + 2.0))
+    diag[1:] = b * b / (s[:-1] * (s[:-1] + 2.0))
     off = np.sqrt(4.0 * k * k * (k + b) * (k + b) / (s * s * (s + 1.0) * (s - 1.0)))
-    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    # orthonormal recurrence off[j] p_(j+1) = (t - diag[j]) p_j - off[j-1] p_(j-1)
-    # from p_(-1) = 0 and p_0 = mu0^(-1/2), mu0 = int (1+t)^b dt over [-1, 1]
-    p_prev, p = np.zeros(n), np.full(n, (2.0 ** (b + 1.0) / (b + 1.0)) ** -0.5)
-    total = p * p
-    for j in range(n - 1):
-        p_prev, p = p, ((t - diag[j]) * p - off[j - 1] * p_prev) / off[j]
-        total += p * p
+    p0 = (2.0 ** (b + 1.0) / (b + 1.0)) ** -0.5  # mu0^(-1/2), mu0 = int (1+t)^b dt
+    t = np.cos((np.arange(n, 0.0, -1.0) - 0.25) * math.pi / (n + (b + 1.0) / 2.0))
+    for _ in range(_NEWTON_STEPS):
+        # orthonormal recurrence off[j] p_(j+1) = (t - diag[j]) p_j - off[j-1] p_(j-1)
+        # from p_(-1) = 0 (the off[-1] of j = 0 multiplies it) and p_0 = p0
+        p_prev, p, total = np.zeros(n), np.full(n, p0), np.zeros(n)
+        for j in range(n):
+            total += p * p
+            p_prev, p = p, ((t - diag[j]) * p - off[j - 1] * p_prev) / off[j]
+        # Newton step p_n / p_n', both sides of the identity times (1 - t^2)
+        slope = (s[-1] + 1.0) * off[-1] * p_prev - n * (b / s[-1] + t) * p
+        step = p * ((1.0 - t) * (1.0 + t)) / slope
+        t = t - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    else:
+        raise FraclapError(f"Gauss-Jacobi nodes (n={n}, b={b}) did not converge")
+    if not (-1.0 < t[0] and t[-1] < 1.0 and np.all(np.diff(t) > 0.0)):
+        raise FraclapError(f"Gauss-Jacobi nodes (n={n}, b={b}) not increasing in (-1, 1)")
     return t, 1.0 / total
 
 

@@ -748,21 +748,36 @@ def test_cold_import_leaves_out_integrate_and_optimize(tmp_path):
 
 
 def test_runs_without_the_test_only_dependencies(tmp_path):
-    """numpy is the only runtime dependency (pyproject): with scipy and
-    mpmath blocked from import, tau0 and a small sweep run through `main`."""
+    """numpy is the only runtime dependency (pyproject), and the paths that
+    factor no matrix make no LAPACK call: with scipy and mpmath blocked from
+    import and every public gufunc of numpy.linalg._umath_linalg (behind
+    eigvalsh, solve, inv, lstsq and so polyfit) replaced by one that raises,
+    the CLI imports and tau0, ctau, regime, a small sweep, verify-barriers
+    and verify-prop32 run through `main`."""
     commands = [
         ["tau0", "--alpha", "0.3"],
+        ["ctau", "--alpha", "0.3", "--tau-grid=-0.9:-0.1:0.4"],
+        ["regime", "--alpha", "0.5", "--p", "4", "--gamma", "-1.8"],
         ["sweep", "--alpha", "0.5", "--p-grid", "1.5:3.5:1.0", "--tau-grid=-0.8:-0.2:0.3"],
+        ["verify-barriers", "--alpha", "0.5", "--p", "2.5"],
+        ["verify-prop32", "--alpha", "0.5", "--tau=-0.8"],
     ]
     commands = [cmd + ["--out", str(tmp_path / cmd[0])] for cmd in commands]
     proc = _run_child(
         "-c",
-        "import sys; sys.modules['scipy'] = sys.modules['mpmath'] = None; "
-        "import fraclap.cli; "
+        "import sys; sys.modules['scipy'] = sys.modules['mpmath'] = None\n"
+        "import numpy as np\n"
+        "from numpy.linalg import _umath_linalg as gufuncs\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('LAPACK called')\n"
+        "for name in dir(gufuncs):\n"
+        "    if not name.startswith('_') and isinstance(getattr(gufuncs, name), np.ufunc):\n"
+        "        setattr(gufuncs, name, refuse)\n"
+        "import fraclap.cli\n"
         f"print([fraclap.cli.main(cmd) for cmd in {commands!r}])",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0]"
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0]", proc.stderr
 
 
 def test_convergence_failure_exit_code(tmp_path):

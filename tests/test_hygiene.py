@@ -1,7 +1,8 @@
 """Static hygiene of the code: no unused imports in src/fraclap, tests and
 scripts, no unused function parameters in src/fraclap, no module-level
-private function of src/fraclap that nothing in src/fraclap calls, and no
-functools cache decorator in src/fraclap (module-level mutable state), found
+private function of src/fraclap that nothing in src/fraclap calls, no
+functools cache decorator in src/fraclap (module-level mutable state), and
+no numpy.linalg or polyfit in src/fraclap outside `solvers.lu_factor`, found
 by scanning the syntax tree of every module (the project runs no linter, so
 this test is the check).  Tests and scripts get the import check only: a pytest
 fixture can be a parameter that the test body never names.  One check imports
@@ -129,6 +130,23 @@ def cache_decorated_functions(tree: ast.Module) -> list:
     )
 
 
+_LINALG = {"linalg", "polyfit"}
+
+
+def linalg_uses(tree: ast.AST) -> list:
+    """Attributes named linalg or polyfit (np.polyfit solves by lstsq), and
+    imports that name either, in tree."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _LINALG:
+            out.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            hits = sorted({part for name in names for part in name.split(".")} & _LINALG)
+            out += [f"import {hit} (line {node.lineno})" for hit in hits]
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES + OTHER, ids=_module_id)
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -154,6 +172,19 @@ def test_every_exported_name_resolves(path):
     name = "fraclap" if path.stem == "__init__" else f"fraclap.{path.stem}"
     module = importlib.import_module(name)
     assert sorted(n for n in _exported(_tree(path)) if not hasattr(module, n)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
+def test_linalg_only_in_lu_factor(path):
+    """LAPACK (numpy.linalg, and polyfit through lstsq) is reached only from
+    solvers.lu_factor: every other path factors no matrix.  Static, so it
+    covers paths the runtime guard in test_cli does not run."""
+    tree = _tree(path)
+    allowed = []
+    if path.name == "solvers.py":
+        (lu_factor,) = (n for n in tree.body if getattr(n, "name", None) == "lu_factor")
+        allowed = linalg_uses(lu_factor)
+    assert linalg_uses(tree) == allowed
 
 
 def test_scanner_flags_what_it_should():
@@ -183,3 +214,11 @@ def test_scanner_flags_what_it_should():
         "@other.cache\ndef e():\n    pass\n"
     )
     assert cache_decorated_functions(tree) == ["a (line 4)", "b (line 7)", "c (line 10)"]
+    tree = ast.parse(
+        "import numpy as np\nimport numpy.linalg\nfrom numpy import linalg as la, polyval\n"
+        "np.linalg.solve(a, b)\nnp.polyfit(x, y, 1)\nla.inv(a)\nnp.polyval(c, x)\n"
+    )
+    assert linalg_uses(tree) == [
+        "import linalg (line 2)", "import linalg (line 3)",
+        "linalg (line 4)", "polyfit (line 5)",
+    ]

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from fraclap.operator import (
     _gauss_series,
     _incomplete_beta,
     _pow_antideriv,
+    _quintic_log_blend,
     assemble,
     assemble_centre_out,
     eval_on_power,
@@ -93,6 +95,51 @@ def test_profile_positive_and_c2_at_seam():
         # the seam value: they agree when the profile is C^2 there
         inside, outside = second_difference(0.1 - h), second_difference(0.1 + h)
         assert outside == pytest.approx(inside, rel=2e-3, abs=1e-6)
+
+
+def _glue_system_solution(tau, delta):
+    """The quintic's ascending coefficients from an mpmath LU solve (50
+    digits) of its six glue conditions, formed as
+    scripts/make_reference_values.py forms them."""
+    with mpmath.workdps(50):
+        tau, delta, half = mpmath.mpf(tau), mpmath.mpf(delta), mpmath.mpf(1) / 2
+
+        def rows(s):
+            return [
+                [s**k for k in range(6)],
+                [0] + [k * s ** (k - 1) for k in range(1, 6)],
+                [0, 0] + [k * (k - 1) * s ** (k - 2) for k in range(2, 6)],
+            ]
+
+        A = mpmath.matrix(rows(delta) + rows(half))
+        b = mpmath.matrix(
+            [tau * mpmath.log(delta), tau / delta, -tau / delta**2, tau * mpmath.log(half), 0, 0]
+        )
+        return mpmath.lu_solve(A, b)
+
+
+@pytest.mark.parametrize("tau", [-0.95, -0.5, -0.1, 0.0])
+def test_glue_quintic_closed_form(tau):
+    delta = DistanceProfile.delta
+    q, seam = _quintic_log_blend(tau, delta)
+    ref = _glue_system_solution(tau, delta)
+    for got, want in zip(q, ref):
+        assert abs(got - float(want)) <= 1e-13 * abs(float(want))
+    # the six glue conditions, on the double coefficients at 50 digits and
+    # up to their rounding: tau log s to second order at delta, flat at 1/2
+    with mpmath.workdps(50):
+        conditions = ((delta, (tau * math.log(delta), tau / delta, -tau / delta**2)),
+                      (0.5, (tau * math.log(0.5), 0.0, 0.0)))
+        for s, wants in conditions:
+            for order, want in enumerate(wants):
+                terms = [mpmath.mpf(float(c)) * math.perm(k, order) * mpmath.mpf(s) ** (k - order)
+                         for k, c in enumerate(q) if k >= order]
+                assert abs(sum(terms) - want) <= 1e-15 * sum(abs(t) for t in terms)
+    # the seam coefficients are c3, c4, c5 of q expanded at delta
+    with mpmath.workdps(50):
+        for k, c in zip((3, 4, 5), seam):
+            want = sum(ref[j] * math.comb(j, k) * mpmath.mpf(delta) ** (j - k) for j in range(k, 6))
+            assert abs(c - float(want)) <= 1e-13 * max(1.0, abs(float(want)))
 
 
 def test_profile_collar_is_exact_power():
@@ -274,8 +321,14 @@ def test_incomplete_beta_both_branches():
 def test_gauss_jacobi_against_roots_jacobi(n, b):
     t, w = _gauss_jacobi(n, b)
     t_ref, w_ref = roots_jacobi(n, 0.0, b)
-    assert np.max(np.abs(t - t_ref)) <= 1e-15
+    assert np.max(np.abs(t - t_ref)) <= 5e-16
     assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-10
+
+
+def test_gauss_jacobi_refuses_an_unconverged_rule(monkeypatch):
+    monkeypatch.setattr(fop, "_NEWTON_STEPS", 2)
+    with pytest.raises(FraclapError, match="did not converge"):
+        _gauss_jacobi(48, 0.0)
 
 
 # ---------------------------------------------------------------------------

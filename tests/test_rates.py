@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fraclap.errors import DomainError
 from fraclap.grid import Grid1D, GridFunction
-from fraclap.rates import check_band, fit_exponent, verify_prop32
+from fraclap.rates import _fit_line, check_band, fit_exponent, verify_prop32
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ def grid():
 def test_exact_power(grid):
     u = GridFunction(grid, grid.d**-0.5)
     fit = fit_exponent(u, (1e-4, 1e-2))
-    assert fit.exponent == pytest.approx(-0.5, abs=1e-10)
+    assert fit.exponent == pytest.approx(-0.5, abs=1e-13)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert fit.band[0] == pytest.approx(1.0, rel=1e-9)
     assert fit.verified
@@ -39,7 +39,18 @@ def test_exact_power_property(tau):
     g = Grid1D.graded(401, 3.0)
     vals = np.maximum(g.d, 1e-300) ** tau
     fit = fit_exponent(GridFunction(g, vals), (1e-4, 1e-2))
-    assert abs(fit.exponent - tau) < 1e-10
+    assert abs(fit.exponent - tau) < 1e-13
+
+
+def test_closed_form_line_is_least_squares():
+    """The closed-form line both fits share is the least-squares line of
+    np.polyfit, on random data of 2 to 400 points."""
+    rng = np.random.default_rng(7)
+    for size in list(range(2, 12)) + [25, 100, 400]:
+        x = rng.uniform(-12.0, 2.0, size)
+        y = rng.uniform(-3.0, 3.0) * x + rng.normal(0.0, rng.uniform(0.01, 10.0), size)
+        want = np.polyfit(x, y, 1)
+        assert _fit_line(x, y) == pytest.approx(tuple(want), rel=1e-12, abs=1e-12)
 
 
 def test_perturbed_power(grid):
