@@ -12,11 +12,15 @@ module imports nothing from `fraclap.grid`: `globalize_pair` is given the
 discrete system as nodes and a matrix, and the collar checks are grid-free.
 
 Every amplitude (mu on the collar, lambda on the torsion) is the first rung
-of a fixed ladder at which the barrier inequality holds.  `_margins`
-computes the margins of a whole ladder at once, one row per rung, elementwise
-exactly as `verify_barrier` computes one candidate's, from the p-free
-normalization s = `_scale`(xs, tau) and values already divided by it, and
-`_first_pass` picks the first passing row.
+of a fixed ladder at which the barrier inequality holds, except one: at the
+chosen lambda, `globalize_pair` raises the globalized sub-solution to
+c sub + lambda V, c the last passing rung of the fine ladder 2^(j/64) below
+a bound that keeps lambda, U and the solver's sandwich range as they are,
+backed off by SUB_BACKOFF.  `_margins` computes the margins of a whole
+ladder at once, one row per rung, elementwise exactly as `verify_barrier`
+computes one candidate's, from the p-free normalization s = `_scale`(xs, tau)
+and values already divided by it; `_first_pass` picks the first passing row
+and `_passes` gives every row's verdict.
 """
 
 from __future__ import annotations
@@ -53,7 +57,9 @@ __all__ = [
 
 MU_SWEEP_RANGE = 20  # geometric ladder mu in {2^k}, k in [-MU_SWEEP_RANGE, MU_SWEEP_RANGE]
 TOL_REL = 1e-6  # relative slack of every sign verdict, for quadrature noise
-LADDER_BLOCK = 8  # rungs of the globalization ladder whose margins are formed at once
+LADDER_BLOCK = 8  # rungs of the globalization ladders whose margins are formed at once
+SUB_LADDER = 64  # the sub-solution scale climbs the rungs c = 2^(j/SUB_LADDER), j < SUB_LADDER
+SUB_BACKOFF = 0.95  # the climbed scale c backs off to max(1, SUB_BACKOFF c)
 
 
 def collar_points() -> np.ndarray:
@@ -157,6 +163,10 @@ class BarrierReport:
     margins: np.ndarray
     mu: float | None = None
     zone: str | None = None
+    # the sub role of `globalize_pair`: the scale c of W = c sub + lambda V,
+    # and the rung of its ladder that failed or exceeded the bound (None: none)
+    scale: float | None = None
+    scale_limit: float | None = None
 
 
 def _signed_power(u: np.ndarray, p: float) -> np.ndarray:
@@ -421,7 +431,7 @@ def globalize_pair(
     """Extend a collar-verified pair to all of the interval by adding
     +-lambda V, V = `torsion`(params.alpha, nodes) < 0, with the first lambda
     in {0, 1, 2, 4, ..., 2^38} at which the pair passes on the discrete
-    system.
+    system, then sharpen the sub-solution at that lambda.
 
     A is the operator's matrix on the values at `nodes` (zero exterior),
     ordered so that the rows a level frees lead.  W = sub + lambda V must
@@ -431,9 +441,15 @@ def globalize_pair(
     The operator values are three matvecs and each rung's `_margins` are
     elementwise; the ladder is formed LADDER_BLOCK rungs at a time, on the
     rows each role checks, up to the first block that holds a passing rung.
-    Returns the values (U, W) at the nodes and the (super, sub) reports of
-    the chosen rung on the rows checked, each with mu = lambda (a role
-    checked on no row has worst margin inf at x = nan).  If no rung passes,
+    With lambda and U fixed, W becomes c sub + lambda V with the scale
+    c in [1, 2) of `_sub_scale`: it passes on the same rows, W <= U still,
+    and max(|W|, |U|), the sandwich range that sets the solver's shift, is
+    unchanged at every node.  A role checked on no row keeps c = 1.
+    Returns the values (U, W) at the nodes and the (super, sub) reports on
+    the rows checked, of the chosen lambda and, for the sub role, of W at
+    its scale, each with mu = lambda; the sub report also records c and
+    the rung that stopped its ladder (scale, scale_limit).  A role checked
+    on no row has worst margin inf at x = nan.  If no lambda passes,
     VerificationError names a failing role, its worst margin on the last
     rung and its d.
     """
@@ -441,19 +457,37 @@ def globalize_pair(
     x = np.asarray(nodes, dtype=float)
     tor_vals = torsion(params.alpha, x)
     tor_ops = A[: max(sub_rows, super_rows)] @ tor_vals
-    lams = [0.0] + [2.0**k for k in range(39)]
     roles = []  # per role: sign of the torsion term, values, operator values, s, f
     for spec, rows, sign in ((sup, super_rows, -1.0), (sub, sub_rows, 1.0)):
         vals = spec.value(x)
         s, f_vals = _scale(x[:rows], spec.leading_tau), params.source.value(x[:rows])
         roles.append((sign, vals, A[:rows] @ vals, s, f_vals))
+    lam, reports = _first_lambda(roles, tor_vals, tor_ops, x, params.p)
+    U, W = (vals + sign * lam * tor_vals for sign, vals, *_ in roles)
+    c, limit = 1.0, None  # a sub role checked on no row keeps c = 1
+    if sub_rows:
+        _, sub_vals, sub_ops, s, f_vals = roles[1]
+        c, limit, W, m = _sub_scale(sub_vals, sub_ops, lam * tor_vals, lam * tor_ops, U, W, s,
+                                    f_vals, params.p)
+        if m is not None:
+            reports[1] = _report(x[:sub_rows], m, "sub")
+            reports[1].mu = lam
+    reports[1].scale, reports[1].scale_limit = c, limit
+    return (U, W), tuple(reports)
+
+
+def _first_lambda(roles, tor_vals, tor_ops, x, p):
+    """(lambda, [super report, sub report]) of the first rung of the lambda
+    ladder of `globalize_pair` at which both roles pass; no block of the
+    ladder outlives the call."""
+    lams = [0.0] + [2.0**k for k in range(39)]
     for start in range(0, len(lams), LADDER_BLOCK):
         block = np.array(lams[start : start + LADDER_BLOCK])[:, None]
         margins = []
         for sign, vals, ops, s, f_vals in roles:
             col, rows = sign * block, s.size
             scaled_vals = (vals[:rows] + col * tor_vals[:rows]) / s
-            margins.append(_margins(s, scaled_vals, ops + col * tor_ops[:rows], f_vals, params.p))
+            margins.append(_margins(s, scaled_vals, ops + col * tor_ops[:rows], f_vals, p))
         sup_m, sub_m = margins[0], -margins[1]
         ok = _passes(sup_m) & _passes(sub_m)
         if ok.any():
@@ -467,10 +501,56 @@ def globalize_pair(
         )
     i = int(np.argmax(ok))
     lam = lams[start + i]
-    # the chosen rows are copied, so that no block of the ladder outlives the call
+    # the chosen rows are copied, so that the block is freed on return
     reports = []
     for m, role in ((sup_m, "super"), (sub_m, "sub")):
         reports.append(_report(x[: m.shape[1]], m[i].copy(), role))
         reports[-1].mu = lam
-    U, W = (vals + sign * lam * tor_vals for sign, vals, *_ in roles)
-    return (U, W), tuple(reports)
+    return lam, reports
+
+
+def _sub_scale(sub_vals, sub_ops, tor_vals, tor_ops, U, W, s, f_vals, p):
+    """Sharpen the globalized sub-solution W = sub + lambda V to
+    W(c) = c sub + lambda V at the same lambda; tor_vals and tor_ops are
+    lambda V and its operator values.
+
+    c first climbs the ladder 2^(j/SUB_LADDER), j = 0, 1, ..., up to the last
+    rung before the first one whose margins fail on the rows checked (those
+    of s) or that exceeds c_max, the largest c for which W(c) <= U and
+    |W(c)| <= max(|W|, |U|) at every node; the margins are formed
+    LADDER_BLOCK rungs at a time.  Then c backs off to max(1, SUB_BACKOFF c)
+    and is checked once more, margins, order and bound in floating point,
+    and c = 1 (W itself) is kept if that check fails.  Under the bound U and
+    the sandwich range max(|W(c)|, |U|) are those of W.  Returns c, the
+    rung that stopped the climb (None if every rung passed), W(c) and the
+    sub-signed margins of W(c) on the rows checked (None for c = 1).
+    """
+    cap = np.maximum(np.abs(W), np.abs(U))
+    up, down = sub_vals > 0.0, sub_vals < 0.0
+    c_max = 1.0 + min(
+        np.min((U - W)[up] / sub_vals[up], initial=np.inf),
+        np.min((cap + W)[down] / -sub_vals[down], initial=np.inf),
+    )
+    rows = s.size
+    head, tor_head, tor_ops = sub_vals[:rows], tor_vals[:rows], tor_ops[:rows]
+
+    def margins(col):
+        return -_margins(s, (col * head + tor_head) / s, col * sub_ops + tor_ops, f_vals, p)
+
+    ladder = [2.0 ** (j / SUB_LADDER) for j in range(SUB_LADDER)]
+    bounded = sum(c <= c_max for c in ladder)
+    passing = 1  # rung 0, c = 1, is W: verified with lambda
+    while passing < bounded:
+        block = np.array(ladder[passing : min(passing + LADDER_BLOCK, bounded)])
+        ok = _passes(margins(block[:, None]))
+        if not ok.all():
+            passing += int(np.argmin(ok))
+            break
+        passing += ok.size
+    limit = ladder[passing] if passing < SUB_LADDER else None
+    c = max(1.0, SUB_BACKOFF * ladder[passing - 1])
+    if c > 1.0:
+        W_c, m = c * sub_vals + tor_vals, margins(c)
+        if _passes(m) and np.all(W_c <= U) and np.all(np.abs(W_c) <= cap):
+            return c, limit, W_c, m
+    return 1.0, limit, W, None

@@ -225,14 +225,23 @@ def cmd_blowup(args):
         "sandwich_ok": result.sandwich_ok,
         "positive_on_final_shell": positive,
         "levels": [{"shell": lev.shell, **asdict(lev.trace)} for lev in result.levels],
-        # the chosen lambda, and per role its worst discrete margin and that
-        # node's d (null for a role checked on no row)
+        # the chosen lambda, the scale c of W = c sub + lambda V and the rung
+        # of its ladder that failed or exceeded the bound (null: none did),
+        # and per role its worst discrete margin and that node's d (null for
+        # a role checked on no row)
         "globalization": {
             "lambda": result.pair_reports[0].mu,
+            "sub_scale": result.pair_reports[1].scale,
+            "sub_scale_limit": result.pair_reports[1].scale_limit,
             **{
                 r.role: {"worst_margin": r.worst_margin, "d": r.worst_x} if r.nodes.size else None
                 for r in result.pair_reports
             },
+        },
+        # per lower bound of the final profile, the grid nodes `sandwich_ok`
+        # tested it on and their smallest d (null: no node)
+        "lower_bounds": {
+            name: {"nodes": nodes, "min_d": d} for name, (nodes, d) in result.lower_bounds.items()
         },
         "profiles": profiles,
     }, fit_ok and result.sandwich_ok and result.monotone_in_levels and positive

@@ -329,6 +329,10 @@ class BlowupResult:
     # (super, sub) `BarrierReport`s of the globalized pair on the discrete
     # system, mu = the chosen lambda, worst_x = the node's d
     pair_reports: tuple
+    # per lower bound of the final profile ("W", "zero") tested for
+    # `sandwich_ok`: (grid nodes it was tested on, their smallest d), (0, None)
+    # for a bound tested on no node
+    lower_bounds: dict
 
     @property
     def final(self) -> GridFunction:
@@ -377,11 +381,22 @@ def solve_blowup(
     `barriers.globalize_pair` globalizes the pair on the folded system: W
     must be a discrete sub-solution on the rows the deepest W-imposing level
     frees, and U a discrete super-solution on those the deepest level frees,
-    as the comparison argument for the levels needs.  The globalized pair
-    exists only as its nodal values (W, U) on the folded system, and the
-    result keeps its reports of the chosen rung, `pair_reports`, not the
-    pair.  The pair's only grid-free operator evaluation is its construction
-    on the collar points.
+    as the comparison argument for the levels needs.  W is the sub-solution
+    sharpened at the chosen lambda, c sub + lambda V with c >= 1, so every
+    imposed level starts nearer its limit and is a tighter lower bound; the
+    shift, set by max(|W|, |U|), is the one c = 1 gives, and a full-depth
+    level does not depend on W.  The globalized pair exists only as its
+    nodal values (W, U) on the folded system, and the result keeps its
+    reports, `pair_reports`, not the pair.  The pair's only grid-free
+    operator evaluation is its construction on the collar points.
+
+    `sandwich_ok` holds when the final profile lies below U on every node
+    and above each lower bound on the nodes it is tested on: W where W is
+    imposed or was verified, which is every node unless the final level is
+    full depth (that level frees nodes deeper than the deepest imposing
+    shell, where W was never checked), and below a full-depth level also 0
+    (its start, f >= 0) on every node.  `lower_bounds` records the nodes
+    each was tested on.
     """
     if not params.source.mirror_symmetric:
         raise DomainError(
@@ -470,8 +485,15 @@ def solve_blowup(
             )
         )
 
+    # the final profile's lower bounds and the rows each is tested on: W
+    # wherever it is imposed or `globalize_pair` verified it (every
+    # row unless the final level is full depth: that level climbs from 0
+    # and frees rows where W was never verified), and below a full-depth
+    # level the zero start (f >= 0) on every row.  U bounds every row above.
+    w_rows, zero_rows = (imposing, h) if sizes[-1] == h else (h, 0)
     sandwich_ok = bool(
-        np.all(u >= W - 1e-9 * (1.0 + np.abs(W)))
+        np.all(u[:w_rows] >= W[:w_rows] - 1e-9 * (1.0 + np.abs(W[:w_rows])))
+        and np.all(u[:zero_rows] >= -1e-9)
         and np.all(u <= U + 1e-9 * (1.0 + np.abs(U)))
     )
     return BlowupResult(
@@ -479,4 +501,8 @@ def solve_blowup(
         monotone_in_levels=monotone_levels,
         sandwich_ok=sandwich_ok,
         pair_reports=reports,
+        lower_bounds={
+            name: (int(np.count_nonzero(grid.d >= x[h - k])), float(x[h - k])) if k else (0, None)
+            for name, k in (("W", w_rows), ("zero", zero_rows))
+        },
     )

@@ -238,11 +238,11 @@ def _discrete_margins(v, tau, params, x, A, rows):
     return resid / x[:rows] ** (tau * params.p)
 
 
-def _globalized(pair, lam, alpha, x):
-    """(U, W) = (sup - lam V, sub + lam V) at x, formed from the collar pair."""
+def _globalized(pair, lam, alpha, x, c=1.0):
+    """(U, W) = (sup - lam V, c sub + lam V) at x, formed from the collar pair."""
     sup, sub = pair
     tor = torsion(alpha, x)
-    return sup.value(x) - lam * tor, sub.value(x) + lam * tor
+    return sup.value(x) - lam * tor, c * sub.value(x) + lam * tor
 
 
 def test_globalized_pair(grid301, interaction):
@@ -251,7 +251,8 @@ def test_globalized_pair(grid301, interaction):
     rows = int(np.count_nonzero(x > 1e-4))
     (U, W), (r_sup, r_sub) = globalize_pair(pair, params, x, A, rows, rows)
     assert r_sup.mu == r_sub.mu == 4.0
-    sup_u, sub_w = _globalized(pair, r_sup.mu, params.alpha, x)
+    # W = c sub + lambda V, with the scale c the sub report records
+    sup_u, sub_w = _globalized(pair, r_sup.mu, params.alpha, x, r_sub.scale)
     assert np.array_equal(U, sup_u) and np.array_equal(W, sub_w)
     sup_m = _discrete_margins(U, pair[0].leading_tau, params, x, A, rows)
     sub_m = -_discrete_margins(W, pair[1].leading_tau, params, x, A, rows)
@@ -427,7 +428,7 @@ def test_globalize_ladder_matches_single_checks(grid301, interaction, scale):
     sup, sub = pair = tuple(b.scaled(scale) for b in pair)
     x, A = _centre_out(grid301)
     rows = int(np.count_nonzero(x > 1e-4))
-    (U, W), (r_sup, _) = globalize_pair(pair, params, x, A, rows, rows)
+    (U, W), (r_sup, r_sub) = globalize_pair(pair, params, x, A, rows, rows)
     first = None
     for cand in [0.0] + [2.0**k for k in range(39)]:
         u, w = _globalized(pair, cand, params.alpha, x)
@@ -437,7 +438,9 @@ def test_globalize_ladder_matches_single_checks(grid301, interaction, scale):
             first = cand
             break
     assert first is not None and r_sup.mu == first
-    assert all(map(np.array_equal, (U, W), _globalized(pair, first, params.alpha, x)))
+    # W = c sub + lambda V, with the scale c the sub report records
+    globalized = _globalized(pair, first, params.alpha, x, r_sub.scale)
+    assert all(map(np.array_equal, (U, W), globalized))
 
 
 def _same_globalization(a, b):
@@ -500,3 +503,88 @@ def test_ladder_error_names_the_last_rung():
         "no admissible amplitude found for nonexistence family in zone 5 "
         f"(worst margin {r.worst_margin:.3e} at x={r.worst_x:.3e})"
     )
+
+
+# ---------------------------------------------------------------------------
+# the sub-solution sharpened at the chosen lambda, W = c sub + lambda V
+# ---------------------------------------------------------------------------
+
+SHELLS = (8, 16, 32, 64, 128)
+
+# case: (params, t of the critical-rate family or None for the existence
+# pair, whether the schedule ends on a full-depth level)
+SHARPENING_CASES = {
+    "interaction": (ProblemParams(0.5, 2.5), None, False),
+    "weak": (ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.2, 0.25)), None, True),
+    "strong": (ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.8)), None, True),
+    "special": (ProblemParams(0.5, 2.5), 1.0, False),
+    # lambda = 1024: a W sharpened on the collar instead, at free lambda,
+    # doubled lambda here and raised the sweeps
+    "alpha035": (ProblemParams(0.35, 1.794), None, False),
+}
+
+
+def _sharpening_case(case, grid):
+    """(params, collar pair, exhaustion config) of a case on the grid."""
+    params, t, full = SHARPENING_CASES[case]
+    pair = (make_existence_pair(params, classify_regime(params)) if t is None
+            else make_special_pair(params, t))
+    levels = SHELLS + ((int(2.0 / grid.min_spacing),) if full else ())
+    return params, pair, IterationConfig(max_iters=40000, exhaustion_levels=levels)
+
+
+@pytest.mark.parametrize("case", SHARPENING_CASES)
+def test_sub_scale_keeps_lambda_and_U(grid301, case, monkeypatch):
+    """On the rows a solve checks, the scale c leaves lambda and U bit for
+    bit as they are at c = 1 (SUB_BACKOFF = 0), keeps 1 <= c < 2 and
+    W <= U, and the chosen W passes.  c is the first failing or
+    bound-limited rung of 2^(j/64), each checked singly, less one rung and
+    backed off; the bound keeps W(c) <= U and |W(c)| <= max(|W(1)|, |U|)."""
+    params, pair, cfg = _sharpening_case(case, grid301)
+    x, A = _centre_out(grid301, params.alpha)
+    sub_rows = int(np.count_nonzero(x > 1.0 / SHELLS[-1]))
+    super_rows = x.size if cfg.exhaustion_levels[-1] > SHELLS[-1] else sub_rows
+    (U, W), (r_sup, r_sub) = globalize_pair(pair, params, x, A, sub_rows, super_rows)
+    backoff, rungs = barriers.SUB_BACKOFF, barriers.SUB_LADDER
+    monkeypatch.setattr(barriers, "SUB_BACKOFF", 0.0)
+    (U1, W1), (r_sup1, r_sub1) = globalize_pair(pair, params, x, A, sub_rows, super_rows)
+    assert r_sub1.scale == 1.0 and r_sup.mu == r_sup1.mu == r_sub.mu
+    assert np.array_equal(U, U1)
+    assert np.array_equal(W1, _globalized(pair, r_sup.mu, params.alpha, x)[1])
+    c = r_sub.scale
+    assert 1.0 <= c < 2.0 and np.all(W <= U)
+    assert np.array_equal(W, _globalized(pair, r_sup.mu, params.alpha, x, c)[1])
+    tau = pair[1].leading_tau
+    assert r_sub.passed and r_sub.scale_limit == r_sub1.scale_limit
+    assert (-_discrete_margins(W, tau, params, x, A, sub_rows)).min() >= -barriers.TOL_REL
+    cap = np.maximum(np.abs(W1), np.abs(U))
+    j = 1
+    while j < rungs:
+        w = _globalized(pair, r_sup.mu, params.alpha, x, 2.0 ** (j / rungs))[1]
+        passes = (-_discrete_margins(w, tau, params, x, A, sub_rows)).min() >= -barriers.TOL_REL
+        if not (passes and np.all(w <= U) and np.all(np.abs(w) <= cap)):
+            break
+        j += 1
+    assert r_sub.scale_limit == (2.0 ** (j / rungs) if j < rungs else None)
+    assert c == max(1.0, backoff * 2.0 ** ((j - 1) / rungs))
+
+
+@pytest.mark.parametrize("case", SHARPENING_CASES)
+def test_sub_scale_lifts_the_levels(grid301, case, monkeypatch):
+    """Against c = 1 (SUB_BACKOFF = 0): no more sweeps in total, no level
+    solution lower, and a full-depth final level, which climbs from 0 under
+    the unchanged shift, bit for bit the same."""
+    params, pair, cfg = _sharpening_case(case, grid301)
+    sharp = solve_blowup(params, grid301, cfg, pair=pair)
+    monkeypatch.setattr(barriers, "SUB_BACKOFF", 0.0)
+    plain = solve_blowup(params, grid301, cfg, pair=pair)
+    assert sharp.sandwich_ok and sharp.monotone_in_levels
+
+    def sweeps(res):
+        return sum(lev.trace.iterations for lev in res.levels)
+
+    assert sweeps(sharp) <= sweeps(plain)
+    for a, b in zip(sharp.levels, plain.levels):
+        assert np.all(a.solution.values >= b.solution.values)
+    if cfg.exhaustion_levels[-1] > SHELLS[-1]:
+        assert np.array_equal(sharp.final.values, plain.final.values)

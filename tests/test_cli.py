@@ -333,29 +333,55 @@ def test_blowup_manifest_records_the_globalization(tmp_path, monkeypatch):
     assert run_cli(argv + ["--out", str(tmp_path / "b")]) == 0
     (res,) = results
     r_sup, r_sub = res.pair_reports
-    # the recorded lambda is the one the solve used: W = sub + lambda V is
-    # imposed outside the deepest shell, and the profile lies between W and
-    # U = sup - lambda V
+    # the recorded lambda and scale c are the ones the solve used:
+    # W = c sub + lambda V is imposed outside the deepest shell, and the
+    # profile lies between W and U = sup - lambda V
     params = ProblemParams(0.5, 2.5)
     sup, sub = barriers.make_existence_pair(params, classify_regime(params))
     d, u = res.final.grid.d, res.final.values
-    w = sub.value(d) + r_sub.mu * barriers.torsion(0.5, d)
+    w = r_sub.scale * sub.value(d) + r_sub.mu * barriers.torsion(0.5, d)
     uu = sup.value(d) - r_sup.mu * barriers.torsion(0.5, d)
     assert np.array_equal(u[~res.final_free], w[~res.final_free])
     assert np.all(u >= w - 1e-9 * (1 + np.abs(w)))
     assert np.all(u <= uu + 1e-9 * (1 + np.abs(uu)))
     assert load_manifest(tmp_path / "b")["globalization"] == {
         "lambda": r_sup.mu,
+        "sub_scale": r_sub.scale,
+        "sub_scale_limit": r_sub.scale_limit,
         "super": {"worst_margin": r_sup.worst_margin, "d": r_sup.worst_x},
         "sub": {"worst_margin": r_sub.worst_margin, "d": r_sub.worst_x},
     }
     assert r_sup.passed and r_sub.passed and r_sub.mu == r_sup.mu > 0
+    # the scale is sharpened here, and the rung that stopped its ladder lies
+    # above the pick it backed off from
+    assert 1.0 < r_sub.scale < 2.0
+    assert r_sub.scale_limit > r_sub.scale / barriers.SUB_BACKOFF
 
     unchecked = barriers._report(np.empty(0), np.empty(0), "sub")
     monkeypatch.setattr(cli, "solve_blowup", lambda *a, **k: dataclasses.replace(
         real(*a, **k), pair_reports=(r_sup, unchecked)))
     assert run_cli(argv + ["--out", str(tmp_path / "c")]) == 0
     assert load_manifest(tmp_path / "c")["globalization"]["sub"] is None
+
+
+def test_weak_full_level_records_both_lower_bounds(tmp_path):
+    # criterion 07's configuration: the full-depth final level frees the
+    # deepest nodes, where W was never verified (and the profile lies below
+    # it), so the sandwich tests W on d > 1/128 and 0 on every node
+    out = tmp_path / "w"
+    code = run_cli(["blowup", "--alpha", "0.5", "--p", "4", "--gamma", "-1.2", "--kappa-f",
+                    "0.25", "--full-level", "--n", "301", "--levels", "8,16,32,64,128",
+                    "--out", str(out)])
+    assert code == 0
+    m = load_manifest(out)
+    assert m["sandwich_ok"] is True
+    with (out / "solution.csv").open() as fh:
+        d = sorted(float(r["d"]) for r in csv.DictReader(fh))
+    verified = [v for v in d if v > 1.0 / 128]
+    assert m["lower_bounds"] == {
+        "W": {"nodes": len(verified), "min_d": verified[0]},
+        "zero": {"nodes": 301, "min_d": d[0]},
+    }
 
 
 def test_blowup_refuses_shells_sharing_a_node(tmp_path):
@@ -612,7 +638,8 @@ def test_sweep_builds_the_window_rule_once(tmp_path, monkeypatch):
 
 _RUN = {"command", "config", "library_version", "timestamp"}
 _TRACE = {"final_residual", "final_residual_rel", "iterations", "shift_rebuilds", "sup_changes"}
-_REPORT = {"margins", "mu", "nodes", "passed", "role", "worst_margin", "worst_x", "zone"}
+_REPORT = {"margins", "mu", "nodes", "passed", "role", "worst_margin", "worst_x", "zone",
+           "scale", "scale_limit"}
 _PROBLEM = {"command", "out", "alpha", "p", "gamma", "kappa_f"}
 _SOLVER = {"n", "grading", "max_iters", "sup_tol"}
 
@@ -639,8 +666,10 @@ MANIFEST_KEYS = {
                 "--fit-tol", "1.0"], {
         "": _RUN | {"tau0", "p_star", "zone", "predicted_exponent", "fit",
                     "fit_within_tolerance", "monotone_in_levels", "sandwich_ok",
-                    "positive_on_final_shell", "levels", "globalization", "profiles"},
-        "globalization": {"lambda", "super", "sub"},
+                    "positive_on_final_shell", "levels", "globalization", "lower_bounds",
+                    "profiles"},
+        "globalization": {"lambda", "sub_scale", "sub_scale_limit", "super", "sub"},
+        "lower_bounds": {"W", "zero"},
         "fit": {"exponent", "intercept", "r_squared", "window", "band", "n_points",
                 "verified"},
         "levels": _TRACE | {"shell"},

@@ -223,11 +223,12 @@ def test_blowup_small_interaction(monkeypatch):
     assert [lev.shell for lev in res.levels] == [8, 16, 32]
     for lev in res.levels:
         assert np.array_equal(lev.solution.values, lev.solution.values[::-1])
-    # the globalized pair (sub + lambda V, sup - lambda V) depends on d alone
-    # and is formed here from the collar pair at the grid's distances
+    # the globalized pair (c sub + lambda V, sup - lambda V) depends on d
+    # alone and is formed here from the collar pair at the grid's distances,
+    # with the scale c the sub report records
     sup, sub = make_existence_pair(params, classify_regime(params))
-    lam = res.pair_reports[0].mu
-    w = sub.value(grid.d) + lam * torsion(params.alpha, grid.d)
+    lam, c = res.pair_reports[0].mu, res.pair_reports[1].scale
+    w = c * sub.value(grid.d) + lam * torsion(params.alpha, grid.d)
     u = sup.value(grid.d) - lam * torsion(params.alpha, grid.d)
     assert np.all(res.final.values >= w - 1e-9 * (1 + np.abs(w)))
     assert np.all(res.final.values <= u + 1e-9 * (1 + np.abs(u)))
@@ -290,6 +291,46 @@ def test_blowup_full_depth_only_checks_w_on_no_row():
     r_sup, r_sub = res.pair_reports
     assert r_sub.nodes.size == 0 and r_sub.passed
     assert r_sup.nodes.size == grid.n_half and r_sup.passed
+
+
+def test_full_depth_sandwich_tests_w_only_where_verified(monkeypatch):
+    """Below a full-depth final level W is a lower bound only on the rows the
+    globalization verified it on (d > 1/128 here), and the zero start on
+    every row.  The weak-source profile lies below W at the deepest node,
+    where W is not a discrete sub-solution, and the sandwich holds; the
+    same profile pushed below W on a verified row fails it."""
+    import fraclap.solvers as solvers
+
+    params = ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.2, 0.25))
+    grid = Grid1D.graded(301, 3.0)
+    cfg = IterationConfig(exhaustion_levels=(8, 16, 32, 64, 128, int(2.0 / grid.min_spacing)))
+    res = solve_blowup(params, grid, cfg)
+    r_sup, r_sub = res.pair_reports
+    sup, sub = make_existence_pair(params, classify_regime(params))
+    d, u = grid.d, res.final.values
+    w = r_sub.scale * sub.value(d) + r_sub.mu * torsion(params.alpha, d)
+    assert res.sandwich_ok and u[0] < w[0]
+    verified = d > 1.0 / 128
+    d_w = d[verified].min()
+    assert res.lower_bounds == {"W": (np.count_nonzero(verified), d_w),
+                                "zero": (grid.n_interior, d[0])}
+    assert np.all(u[verified] > w[verified])
+
+    # the full-depth level's solution, with its row at d_w (the last
+    # verified row, centre-out) set halfway between 0 and W
+    real = solvers._monotone_iterate
+    row = np.count_nonzero(grid.nodes[: grid.n_half] > 1.0 / 128) - 1
+    w_row = w[grid.n_half - 1 - row]
+    assert d[grid.n_half - 1 - row] == d_w and w_row > 0
+
+    def inverted(*args):
+        v, trace = real(*args)
+        if v.size == grid.n_half:
+            v[row] = 0.5 * w_row
+        return v, trace
+
+    monkeypatch.setattr(solvers, "_monotone_iterate", inverted)
+    assert not solve_blowup(params, grid, cfg).sandwich_ok
 
 
 def test_exterior_data_enters_as_source(op301, grid301):

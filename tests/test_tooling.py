@@ -5,6 +5,7 @@ span tracer wraps."""
 import csv
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -56,6 +57,12 @@ def test_rate_study_script_reproduces_the_three_rates(tmp_path):
     assert [r["case"] for r in rows] == ["interaction", "weak_source", "strong_source"]
     for r in rows:
         assert float(r["relative_error"]) < 0.05, r
+        # each case's manifest figures ride along
+        manifest = json.loads((tmp_path / r["case"] / "manifest.json").read_text())
+        assert int(r["sweeps"]) == sum(lev["iterations"] for lev in manifest["levels"]) > 0
+        assert float(r["lambda"]) == manifest["globalization"]["lambda"]
+        assert float(r["sub_scale"]) == manifest["globalization"]["sub_scale"]
+        assert 1.0 <= float(r["sub_scale"]) < 2.0
 
 
 def test_every_traced_name_resolves():
