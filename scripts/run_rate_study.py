@@ -4,10 +4,12 @@ Runs the interaction, weak-source and strong-source configurations through
 `fraclap blowup` on one graded grid and prints each fitted boundary exponent
 against the predicted rate -2a/(p-1), gamma+2a or gamma/p, with the run's
 total monotone sweeps, its globalization lambda and the scale c of its
-sub-solution W = c sub + lambda V, read from the manifest.  Each case writes
-its CLI output (profiles and manifest) into --out/<case>, and a summary CSV
-goes to --out/summary.csv.  A fit outside the CLI's tolerance (exit code 4)
-is reported like any other result.
+sub-solution W = c sub + lambda V, and whether the profile lies between its
+lower bound (W, or the zero start below a full-depth level) and U, read from
+the manifest.  Each case writes its CLI output (profiles and manifest) into
+--out/<case>, and a summary CSV goes to --out/summary.csv.  A fit outside
+the CLI's tolerance or a failed sandwich (exit code 4) is reported like any
+other result.
 """
 
 import argparse
@@ -59,15 +61,17 @@ def main() -> None:
         rel = abs(fitted - predicted) / abs(predicted)
         sweeps = sum(lev["iterations"] for lev in m["levels"])
         lam, scale = m["globalization"]["lambda"], m["globalization"]["sub_scale"]
-        rows.append((name, predicted, fitted, rel, sweeps, lam, scale, elapsed))
+        sandwich, lower = m["sandwich_ok"], m["lower_bound"]
+        rows.append((name, predicted, fitted, rel, sweeps, lam, scale, sandwich, lower, elapsed))
         print(
             f"{name:14s} predicted {predicted:+.4f}  fitted {fitted:+.4f} "
             f"({rel:.2%})  monotone={m['monotone_in_levels']}  sweeps {sweeps:5d}  "
-            f"lambda {lam:g}  c {scale:.4f}  {elapsed:5.1f}s"
+            f"lambda {lam:g}  c {scale:.4f}  sandwich={sandwich} ({lower})  {elapsed:5.1f}s"
         )
 
     with (out / "summary.csv").open("w") as fh:
-        fh.write("case,predicted,fitted,relative_error,sweeps,lambda,sub_scale,seconds\n")
+        fh.write("case,predicted,fitted,relative_error,sweeps,lambda,sub_scale,sandwich_ok,"
+                 "lower_bound,seconds\n")
         for row in rows:
             fh.write(",".join(repr(v) if not isinstance(v, str) else v for v in row) + "\n")
     print(f"profiles and summary written to {out}/")

@@ -238,11 +238,9 @@ def cmd_blowup(args):
                 for r in result.pair_reports
             },
         },
-        # per lower bound of the final profile, the grid nodes `sandwich_ok`
-        # tested it on and their smallest d (null: no node)
-        "lower_bounds": {
-            name: {"nodes": nodes, "min_d": d} for name, (nodes, d) in result.lower_bounds.items()
-        },
+        # the lower bound `sandwich_ok` tested on every node: the zero start
+        # of a full-depth final level, else W
+        "lower_bound": "zero" if result.final_free.all() else "W",
         "profiles": profiles,
     }, fit_ok and result.sandwich_ok and result.monotone_in_levels and positive
 

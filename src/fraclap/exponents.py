@@ -112,10 +112,11 @@ def _rate_report(zone: RegimeZone, predicted: float, tau: float | None, what: st
 def classify_regime(params: ProblemParams, tau: float | None = None) -> RegimeReport:
     """Assign (alpha, p [, gamma] [, tau]) to its existence/nonexistence zone.
 
-    gamma is the exponent of a power-collar source on `params`; tau, when
-    given, asks specifically about solutions with boundary rate d^tau.  An
-    existence zone's `predicted_exponent` is its one boundary rate
-    (-2*alpha/(p-1), gamma + 2*alpha or gamma/p), the rate at which
+    gamma is the exponent of a nonzero power-collar source on `params` (a
+    zero amplitude is the zero source); tau, when given, asks specifically
+    about solutions with boundary rate d^tau.  An existence zone's
+    `predicted_exponent` is its one boundary rate (-2*alpha/(p-1),
+    gamma + 2*alpha or gamma/p), the rate at which
     `fraclap.barriers.make_existence_pair` builds its barriers.  Comparisons
     that land within BOUNDARY_RTOL of a zone boundary raise
     AmbiguousRegimeError instead of being silently resolved (the one
@@ -127,7 +128,8 @@ def classify_regime(params: ProblemParams, tau: float | None = None) -> RegimeRe
     p_low = 1.0 + 2.0 * alpha
     tau_inter = -2.0 * alpha / (p - 1.0)
 
-    gamma = params.source.gamma if params.source.kind == "power_collar" else None
+    source = params.source
+    gamma = source.gamma if source.kind == "power_collar" and not source.is_zero else None
     if tau is not None and not -1.0 < tau < 0.0:
         raise DomainError(f"tau={tau} outside (-1, 0)")
 

@@ -113,7 +113,12 @@ class SourceField:
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero"
+        """f identically 0: the zero kind, a zero amplitude or all-zero samples."""
+        if self.kind == "zero":
+            return True
+        if self.kind == "power_collar":
+            return self.kappa_f == 0
+        return not any(self.table_f)
 
     @property
     def sign_nonneg(self) -> bool:

@@ -323,16 +323,16 @@ class BlowupLevel:
 
 @dataclass
 class BlowupResult:
+    """The exhaustion levels and the checks on the final profile:
+    `sandwich_ok` holds when it lies between its comparison lower bound
+    (0 below a full-depth final level, W otherwise) and U on every node."""
+
     levels: list
     monotone_in_levels: bool
     sandwich_ok: bool
     # (super, sub) `BarrierReport`s of the globalized pair on the discrete
     # system, mu = the chosen lambda, worst_x = the node's d
     pair_reports: tuple
-    # per lower bound of the final profile ("W", "zero") tested for
-    # `sandwich_ok`: (grid nodes it was tested on, their smallest d), (0, None)
-    # for a bound tested on no node
-    lower_bounds: dict
 
     @property
     def final(self) -> GridFunction:
@@ -390,13 +390,12 @@ def solve_blowup(
     reports, `pair_reports`, not the pair.  The pair's only grid-free
     operator evaluation is its construction on the collar points.
 
-    `sandwich_ok` holds when the final profile lies below U on every node
-    and above each lower bound on the nodes it is tested on: W where W is
-    imposed or was verified, which is every node unless the final level is
-    full depth (that level frees nodes deeper than the deepest imposing
-    shell, where W was never checked), and below a full-depth level also 0
-    (its start, f >= 0) on every node.  `lower_bounds` records the nodes
-    each was tested on.
+    `sandwich_ok` holds when the final profile lies between the lower bound
+    the discrete comparison principle certifies for the final level and U,
+    on every node.  That bound is W unless the final level is full depth;
+    a full-depth level frees rows where W is no sub-solution, and its bound
+    is its start 0 (a sub-solution, as f >= 0).  U is a super-solution on
+    every row the deepest level frees.
     """
     if not params.source.mirror_symmetric:
         raise DomainError(
@@ -485,15 +484,11 @@ def solve_blowup(
             )
         )
 
-    # the final profile's lower bounds and the rows each is tested on: W
-    # wherever it is imposed or `globalize_pair` verified it (every
-    # row unless the final level is full depth: that level climbs from 0
-    # and frees rows where W was never verified), and below a full-depth
-    # level the zero start (f >= 0) on every row.  U bounds every row above.
-    w_rows, zero_rows = (imposing, h) if sizes[-1] == h else (h, 0)
+    # the final level's comparison bound: W, or below a full-depth level
+    # its zero start (f >= 0); U bounds every row above
+    lower = np.zeros(h) if sizes[-1] == h else W
     sandwich_ok = bool(
-        np.all(u[:w_rows] >= W[:w_rows] - 1e-9 * (1.0 + np.abs(W[:w_rows])))
-        and np.all(u[:zero_rows] >= -1e-9)
+        np.all(u >= lower - 1e-9 * (1.0 + np.abs(lower)))
         and np.all(u <= U + 1e-9 * (1.0 + np.abs(U)))
     )
     return BlowupResult(
@@ -501,8 +496,4 @@ def solve_blowup(
         monotone_in_levels=monotone_levels,
         sandwich_ok=sandwich_ok,
         pair_reports=reports,
-        lower_bounds={
-            name: (int(np.count_nonzero(grid.d >= x[h - k])), float(x[h - k])) if k else (0, None)
-            for name, k in (("W", w_rows), ("zero", zero_rows))
-        },
     )

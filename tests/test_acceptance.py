@@ -151,11 +151,12 @@ def test_criterion_06_interaction_rate(blowup_grid):
     slope = _slope(res.final, blowup_grid, 10.0 / SHELLS[-1], 0.02)
     rel = abs(slope + 2.0 / 3.0) / (2.0 / 3.0)
     positive = bool(np.all(res.final.values[res.final_free] > 0))
-    # the globalized pair (sub + lambda V, sup - lambda V) depends on d alone
-    # and is formed here from the collar pair at the grid's distances
+    # the globalized pair (W = c sub + lambda V, U = sup - lambda V, with the
+    # sharpened scale c of the sub report) depends on d alone and is formed
+    # here from the collar pair at the grid's distances
     sup, sub = make_existence_pair(params, classify_regime(params))
     lam, d = res.pair_reports[0].mu, blowup_grid.d
-    w = sub.value(d) + lam * torsion(params.alpha, d)
+    w = res.pair_reports[1].scale * sub.value(d) + lam * torsion(params.alpha, d)
     uu = sup.value(d) - lam * torsion(params.alpha, d)
     sandwich = bool(
         np.all(res.final.values >= w - 1e-9 * (1 + np.abs(w)))

@@ -364,24 +364,51 @@ def test_blowup_manifest_records_the_globalization(tmp_path, monkeypatch):
     assert load_manifest(tmp_path / "c")["globalization"]["sub"] is None
 
 
-def test_weak_full_level_records_both_lower_bounds(tmp_path):
-    # criterion 07's configuration: the full-depth final level frees the
-    # deepest nodes, where W was never verified (and the profile lies below
-    # it), so the sandwich tests W on d > 1/128 and 0 on every node
+def test_weak_full_level_records_its_lower_bound(tmp_path):
+    # criterion 07's configuration: the full-depth final level climbs from
+    # 0 and frees the deepest nodes, where W is no sub-solution, so its
+    # comparison bound, the one the sandwich tests, is the zero start
     out = tmp_path / "w"
     code = run_cli(["blowup", "--alpha", "0.5", "--p", "4", "--gamma", "-1.2", "--kappa-f",
                     "0.25", "--full-level", "--n", "301", "--levels", "8,16,32,64,128",
                     "--out", str(out)])
     assert code == 0
     m = load_manifest(out)
-    assert m["sandwich_ok"] is True
-    with (out / "solution.csv").open() as fh:
-        d = sorted(float(r["d"]) for r in csv.DictReader(fh))
-    verified = [v for v in d if v > 1.0 / 128]
-    assert m["lower_bounds"] == {
-        "W": {"nodes": len(verified), "min_d": verified[0]},
-        "zero": {"nodes": 301, "min_d": d[0]},
-    }
+    assert m["sandwich_ok"] is True and m["lower_bound"] == "zero"
+
+
+def test_strong_full_level_sandwich_holds_below_w(tmp_path):
+    # the full-depth profile lies below W next to d = 1/128; only the zero
+    # start bounds it from below, so the run passes on its fit
+    out = tmp_path / "s"
+    code = run_cli(["blowup", "--alpha", "0.5", "--p", "2.5", "--gamma", "-1.8", "--kappa-f",
+                    "1", "--full-level", "--n", "301", "--levels", "8,16,32,64,128",
+                    "--out", str(out)])
+    assert code == 0
+    m = load_manifest(out)
+    assert m["sandwich_ok"] is True and m["lower_bound"] == "zero"
+    assert m["fit_within_tolerance"] is True
+
+
+def test_zero_amplitude_source_is_the_zero_source(tmp_path):
+    # --kappa-f 0 makes f identically 0: the regime is the source-free one,
+    # and both blowup forms are refused before any solve
+    zero = ["--alpha", "0.5", "--p", "4", "--gamma", "-1.8", "--kappa-f", "0"]
+    assert run_cli(["regime", *zero, "--out", str(tmp_path / "r")]) == 0
+    assert load_manifest(tmp_path / "r")["zone"] == "nonexistence_ii"
+    for name, extra, message in (
+        ("b", [], "no existence barrier construction"),
+        ("f", ["--full-level"], "full-depth exhaustion shell needs a nonzero"),
+    ):
+        out = tmp_path / name
+        code = run_cli(["blowup", *zero, "--n", "201", "--levels", "8,16", *extra,
+                        "--out", str(out)])
+        assert code == 2
+        assert message in json.loads((out / "error.json").read_text())["message"]
+        assert not list(out.glob("level_*.csv"))
+    out = tmp_path / "s"
+    assert run_cli(["solve", *zero, "--n", "101", "--out", str(out)]) == 0
+    assert load_manifest(out)["sup_norm"] == 0.0
 
 
 def test_blowup_refuses_shells_sharing_a_node(tmp_path):
@@ -666,10 +693,9 @@ MANIFEST_KEYS = {
                 "--fit-tol", "1.0"], {
         "": _RUN | {"tau0", "p_star", "zone", "predicted_exponent", "fit",
                     "fit_within_tolerance", "monotone_in_levels", "sandwich_ok",
-                    "positive_on_final_shell", "levels", "globalization", "lower_bounds",
+                    "positive_on_final_shell", "levels", "globalization", "lower_bound",
                     "profiles"},
         "globalization": {"lambda", "sub_scale", "sub_scale_limit", "super", "sub"},
-        "lower_bounds": {"W", "zero"},
         "fit": {"exponent", "intercept", "r_squared", "window", "band", "n_points",
                 "verified"},
         "levels": _TRACE | {"shell"},

@@ -84,6 +84,13 @@ def test_classify_strong_source():
     assert rep.predicted_exponent == pytest.approx(-0.45)
 
 
+def test_zero_amplitude_source_classifies_as_source_free():
+    # f = 0 d^gamma is no source: gamma plays no part in the zone
+    for p in (2.5, 4.0):
+        zero = ProblemParams(0.5, p, source=SourceField.power_collar(-1.8, kappa_f=0.0))
+        assert classify_regime(zero) == classify_regime(ProblemParams(0.5, p))
+
+
 def test_weak_range_source_at_interaction_power_honours_tau():
     # gamma = -1.2 is in the weak range at p = 2.5 < p* = 3, where the
     # interaction rate -2/3 prevails: any other rate d^tau is excluded

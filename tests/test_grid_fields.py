@@ -186,6 +186,15 @@ def test_source_mirror_symmetry_reads_the_table():
     assert not SourceField(kind="tabulated", table_x=(0.2, 0.7), table_f=(1.0, 1.0)).mirror_symmetric
 
 
+def test_source_is_zero_whenever_f_vanishes():
+    # the zero kind, a zero amplitude and all-zero samples are all f = 0
+    assert SourceField.zero().is_zero
+    assert SourceField.power_collar(-1.2, kappa_f=0.0).is_zero
+    assert not SourceField.power_collar(-1.2, kappa_f=-0.5).is_zero
+    assert SourceField(kind="tabulated", table_x=(0.2, 0.8), table_f=(0.0, 0.0)).is_zero
+    assert not SourceField(kind="tabulated", table_x=(0.2, 0.8), table_f=(0.0, 1.0)).is_zero
+
+
 def test_exterior_field():
     g = ExteriorData.power_collar(beta=-0.5, kappa_g=1.0, eta=0.25)
     z = np.array([-0.01, -0.5, 1.01, 2.0, 0.5])

@@ -293,12 +293,12 @@ def test_blowup_full_depth_only_checks_w_on_no_row():
     assert r_sup.nodes.size == grid.n_half and r_sup.passed
 
 
-def test_full_depth_sandwich_tests_w_only_where_verified(monkeypatch):
-    """Below a full-depth final level W is a lower bound only on the rows the
-    globalization verified it on (d > 1/128 here), and the zero start on
-    every row.  The weak-source profile lies below W at the deepest node,
-    where W is not a discrete sub-solution, and the sandwich holds; the
-    same profile pushed below W on a verified row fails it."""
+def test_full_depth_sandwich_tests_the_zero_start(monkeypatch):
+    """Below a full-depth final level the comparison bound is that level's
+    zero start (f >= 0), not W: W is no discrete sub-solution on the rows
+    the level frees.  The weak-source profile lies below W at the deepest
+    node and the sandwich holds; a verified row (d > 1/128) pushed to half
+    of W keeps it, and the same row pushed below 0 or above U fails it."""
     import fraclap.solvers as solvers
 
     params = ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.2, 0.25))
@@ -308,28 +308,59 @@ def test_full_depth_sandwich_tests_w_only_where_verified(monkeypatch):
     r_sup, r_sub = res.pair_reports
     sup, sub = make_existence_pair(params, classify_regime(params))
     d, u = grid.d, res.final.values
-    w = r_sub.scale * sub.value(d) + r_sub.mu * torsion(params.alpha, d)
+    tor = r_sub.mu * torsion(params.alpha, d)
+    w = r_sub.scale * sub.value(d) + tor
+    big_u = sup.value(d) - tor
     assert res.sandwich_ok and u[0] < w[0]
-    verified = d > 1.0 / 128
-    d_w = d[verified].min()
-    assert res.lower_bounds == {"W": (np.count_nonzero(verified), d_w),
-                                "zero": (grid.n_interior, d[0])}
-    assert np.all(u[verified] > w[verified])
 
-    # the full-depth level's solution, with its row at d_w (the last
-    # verified row, centre-out) set halfway between 0 and W
+    # the full-depth level's row at the last verified d (centre-out order)
     real = solvers._monotone_iterate
     row = np.count_nonzero(grid.nodes[: grid.n_half] > 1.0 / 128) - 1
-    w_row = w[grid.n_half - 1 - row]
-    assert d[grid.n_half - 1 - row] == d_w and w_row > 0
+    node = grid.n_half - 1 - row
+    assert d[node] > 1.0 / 128 and 0 < w[node] < big_u[node]
 
-    def inverted(*args):
+    def sandwich_with_row_at(value):
+        def iterate(*args):
+            v, trace = real(*args)
+            if v.size == grid.n_half:
+                v[row] = value
+            return v, trace
+
+        monkeypatch.setattr(solvers, "_monotone_iterate", iterate)
+        return solve_blowup(params, grid, cfg).sandwich_ok
+
+    assert sandwich_with_row_at(0.5 * w[node])
+    assert not sandwich_with_row_at(-0.5 * w[node])
+    assert not sandwich_with_row_at(2.0 * big_u[node])
+
+
+def test_imposed_final_level_sandwich_tests_w(monkeypatch):
+    """Below a final level that imposes W the comparison bound is W on every
+    row: the profile pushed below W on one free row fails the sandwich."""
+    import fraclap.solvers as solvers
+
+    params = ProblemParams(0.5, 2.5)
+    grid = Grid1D.graded(201, 3.0, include=[1 / 8, 1 / 16])
+    cfg = IterationConfig(exhaustion_levels=(8, 16))
+    res = solve_blowup(params, grid, cfg)
+    assert res.sandwich_ok and not res.final_free.all()
+    _, r_sub = res.pair_reports
+    sup, sub = make_existence_pair(params, classify_regime(params))
+    w = r_sub.scale * sub.value(grid.d) + r_sub.mu * torsion(params.alpha, grid.d)
+    # the final level's deepest free row (centre-out order) and its node
+    m = np.count_nonzero(grid.nodes[: grid.n_half] > 1.0 / 16)
+    w_row = w[grid.n_half - m]
+    assert np.all(res.final.values >= w - 1e-9 * (1 + np.abs(w)))
+
+    real = solvers._monotone_iterate
+
+    def lowered(*args):
         v, trace = real(*args)
-        if v.size == grid.n_half:
-            v[row] = 0.5 * w_row
+        if v.size == m:
+            v[-1] = w_row - 0.01 * (1 + abs(w_row))
         return v, trace
 
-    monkeypatch.setattr(solvers, "_monotone_iterate", inverted)
+    monkeypatch.setattr(solvers, "_monotone_iterate", lowered)
     assert not solve_blowup(params, grid, cfg).sandwich_ok
 
 

@@ -63,6 +63,11 @@ def test_rate_study_script_reproduces_the_three_rates(tmp_path):
         assert float(r["lambda"]) == manifest["globalization"]["lambda"]
         assert float(r["sub_scale"]) == manifest["globalization"]["sub_scale"]
         assert 1.0 <= float(r["sub_scale"]) < 2.0
+        # each profile lies between U and its comparison lower bound: W
+        # under an imposed final level, the zero start under a full-depth one
+        assert r["sandwich_ok"] == "True" and manifest["sandwich_ok"] is True
+        assert r["lower_bound"] == manifest["lower_bound"]
+    assert [r["lower_bound"] for r in rows] == ["W", "zero", "zero"]
 
 
 def test_every_traced_name_resolves():
