@@ -11,16 +11,17 @@ system only, so the globalized pair is a pair of nodal values.  This
 module imports nothing from `fraclap.grid`: `globalize_pair` is given the
 discrete system as nodes and a matrix, and the collar checks are grid-free.
 
-Every amplitude (mu on the collar, lambda on the torsion) is the first rung
-of a fixed ladder at which the barrier inequality holds, except one: at the
-chosen lambda, `globalize_pair` raises the globalized sub-solution to
-c sub + lambda V, c the last passing rung of the fine ladder 2^(j/64) below
-a bound that keeps lambda, U and the solver's sandwich range as they are,
-backed off by SUB_BACKOFF.  `_margins` computes the margins of a whole
-ladder at once, one row per rung, elementwise exactly as `verify_barrier`
-computes one candidate's, from the p-free normalization s = `_scale`(xs, tau)
-and values already divided by it; `_first_pass` picks the first passing row
-and `_passes` gives every row's verdict.
+Every amplitude (mu on the collar, lambda on the torsion, the scale c of
+the globalized sub-solution c sub + lambda V) is the first rung of a fixed
+ladder at which the barrier inequality holds; c's ladder is the fine one,
+2^(j/64), read from the top down from a bound that keeps lambda, U and the
+solver's sandwich range as they are, and c is then backed off by
+SUB_BACKOFF.  `_margins` computes the margins of a whole ladder at once,
+one row per rung, elementwise exactly as `verify_barrier` computes one
+candidate's, from the p-free normalization s = `_scale`(xs, tau) and values
+already divided by it; `_first_pass` picks the first passing row of a
+collar ladder, `_scan` that of a globalization ladder, formed a block of
+rungs at a time, and `_passes` gives every row's verdict.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ __all__ = [
 MU_SWEEP_RANGE = 20  # geometric ladder mu in {2^k}, k in [-MU_SWEEP_RANGE, MU_SWEEP_RANGE]
 TOL_REL = 1e-6  # relative slack of every sign verdict, for quadrature noise
 LADDER_BLOCK = 8  # rungs of the globalization ladders whose margins are formed at once
-SUB_LADDER = 64  # the sub-solution scale climbs the rungs c = 2^(j/SUB_LADDER), j < SUB_LADDER
-SUB_BACKOFF = 0.95  # the climbed scale c backs off to max(1, SUB_BACKOFF c)
+SUB_LADDER = 64  # the sub-solution scale takes a rung c = 2^(j/SUB_LADDER), j < SUB_LADDER
+SUB_BACKOFF = 0.95  # the chosen rung c backs off to max(1, SUB_BACKOFF c)
 
 
 def collar_points() -> np.ndarray:
@@ -164,7 +165,7 @@ class BarrierReport:
     mu: float | None = None
     zone: str | None = None
     # the sub role of `globalize_pair`: the scale c of W = c sub + lambda V,
-    # and the rung of its ladder that failed or exceeded the bound (None: none)
+    # and the rung above c's, failing or past the bound (None above the top rung)
     scale: float | None = None
     scale_limit: float | None = None
 
@@ -283,7 +284,7 @@ def make_existence_pair(
     if regime.zone not in (
         RegimeZone.EXISTENCE_INTERACTION, RegimeZone.WEAK_SOURCE, RegimeZone.STRONG_SOURCE
     ):
-        raise DomainError(f"no existence barrier construction for zone {regime.zone}")
+        raise DomainError(f"no existence barrier construction for zone {regime.zone.value}")
     tau = regime.predicted_exponent
     base = BarrierSpec(params.alpha, ((1.0, PowerTerm(DistanceProfile(tau=tau))),))
     xs = collar_points()
@@ -439,118 +440,91 @@ def globalize_pair(
     U = sup - lambda V the reverse on the first `super_rows` (then also with
     W imposed outside a level, as A's off-diagonals are <= 0 and U >= W).
     The operator values are three matvecs and each rung's `_margins` are
-    elementwise; the ladder is formed LADDER_BLOCK rungs at a time, on the
-    rows each role checks, up to the first block that holds a passing rung.
-    With lambda and U fixed, W becomes c sub + lambda V with the scale
-    c in [1, 2) of `_sub_scale`: it passes on the same rows, W <= U still,
-    and max(|W|, |U|), the sandwich range that sets the solver's shift, is
-    unchanged at every node.  A role checked on no row keeps c = 1.
+    elementwise; both ladders are scanned by `_scan`, on the rows each role
+    checks.  With lambda and U fixed, W becomes W(c) = c sub + lambda V.
+    c is the top rung of 2^(j/SUB_LADDER), j < SUB_LADDER, whose margins
+    pass among those up to c_max, the largest c for which W(c) <= U and
+    |W(c)| <= max(|W|, |U|) at every node; rung 0, c = 1, is W itself.  c
+    then backs off to max(1, SUB_BACKOFF c) and is checked once more,
+    margins, order and bound in floating point, and c = 1 is kept if that
+    check fails.  So W(c) passes on the same rows, W(c) <= U still, and the
+    sandwich range max(|W|, |U|) that sets the solver's shift is unchanged
+    at every node.  A role checked on no row keeps c = 1.
     Returns the values (U, W) at the nodes and the (super, sub) reports on
     the rows checked, of the chosen lambda and, for the sub role, of W at
     its scale, each with mu = lambda; the sub report also records c and
-    the rung that stopped its ladder (scale, scale_limit).  A role checked
-    on no row has worst margin inf at x = nan.  If no lambda passes,
-    VerificationError names a failing role, its worst margin on the last
-    rung and its d.
+    the rung above c's (scale, scale_limit; None above the top rung).  A
+    role checked on no row has worst margin inf at x = nan.  If no lambda
+    passes, VerificationError names a failing role, its worst margin on the
+    last rung and its d.
     """
     sup, sub = pair
     x = np.asarray(nodes, dtype=float)
-    tor_vals = torsion(params.alpha, x)
-    tor_ops = A[: max(sub_rows, super_rows)] @ tor_vals
-    roles = []  # per role: sign of the torsion term, values, operator values, s, f
-    for spec, rows, sign in ((sup, super_rows, -1.0), (sub, sub_rows, 1.0)):
-        vals = spec.value(x)
+    tor = torsion(params.alpha, x)
+    tor_ops = A[: max(sub_rows, super_rows)] @ tor
+    sup_vals, sub_vals = sup.value(x), sub.value(x)
+    sub_ops = A[:sub_rows] @ sub_vals
+
+    def family(spec, rows, vals, ops, step, step_ops):
+        """Super-signed margins of the candidates vals + r step (operator
+        values ops + r step_ops) on the first `rows` rows, one row per rung
+        of the column r."""
         s, f_vals = _scale(x[:rows], spec.leading_tau), params.source.value(x[:rows])
-        roles.append((sign, vals, A[:rows] @ vals, s, f_vals))
-    lam, reports = _first_lambda(roles, tor_vals, tor_ops, x, params.p)
-    U, W = (vals + sign * lam * tor_vals for sign, vals, *_ in roles)
-    c, limit = 1.0, None  # a sub role checked on no row keeps c = 1
-    if sub_rows:
-        _, sub_vals, sub_ops, s, f_vals = roles[1]
-        c, limit, W, m = _sub_scale(sub_vals, sub_ops, lam * tor_vals, lam * tor_ops, U, W, s,
-                                    f_vals, params.p)
-        if m is not None:
-            reports[1] = _report(x[:sub_rows], m, "sub")
-            reports[1].mu = lam
-    reports[1].scale, reports[1].scale_limit = c, limit
-    return (U, W), tuple(reports)
+        vals, ops, step, step_ops = vals[:rows], ops[:rows], step[:rows], step_ops[:rows]
+        return lambda r: _margins(s, (vals + r * step) / s, ops + r * step_ops, f_vals, params.p)
 
-
-def _first_lambda(roles, tor_vals, tor_ops, x, p):
-    """(lambda, [super report, sub report]) of the first rung of the lambda
-    ladder of `globalize_pair` at which both roles pass; no block of the
-    ladder outlives the call."""
+    sup_of = family(sup, super_rows, sup_vals, A[:super_rows] @ sup_vals, tor, tor_ops)
+    sub_of = family(sub, sub_rows, sub_vals, sub_ops, tor, tor_ops)
     lams = [0.0] + [2.0**k for k in range(39)]
-    for start in range(0, len(lams), LADDER_BLOCK):
-        block = np.array(lams[start : start + LADDER_BLOCK])[:, None]
-        margins = []
-        for sign, vals, ops, s, f_vals in roles:
-            col, rows = sign * block, s.size
-            scaled_vals = (vals[:rows] + col * tor_vals[:rows]) / s
-            margins.append(_margins(s, scaled_vals, ops + col * tor_ops[:rows], f_vals, p))
-        sup_m, sub_m = margins[0], -margins[1]
-        ok = _passes(sup_m) & _passes(sub_m)
-        if ok.any():
-            break
-    else:
-        role, m = ("sub", sub_m) if not _passes(sub_m[-1]) else ("super", sup_m)
-        last = _report(x[: m.shape[1]], m[-1], role)
+    lam, rows = _scan(lams, lambda r: (sup_of(-r), -sub_of(r)))
+    if lam is None:
+        role, m = ("sub", rows[1]) if not _passes(rows[1]) else ("super", rows[0])
+        last = _report(x[: m.size], m, role)
         raise VerificationError(
             f"global extension failed: the {role}-solution fails the discrete check for every "
             f"lambda (worst margin {last.worst_margin:.3e} at d={last.worst_x:.3e})"
         )
-    i = int(np.argmax(ok))
-    lam = lams[start + i]
-    # the chosen rows are copied, so that the block is freed on return
-    reports = []
-    for m, role in ((sup_m, "super"), (sub_m, "sub")):
-        reports.append(_report(x[: m.shape[1]], m[i].copy(), role))
-        reports[-1].mu = lam
-    return lam, reports
+    reports = [_report(x[: m.size], m, role) for m, role in zip(rows, ("super", "sub"))]
+    U, W = sup_vals - lam * tor, sub_vals + lam * tor
+    c, limit = 1.0, None  # a sub role checked on no row keeps c = 1
+    if sub_rows:
+        cap = np.maximum(np.abs(W), np.abs(U))
+        up, down = sub_vals > 0.0, sub_vals < 0.0
+        c_max = 1.0 + min(
+            np.min((U - W)[up] / sub_vals[up], initial=np.inf),
+            np.min((cap + W)[down] / -sub_vals[down], initial=np.inf),
+        )
+        rungs = [2.0 ** (j / SUB_LADDER) for j in range(SUB_LADDER)]
+        top = max(1, sum(r <= c_max for r in rungs))  # rung 0 is W: it passed with lambda
+        w_of = family(sub, sub_rows, lam * tor, lam * tor_ops, sub_vals, sub_ops)
+        c, _ = _scan(rungs[top - 1 :: -1], lambda r: (-w_of(r),))
+        j = rungs.index(c)
+        limit = rungs[j + 1] if j + 1 < SUB_LADDER else None
+        c = max(1.0, SUB_BACKOFF * c)
+        W_c, m = c * sub_vals + lam * tor, -w_of(c)
+        if c > 1.0 and _passes(m) and np.all(W_c <= U) and np.all(np.abs(W_c) <= cap):
+            W, reports[1] = W_c, _report(x[:sub_rows], m, "sub")
+        else:
+            c = 1.0
+    for r in reports:
+        r.mu = lam
+    reports[1].scale, reports[1].scale_limit = c, limit
+    return (U, W), tuple(reports)
 
 
-def _sub_scale(sub_vals, sub_ops, tor_vals, tor_ops, U, W, s, f_vals, p):
-    """Sharpen the globalized sub-solution W = sub + lambda V to
-    W(c) = c sub + lambda V at the same lambda; tor_vals and tor_ops are
-    lambda V and its operator values.
+def _scan(ladder, margins_of):
+    """(rung, rows) of the first rung of `ladder` at which every role passes.
 
-    c first climbs the ladder 2^(j/SUB_LADDER), j = 0, 1, ..., up to the last
-    rung before the first one whose margins fail on the rows checked (those
-    of s) or that exceeds c_max, the largest c for which W(c) <= U and
-    |W(c)| <= max(|W|, |U|) at every node; the margins are formed
-    LADDER_BLOCK rungs at a time.  Then c backs off to max(1, SUB_BACKOFF c)
-    and is checked once more, margins, order and bound in floating point,
-    and c = 1 (W itself) is kept if that check fails.  Under the bound U and
-    the sandwich range max(|W(c)|, |U|) are those of W.  Returns c, the
-    rung that stopped the climb (None if every rung passed), W(c) and the
-    sub-signed margins of W(c) on the rows checked (None for c = 1).
-    """
-    cap = np.maximum(np.abs(W), np.abs(U))
-    up, down = sub_vals > 0.0, sub_vals < 0.0
-    c_max = 1.0 + min(
-        np.min((U - W)[up] / sub_vals[up], initial=np.inf),
-        np.min((cap + W)[down] / -sub_vals[down], initial=np.inf),
-    )
-    rows = s.size
-    head, tor_head, tor_ops = sub_vals[:rows], tor_vals[:rows], tor_ops[:rows]
-
-    def margins(col):
-        return -_margins(s, (col * head + tor_head) / s, col * sub_ops + tor_ops, f_vals, p)
-
-    ladder = [2.0 ** (j / SUB_LADDER) for j in range(SUB_LADDER)]
-    bounded = sum(c <= c_max for c in ladder)
-    passing = 1  # rung 0, c = 1, is W: verified with lambda
-    while passing < bounded:
-        block = np.array(ladder[passing : min(passing + LADDER_BLOCK, bounded)])
-        ok = _passes(margins(block[:, None]))
-        if not ok.all():
-            passing += int(np.argmin(ok))
-            break
-        passing += ok.size
-    limit = ladder[passing] if passing < SUB_LADDER else None
-    c = max(1.0, SUB_BACKOFF * ladder[passing - 1])
-    if c > 1.0:
-        W_c, m = c * sub_vals + tor_vals, margins(c)
-        if _passes(m) and np.all(W_c <= U) and np.all(np.abs(W_c) <= cap):
-            return c, limit, W_c, m
-    return 1.0, limit, W, None
+    margins_of(col) gives each role's margins, signed for its role, at the
+    column of rungs col, one row per rung; it is called on LADDER_BLOCK
+    rungs at a time, up to the first block that holds a passing rung.  rows
+    are copies of that rung's row per role, so no block outlives the call.
+    If no rung passes, (None, the last rung's rows)."""
+    for start in range(0, len(ladder), LADDER_BLOCK):
+        block = ladder[start : start + LADDER_BLOCK]
+        margins = margins_of(np.array(block)[:, None])
+        ok = np.all([_passes(m) for m in margins], axis=0)
+        if ok.any():
+            i = int(np.argmax(ok))
+            return block[i], [m[i].copy() for m in margins]
+    return None, [m[-1].copy() for m in margins]

@@ -39,7 +39,7 @@ from .errors import (
     FraclapError,
     VerificationError,
 )
-from .exponents import ProblemParams, classify_regime, classify_zone6, find_tau0
+from .exponents import ProblemParams, RegimeZone, classify_regime, classify_zone6, find_tau0
 from .fields import SourceField
 from .grid import Grid1D, GridFunction
 from .operator import assemble
@@ -193,6 +193,18 @@ def cmd_blowup(args):
     fit_hi = args.fit_hi if args.fit_hi is not None else max(0.02, 10.0 / max(levels))
     window = (fit_lo, fit_hi)
     _on_window(grid, window)  # a window that cannot fit is refused before the solve
+    regime = classify_regime(params)
+    # a full-depth final level solves the source-driven problem, whose rate
+    # is the pair's only in the weak- and strong-source zones (f = 0 is
+    # refused by the solver)
+    if args.full_level and not params.source.is_zero:
+        if args.family_t is not None:
+            raise DomainError("blowup --full-level with a source solves the source-driven "
+                              "problem, not the critical-rate family of --family-t")
+        if regime.zone not in (RegimeZone.WEAK_SOURCE, RegimeZone.STRONG_SOURCE):
+            raise DomainError(f"blowup --full-level with a source in zone {regime.zone.value} "
+                              "solves the source-driven problem, whose rate is not the zone's; "
+                              "it needs the weak_source or strong_source zone")
     pair = None if args.family_t is None else make_special_pair(params, args.family_t)
     result = solve_blowup(params, grid, cfg, pair=pair)
     outdir = Path(args.out)
@@ -205,7 +217,6 @@ def cmd_blowup(args):
     shutil.copyfile(outdir / profiles[-1], outdir / "solution.csv")
     profiles.append("solution.csv")
 
-    regime = classify_regime(params)
     fit = fit_exponent(result.final, window)
     # the critical-rate family carries the root exponent, not the zone rate
     predicted = kc.tau0 if args.family_t is not None else regime.predicted_exponent
@@ -226,7 +237,7 @@ def cmd_blowup(args):
         "positive_on_final_shell": positive,
         "levels": [{"shell": lev.shell, **asdict(lev.trace)} for lev in result.levels],
         # the chosen lambda, the scale c of W = c sub + lambda V and the rung
-        # of its ladder that failed or exceeded the bound (null: none did),
+        # above c's, failing or past the bound (null above the top rung),
         # and per role its worst discrete margin and that node's d (null for
         # a role checked on no row)
         "globalization": {

@@ -172,7 +172,6 @@ def classify_regime(params: ProblemParams, tau: float | None = None) -> RegimeRe
                 RegimeZone.UNCLASSIFIED, None, "weak-range source with subcritical power"
             )
         # gamma in [-2*alpha, 0): source too tame to drive the explosion
-        gamma = None
 
     # source-free (or tame-source) classification
     tie_check(p, p_low, "lower power bound")

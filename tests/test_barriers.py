@@ -488,6 +488,37 @@ def test_blocked_ladder_fails_with_the_whole_ladders_message(interaction, monkey
     assert messages[0] == messages[1] == messages[2]
 
 
+@pytest.mark.parametrize("block", [1, 3, 8, 40])
+def test_scan_takes_the_first_rung_every_role_passes(monkeypatch, block):
+    """`_scan` on synthetic margin rows, a block of rungs at a time: a role
+    has the row [r, 0] at a rung r where it passes and [r, -1] where it
+    fails.  A broken pass pattern gives its first passing rung in ladder
+    order, two roles the first rung both pass, and no passing rung
+    (None, the last rung's rows); the rows returned are copies, not views
+    of a block."""
+    monkeypatch.setattr(barriers, "LADDER_BLOCK", block)
+    ladder = [2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0, 23.0, 29.0]
+    blocks = []
+
+    def margins_of(*passing):
+        def of(col):
+            blocks.extend(np.hstack([col, np.isin(col, p) - 1.0]) for p in passing)
+            return blocks[-len(passing):]
+        return of
+
+    results = [
+        barriers._scan(ladder, margins_of([13.0, 23.0, 29.0])),  # ..fail, pass, fail, pass..
+        barriers._scan(ladder, margins_of([11.0, 19.0, 23.0], [13.0, 23.0, 29.0])),
+        barriers._scan(ladder, margins_of([3.0], [5.0])),
+    ]
+    assert [(rung, [r.tolist() for r in rows]) for rung, rows in results] == [
+        (13.0, [[13.0, 0.0]]),
+        (23.0, [[23.0, 0.0]] * 2),
+        (None, [[29.0, -1.0]] * 2),
+    ]
+    assert not any(np.shares_memory(r, b) for _, rows in results for r in rows for b in blocks)
+
+
 def test_ladder_error_names_the_last_rung():
     # t = 1e6 swamps every sub-solution amplitude of zone 5 (p = 1.6, tau = -0.75)
     params = ProblemParams(0.5, 1.6)
@@ -537,9 +568,12 @@ def _sharpening_case(case, grid):
 def test_sub_scale_keeps_lambda_and_U(grid301, case, monkeypatch):
     """On the rows a solve checks, the scale c leaves lambda and U bit for
     bit as they are at c = 1 (SUB_BACKOFF = 0), keeps 1 <= c < 2 and
-    W <= U, and the chosen W passes.  c is the first failing or
-    bound-limited rung of 2^(j/64), each checked singly, less one rung and
-    backed off; the bound keeps W(c) <= U and |W(c)| <= max(|W(1)|, |U|)."""
+    W <= U, and the chosen W passes.  c is the top rung of 2^(j/64), each
+    checked singly from the top down, that passes below the bound, backed
+    off, and scale_limit is the rung above it (None above rung 63); the
+    bound keeps W(c) <= U and |W(c)| <= max(|W(1)|, |U|).  The passing rungs
+    run unbroken from rung 0, so a climb from the bottom stops on the same
+    rung."""
     params, pair, cfg = _sharpening_case(case, grid301)
     x, A = _centre_out(grid301, params.alpha)
     sub_rows = int(np.count_nonzero(x > 1.0 / SHELLS[-1]))
@@ -558,15 +592,19 @@ def test_sub_scale_keeps_lambda_and_U(grid301, case, monkeypatch):
     assert r_sub.passed and r_sub.scale_limit == r_sub1.scale_limit
     assert (-_discrete_margins(W, tau, params, x, A, sub_rows)).min() >= -barriers.TOL_REL
     cap = np.maximum(np.abs(W1), np.abs(U))
-    j = 1
-    while j < rungs:
+
+    def admissible(j):
         w = _globalized(pair, r_sup.mu, params.alpha, x, 2.0 ** (j / rungs))[1]
         passes = (-_discrete_margins(w, tau, params, x, A, sub_rows)).min() >= -barriers.TOL_REL
-        if not (passes and np.all(w <= U) and np.all(np.abs(w) <= cap)):
-            break
-        j += 1
-    assert r_sub.scale_limit == (2.0 ** (j / rungs) if j < rungs else None)
-    assert c == max(1.0, backoff * 2.0 ** ((j - 1) / rungs))
+        return passes and np.all(w <= U) and np.all(np.abs(w) <= cap)
+
+    top = next(j for j in range(rungs - 1, -1, -1) if admissible(j))
+    assert r_sub.scale_limit == (2.0 ** ((top + 1) / rungs) if top + 1 < rungs else None)
+    assert c == max(1.0, backoff * 2.0 ** (top / rungs))
+    climb = 1
+    while climb < rungs and admissible(climb):
+        climb += 1
+    assert climb == top + 1
 
 
 @pytest.mark.parametrize("case", SHARPENING_CASES)

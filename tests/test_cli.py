@@ -390,6 +390,26 @@ def test_strong_full_level_sandwich_holds_below_w(tmp_path):
     assert m["fit_within_tolerance"] is True
 
 
+@pytest.mark.parametrize("extra,named", [
+    ([], "zone existence_interaction"),
+    (["--family-t", "1"], "critical-rate family"),
+])
+def test_full_level_needs_a_source_zone_rate(tmp_path, extra, named):
+    # a full-depth final level solves the source-driven problem, whose rate
+    # gamma + 2 alpha is neither the interaction zone's -2 alpha/(p-1) nor the
+    # critical family's tau0, so no fit could pass: both are refused before
+    # any solve
+    out = tmp_path / "f"
+    code = run_cli(["blowup", "--alpha", "0.5", "--p", "2.5", "--gamma", "-1.2", "--kappa-f",
+                    "0.25", "--full-level", "--n", "301", "--levels", "8,16,32,64,128", *extra,
+                    "--out", str(out)])
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "DomainError" and named in err["message"]
+    assert "--full-level" in err["message"]
+    assert not list(out.glob("level_*.csv"))
+
+
 def test_zero_amplitude_source_is_the_zero_source(tmp_path):
     # --kappa-f 0 makes f identically 0: the regime is the source-free one,
     # and both blowup forms are refused before any solve

@@ -5,16 +5,23 @@ functools cache decorator in src/fraclap (module-level mutable state), and
 no numpy.linalg or polyfit in src/fraclap outside `solvers.lu_factor`, found
 by scanning the syntax tree of every module (the project runs no linter, so
 this test is the check).  Tests and scripts get the import check only: a pytest
-fixture can be a parameter that the test body never names.  One check imports
+fixture can be a parameter that the test body never names.  Two checks import
 the package: every name in a module's __all__ must exist on that module, or
-`from module import *` fails."""
+`from module import *` fails, and every code name README.md cites in
+backticks must exist in some module (ROADMAP.md is left out: it names
+deleted code on purpose)."""
 
 import ast
 import importlib
+import re
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+import fraclap
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fraclap"
@@ -147,6 +154,35 @@ def linalg_uses(tree: ast.AST) -> list:
     return sorted(out)
 
 
+_SPAN = re.compile(r"`([^`\n]+)`")
+# ALL_CAPS constants, _private names and CamelCase classes, each with an
+# optional .attribute, and fraclap.module paths; other lower-case dotted
+# forms are instance attributes (grid.d) or foreign modules, and are skipped
+_CITED = re.compile(r"(?:[A-Z][A-Z0-9_]+|_[a-z]\w*|[A-Z][a-z]\w*)(?:\.\w+)?|fraclap(?:\.\w+)+")
+
+
+def _resolves(name: str, namespaces: list) -> bool:
+    """Whether the dotted name is an attribute chain of some namespace's
+    entry; a dataclass field without a default counts as an attribute."""
+    head, *attrs = name.split(".")
+    for obj in (ns[head] for ns in namespaces if head in ns):
+        for attr in attrs:
+            if not (hasattr(obj, attr) or attr in getattr(obj, "__dataclass_fields__", ())):
+                break
+            obj = getattr(obj, attr, None)
+        else:
+            return True
+    return False
+
+
+def stale_names(text: str, namespaces: list) -> list:
+    """The code names cited in backticks in text (see _CITED) that no
+    namespace defines."""
+    return sorted(
+        {s for s in _SPAN.findall(text) if _CITED.fullmatch(s) and not _resolves(s, namespaces)}
+    )
+
+
 @pytest.mark.parametrize("path", MODULES + OTHER, ids=_module_id)
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -187,6 +223,12 @@ def test_linalg_only_in_lu_factor(path):
     assert linalg_uses(tree) == allowed
 
 
+def test_readme_names_resolve():
+    names = [f"fraclap.{p.stem}" for p in MODULES if p.stem != "__init__"]
+    namespaces = [{"fraclap": fraclap}] + [vars(importlib.import_module(n)) for n in names]
+    assert stale_names((ROOT / "README.md").read_text(), namespaces) == []
+
+
 def test_scanner_flags_what_it_should():
     tree = ast.parse(
         "import os\nfrom x import y as z, w\n__all__ = ['w']\n"
@@ -221,4 +263,15 @@ def test_scanner_flags_what_it_should():
     assert linalg_uses(tree) == [
         "import linalg (line 2)", "import linalg (line 3)",
         "linalg (line 4)", "polyfit (line 5)",
+    ]
+
+    @dataclass
+    class Stub:
+        field: float  # no default: not a class attribute
+
+    text = ("`LADDER_BLOCK` `_first_lambda` `Stub.field` `Stub.gone` `OLD_RUNG` "
+            "`fraclap.grid` `fraclap.gone` `grid.d` `V` `c sub + λ V` `ast`")
+    namespaces = [{"LADDER_BLOCK": 8, "Stub": Stub}, {"fraclap": SimpleNamespace(grid=0)}]
+    assert stale_names(text, namespaces) == [
+        "OLD_RUNG", "Stub.gone", "_first_lambda", "fraclap.gone",
     ]
