@@ -194,15 +194,17 @@ def cmd_blowup(args):
     window = (fit_lo, fit_hi)
     _on_window(grid, window)  # a window that cannot fit is refused before the solve
     regime = classify_regime(params)
-    # a full-depth final level solves the source-driven problem, whose rate
-    # is the pair's only in the weak- and strong-source zones (f = 0 is
-    # refused by the solver)
-    if args.full_level and not params.source.is_zero:
+    # a full-depth final level (--full-level, or a last shell that frees
+    # every node) solves the source-driven problem, whose rate is the pair's
+    # only in the weak- and strong-source zones (f = 0 is refused by the
+    # solver)
+    if grid.free_mask(levels[-1]).all() and not params.source.is_zero:
+        full = "--full-level (or a last shell that frees every node)"
         if args.family_t is not None:
-            raise DomainError("blowup --full-level with a source solves the source-driven "
+            raise DomainError(f"blowup {full} with a source solves the source-driven "
                               "problem, not the critical-rate family of --family-t")
         if regime.zone not in (RegimeZone.WEAK_SOURCE, RegimeZone.STRONG_SOURCE):
-            raise DomainError(f"blowup --full-level with a source in zone {regime.zone.value} "
+            raise DomainError(f"blowup {full} with a source in zone {regime.zone.value} "
                               "solves the source-driven problem, whose rate is not the zone's; "
                               "it needs the weak_source or strong_source zone")
     pair = None if args.family_t is None else make_special_pair(params, args.family_t)

@@ -17,12 +17,12 @@ set is then the leading m unknowns and its imposed set the rest, so each
 level quantity is a [:m] or [m:] slice of one centre-out array, and one
 factorization of L + D serves all levels.
 
-Both solvers run the same loop, `_monotone_iterate`, given the operator
-with the level's imposed values in place: `op.apply` in `solve_semilinear`,
-the leading m rows of the centre-out folded operator applied to u followed
-by W[m:] in `solve_blowup`.  The factorization is `lu_factor`, a numpy
-block LDU without pivoting whose blocks end at the level sizes, so a level
-solve (`lu_solve`) runs over the level's leading blocks.
+Both solvers run the same loop, `_monotone_iterate`, on a block of
+columns: one in `solve_semilinear`, and one per level in `solve_blowup`,
+a full-length centre-out vector with W on the level's imposed rows.  The
+factorization is `lu_factor`, a numpy block LDU without pivoting whose
+blocks end at the level sizes, and `lu_solve` solves each column with its
+own leading blocks in one pass over the factors.
 
 Every blow-up datum (the source, the zero exterior, the barrier pair) is a
 function of d = min(x, 1-x), so each level is mirror-symmetric and
@@ -54,7 +54,6 @@ import numpy as np
 
 from .barriers import (
     BarrierSpec,
-    _signed_power,
     globalize_pair,
     make_existence_pair,
 )
@@ -108,9 +107,10 @@ class IterationConfig:
 
 @dataclass
 class IterationTrace:
-    """Record of one monotone iteration.  A decreasing step, and a stop that is
-    not a converged one, raise, so a returned trace is monotone and
-    converged by construction."""
+    """Record of one monotone iteration, up to the sweep `iterations` at
+    which it froze.  A decreasing step, and a stop that is not a converged
+    one, raise, so a returned trace is monotone and converged by
+    construction."""
 
     sup_changes: list = field(default_factory=list)
     iterations: int = 0
@@ -168,18 +168,30 @@ def lu_factor(a: np.ndarray, sizes=()) -> tuple[np.ndarray, tuple]:
     return a, edges
 
 
-def lu_solve(lu: tuple[np.ndarray, tuple], b: np.ndarray, m: int | None = None) -> np.ndarray:
+def lu_solve(lu: tuple[np.ndarray, tuple], b: np.ndarray, m=None) -> np.ndarray:
     """Solve with the leading m x m block (default: all) of a `lu_factor`
     matrix; m must be one of its block edges.  Block forward substitution
-    with L D, then back substitution with U, on views of the factors."""
+    with L D, then back substitution with U, on views of the factors.  A
+    2-D b takes an edge per column, and is zero past it."""
     a, edges = lu
-    m = a.shape[0] if m is None else m
-    e = edges[: edges.index(m) + 1]
-    x = np.empty(m)
+    n = a.shape[0]
+    if b.ndim == 1:
+        top = n if m is None else m
+        x = np.empty(top)
+    else:
+        sizes = np.full(b.shape[1], n) if m is None else np.asarray(m)
+        top = int(sizes.max())
+        if not set(sizes.tolist()) <= set(edges):
+            raise ValueError(f"column sizes {sorted(set(sizes.tolist()) - set(edges))} "
+                             "are not block edges of the factorization")
+        x = np.zeros(b.shape)
+    e = edges[: edges.index(top) + 1]
     for k0, k1 in zip(e[:-1], e[1:]):
         x[k0:k1] = a[k0:k1, k0:k1] @ (b[k0:k1] - a[k0:k1, :k0] @ x[:k0])
+    if b.ndim == 2:
+        x[:top][np.arange(top)[:, None] >= sizes] = 0.0
     for k0, k1 in zip(e[-2::-1], e[:0:-1]):
-        x[k0:k1] -= a[k0:k1, k1:m] @ x[k1:m]
+        x[k0:k1] -= a[k0:k1, k1:top] @ x[k1:top]
     return x
 
 
@@ -218,6 +230,14 @@ def _sandwich_shift(p: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     return 1.1 * p * cap ** (p - 1.0), cap
 
 
+def _signed_power_to(out: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
+    # |u|^(p-1) u, as `barriers._signed_power`, into out with one temporary
+    np.abs(u, out=out)
+    out **= p
+    out *= np.sign(u)
+    return out
+
+
 def _monotone_iterate(
     solve,
     shift,
@@ -227,63 +247,111 @@ def _monotone_iterate(
     u0: np.ndarray,
     cfg: IterationConfig,
     cap: np.ndarray,
-    where: str,
-) -> tuple[np.ndarray, IterationTrace]:
-    """Shifted fixed-point loop for A u + |u|^(p-1) u = f on the free nodes.
+    where,
+    sizes=None,
+    nested: int = 0,
+):
+    """Shifted fixed-point loop for A u + |u|^(p-1) u = f on the free nodes,
+    the leading sizes[j] rows (default all) of each column j of u0 (h, k);
+    a 1-D u0 is one column and gives (u, trace).
 
-    apply(u) is A u with the imposed values of the level in place, so the
-    load of the imposed values is apply(0); each sweep solves with the
-    right-hand side f - load - |u|^(p-1) u + shift u, and the final residual
-    is apply(u) + |u|^(p-1) u - f.  solve(b) applies the inverse of
-    A + diag(shift), and shift is certified on the nodal range |u| <= cap.
-    An iterate that leaves that range, or a decreasing step, is a hard error,
-    and so is a stop whose relative residual exceeds sqrt(sup_tol) (a large
-    shift makes the steps, and with them the sup-change test, small long
-    before the fixed point).  Every ConvergenceError names `where`; one for
-    running out of sweeps also names the largest nodal shift.
+    apply(v) is A v, so the load is apply of the imposed values; solve(b)
+    applies the inverse of A + diag(shift) on the free rows, zero past them.
+    A column freezes on its stop test.  The first `nested` columns are
+    nested levels: before every sweep each takes the max with the one
+    before it (a max of sub-solutions is one), and freezes only with or
+    after it, after a last such max.  An iterate leaving |u| <= cap, where
+    shift is certified, a decreasing step, or a stop whose relative
+    residual exceeds sqrt(sup_tol) (a large shift makes the steps small
+    long before the fixed point) raises ConvergenceError naming the
+    column's `where`; so does running out of sweeps, with the largest
+    nodal shift on its free rows.
     """
-    trace = IterationTrace()
-    rhs = f - apply(np.zeros_like(u0))  # the source less the load
+    if u0.ndim == 1:
+        u, (trace,) = _monotone_iterate(
+            lambda b: solve(b[:, 0])[:, None], shift, lambda v: apply(v[:, 0])[:, None],
+            f, p, u0[:, None], cfg, cap, [where],
+        )
+        return u[:, 0], trace
+    h, k = u0.shape
+    sizes = np.full(k, h) if sizes is None else np.asarray(sizes)
+    free = np.arange(h)[:, None] < sizes
+    shift = np.broadcast_to(np.asarray(shift, dtype=float), (h,))[:, None]
+    cap = np.broadcast_to(cap, (h,))[:, None]
+    f = f[:, None]
+    rhs = f - apply(np.where(free, 0.0, u0))  # the source less the load
     u = u0.copy()
-    for k in range(1, cfg.max_iters + 1):
-        u_next = solve(rhs - _signed_power(u, p) + shift * u)
-        if np.any(np.abs(u_next) > cap):
+    traces = [IterationTrace() for _ in range(k)]
+    active = np.ones(k, dtype=bool)
+
+    def lift(cols):
+        # the nested columns in `cols` take the running max from the left
+        np.copyto(u[:, :nested], np.maximum.accumulate(u[:, :nested], axis=1),
+                  where=cols[:nested])
+
+    # one scratch block for the right-hand side and the tests: each (h, k)
+    # temporary adds to the peak memory
+    work = np.empty_like(u)
+    lift(active)
+    for sweep in range(1, cfg.max_iters + 1):
+        np.subtract(rhs, _signed_power_to(work, u, p), out=work)
+        work += shift * u
+        u_next = solve(work)
+        np.copyto(u_next, u, where=~free)  # the imposed rows stay put
+        left = active & np.any(np.abs(u_next, out=work) > cap, axis=0)
+        if left.any():
             raise ConvergenceError(
-                f"{where}: an iterate left the sandwich range max(|sub|, |super|) "
-                "on which the nodal shift is certified"
+                f"{where[np.argmax(left)]}: an iterate left the sandwich range "
+                "max(|sub|, |super|) on which the nodal shift is certified"
             )
-        step = u_next - u
-        defect = float(step.min())
-        if defect < -MONOTONE_SLACK:
+        step = np.subtract(u_next, u, out=work)
+        # imposed rows step by exactly 0, so the extremes are the free rows'
+        low, high = step.min(axis=0), step.max(axis=0)
+        falls = active & (low < -MONOTONE_SLACK)
+        if falls.any():
+            j = np.argmax(falls)
             raise ConvergenceError(
-                f"{where}: monotone iteration produced a decreasing step ({defect:.3e}); "
+                f"{where[j]}: monotone iteration produced a decreasing step ({low[j]:.3e}); "
                 "the Lipschitz shift is too small for the sandwich range"
             )
-        # max |step|, from the step's extremes
-        change = max(float(step.max()), -defect)
-        trace.sup_changes.append(change)
+        change = np.maximum(high, -low)  # max |step|
+        np.copyto(u_next, u, where=~active)  # a frozen column keeps its values
         u = u_next
-        if change < cfg.sup_tol * (1.0 + float(np.max(np.abs(u)))):
-            trace.iterations = k
+        size = np.max(np.abs(u, out=work), axis=0, where=free, initial=0.0)
+        frozen = ~active | (change < cfg.sup_tol * (1.0 + size))
+        frozen[:nested] = np.logical_and.accumulate(frozen[:nested])
+        for j in np.flatnonzero(active):
+            traces[j].sup_changes.append(float(change[j]))
+            if frozen[j]:
+                traces[j].iterations = sweep
+        lift(active)
+        active = ~frozen
+        if not active.any():
             break
     else:
+        j = np.argmax(active)
         raise ConvergenceError(
-            f"{where}: monotone iteration did not converge within {cfg.max_iters} "
-            f"sweeps (last sup-change {trace.sup_changes[-1]:.3e}, largest nodal "
-            f"shift {float(np.max(shift)):.1e})"
+            f"{where[j]}: monotone iteration did not converge within {cfg.max_iters} "
+            f"sweeps (last sup-change {traces[j].sup_changes[-1]:.3e}, largest nodal "
+            f"shift {float(np.max(shift[: sizes[j]])):.1e})"
         )
-    r = apply(u) + _signed_power(u, p) - f
-    trace.final_residual = float(np.max(np.abs(r)))
-    trace.final_residual_rel = trace.final_residual / (
-        1.0 + float(np.max(np.abs(rhs - _signed_power(u, p))))
-    )
-    if trace.final_residual_rel > np.sqrt(cfg.sup_tol):
-        raise ConvergenceError(
-            f"{where}: the sup-change test stopped at sweep {k} with relative "
-            f"residual {trace.final_residual_rel:.3e}, above sqrt(sup_tol) = "
-            f"{np.sqrt(cfg.sup_tol):.3e}"
-        )
-    return u, trace
+    g = _signed_power_to(work, u, p)
+    r = apply(u)
+    r += g
+    r -= f
+    residual = np.max(np.abs(r, out=r), axis=0, where=free, initial=0.0)
+    scale = 1.0 + np.max(np.abs(np.subtract(rhs, g, out=g), out=g), axis=0, where=free,
+                         initial=0.0)
+    for j, trace in enumerate(traces):
+        trace.final_residual = float(residual[j])
+        trace.final_residual_rel = trace.final_residual / float(scale[j])
+        if trace.final_residual_rel > np.sqrt(cfg.sup_tol):
+            raise ConvergenceError(
+                f"{where[j]}: the sup-change test stopped at sweep {trace.iterations} with "
+                f"relative residual {trace.final_residual_rel:.3e}, above sqrt(sup_tol) = "
+                f"{np.sqrt(cfg.sup_tol):.3e}"
+            )
+    return u, traces
 
 
 def solve_semilinear(
@@ -355,8 +423,8 @@ def solve_blowup(
 
     For each shell n the discrete semilinear system is solved on the nodes with
     d > 1/n, with the global sub-solution W imposed at the remaining nodes and
-    zero beyond the interval; the shells increase, each level starts from the
-    previous one (a discrete sub-solution of the next problem), and level
+    zero beyond the interval; the shells increase, each level is raised to
+    the previous one (a discrete sub-solution of the next problem), and level
     solutions increase.  A shell deeper than the grid resolution frees every
     node, which is the recommended last entry: the resulting system carries no
     imposed collar values at all, so its solution is the unique discrete fixed
@@ -364,9 +432,10 @@ def solve_blowup(
     profile equals the last level inside its shell and the imposed W outside.
 
     The levels are slices of one centre-out folded system (see the module
-    docstring): level m starts from max(u[:m], W[:m]), imposes W[m:] and
-    solves with the leading block of the one `lu_factor`, whose blocks end
-    at the level sizes.  A shell with m = 0 yields no level; the deepest
+    docstring) and the columns of one `_monotone_iterate` block, solved with
+    the leading blocks of the one `lu_factor`, whose blocks end at the level
+    sizes.  The imposed levels start from W and are nested; a full-depth
+    level starts from 0.  A shell with m = 0 yields no level; the deepest
     must free some node.  Every level uses the nodal shift `_sandwich_shift`
     of (W, U), and an iterate leaving max(|W|, |U|) raises ConvergenceError
     naming its shell and the globalization lambda, which sets the shift.
@@ -440,49 +509,53 @@ def solve_blowup(
     a[np.diag_indices(h)] += shift
     lu = lu_factor(a, sizes)
 
+    # a full-depth level starts from 0, a sub-solution as f >= 0
+    shells = [(shell, m) for shell, m in zip(cfg.exhaustion_levels, sizes) if m]
+    u0 = np.empty((h, len(shells)))
+    for j, (_, m) in enumerate(shells):
+        u0[:, j] = 0.0 if m == h else W
+        if m < h and params.source.sign_nonneg and np.all(W[m:] >= 0.0):
+            # for f >= 0 and nonnegative imposed data the zero function is
+            # itself a sub-solution of the level problem, so the climb may
+            # start from max(W, 0); this avoids the deep negative excursion
+            # of the torsion-globalized W
+            u0[:m, j] = np.maximum(W[:m], 0.0)
+
+    def apply(v):
+        # in bands of rows: one product grows OpenBLAS's packing buffers
+        out = np.empty(v.shape)
+        for r in range(0, h, BLOCK_CAP):
+            np.matmul(A[r : r + BLOCK_CAP], v, out=out[r : r + BLOCK_CAP])
+        return out
+
+    # the imposed levels lead; nesting them keeps up the warm start
+    # max(u[:m], W[:m]) from the level before at every sweep
+    ms = [m for _, m in shells]
+    Y, traces = _monotone_iterate(
+        lambda b: lu_solve(lu, b, ms), shift, apply, f, p, u0, cfg, cap,
+        [f"exhaustion shell {shell} (globalization lambda {reports[0].mu:.0f})"
+         for shell, _ in shells],
+        ms, sum(m < h for m in ms),
+    )
     levels: list[BlowupLevel] = []
-    u = W
-    prev = 0
     monotone_levels = True
-    for shell, m in zip(cfg.exhaustion_levels, sizes):
-        if m == 0:
-            continue
-
-        def apply(v):
-            # the folded operator with W imposed outside the shell; called
-            # only by this level's `_monotone_iterate` below
-            return A[:m] @ np.concatenate([v, W[m:]])
-
-        if m == h:
-            # full-depth shell (admissible source checked above): climb from 0
-            u0 = np.zeros(m)
-        else:
-            u0 = np.maximum(u[:m], W[:m])
-            if params.source.sign_nonneg and np.all(W[m:] >= 0.0):
-                # for f >= 0 and nonnegative imposed data the zero function is
-                # itself a sub-solution of the level problem, so the climb may
-                # start from max(previous level, W, 0); this avoids the deep
-                # negative excursion of the torsion-globalized W
-                u0 = np.maximum(u0, 0.0)
-        uf, trace = _monotone_iterate(
-            lambda b: lu_solve(lu, b, m), shift[:m], apply, f[:m], p, u0, cfg, cap[:m],
-            f"exhaustion shell {shell} (globalization lambda {reports[0].mu:.0f})",
-        )
+    for j, ((shell, m), trace) in enumerate(zip(shells, traces)):
         # the monotone-in-levels property belongs to the imposed-W shells; a
         # final full-depth shell swaps the imposed collar for solved values and
         # sits outside that comparison
-        if prev and m < h:
-            defect = np.min((uf[:prev] - u[:prev]) / (1.0 + np.abs(u[:prev])))
+        if j and m < h:
+            shallow = Y[: ms[j - 1], j - 1]
+            defect = np.min((Y[: ms[j - 1], j] - shallow) / (1.0 + np.abs(shallow)))
             if defect < -100 * MONOTONE_SLACK:
                 monotone_levels = False
-        u, prev = np.concatenate([uf, W[m:]]), m
         levels.append(
             BlowupLevel(
                 shell=shell,
-                solution=GridFunction(grid, grid.mirror(u[::-1])),
+                solution=GridFunction(grid, grid.mirror(Y[::-1, j])),
                 trace=trace,
             )
         )
+    u = Y[:, -1]
 
     # the final level's comparison bound: W, or below a full-depth level
     # its zero start (f >= 0); U bounds every row above

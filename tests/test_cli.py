@@ -410,6 +410,22 @@ def test_full_level_needs_a_source_zone_rate(tmp_path, extra, named):
     assert not list(out.glob("level_*.csv"))
 
 
+def test_full_depth_refusal_follows_the_level_size(tmp_path):
+    # the refusal asks the grid whether the last shell frees every node, as
+    # the solver does: a --levels shell is snapped onto a node, so even a
+    # shell past the grid's resolution imposes W on d = 1/shell and is not
+    # full depth, while the shell --full-level appends frees every node
+    argv = ["blowup", "--alpha", "0.5", "--p", "2.5", "--gamma", "-1.2", "--kappa-f", "0.25",
+            "--n", "301", "--levels", "8,16,32,64,128,100000000"]
+    grid = cli._build_grid(cli.build_parser().parse_args(argv))
+    assert np.count_nonzero(~grid.free_mask(100000000)) == 2
+    out = tmp_path / "f"
+    assert run_cli([*argv, "--full-level", "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "DomainError" and "zone existence_interaction" in err["message"]
+    assert not list(out.glob("level_*.csv"))
+
+
 def test_zero_amplitude_source_is_the_zero_source(tmp_path):
     # --kappa-f 0 makes f identically 0: the regime is the source-free one,
     # and both blowup forms are refused before any solve

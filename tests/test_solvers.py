@@ -271,6 +271,119 @@ def test_factor_nested_leading_blocks_and_pivot_guard(rng):
         block_lu_factor(np.array([[1.0, 2.0], [3.0, 1.0]]))
 
 
+def test_block_lu_solve_is_the_per_column_solve(rng):
+    """A 2-D right-hand side solves each column with its own leading block:
+    the 1-D solve of that column, zero at and past its size, whatever the
+    column holds there."""
+    n = 3 * BLOCK_CAP + 17
+    sizes = (5, BLOCK_CAP + 40, BLOCK_CAP + 41, 3 * BLOCK_CAP)
+    a = -rng.random((n, n))
+    np.fill_diagonal(a, 0.0)
+    lu = block_lu_factor(a + np.diag(-a.sum(axis=1) + 1.0 + rng.random(n)), sizes)
+    cols = [BLOCK_CAP + 41, 5, n, 3 * BLOCK_CAP, 5]
+    b = rng.random((n, len(cols)))
+    x = block_lu_solve(lu, b, cols)
+    assert x.shape == b.shape
+    for j, m in enumerate(cols):
+        ref = block_lu_solve(lu, b[:m, j].copy(), m)
+        assert np.max(np.abs(x[:m, j] - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert not x[m:, j].any()
+    garbled = b.copy()
+    for j, m in enumerate(cols):
+        garbled[m:, j] = 1e6
+    assert np.array_equal(block_lu_solve(lu, garbled, cols), x)
+    with pytest.raises(ValueError, match="not block edges"):
+        block_lu_solve(lu, b[:, :2], [6, n])
+
+
+def test_nested_column_is_raised_to_the_one_before(op301, grid301):
+    """Two copies of one problem, the first started from (1 - 1e-6) u* (a
+    sub-solution for f >= 0), the second from 0.  Nested, the second is
+    raised to the first before the first sweep, follows it exactly and
+    freezes with it.  Not nested, it climbs from 0 and freezes later, while
+    the first keeps the values it froze with."""
+    source = SourceField(kind="tabulated", table_x=(0.2, 0.8), table_f=(0.5, 2.0))
+    params = ProblemParams(0.5, 3.0, source=source)
+    super_ = solve_linear(op301, 0.0, source.value(grid301.nodes))
+    zero = GridFunction.zeros(grid301)
+    cfg = IterationConfig(sup_tol=1e-11)
+    u_star, _ = solve_semilinear(params, op301, zero, super_, cfg)
+    shift = 1.1 * 3.0 * super_.values**2
+    lu = block_lu_factor(op301.shifted_dense(shift))
+    dense = op301.shifted_dense(0.0)
+    u0 = np.column_stack([(1.0 - 1e-6) * u_star.values, np.zeros(grid301.n_interior)])
+
+    def run(nested):
+        return _monotone_iterate(
+            lambda b: block_lu_solve(lu, b), shift, lambda v: dense @ v,
+            source.value(grid301.nodes), 3.0, u0, cfg, np.abs(super_.values), ["a", "b"],
+            nested=nested,
+        )
+
+    u, (first, second) = run(2)
+    assert np.array_equal(u[:, 1], u[:, 0])
+    assert second.iterations == first.iterations
+    v, (alone, climb) = run(0)
+    assert alone.sup_changes == first.sup_changes
+    assert climb.iterations > alone.iterations
+    assert np.array_equal(v[:, 0], u[:, 0])
+
+
+def test_blowup_solves_every_level_in_one_block_sweep(monkeypatch):
+    """One factorization and one `lu_solve` per block sweep; the imposed
+    levels freeze in order and are nondecreasing on their free rows, and
+    every level agrees with that level solved alone from its start (one
+    column) to the stop test's tolerance."""
+    import fraclap.solvers as solvers
+
+    factors, solves, block = [], [], {}
+    real_factor, real_solve, real_iterate = (
+        solvers.lu_factor, solvers.lu_solve, solvers._monotone_iterate)
+
+    def factor(*args):
+        factors.append(real_factor(*args))
+        return factors[-1]
+
+    def solve(*args):
+        solves.append(args[1].shape)
+        return real_solve(*args)
+
+    def iterate(*args):
+        block["args"] = args
+        block["out"] = real_iterate(*args)
+        return block["out"]
+
+    monkeypatch.setattr(solvers, "lu_factor", factor)
+    monkeypatch.setattr(solvers, "lu_solve", solve)
+    monkeypatch.setattr(solvers, "_monotone_iterate", iterate)
+    params = ProblemParams(0.5, 4.0, source=SourceField.power_collar(-1.8, 1.0))
+    grid = Grid1D.graded(301, 3.0)
+    cfg = IterationConfig(exhaustion_levels=(8, 16, 32, 64, 128, int(2.0 / grid.min_spacing)))
+    res = solve_blowup(params, grid, cfg)
+    assert res.monotone_in_levels and res.sandwich_ok
+    k = len(res.levels)
+    assert len(factors) == 1
+    assert solves == [(grid.n_half, k)] * max(lev.trace.iterations for lev in res.levels)
+
+    imposed = [lev for lev in res.levels if not lev.solution.grid.free_mask(lev.shell).all()]
+    assert len(imposed) == k - 1
+    sweeps = [lev.trace.iterations for lev in imposed]
+    assert sweeps == sorted(sweeps)
+    for lo, hi in zip(imposed, imposed[1:]):
+        free = grid.free_mask(lo.shell)
+        assert np.all(hi.solution.values[free] >= lo.solution.values[free] - solvers.MONOTONE_SLACK)
+
+    _, shift, apply, f, p, u0, _, cap, where, sizes, _ = block["args"]
+    Y = block["out"][0]
+    for j, m in enumerate(sizes):
+        alone, _ = real_iterate(
+            lambda b, m=m: real_solve(factors[0], b, [m]), shift, apply, f, p, u0[:, [j]],
+            cfg, cap, [where[j]], [m],
+        )
+        tol = cfg.sup_tol * (1.0 + np.max(np.abs(alone)))
+        assert np.max(np.abs(Y[:, j] - alone[:, 0])) <= tol, where[j]
+
+
 def test_blowup_full_shell_requires_positive_source():
     params = ProblemParams(0.5, 2.5)
     grid = Grid1D.graded(201, 3.0, include=[1 / 8])
@@ -321,10 +434,10 @@ def test_full_depth_sandwich_tests_the_zero_start(monkeypatch):
 
     def sandwich_with_row_at(value):
         def iterate(*args):
-            v, trace = real(*args)
-            if v.size == grid.n_half:
-                v[row] = value
-            return v, trace
+            # the levels are the block's columns, the full-depth one last
+            v, traces = real(*args)
+            v[row, -1] = value
+            return v, traces
 
         monkeypatch.setattr(solvers, "_monotone_iterate", iterate)
         return solve_blowup(params, grid, cfg).sandwich_ok
@@ -355,10 +468,10 @@ def test_imposed_final_level_sandwich_tests_w(monkeypatch):
     real = solvers._monotone_iterate
 
     def lowered(*args):
-        v, trace = real(*args)
-        if v.size == m:
-            v[-1] = w_row - 0.01 * (1 + abs(w_row))
-        return v, trace
+        # the levels are the block's columns, the final one last
+        v, traces = real(*args)
+        v[m - 1, -1] = w_row - 0.01 * (1 + abs(w_row))
+        return v, traces
 
     monkeypatch.setattr(solvers, "_monotone_iterate", lowered)
     assert not solve_blowup(params, grid, cfg).sandwich_ok
