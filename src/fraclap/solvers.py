@@ -29,17 +29,18 @@ function of d = min(x, 1-x), so each level is mirror-symmetric and
 `solve_blowup` works with the folded left-half system, (n+1)/2 unknowns: an
 eighth of the LU's flops and a quarter of each solve's.
 `fraclap.operator.assemble_centre_out` folds each operator row as it is
-assembled and stores it centre-out, so the blow-up path holds two h x h
-arrays, the operator and the factorization that overwrites its copy, and
-never the left-half rows.  Folding adds each right-half column to its
-mirror, so the off-diagonals stay <= 0 and the row sums are unchanged: the
-folded L + D is still a row-strictly dominant M-matrix and the comparison
-argument above holds for it unchanged.  `solve_linear` and
-`solve_semilinear` keep the full matrix, because their data need not be
-symmetric (a right-hand side can be anything), and share one in-place
-factorization of fixed-size blocks, `_full_solver`.  Both monotone solvers
-take the same shift, `_sandwich_shift` of their ordered pair, and factor
-once.
+assembled and stores it centre-out, and `lu_factor` overwrites it, so the
+blow-up path holds one h x h array and never the left-half rows.  The
+collar loads are taken before the factorization, and the final residual
+reads the operator's action off the factors (`lu_product`).  Folding adds
+each right-half column to its mirror, so the off-diagonals stay <= 0 and
+the row sums are unchanged: the folded L + D is still a row-strictly
+dominant M-matrix and the comparison argument above holds for it
+unchanged.  `solve_linear` and `solve_semilinear` keep the full matrix,
+because their data need not be symmetric (a right-hand side can be
+anything), and share one in-place factorization of fixed-size blocks,
+`_full_solver`.  Both monotone solvers take the same shift,
+`_sandwich_shift` of their ordered pair, and factor once.
 
 Every solver works with zero exterior data.  Exterior data g enters as the
 source term G = `fraclap.operator.exterior_potential`(g): solve with the
@@ -130,9 +131,9 @@ def _block_edges(n: int, sizes) -> tuple:
     return tuple(edges)
 
 
-def lu_factor(a: np.ndarray, sizes=()) -> tuple[np.ndarray, tuple]:
+def lu_factor(a: np.ndarray, sizes=(), keep_schur: bool = False) -> tuple:
     """Block LDU factorization of the square matrix a, in place and without
-    pivoting; returns (a, edges) for `lu_solve`.
+    pivoting; returns (a, edges, schur) for `lu_solve` and `lu_product`.
 
     The blocks end at every size in `sizes` (and are at most BLOCK_CAP wide),
     so for each edge m the leading m x m part of the factors factors the
@@ -140,7 +141,9 @@ def lu_factor(a: np.ndarray, sizes=()) -> tuple[np.ndarray, tuple]:
     S_k the k-th Schur block; the blocks left of it by those of L D (L unit
     lower, D = diag(S_k)), and the blocks right of it by those of the unit
     upper U.  The products run on bands of rows or columns sized so that no
-    temporary exceeds an eighth of a.
+    temporary exceeds an eighth of a.  With `keep_schur`, `schur` is a list
+    of copies of the S_k (at most n x BLOCK_CAP entries), which `lu_product`
+    needs; otherwise it is None.
 
     Each S_k must be row-strictly diagonally dominant, hence invertible, or
     ConvergenceError is raised: that certifies the factorization without
@@ -151,6 +154,7 @@ def lu_factor(a: np.ndarray, sizes=()) -> tuple[np.ndarray, tuple]:
     n = a.shape[0]
     edges = _block_edges(n, sizes)
     budget = n * n // 8  # entries of the largest temporary
+    schur = [] if keep_schur else None
     for k0, k1 in zip(edges[:-1], edges[1:]):
         s = a[k0:k1, k0:k1]
         if not np.all(2.0 * np.abs(np.diagonal(s)) > np.abs(s).sum(axis=1)):
@@ -158,6 +162,8 @@ def lu_factor(a: np.ndarray, sizes=()) -> tuple[np.ndarray, tuple]:
                 f"the system is not diagonally dominant: Schur block {k0}:{k1} fails "
                 "the row test, so LU without pivoting is not certified"
             )
+        if keep_schur:
+            schur.append(s.copy())
         s[...] = np.linalg.inv(s)
         cols = max(1, budget // (k1 - k0))
         for c0 in range(k1, n, cols):
@@ -165,27 +171,33 @@ def lu_factor(a: np.ndarray, sizes=()) -> tuple[np.ndarray, tuple]:
         rows = max(1, budget // max(1, n - k1))
         for r0 in range(k1, n, rows):
             a[r0 : r0 + rows, k1:] -= a[r0 : r0 + rows, k0:k1] @ a[k0:k1, k1:]
-    return a, edges
+    return a, edges, schur
 
 
-def lu_solve(lu: tuple[np.ndarray, tuple], b: np.ndarray, m=None) -> np.ndarray:
+def _column_edges(edges: tuple, k: int, m) -> tuple[tuple, np.ndarray]:
+    """The block edges up to the largest of k columns' sizes m (default: all
+    n rows each), and those sizes, which must be block edges."""
+    sizes = np.full(k, edges[-1]) if m is None else np.asarray(m)
+    if not set(sizes.tolist()) <= set(edges):
+        raise ValueError(f"column sizes {sorted(set(sizes.tolist()) - set(edges))} "
+                         "are not block edges of the factorization")
+    return edges[: edges.index(int(sizes.max())) + 1], sizes
+
+
+def lu_solve(lu: tuple, b: np.ndarray, m=None) -> np.ndarray:
     """Solve with the leading m x m block (default: all) of a `lu_factor`
     matrix; m must be one of its block edges.  Block forward substitution
     with L D, then back substitution with U, on views of the factors.  A
     2-D b takes an edge per column, and is zero past it."""
-    a, edges = lu
-    n = a.shape[0]
+    a, edges, _ = lu
     if b.ndim == 1:
-        top = n if m is None else m
+        top = a.shape[0] if m is None else m
+        e = edges[: edges.index(top) + 1]
         x = np.empty(top)
     else:
-        sizes = np.full(b.shape[1], n) if m is None else np.asarray(m)
-        top = int(sizes.max())
-        if not set(sizes.tolist()) <= set(edges):
-            raise ValueError(f"column sizes {sorted(set(sizes.tolist()) - set(edges))} "
-                             "are not block edges of the factorization")
+        e, sizes = _column_edges(edges, b.shape[1], m)
+        top = e[-1]
         x = np.zeros(b.shape)
-    e = edges[: edges.index(top) + 1]
     for k0, k1 in zip(e[:-1], e[1:]):
         x[k0:k1] = a[k0:k1, k0:k1] @ (b[k0:k1] - a[k0:k1, :k0] @ x[:k0])
     if b.ndim == 2:
@@ -193,6 +205,28 @@ def lu_solve(lu: tuple[np.ndarray, tuple], b: np.ndarray, m=None) -> np.ndarray:
     for k0, k1 in zip(e[-2::-1], e[:0:-1]):
         x[k0:k1] -= a[k0:k1, k1:top] @ x[k1:top]
     return x
+
+
+def lu_product(lu: tuple, v: np.ndarray, m=None) -> np.ndarray:
+    """The product of the factored matrix with v (n, k), each column j with
+    the leading m[j] x m[j] block (default: all), from the factors of a
+    `lu_factor(..., keep_schur=True)`: U, then L D, one pass over each.
+    Column j is read above m[j] only and is zero past it.  Without pivoting
+    a row-dominant matrix has growth factor <= 2 (Higham 2002, sec. 9.5),
+    so this is the product with the matrix before factoring up to rounding."""
+    a, edges, schur = lu
+    if schur is None:
+        raise ValueError("lu_product needs the Schur blocks of lu_factor(..., keep_schur=True)")
+    e, sizes = _column_edges(edges, v.shape[1], m)
+    top = e[-1]
+    inside = np.arange(v.shape[0])[:, None] < sizes
+    y = np.where(inside, v, 0.0)
+    for k0, k1 in zip(e[:-1], e[1:]):
+        y[k0:k1] += a[k0:k1, k1:top] @ y[k1:top]
+    for s, k0, k1 in zip(schur[len(e) - 2 :: -1], e[-2::-1], e[:0:-1]):
+        y[k0:k1] = s @ y[k0:k1] + a[k0:k1, :k0] @ y[:k0]
+    y[~inside] = 0.0
+    return y
 
 
 def _full_solver(op: OperatorMatrix, shift):
@@ -241,7 +275,8 @@ def _signed_power_to(out: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
 def _monotone_iterate(
     solve,
     shift,
-    apply,
+    rhs: np.ndarray,
+    product,
     f: np.ndarray,
     p: float,
     u0: np.ndarray,
@@ -255,39 +290,45 @@ def _monotone_iterate(
     the leading sizes[j] rows (default all) of each column j of u0 (h, k);
     a 1-D u0 is one column and gives (u, trace).
 
-    apply(v) is A v, so the load is apply of the imposed values; solve(b)
-    applies the inverse of A + diag(shift) on the free rows, zero past them.
-    A column freezes on its stop test.  The first `nested` columns are
-    nested levels: before every sweep each takes the max with the one
-    before it (a max of sub-solutions is one), and freezes only with or
-    after it, after a last such max.  An iterate leaving |u| <= cap, where
-    shift is certified, a decreasing step, or a stop whose relative
-    residual exceeds sqrt(sup_tol) (a large shift makes the steps small
-    long before the fixed point) raises ConvergenceError naming the
-    column's `where`; so does running out of sweeps, with the largest
-    nodal shift on its free rows.
+    rhs, shaped as u0, is the source less the load, the action of A on the
+    imposed values, on the free rows; product(u) is A u there, load
+    included; solve(b) applies the inverse of A + diag(shift) on the free
+    rows, zero past them.  A column freezes on its stop test.  The first
+    `nested` columns are nested levels: before every sweep each takes the
+    max with the one before it (a max of sub-solutions is one), and freezes
+    only with or after it, after a last such max.  An iterate leaving
+    |u| <= cap, where shift is certified, a decreasing step, or a stop
+    whose relative residual exceeds sqrt(sup_tol) (a large shift makes the
+    steps small long before the fixed point) raises ConvergenceError
+    naming the column's `where`; so does running out of sweeps, with the
+    largest nodal shift on its free rows.
     """
     if u0.ndim == 1:
         u, (trace,) = _monotone_iterate(
-            lambda b: solve(b[:, 0])[:, None], shift, lambda v: apply(v[:, 0])[:, None],
-            f, p, u0[:, None], cfg, cap, [where],
+            lambda b: solve(b[:, 0])[:, None], shift, rhs[:, None],
+            lambda v: product(v[:, 0])[:, None], f, p, u0[:, None], cfg, cap, [where],
         )
         return u[:, 0], trace
     h, k = u0.shape
     sizes = np.full(k, h) if sizes is None else np.asarray(sizes)
     free = np.arange(h)[:, None] < sizes
+    # |u| times this 0/1 mask has the free rows' max, and is cheaper to
+    # reduce than a max(where=free)
+    on_free = free.astype(float)
     shift = np.broadcast_to(np.asarray(shift, dtype=float), (h,))[:, None]
     cap = np.broadcast_to(cap, (h,))[:, None]
-    f = f[:, None]
-    rhs = f - apply(np.where(free, 0.0, u0))  # the source less the load
     u = u0.copy()
     traces = [IterationTrace() for _ in range(k)]
     active = np.ones(k, dtype=bool)
+    run = np.empty(h)
 
     def lift(cols):
         # the nested columns in `cols` take the running max from the left
-        np.copyto(u[:, :nested], np.maximum.accumulate(u[:, :nested], axis=1),
-                  where=cols[:nested])
+        run[:] = u[:, 0]
+        for j in range(1, nested):
+            np.maximum(run, u[:, j], out=run)
+            if cols[j]:
+                u[:, j] = run
 
     # one scratch block for the right-hand side and the tests: each (h, k)
     # temporary adds to the peak memory
@@ -317,7 +358,7 @@ def _monotone_iterate(
         change = np.maximum(high, -low)  # max |step|
         np.copyto(u_next, u, where=~active)  # a frozen column keeps its values
         u = u_next
-        size = np.max(np.abs(u, out=work), axis=0, where=free, initial=0.0)
+        size = np.multiply(np.abs(u, out=work), on_free, out=work).max(axis=0)
         frozen = ~active | (change < cfg.sup_tol * (1.0 + size))
         frozen[:nested] = np.logical_and.accumulate(frozen[:nested])
         for j in np.flatnonzero(active):
@@ -336,12 +377,12 @@ def _monotone_iterate(
             f"shift {float(np.max(shift[: sizes[j]])):.1e})"
         )
     g = _signed_power_to(work, u, p)
-    r = apply(u)
+    r = product(u)
     r += g
-    r -= f
-    residual = np.max(np.abs(r, out=r), axis=0, where=free, initial=0.0)
-    scale = 1.0 + np.max(np.abs(np.subtract(rhs, g, out=g), out=g), axis=0, where=free,
-                         initial=0.0)
+    r -= f[:, None]
+    residual = np.multiply(np.abs(r, out=r), on_free, out=r).max(axis=0)
+    scale = 1.0 + np.multiply(np.abs(np.subtract(rhs, g, out=g), out=g), on_free,
+                              out=g).max(axis=0)
     for j, trace in enumerate(traces):
         trace.final_residual = float(residual[j])
         trace.final_residual_rel = trace.final_residual / float(scale[j])
@@ -375,9 +416,10 @@ def solve_semilinear(
     if np.any(sub.values > super_.values + MONOTONE_SLACK):
         raise DomainError("sub-solution exceeds super-solution somewhere")
     shift, cap = _sandwich_shift(params.p, sub.values, super_.values)
+    f = params.source.value(op.grid.nodes)
     u, trace = _monotone_iterate(
-        _full_solver(op, shift), shift, lambda u: op.apply(GridFunction(op.grid, u)).values,
-        params.source.value(op.grid.nodes), params.p, sub.values, cfg, cap, "solve_semilinear",
+        _full_solver(op, shift), shift, f, lambda u: op.apply(GridFunction(op.grid, u)).values,
+        f, params.p, sub.values, cfg, cap, "solve_semilinear",
     )
     return GridFunction(op.grid, u), trace
 
@@ -440,9 +482,12 @@ def solve_blowup(
     of (W, U), and an iterate leaving max(|W|, |U|) raises ConvergenceError
     naming its shell and the globalization lambda, which sets the shift.
     The operator is assembled here by `assemble_centre_out`, folded row by
-    row, so the path holds the folded operator and its factorization (two
-    h x h arrays, h = n_half) and never an n x n array or the h x n
-    left-half rows.
+    row, and after the globalization and the collar loads the LU overwrites
+    it, so the path holds one h x h array, h = n_half, and never an n x n
+    array or the h x n left-half rows.  The final residual takes A u from
+    the factors, (L D U)_ff u_f - D u_f plus the stored load, which is A u
+    up to rounding (growth factor <= 2 without pivoting, Higham 2002,
+    sec. 9.5).
     A tabulated source whose table is not symmetric raises DomainError.
 
     Without `pair` the barriers are `make_existence_pair` of the problem's
@@ -505,14 +550,12 @@ def solve_blowup(
     f = params.source.value(x)[::-1]
     p = params.p
     shift, cap = _sandwich_shift(p, W, U)
-    a = A.copy()
-    a[np.diag_indices(h)] += shift
-    lu = lu_factor(a, sizes)
 
     # a full-depth level starts from 0, a sub-solution as f >= 0
     shells = [(shell, m) for shell, m in zip(cfg.exhaustion_levels, sizes) if m]
+    ms = [m for _, m in shells]
     u0 = np.empty((h, len(shells)))
-    for j, (_, m) in enumerate(shells):
+    for j, m in enumerate(ms):
         u0[:, j] = 0.0 if m == h else W
         if m < h and params.source.sign_nonneg and np.all(W[m:] >= 0.0):
             # for f >= 0 and nonnegative imposed data the zero function is
@@ -521,18 +564,27 @@ def solve_blowup(
             # of the torsion-globalized W
             u0[:m, j] = np.maximum(W[:m], 0.0)
 
-    def apply(v):
-        # in bands of rows: one product grows OpenBLAS's packing buffers
-        out = np.empty(v.shape)
-        for r in range(0, h, BLOCK_CAP):
-            np.matmul(A[r : r + BLOCK_CAP], v, out=out[r : r + BLOCK_CAP])
+    # each level's collar load, A on its imposed W, is taken before the LU
+    # overwrites A: in bands of rows, as one product grows OpenBLAS's
+    # packing buffers
+    load = np.empty(u0.shape)
+    imposed = np.where(np.arange(h)[:, None] < ms, 0.0, u0)
+    for r in range(0, h, BLOCK_CAP):
+        np.matmul(A[r : r + BLOCK_CAP], imposed, out=load[r : r + BLOCK_CAP])
+    A[np.diag_indices(h)] += shift
+    lu = lu_factor(A, sizes, keep_schur=True)
+
+    def product(v):
+        # A v on each level's free rows, load included, from the factors
+        out = lu_product(lu, v, ms)
+        out -= shift[:, None] * v
+        out += load
         return out
 
     # the imposed levels lead; nesting them keeps up the warm start
     # max(u[:m], W[:m]) from the level before at every sweep
-    ms = [m for _, m in shells]
     Y, traces = _monotone_iterate(
-        lambda b: lu_solve(lu, b, ms), shift, apply, f, p, u0, cfg, cap,
+        lambda b: lu_solve(lu, b, ms), shift, f[:, None] - load, product, f, p, u0, cfg, cap,
         [f"exhaustion shell {shell} (globalization lambda {reports[0].mu:.0f})"
          for shell, _ in shells],
         ms, sum(m < h for m in ms),

@@ -621,13 +621,20 @@ def test_grid_refinement_convergence():
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_assembly_against_closed_form_torsion(alpha):
     """The discrete operator applied to the closed-form torsion V, whose exact
-    continuum value is -1: the defect on d > 0.01 falls under refinement."""
-    errs = []
-    for n in (301, 601):
+    continuum value is -1: the defect on d > 0.01 falls under refinement,
+    and at the node nearest d = 1/4 it falls with order 2 - 2 alpha."""
+
+    def defects(n):
         grid = Grid1D.graded(n, 3.0)
         out = assemble(grid, alpha).apply(GridFunction(grid, torsion(alpha, grid.d)))
-        errs.append(np.max(np.abs(out.values + 1.0)[grid.d > 0.01]))
+        defect = np.abs(out.values + 1.0)
+        return np.max(defect[grid.d > 0.01]), defect[np.argmin(np.abs(grid.d - 0.25))]
+
+    errs = [defects(n)[0] for n in (301, 601)]
     assert errs[1] < errs[0] < 5e-2
+    at_quarter = [defects(n)[1] for n in (251, 501, 1001)]
+    orders = np.log2(np.divide(at_quarter[:-1], at_quarter[1:]))
+    assert np.all(np.abs(orders - (2.0 - 2.0 * alpha)) < 0.15), orders
 
 
 def test_symmetric_output_for_symmetric_data(op301, grid301):
