@@ -82,8 +82,9 @@ class Grid1D:
                 )
             snapped[j] = point
             half[j] = q
-        # sorted and deduplicated; np.unique would import numpy.ma (about
-        # 13 ms of every run) to rule out a masked array
+        # sorted and deduplicated; np.unique would import numpy.ma, a
+        # measurable part of every run's start-up (CHANGES.md), to rule out
+        # a masked array
         half = np.array(sorted(set(half.tolist())))
         if half[-1] != 0.5:
             half = np.append(half, 0.5)

@@ -25,18 +25,22 @@ at 2*alpha = 1); the singular kernel is never sampled pointwise.  A row's far ce
 takes one log per edge distance and forms the moments of every far cell of
 the row, on both sides of the node, in one pass.
 
-Mirror symmetry.  The grid is symmetric about 1/2, so the matrix satisfies
-A[n-1-i, n-1-j] = A[i, j]: only the (n+1)/2 left-half rows (x <= 1/2, where
-the node is its own boundary distance) are integrated, one at a time, by
-`_assembled_rows`.  `assemble` stores them for `OperatorMatrix`;
-`solve_linear` and `solve_semilinear` accept data that need not be symmetric
-and factor the full `OperatorMatrix.shifted_dense`.  `assemble_centre_out`
-restricts the operator to mirror-symmetric grid functions for the blow-up
-path, adding each right-half column of a row to its mirror as the row is
-made, and stores the folded rows centre-out (by decreasing boundary
-distance); off-diagonals stay <= 0 and row sums are unchanged, so the folded
-matrix keeps the M-matrix property the solvers rely on.  That path holds
-neither an n x n array nor the left-half rows.
+Mirror symmetry.  The grid is symmetric about 1/2, so the matrix is
+centrosymmetric, A[n-1-i, n-1-j] = A[i, j]: only the h = (n+1)/2 left-half
+rows (x <= 1/2, where the node is its own boundary distance) are integrated,
+one at a time, by `_assembled_rows`, and no row is stored.  A
+centrosymmetric matrix is two half-size blocks: with P and Q the left and
+right columns of the left-half rows and J the reversal, the even block
+E = P + Q J acts on mirror-symmetric functions and the odd block O = P - Q J
+on antisymmetric ones (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
+`assemble` adds each right-half column of a row to its mirror (the fold)
+and subtracts it (the anti-fold) as the row is made, and `OperatorMatrix`
+holds E and O in centre-out order (by decreasing boundary distance);
+`assemble_centre_out` builds E alone, for the blow-up path.  The fold keeps
+the off-diagonals <= 0 and the row sums, so E is a row-strictly dominant
+M-matrix; the anti-fold raises each row's dominance margin by twice the
+entry it subtracts on the diagonal, so O is row-strictly dominant too.  No
+path holds an n x n array.
 
 Exterior data.  The matrix is the zero-exterior operator.  Exterior values g
 enter the equation only as the interior source G = `exterior_potential`(g):
@@ -86,6 +90,7 @@ __all__ = [
     "assemble_centre_out",
     "eval_on_power",
     "exterior_potential",
+    "split_map",
     "tail_coefficient",
     "EVAL_D_MIN",
 ]
@@ -618,34 +623,45 @@ def exterior_potential(exterior: ExteriorData, alpha: float, x):
 
 @dataclass
 class OperatorMatrix:
-    """Dense collocation matrix of the zero-exterior operator on a grid.
+    """Dense collocation matrix of the zero-exterior operator on a grid, as
+    its even and odd blocks.
 
-    apply(u) = A @ u + tail * u, where the interaction matrix A annihilates
-    interior constants (rows sum to zero) and `tail` is the exact
-    zero-exterior coefficient of u(x_i).  Only `rows` = A[:n_half] is stored;
-    the rest of A is its mirror image A[n-1-i, n-1-j] = A[i, j].  Exterior
+    The full matrix M = A + diag(tail) (the interaction matrix A annihilates
+    interior constants, rows sum to zero, and tail = `tail_coefficient` is
+    the exact zero-exterior coefficient of u(x_i)) is centrosymmetric,
+    J M J = M with J the reversal, so it maps even functions (J u = u) to
+    even ones and odd functions to odd ones.  `even` (h x h, h = n_half)
+    acts on the left-half values of an even function and is
+    `assemble_centre_out`'s matrix, bit for bit; `odd` ((n-h) x (n-h)) acts
+    on the left-half values of an odd function (zero at the midpoint of odd
+    n), M[i, j] - M[i, n-1-j] for i, j < n-h.  Both are in centre-out order
+    (by decreasing boundary distance) and carry the tail on their
+    diagonals.  `apply` is two half-size products (`split_map`).  Exterior
     data is a source term (`exterior_potential`), not part of the matrix.
     """
 
     alpha: float
     grid: Grid1D
-    rows: np.ndarray
-    tail: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
 
     def apply(self, u: GridFunction) -> GridFunction:
         if u.grid != self.grid:
             raise GridMismatchError("grid of the function differs from the operator grid")
-        v = u.values
-        # row n-1-k of A is row k of `rows` reversed
-        right = (self.rows[: self.grid.n_interior - self.grid.n_half] @ v[::-1])[::-1]
-        return GridFunction(self.grid, np.concatenate((self.rows @ v, right)) + self.tail * v)
+        return GridFunction(self.grid, split_map(u.values, self.even.dot, self.odd.dot))
 
-    def shifted_dense(self, shift) -> np.ndarray:
-        """The full n x n A + diag(tail + shift); shift may be scalar or nodal."""
-        n, h = self.grid.n_interior, self.grid.n_half
-        m = np.concatenate((self.rows, self.rows[: n - h][::-1, ::-1]))
-        m[np.diag_indices(n)] += self.tail + np.broadcast_to(shift, (n,))
-        return m
+
+def split_map(v: np.ndarray, even_map, odd_map) -> np.ndarray:
+    """even_map and odd_map applied to the even and odd parts of the nodal
+    array v, recombined: (v + J v) / 2 and (v - J v) / 2 enter as their
+    left-half values in centre-out order (lengths h and n - h), and the
+    results are read back the same way.  With the blocks of `OperatorMatrix`
+    this is M v; with solves of them, M^(-1) v."""
+    n, h = v.size, (v.size + 1) // 2
+    ye = even_map((v[h - 1 :: -1] + v[n - h :]) / 2.0)
+    # the odd part vanishes at the midpoint of odd n, the first centre-out row
+    yo = np.concatenate((np.zeros(2 * h - n), odd_map((v[n - h - 1 :: -1] - v[h:]) / 2.0)))
+    return np.concatenate(((ye + yo)[::-1], (ye - yo)[2 * h - n :]))
 
 
 def _assembled_rows(grid: Grid1D, alpha: float):
@@ -734,43 +750,47 @@ def _assembled_rows(grid: Grid1D, alpha: float):
         yield out
 
 
-def _require_finite(m: np.ndarray) -> None:
+def _folded_blocks(grid: Grid1D, alpha: float, with_odd: bool) -> tuple:
+    """The even block of the operator and its odd block (0 x 0 unless
+    `with_odd`), each in centre-out order with the tail on its diagonal (see
+    `OperatorMatrix`).  Each left-half row is folded (every right-half
+    column added to its mirror, the midpoint column of odd n unpaired) and
+    anti-folded (subtracted) as it is assembled, so nothing larger than the
+    blocks is built; a non-finite entry is a hard failure."""
+    n, h = grid.n_interior, grid.n_half
+    k = n - h if with_odd else 0  # the odd block's size
+    even, odd = np.empty((h, h)), np.empty((k, k))
+    for i, row in enumerate(_assembled_rows(grid, alpha)):
+        mirror = row[: h - 1 : -1]  # row[n-1-j], j < n-h
+        if i < k:
+            odd[k - 1 - i] = row[k - 1 :: -1] - mirror[::-1]
+        row[: n - h] += mirror
+        even[h - 1 - i] = row[h - 1 :: -1]
+    # the tail on the diagonals, centre-out
+    tail = tail_coefficient(grid.nodes[:h], alpha)[::-1]
+    even[np.diag_indices(h)] += tail
+    odd[np.diag_indices(k)] += tail[h - k :]
     # a non-finite entry signals a degenerate spacing or an exponent branch
-    # that escaped the stable antiderivative
-    if not np.all(np.isfinite(m)):
+    # that escaped the stable antiderivative; every entry of a row enters
+    # one entry of the fold, which is then non-finite as well
+    if not np.all(np.isfinite(even)):
         raise FraclapError("assembly produced a non-finite kernel moment")
+    return even, odd
 
 
 def assemble(grid: Grid1D, alpha: float) -> OperatorMatrix:
-    """Assemble the dense zero-exterior operator matrix (its left-half rows)
-    on the grid, row by row (`_assembled_rows`); a non-finite row is a hard
-    failure."""
-    rows = np.empty((grid.n_half, grid.n_interior))
-    for i, row in enumerate(_assembled_rows(grid, alpha)):
-        rows[i] = row
-    _require_finite(rows)
-    tail = grid.mirror(tail_coefficient(grid.nodes[: grid.n_half], alpha))
-    return OperatorMatrix(alpha=alpha, grid=grid, rows=rows, tail=tail)
+    """Assemble the dense zero-exterior operator matrix on the grid as its
+    even and odd blocks (`_folded_blocks`)."""
+    return OperatorMatrix(alpha, grid, *_folded_blocks(grid, alpha, True))
 
 
 def assemble_centre_out(grid: Grid1D, alpha: float) -> np.ndarray:
     """The operator on mirror-symmetric grid functions, in centre-out order:
     the h x h matrix B with B[h-1-i, h-1-j] = A[i, j] + A[i, n-1-j] for
     i, j < h = n_half (the midpoint column of odd n has no partner) plus
-    tail[i] on the diagonal, A the interaction matrix of `OperatorMatrix`.
-    So B v is the operator of the mirror-symmetric function whose left-half
-    values are v[::-1], at the left-half nodes from the centre out.
-
-    Each left-half row is folded, reversed and stored as it is assembled,
-    so nothing larger than B is built; a non-finite row is a hard failure.
+    tail[i] on the diagonal, A the interaction matrix: `OperatorMatrix.even`,
+    built without the odd block.  So B v is the operator of the
+    mirror-symmetric function whose left-half values are v[::-1], at the
+    left-half nodes from the centre out.
     """
-    n, h = grid.n_interior, grid.n_half
-    tail = tail_coefficient(grid.nodes[:h], alpha)
-    out = np.empty((h, h))
-    for i, row in enumerate(_assembled_rows(grid, alpha)):
-        fold = row[:h]
-        fold[: n - h] += row[: h - 1 : -1]
-        fold[i] += tail[i]
-        out[h - 1 - i] = fold[::-1]
-    _require_finite(out)
-    return out
+    return _folded_blocks(grid, alpha, False)[0]

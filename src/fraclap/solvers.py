@@ -36,11 +36,20 @@ reads the operator's action off the factors (`lu_product`).  Folding adds
 each right-half column to its mirror, so the off-diagonals stay <= 0 and
 the row sums are unchanged: the folded L + D is still a row-strictly
 dominant M-matrix and the comparison argument above holds for it
-unchanged.  `solve_linear` and `solve_semilinear` keep the full matrix,
-because their data need not be symmetric (a right-hand side can be
-anything), and share one in-place factorization of fixed-size blocks,
-`_full_solver`.  Both monotone solvers take the same shift,
-`_sandwich_shift` of their ordered pair, and factor once.
+unchanged.
+
+`solve_linear` and `solve_semilinear` take data that need not be symmetric
+(a right-hand side can be anything), so they solve on the whole grid, but
+through the same split: L + D with a mirror-symmetric nodal shift D is
+centrosymmetric, so it is its even block E + D on the even part of the
+right-hand side and its odd block O + D on the odd part
+(`fraclap.operator.OperatorMatrix`, `fraclap.operator.split_map`).
+`_split_solver` factors copies of both blocks with `lu_factor` and solves
+each right-hand side as two half solves; no solver builds an n x n array.
+`solve_linear` refuses a shift that is not mirror-symmetric.
+`solve_semilinear` takes max(D, D J) of its pair's `_sandwich_shift` D,
+J the reversal: a shift at least the certified one keeps every sweep
+monotone on the same sandwich range.  Every monotone solve factors once.
 
 Every solver works with zero exterior data.  Exterior data g enters as the
 source term G = `fraclap.operator.exterior_potential`(g): solve with the
@@ -61,7 +70,7 @@ from .barriers import (
 from .errors import ConvergenceError, DomainError, GridMismatchError
 from .exponents import ProblemParams, classify_regime
 from .grid import Grid1D, GridFunction
-from .operator import OperatorMatrix, assemble_centre_out
+from .operator import OperatorMatrix, assemble_centre_out, split_map
 
 __all__ = [
     "IterationConfig",
@@ -131,7 +140,7 @@ def _block_edges(n: int, sizes) -> tuple:
     return tuple(edges)
 
 
-def lu_factor(a: np.ndarray, sizes=(), keep_schur: bool = False) -> tuple:
+def lu_factor(a: np.ndarray, sizes=()) -> tuple:
     """Block LDU factorization of the square matrix a, in place and without
     pivoting; returns (a, edges, schur) for `lu_solve` and `lu_product`.
 
@@ -141,9 +150,8 @@ def lu_factor(a: np.ndarray, sizes=(), keep_schur: bool = False) -> tuple:
     S_k the k-th Schur block; the blocks left of it by those of L D (L unit
     lower, D = diag(S_k)), and the blocks right of it by those of the unit
     upper U.  The products run on bands of rows or columns sized so that no
-    temporary exceeds an eighth of a.  With `keep_schur`, `schur` is a list
-    of copies of the S_k (at most n x BLOCK_CAP entries), which `lu_product`
-    needs; otherwise it is None.
+    temporary exceeds an eighth of a.  `schur` is the list of copies of the
+    S_k (at most n x BLOCK_CAP entries), which `lu_product` reads.
 
     Each S_k must be row-strictly diagonally dominant, hence invertible, or
     ConvergenceError is raised: that certifies the factorization without
@@ -154,7 +162,7 @@ def lu_factor(a: np.ndarray, sizes=(), keep_schur: bool = False) -> tuple:
     n = a.shape[0]
     edges = _block_edges(n, sizes)
     budget = n * n // 8  # entries of the largest temporary
-    schur = [] if keep_schur else None
+    schur = []
     for k0, k1 in zip(edges[:-1], edges[1:]):
         s = a[k0:k1, k0:k1]
         if not np.all(2.0 * np.abs(np.diagonal(s)) > np.abs(s).sum(axis=1)):
@@ -162,8 +170,7 @@ def lu_factor(a: np.ndarray, sizes=(), keep_schur: bool = False) -> tuple:
                 f"the system is not diagonally dominant: Schur block {k0}:{k1} fails "
                 "the row test, so LU without pivoting is not certified"
             )
-        if keep_schur:
-            schur.append(s.copy())
+        schur.append(s.copy())
         s[...] = np.linalg.inv(s)
         cols = max(1, budget // (k1 - k0))
         for c0 in range(k1, n, cols):
@@ -209,14 +216,12 @@ def lu_solve(lu: tuple, b: np.ndarray, m=None) -> np.ndarray:
 
 def lu_product(lu: tuple, v: np.ndarray, m=None) -> np.ndarray:
     """The product of the factored matrix with v (n, k), each column j with
-    the leading m[j] x m[j] block (default: all), from the factors of a
-    `lu_factor(..., keep_schur=True)`: U, then L D, one pass over each.
+    the leading m[j] x m[j] block (default: all), from the factors and the
+    Schur blocks of a `lu_factor`: U, then L D, one pass over each.
     Column j is read above m[j] only and is zero past it.  Without pivoting
     a row-dominant matrix has growth factor <= 2 (Higham 2002, sec. 9.5),
     so this is the product with the matrix before factoring up to rounding."""
     a, edges, schur = lu
-    if schur is None:
-        raise ValueError("lu_product needs the Schur blocks of lu_factor(..., keep_schur=True)")
     e, sizes = _column_edges(edges, v.shape[1], m)
     top = e[-1]
     inside = np.arange(v.shape[0])[:, None] < sizes
@@ -229,11 +234,13 @@ def lu_product(lu: tuple, v: np.ndarray, m=None) -> np.ndarray:
     return y
 
 
-def _full_solver(op: OperatorMatrix, shift):
-    """Solver of the full n x n system (L + diag(shift)) u = b: `lu_factor`
-    overwrites the one n x n array `shifted_dense` makes."""
-    lu = lu_factor(op.shifted_dense(shift))
-    return lambda b: lu_solve(lu, b)
+def _split_solver(op: OperatorMatrix, shift: np.ndarray):
+    """Solver of (L + diag(shift)) u = b for a mirror-symmetric nodal shift:
+    `lu_factor` of copies of the even and odd blocks plus the shift, and two
+    half solves per right-hand side (`split_map`)."""
+    # a block of size k acts on the first k nodes, in centre-out order
+    even, odd = (lu_factor(b + np.diag(shift[len(b) - 1 :: -1])) for b in (op.even, op.odd))
+    return lambda v: split_map(v, lambda e: lu_solve(even, e), lambda o: lu_solve(odd, o))
 
 
 def solve_linear(op: OperatorMatrix, shift, rhs: np.ndarray) -> GridFunction:
@@ -241,16 +248,23 @@ def solve_linear(op: OperatorMatrix, shift, rhs: np.ndarray) -> GridFunction:
 
     shift may be a scalar or a nodal array, but must be nonnegative: then the
     matrix is a strictly diagonally dominant M-matrix, the solve cannot fail,
-    and rhs >= 0 implies u >= 0 (discrete comparison).  rhs holds one value
-    per grid node.
+    and rhs >= 0 implies u >= 0 (discrete comparison).  A nodal shift must
+    also be mirror-symmetric, shift[n-1-i] == shift[i], for the solve splits
+    into the even and odd blocks (`_split_solver`); DomainError names the
+    first node where it is not.  rhs holds one value per grid node and need
+    not be symmetric.
     """
     shift_vec = np.broadcast_to(np.asarray(shift, dtype=float), (op.grid.n_interior,))
     if np.any(shift_vec < 0):
         raise DomainError("shift must be nonnegative")
+    asym = np.flatnonzero(shift_vec != shift_vec[::-1])  # a set closed under mirroring
+    if asym.size:
+        raise DomainError(f"solve_linear needs a mirror-symmetric shift: shift[{asym[0]}] at x = "
+                          f"{op.grid.nodes[asym[0]]!r} differs from shift[{asym[-1]}]")
     rhs_vals = np.asarray(rhs, dtype=float)
     if rhs_vals.shape != (op.grid.n_interior,):
         raise GridMismatchError("rhs length does not match the grid")
-    return GridFunction(op.grid, _full_solver(op, shift_vec)(rhs_vals))
+    return GridFunction(op.grid, _split_solver(op, shift_vec)(rhs_vals))
 
 
 def _sandwich_shift(p: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -405,9 +419,10 @@ def solve_semilinear(
     """Monotone solve of L u + |u|^(p-1) u = f between an ordered pair.
 
     Starts from the sub-solution and sweeps upward with the nodal shift
-    `_sandwich_shift(p, sub, super_)`, factored once; returns the limit and
-    its trace.  The result satisfies sub <= u <= super nodewise and solves
-    the discrete system to the recorded residual.  An iterate outside
+    max(D, D J), D = `_sandwich_shift(p, sub, super_)` and J the reversal,
+    factored once (`_split_solver`); returns the limit and its trace.  The
+    result satisfies sub <= u <= super nodewise and solves the discrete
+    system to the recorded residual.  An iterate outside
     max(|sub|, |super_|), which means super_ is not a super-solution, raises
     ConvergenceError.
     """
@@ -416,9 +431,11 @@ def solve_semilinear(
     if np.any(sub.values > super_.values + MONOTONE_SLACK):
         raise DomainError("sub-solution exceeds super-solution somewhere")
     shift, cap = _sandwich_shift(params.p, sub.values, super_.values)
+    # mirror-symmetric, for the split; at least D, so still certified
+    shift = np.maximum(shift, shift[::-1])
     f = params.source.value(op.grid.nodes)
     u, trace = _monotone_iterate(
-        _full_solver(op, shift), shift, f, lambda u: op.apply(GridFunction(op.grid, u)).values,
+        _split_solver(op, shift), shift, f, lambda u: split_map(u, op.even.dot, op.odd.dot),
         f, params.p, sub.values, cfg, cap, "solve_semilinear",
     )
     return GridFunction(op.grid, u), trace
@@ -572,7 +589,7 @@ def solve_blowup(
     for r in range(0, h, BLOCK_CAP):
         np.matmul(A[r : r + BLOCK_CAP], imposed, out=load[r : r + BLOCK_CAP])
     A[np.diag_indices(h)] += shift
-    lu = lu_factor(A, sizes, keep_schur=True)
+    lu = lu_factor(A, sizes)
 
     def product(v):
         # A v on each level's free rows, load included, from the factors

@@ -1,9 +1,13 @@
-"""Shared fixtures, including the independent kernel-constant oracles.
+"""Shared fixtures, including the independent kernel-constant oracles and
+the dense reference operator.
 
 `tau0_reference` holds mpmath roots of the integral-defined C (see
 scripts/make_reference_values.py); `c_by_quad` and `c_tilde_by_quad`
 integrate the defining integrals in double precision.  None of them shares
-code with the package's Gamma/digamma closed form.
+code with the package's Gamma/digamma closed form.  `reference_rows` builds
+the left-half operator rows per cell, independently of `assemble`'s
+one-pass rows, and `reference_dense` the full n x n matrix A + diag(tail)
+from them, the matrix the package holds only as its even and odd blocks.
 """
 
 import math
@@ -14,7 +18,7 @@ from scipy.integrate import quad
 
 from fraclap.exponents import find_tau0
 from fraclap.grid import Grid1D
-from fraclap.operator import assemble
+from fraclap.operator import assemble, tail_coefficient
 
 # alpha -> mpmath root of the integral-defined C in (-1, 0), 30 digits
 TAU0_REFERENCE = {
@@ -52,6 +56,84 @@ def _c_tilde_by_quad(beta, alpha):
     w = -1.0 - 2.0 * alpha
     head = quad(lambda t: t**w, 1.0, 2.0, weight="alg", wvar=(beta, 0.0), **_QUAD_OPTS)[0]
     return head + quad(lambda t: (t - 1.0) ** beta * t**w, 2.0, np.inf, **_QUAD_OPTS)[0]
+
+
+def _reference_rows(grid, alpha):
+    """Left-half rows by the per-cell formula: every far cell takes the logs
+    of its own two edge distances, right cells first, then left cells in grid
+    order.  The float operations are those of the rows `assemble` folds,
+    only grouped per cell, so the blocks folded from these rows must agree
+    with `assemble`'s bit for bit."""
+
+    def antideriv(log_lo, log_hi, expo):
+        s = expo + 1.0
+        dlog = log_hi - log_lo
+        if abs(s) < 1e-9:
+            return np.exp(s * log_lo) * dlog * (1.0 + 0.5 * s * dlog * (1.0 + s * dlog / 3.0))
+        return np.exp(s * log_lo) * np.expm1(s * dlog) / s
+
+    def cell_moments(lo, hi, expo):
+        log_lo, log_hi = np.log(lo), np.log(hi)
+        m0 = antideriv(log_lo, log_hi, expo)
+        m1 = antideriv(log_lo, log_hi, expo + 1.0)
+        return m0, (hi * m0 - m1) / (hi - lo), (m1 - lo * m0) / (hi - lo)
+
+    nodes, edges = grid.nodes, grid.cell_edges()
+    n, h = nodes.size, grid.n_half
+    w0 = -1.0 - 2.0 * alpha
+    rows = np.empty((h, n))
+    for i in range(h):
+        x = nodes[i]
+        row = np.zeros(n + 2)
+        h_minus, h_plus = x - edges[i], edges[i + 2] - x
+        h_m = min(h_minus, h_plus)
+        m_sym = 2.0 * h_m ** (2.0 - 2.0 * alpha) / (2.0 - 2.0 * alpha)
+        denom = h_minus * h_plus * (h_minus + h_plus)
+        row[i] += m_sym * h_plus / denom
+        row[i + 2] += m_sym * h_minus / denom
+        row[i + 1] -= m_sym * (h_minus + h_plus) / denom
+        for h_out, j in ((h_plus, i + 2), (h_minus, i)):
+            if h_out > h_m * (1.0 + 1e-14):
+                m_sl = float(antideriv(np.log(h_m), np.log(h_out), -2.0 * alpha))
+                row[j] += m_sl / h_out
+                row[i + 1] -= m_sl / h_out
+                break
+        m0, near, far = cell_moments(edges[i + 2 : -1] - x, edges[i + 3 :] - x, w0)
+        row[i + 2 : n + 1] += near
+        row[i + 3 : n + 2] += far
+        row[i + 1] -= m0.sum()
+        if i >= 1:
+            m0, near, far = cell_moments(x - edges[1 : i + 1], x - edges[:i], w0)
+            row[0:i] += far
+            row[1 : i + 1] += near
+            row[i + 1] -= m0.sum()
+        row[1] += row[0]
+        row[n] += row[n + 1]
+        rows[i] = -row[1 : n + 1]
+    if n % 2:
+        rows[-1, h:] = rows[-1, : h - 1][::-1]
+    return rows
+
+
+def _reference_dense(grid, alpha):
+    """The full matrix A + diag(tail): the reference rows, the right half
+    their mirror image A[n-1-i, n-1-j] = A[i, j], and the tail on the
+    diagonal."""
+    n, h = grid.n_interior, grid.n_half
+    rows = _reference_rows(grid, alpha)
+    dense = np.concatenate((rows, rows[: n - h][::-1, ::-1]))
+    dense[np.diag_indices(n)] += grid.mirror(tail_coefficient(grid.nodes[:h], alpha))
+    return dense
+
+
+@pytest.fixture(scope="session")
+def reference_rows():
+    return _reference_rows
+
+
+@pytest.fixture(scope="session")
+def reference_dense():
+    return _reference_dense
 
 
 @pytest.fixture(scope="session")

@@ -331,7 +331,7 @@ def test_special_pair_indicator_branch():
     assert verify_barrier(sub, params, "sub", xs).passed
 
 
-def test_discrete_residual_signs_stable_under_refinement(interaction):
+def test_discrete_residual_signs_stable_under_refinement(interaction, reference_dense):
     """The collar verification is grid-free, so its margins cannot move with n;
     what refinement must preserve is the sign of the *discrete* residuals the
     monotone solver leans on.  The pair is globalized on each grid's folded
@@ -341,19 +341,19 @@ def test_discrete_residual_signs_stable_under_refinement(interaction):
     image of d^tau is O(1) off, which is exactly why exhaustion shells never
     free them."""
     params, pair = interaction
-    ops = [assemble(Grid1D.graded(n, 3.0), 0.5) for n in (301, 601)]
+    grids = [Grid1D.graded(n, 3.0) for n in (301, 601)]
     chosen = []
-    for op in ops:
-        x, A = _centre_out(op.grid)
+    for grid in grids:
+        x, A = _centre_out(grid)
         rows = int(np.count_nonzero(x > 1e-3))
         _, (r_sup, _) = globalize_pair(pair, params, x, A, rows, rows)
         chosen.append(r_sup.mu)
     assert chosen[0] == chosen[1]
-    for op in ops:
-        grid = op.grid
+    for grid in grids:
+        dense = reference_dense(grid, 0.5)
         values = _globalized(pair, chosen[0], params.alpha, grid.nodes)
         for vals, b, sgn in zip(values, pair, (1.0, -1.0)):
-            resid = op.shifted_dense(0.0) @ vals + np.sign(vals) * np.abs(vals) ** params.p
+            resid = dense @ vals + np.sign(vals) * np.abs(vals) ** params.p
             margins = sgn * resid / grid.d ** (b.leading_tau * params.p)
             assert margins[grid.d > 1e-3].min() > 0
 

@@ -9,11 +9,15 @@ fixture can be a parameter that the test body never names.  Two checks import
 the package: every name in a module's __all__ must exist on that module, or
 `from module import *` fails, and every code name README.md cites in
 backticks must exist in some module (ROADMAP.md is left out: it names
-deleted code on purpose)."""
+deleted code on purpose).  README.md and the docstrings and comments of
+src/fraclap carry no wall-time or memory figures: those depend on the
+machine and the day, and their history belongs in CHANGES.md."""
 
 import ast
 import importlib
+import io
 import re
+import tokenize
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,6 +187,35 @@ def stale_names(text: str, namespaces: list) -> list:
     )
 
 
+# a number with a time or memory unit: seconds, milliseconds, megabytes or
+# kibibytes; a power (pi^2 s) or a digit inside a name is no figure
+_FIGURE = re.compile(r"(?<![\w^.])\d+(?:\.\d+)?\s?(?:s|ms|MB|KiB)\b")
+
+
+def timing_figures(text: str) -> list:
+    """The wall-time and memory figures in text, with their line numbers."""
+    return [
+        f"{m.group()} (line {text.count(chr(10), 0, m.start()) + 1})"
+        for m in _FIGURE.finditer(text)
+    ]
+
+
+def docs_and_comments(source: str) -> str:
+    """The docstrings and comments of a module's source on their own lines,
+    every other line blank."""
+    lines = source.splitlines()
+    kept = [""] * len(lines)
+    for node in ast.walk(ast.parse(source)):
+        doc_owner = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        if isinstance(node, doc_owner) and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            kept[doc.lineno - 1 : doc.end_lineno] = lines[doc.lineno - 1 : doc.end_lineno]
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            kept[tok.start[0] - 1] = tok.string
+    return "\n".join(kept)
+
+
 @pytest.mark.parametrize("path", MODULES + OTHER, ids=_module_id)
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -227,6 +260,15 @@ def test_readme_names_resolve():
     names = [f"fraclap.{p.stem}" for p in MODULES if p.stem != "__init__"]
     namespaces = [{"fraclap": fraclap}] + [vars(importlib.import_module(n)) for n in names]
     assert stale_names((ROOT / "README.md").read_text(), namespaces) == []
+
+
+def test_no_timing_figures_in_docs():
+    """README.md and the docstrings and comments of src/fraclap state no
+    wall time or memory size; CHANGES.md records the measurements."""
+    found = [f"README.md: {f}" for f in timing_figures((ROOT / "README.md").read_text())]
+    for path in MODULES:
+        found += [f"{path.name}: {f}" for f in timing_figures(docs_and_comments(path.read_text()))]
+    assert found == []
 
 
 def test_scanner_flags_what_it_should():
@@ -274,4 +316,15 @@ def test_scanner_flags_what_it_should():
     namespaces = [{"LADDER_BLOCK": 8, "Stub": Stub}, {"fraclap": SimpleNamespace(grid=0)}]
     assert stale_names(text, namespaces) == [
         "OLD_RUNG", "Stub.gone", "_first_lambda", "fraclap.gone",
+    ]
+
+    text = "(~15 s) 0.7 ms\n42.2 MB, 29868 KiB\npi^2 s, 2 sinh, n = 2001, x2 s, 13 msg, 1.5s"
+    assert timing_figures(text) == [
+        "15 s (line 1)", "0.7 ms (line 1)", "42.2 MB (line 2)", "29868 KiB (line 2)",
+        "1.5s (line 3)",
+    ]
+    source = ('"""Module, 2 s."""\nx = "0.5 s"  # took 13 ms\n'
+              'def f():\n    """Peak\n    9 MB."""\n    return "4 MB"\n')
+    assert timing_figures(docs_and_comments(source)) == [
+        "2 s (line 1)", "13 ms (line 2)", "9 MB (line 5)",
     ]

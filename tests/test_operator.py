@@ -27,6 +27,7 @@ from fraclap.operator import (
     assemble_centre_out,
     eval_on_power,
     exterior_potential,
+    split_map,
     tail_coefficient,
 )
 from fraclap.quadrature import eval_C, eval_C_tilde
@@ -336,81 +337,90 @@ def test_gauss_jacobi_refuses_an_unconverged_rule(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_row_identity_and_tail(op301, grid301):
+def test_row_identity_and_tail(op301, grid301, reference_rows):
     ones = np.ones(grid301.n_interior)
-    # the stored left-half rows; the right half is their mirror image
-    resid = op301.rows @ ones
-    scale = np.abs(op301.rows).sum(axis=1) + op301.tail[: grid301.n_half]
+    # the left-half rows; the right half is their mirror image
+    rows = reference_rows(grid301, 0.5)
+    tail = tail_coefficient(grid301.nodes, 0.5)
+    resid = rows @ ones
+    scale = np.abs(rows).sum(axis=1) + tail[: grid301.n_half]
     assert np.max(np.abs(resid) / scale) < 1e-12
     out = op301.apply(GridFunction(grid301, 2.7 * ones))
-    assert out.values == pytest.approx(2.7 * op301.tail, rel=1e-9)
-    assert np.all(op301.tail > 0)
-    assert op301.tail == pytest.approx(op301.tail[::-1])
+    assert out.values == pytest.approx(2.7 * tail, rel=1e-9)
+    assert np.all(tail > 0)
+    assert tail == pytest.approx(tail[::-1])
 
 
-def test_m_matrix_structure(op301):
-    idx = np.arange(op301.grid.n_half)
-    diag = op301.rows[idx, idx]
-    off = op301.rows.copy()
+def test_m_matrix_structure(grid301, reference_rows):
+    idx = np.arange(grid301.n_half)
+    rows = reference_rows(grid301, 0.5)
+    diag = rows[idx, idx]
+    off = rows.copy()
     off[idx, idx] = 0.0
     assert np.all(diag > 0)
     assert np.max(off) <= 1e-14
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-def test_assembly_mirror_symmetric_and_folded_m_matrix(alpha):
+def test_assembly_mirror_symmetric_and_folded_m_matrix(alpha, reference_rows, reference_dense):
     grid = Grid1D.graded(201, 3.0, include=[1 / 8, 1 / 32])
-    op = assemble(grid, alpha)
-    A = op.rows
-    dense = op.shifted_dense(0.0)
+    A = reference_rows(grid, alpha)
+    dense = reference_dense(grid, alpha)
+    # the tail on its diagonal included
     assert np.array_equal(dense, dense[::-1, ::-1])
-    assert np.array_equal(op.tail, op.tail[::-1])
     h = grid.n_half
+    tail = tail_coefficient(grid.nodes[:h], alpha)
     folded = assemble_centre_out(grid, alpha)[::-1, ::-1]
     assert folded.shape == (h, h)
     assert np.max(folded - np.diag(np.diag(folded))) <= 0.0
     # every column of a left-half row lands in one folded column, so the row
     # sums are unchanged; summed exactly, only the fold's additions differ
-    full = np.array([math.fsum([*A[i], op.tail[i]]) for i in range(h)])
+    full = np.array([math.fsum([*A[i], tail[i]]) for i in range(h)])
     fold = np.array([math.fsum(row) for row in folded])
     assert np.max(np.abs(fold - full) / full) <= 1e-12
 
 
-def test_folded_acts_on_mirrored_functions(rng):
+def test_folded_acts_on_mirrored_functions(rng, reference_rows):
     # odd n (a midpoint without a partner) and even n
     even = Grid1D(nodes=np.array([0.1, 0.3, 0.45, 0.55, 0.7, 0.9]))
     for grid in (Grid1D.graded(101, 2.0), even):
-        op = assemble(grid, 0.5)
+        rows = reference_rows(grid, 0.5)
         v = rng.standard_normal(grid.n_half)
         u = grid.mirror(v)
         h = grid.n_half
-        full = op.rows @ u + op.tail[:h] * v
-        scale = np.abs(op.rows).sum(axis=1) + op.tail[:h]
+        tail = tail_coefficient(grid.nodes[:h], 0.5)
+        full = rows @ u + tail * v
+        scale = np.abs(rows).sum(axis=1) + tail
         centre_out = assemble_centre_out(grid, 0.5) @ v[::-1]
         assert np.max(np.abs(centre_out[::-1] - full) / scale) < 1e-14
 
 
-def test_rows_storage_and_dense_mirror():
+def test_blocks_storage_and_dense_mirror(reference_rows, reference_dense):
+    """The operator is stored as two half blocks, and the dense reference
+    is the mirror of its left-half rows with the tail on the diagonal; the
+    blocks applied to the unit vectors through `split_map` give it back."""
     # odd n (the midpoint row is its own mirror) and even n
     even = Grid1D(nodes=np.array([0.1, 0.3, 0.45, 0.55, 0.7, 0.9]))
     for grid in (Grid1D.graded(201, 3.0, include=[1 / 8]), even):
         op = assemble(grid, 0.5)
         n, h = grid.n_interior, grid.n_half
-        assert op.rows.shape == (h, n)
-        dense = op.shifted_dense(0.0)
+        assert op.even.shape == (h, h) and op.odd.shape == (n - h, n - h)
+        dense = reference_dense(grid, 0.5)
         assert dense.shape == (n, n)
         assert np.array_equal(dense, dense[::-1, ::-1])
-        expected = op.rows.copy()
-        expected[np.arange(h), np.arange(h)] += op.tail[:h]
+        expected = reference_rows(grid, 0.5)
+        expected[np.arange(h), np.arange(h)] += tail_coefficient(grid.nodes[:h], 0.5)
         assert np.array_equal(dense[:h], expected)
+        columns = [split_map(e, op.even.dot, op.odd.dot) for e in np.eye(n)]
+        assert np.max(np.abs(np.transpose(columns) - dense)) <= 1e-15 * np.max(np.abs(dense))
 
 
-def test_apply_mirrored_matvec_matches_dense(rng):
+def test_apply_mirrored_matvec_matches_dense(rng, reference_dense):
     even = Grid1D(nodes=np.array([0.1, 0.3, 0.45, 0.55, 0.7, 0.9]))
     for grid in (Grid1D.graded(301, 3.0), even):
         op = assemble(grid, 0.75)
         u = rng.standard_normal(grid.n_interior) + np.linspace(0.0, 3.0, grid.n_interior)
-        dense = op.shifted_dense(0.0)
+        dense = reference_dense(grid, 0.75)
         scale = np.abs(dense).sum(axis=1)
         out = op.apply(GridFunction(grid, u)).values
         assert np.max(np.abs(out - dense @ u) / scale) < 1e-14
@@ -464,62 +474,6 @@ def test_grid_mismatch_raises(op301):
         op301.apply(GridFunction(other, np.zeros(other.n_interior)))
 
 
-def _reference_rows(grid, alpha):
-    """Left-half rows by the per-cell formula: every far cell takes the logs
-    of its own two edge distances, right cells first, then left cells in grid
-    order.  The float operations are those of `assemble`, only grouped per
-    cell, so the rows must agree bit for bit."""
-
-    def antideriv(log_lo, log_hi, expo):
-        s = expo + 1.0
-        dlog = log_hi - log_lo
-        if abs(s) < 1e-9:
-            return np.exp(s * log_lo) * dlog * (1.0 + 0.5 * s * dlog * (1.0 + s * dlog / 3.0))
-        return np.exp(s * log_lo) * np.expm1(s * dlog) / s
-
-    def cell_moments(lo, hi, expo):
-        log_lo, log_hi = np.log(lo), np.log(hi)
-        m0 = antideriv(log_lo, log_hi, expo)
-        m1 = antideriv(log_lo, log_hi, expo + 1.0)
-        return m0, (hi * m0 - m1) / (hi - lo), (m1 - lo * m0) / (hi - lo)
-
-    nodes, edges = grid.nodes, grid.cell_edges()
-    n, h = nodes.size, grid.n_half
-    w0 = -1.0 - 2.0 * alpha
-    rows = np.empty((h, n))
-    for i in range(h):
-        x = nodes[i]
-        row = np.zeros(n + 2)
-        h_minus, h_plus = x - edges[i], edges[i + 2] - x
-        h_m = min(h_minus, h_plus)
-        m_sym = 2.0 * h_m ** (2.0 - 2.0 * alpha) / (2.0 - 2.0 * alpha)
-        denom = h_minus * h_plus * (h_minus + h_plus)
-        row[i] += m_sym * h_plus / denom
-        row[i + 2] += m_sym * h_minus / denom
-        row[i + 1] -= m_sym * (h_minus + h_plus) / denom
-        for h_out, j in ((h_plus, i + 2), (h_minus, i)):
-            if h_out > h_m * (1.0 + 1e-14):
-                m_sl = float(antideriv(np.log(h_m), np.log(h_out), -2.0 * alpha))
-                row[j] += m_sl / h_out
-                row[i + 1] -= m_sl / h_out
-                break
-        m0, near, far = cell_moments(edges[i + 2 : -1] - x, edges[i + 3 :] - x, w0)
-        row[i + 2 : n + 1] += near
-        row[i + 3 : n + 2] += far
-        row[i + 1] -= m0.sum()
-        if i >= 1:
-            m0, near, far = cell_moments(x - edges[1 : i + 1], x - edges[:i], w0)
-            row[0:i] += far
-            row[1 : i + 1] += near
-            row[i + 1] -= m0.sum()
-        row[1] += row[0]
-        row[n] += row[n + 1]
-        rows[i] = -row[1 : n + 1]
-    if n % 2:
-        rows[-1, h:] = rows[-1, : h - 1][::-1]
-    return rows
-
-
 GRADED201 = Grid1D.graded(201, 3.0, include=[2.0**-k for k in range(3, 15)] + [0.2, 0.35]).nodes
 EVEN6 = [0.1, 0.3, 0.45, 0.55, 0.7, 0.9]
 # the doubling grid: at the first node the edge distances on both sides of
@@ -527,36 +481,68 @@ EVEN6 = [0.1, 0.3, 0.45, 0.55, 0.7, 0.9]
 DOUBLING5 = [0.125, 0.25, 0.5, 0.75, 0.875]
 
 
-@pytest.mark.parametrize(
-    "nodes, alphas",
-    [
-        (GRADED201, (0.25, 0.5, 0.5 + 1e-13, 0.75)),
-        (EVEN6, (0.25, 0.5, 0.75)),
-        (DOUBLING5, (0.25, 0.5, 0.75)),
-    ],
-    ids=["graded201", "even6", "doubling5"],
-)
-def test_assembly_rows_bit_exact_against_per_cell_reference(nodes, alphas):
-    grid = Grid1D(nodes=np.array(nodes))
-    for alpha in alphas:
-        assert np.array_equal(assemble(grid, alpha).rows, _reference_rows(grid, alpha))
-
-
-@pytest.mark.parametrize(
+ALPHAS = (0.25, 0.5, 0.5 + 1e-13, 0.75)
+GRIDS = pytest.mark.parametrize(
     "nodes", [GRADED201, EVEN6, DOUBLING5], ids=["graded201", "even6", "doubling5"]
 )
-@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.5 + 1e-13, 0.75])
-def test_centre_out_assembly_is_the_reversed_fold(nodes, alpha):
-    """`assemble_centre_out` is `assemble`'s rows folded (each right-half
-    column added to its mirror, the midpoint column of odd n unpaired), the
-    tail added on the diagonal, and then both axes reversed, bit for bit."""
+
+
+def _folds(rows, tail):
+    """The fold and the anti-fold of the left-half rows (each right-half
+    column added to, or subtracted from, its mirror; the midpoint column of
+    odd n unpaired and dropped from the anti-fold), the tail added on both
+    diagonals, in centre-out order."""
+    h, n = rows.shape
+    mirror = rows[:, : h - 1 : -1]
+    folded = rows[:, :h].copy()
+    folded[:, : n - h] += mirror
+    folded[np.diag_indices(h)] += tail
+    anti = rows[: n - h, : n - h] - mirror[: n - h]
+    anti[np.diag_indices(n - h)] += tail[: n - h]
+    return folded[::-1, ::-1], anti[::-1, ::-1]
+
+
+@GRIDS
+def test_assembly_rows_bit_exact_against_per_cell_reference(nodes, reference_rows):
+    """`assemble`'s even and odd blocks are the fold and the anti-fold of
+    the per-cell reference rows, bit for bit."""
     grid = Grid1D(nodes=np.array(nodes))
+    for alpha in ALPHAS:
+        op = assemble(grid, alpha)
+        tail = tail_coefficient(grid.nodes[: grid.n_half], alpha)
+        even, odd = _folds(reference_rows(grid, alpha), tail)
+        assert np.array_equal(op.even, even)
+        assert np.array_equal(op.odd, odd)
+
+
+@GRIDS
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_centre_out_assembly_is_the_reversed_fold(nodes, alpha, reference_rows):
+    """`assemble_centre_out` is the reference rows folded (each right-half
+    column added to its mirror, the midpoint column of odd n unpaired), the
+    tail added on the diagonal, and then both axes reversed, bit for bit;
+    it is `OperatorMatrix.even`."""
+    grid = Grid1D(nodes=np.array(nodes))
+    tail = tail_coefficient(grid.nodes[: grid.n_half], alpha)
+    centre_out = assemble_centre_out(grid, alpha)
+    assert np.array_equal(centre_out, _folds(reference_rows(grid, alpha), tail)[0])
+    assert np.array_equal(centre_out, assemble(grid, alpha).even)
+
+
+@GRIDS
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_operator_is_centrosymmetric_with_dominant_blocks(nodes, alpha, reference_dense):
+    """J M J = M bit for bit (J the reversal), which is what lets the even
+    and odd blocks stand for M; both blocks are row-strictly dominant with
+    off-diagonals <= 0, so `lu_factor` factors them without pivoting."""
+    grid = Grid1D(nodes=np.array(nodes))
+    dense = reference_dense(grid, alpha)
+    assert np.array_equal(dense[::-1, ::-1], dense)
     op = assemble(grid, alpha)
-    n, h = grid.n_interior, grid.n_half
-    folded = op.rows[:, :h].copy()
-    folded[:, : n - h] += op.rows[:, : h - 1 : -1]
-    folded[np.diag_indices(h)] += op.tail[:h]
-    assert np.array_equal(assemble_centre_out(grid, alpha), folded[::-1, ::-1])
+    for block in (op.even, op.odd):
+        diag = np.diag(block)
+        assert np.all(diag > np.abs(block).sum(axis=1) - diag)
+        assert np.max(block - np.diag(diag)) <= 0.0
 
 
 def test_pow_antideriv_log_branch_is_the_series_at_zero():
@@ -587,7 +573,7 @@ def test_assembly_special_value_log_branch():
     grid = Grid1D.graded(101, 2.0)
     for alpha in (0.5, 0.5 + 1e-13):
         op = assemble(grid, alpha)
-        assert np.all(np.isfinite(op.rows))
+        assert np.all(np.isfinite(op.even)) and np.all(np.isfinite(op.odd))
 
 
 def test_smooth_bump_probe_accuracy():
@@ -634,6 +620,46 @@ def test_assembly_against_closed_form_torsion(alpha):
     assert errs[1] < errs[0] < 5e-2
     at_quarter = [defects(n)[1] for n in (251, 501, 1001)]
     orders = np.log2(np.divide(at_quarter[:-1], at_quarter[1:]))
+    assert np.all(np.abs(orders - (2.0 - 2.0 * alpha)) < 0.15), orders
+
+
+def _power_bump_operator(x, alpha, tau):
+    """The exact operator of (x(1-x))^tau, zero outside (0, 1), tau > -1, by
+    mpmath: K 2F1(1/2 + alpha, alpha - tau; 1/2; (2x - 1)^2) with
+    K = 4^(alpha - tau) Gamma(tau + 1) Gamma(1 - alpha) / (alpha Gamma(tau + 1 - alpha))
+    (the form of Dyda 2012, in this package's unnormalized convention)."""
+    k = (mpmath.mpf(4) ** (alpha - tau) * mpmath.gamma(tau + 1) * mpmath.gamma(1 - alpha)
+         / (alpha * mpmath.gamma(tau + 1 - alpha)))
+    return float(k * mpmath.hyp2f1(0.5 + alpha, alpha - tau, 0.5, (2 * mpmath.mpf(x) - 1) ** 2))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+@pytest.mark.parametrize("x", [0.2, 0.01])
+def test_power_bump_closed_form_is_torsion_and_tail(alpha, x):
+    """At tau = alpha the closed form is the constant operator value of the
+    torsion's power, -1 / (torsion / (x(1-x))^alpha); at tau = 0 it is the
+    operator of the indicator, `tail_coefficient`."""
+    at_alpha = _power_bump_operator(x, alpha, alpha) * float(torsion(alpha, x))
+    assert at_alpha / (x * (1.0 - x)) ** alpha == pytest.approx(-1.0, rel=1e-14)
+    assert _power_bump_operator(x, alpha, 0.0) == pytest.approx(
+        float(tail_coefficient(x, alpha)), rel=1e-14
+    )
+
+
+@pytest.mark.parametrize("alpha, tau", [(0.25, -0.3), (0.5, 0.5), (0.75, -0.2)])
+def test_assembly_consistency_order_on_power_bumps(alpha, tau):
+    """The discrete operator applied to (x(1-x))^tau against its closed
+    form, at the node nearest d = 1/4 of unsnapped graded grids: the defect
+    falls with order 2 - 2 alpha in n, singular (tau < 0) and smooth
+    (tau > 0) boundary behaviour alike."""
+    defects = []
+    for n in (251, 501, 1001):
+        grid = Grid1D.graded(n, 3.0)
+        d = grid.d
+        out = assemble(grid, alpha).apply(GridFunction(grid, (d * (1.0 - d)) ** tau)).values
+        i = int(np.argmin(np.abs(d - 0.25)))
+        defects.append(abs(out[i] - _power_bump_operator(grid.nodes[i], alpha, tau)))
+    orders = np.log2(np.divide(defects[:-1], defects[1:]))
     assert np.all(np.abs(orders - (2.0 - 2.0 * alpha)) < 0.15), orders
 
 

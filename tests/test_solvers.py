@@ -57,24 +57,43 @@ def test_solve_linear_maximum_principle(op301, grid301, rng):
         solve_linear(op301, -1.0, np.ones(grid301.n_interior))
 
 
-def test_solve_linear_factors_in_place():
-    """The full solve factors the shifted matrix in place: its peak
-    allocation stays near one n x n array, and it matches a plain dense
+def test_solve_linear_factors_in_place(reference_dense):
+    """The solve factors copies of the two half blocks in place: its peak
+    allocation stays below one n x n array, and it matches a plain dense
     solve."""
     import tracemalloc
 
     grid = Grid1D.graded(601, 3.0)
     op = assemble(grid, 0.5)
     rhs = np.ones(grid.n_interior)
-    ref = np.linalg.solve(op.shifted_dense(0.5), rhs)
+    ref = np.linalg.solve(reference_dense(grid, 0.5) + 0.5 * np.eye(grid.n_interior), rhs)
     tracemalloc.start()
     try:
         u = solve_linear(op, 0.5, rhs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * grid.n_interior**2  # measured 1.17 n^2 doubles
+    assert peak < 1.0 * 8 * grid.n_interior**2  # measured 0.73 n^2 doubles
     assert np.max(np.abs(u.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_solve_linear_nodal_shift_must_be_mirror_symmetric(
+    op301, grid301, reference_dense, rng
+):
+    """A mirror-symmetric nodal shift solves on the two half blocks to
+    within 1e-13 of a dense solve, for an asymmetric right-hand side; a
+    shift that differs from its mirror is refused, naming the first node
+    where it does."""
+    shift = grid301.mirror(rng.random(grid301.n_half))
+    rhs = rng.random(grid301.n_interior)
+    ref = np.linalg.solve(reference_dense(grid301, 0.5) + np.diag(shift), rhs)
+    u = solve_linear(op301, shift, rhs).values
+    assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
+    lopsided = shift.copy()
+    lopsided[-3] += 1e-9
+    refusal = r"mirror-symmetric shift: shift\[2\] at x = .* differs from shift\[298\]"
+    with pytest.raises(DomainError, match=refusal):
+        solve_linear(op301, lopsided, rhs)
 
 
 def test_semilinear_zero_fixed_point(op301, grid301):
@@ -85,9 +104,9 @@ def test_semilinear_zero_fixed_point(op301, grid301):
     assert trace.iterations == 1 and trace.sup_changes == [0.0]
 
 
-def _newton_reference(op, p, f_vals, u0, tol=1e-12):
-    """Damped Newton on the same discrete system; independent solve path."""
-    A = op.shifted_dense(0.0)
+def _newton_reference(A, p, f_vals, u0, tol=1e-12):
+    """Damped Newton on the same discrete system, A the dense matrix;
+    independent solve path."""
     u = u0.copy()
     for _ in range(100):
         r = A @ u + np.sign(u) * np.abs(u) ** p - f_vals
@@ -106,7 +125,7 @@ def _newton_reference(op, p, f_vals, u0, tol=1e-12):
     return u
 
 
-def test_semilinear_against_newton(op301, grid301):
+def test_semilinear_against_newton(op301, grid301, reference_dense):
     # bounded problem: p=2, f = 1, alpha = 0.5
     f_vals = np.ones(grid301.n_interior)
     source = SourceField(kind="tabulated", table_x=(0.25, 0.75), table_f=(1.0, 1.0))
@@ -116,7 +135,7 @@ def test_semilinear_against_newton(op301, grid301):
     u, trace = solve_semilinear(
         params, op301, sub, super_, IterationConfig(max_iters=2000, sup_tol=1e-12)
     )
-    ref = _newton_reference(op301, 2.0, f_vals, super_.values)
+    ref = _newton_reference(reference_dense(grid301, 0.5), 2.0, f_vals, super_.values)
     assert np.max(np.abs(u.values - ref)) < 1e-7
     # stopped on the sup-change test; a decreasing step would have raised
     assert trace.sup_changes[-1] < 1e-12 * (1.0 + np.max(np.abs(u.values)))
@@ -139,14 +158,14 @@ def test_semilinear_monotone_trace_and_residual(op301, grid301, rng):
     assert history[-1] < cfg.sup_tol * (1.0 + float(np.max(np.abs(u.values))))
 
 
-def test_semilinear_shift_too_small_raises(op301, grid301):
+def test_semilinear_shift_too_small_raises(op301, grid301, reference_dense):
     # a constant shift of 1e-4 is far below the Lipschitz bound of u^4 on the
     # sandwich range: the second sweep overshoots downward and is refused
     f_vals = SourceField(kind="tabulated", table_x=(0.2, 0.8), table_f=(5.0, 5.0)).value(
         grid301.nodes
     )
     super_ = solve_linear(op301, 0.0, f_vals).values
-    lu = lu_factor(op301.shifted_dense(1e-4))
+    lu = lu_factor(reference_dense(grid301, 0.5) + 1e-4 * np.eye(grid301.n_interior))
     with pytest.raises(ConvergenceError, match="test: .*decreasing step"):
         _monotone_iterate(
             lambda b: lu_solve(lu, b), 1e-4, f_vals,
@@ -179,10 +198,11 @@ def test_semilinear_factors_once_with_the_sandwich_shift(op301, grid301, monkeyp
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    n = grid301.n_interior
-    assert calls == [(n, n)]
-    # the LU overwrites the shifted matrix and the residual uses op.apply:
-    # one n x n array at a time (measured 1.32 n^2 doubles at n = 301)
+    n, h = grid301.n_interior, grid301.n_half
+    # each half block once
+    assert calls == [(h, h), (n - h, n - h)]
+    # the LUs overwrite copies of the shifted blocks, and the residual uses
+    # the blocks themselves (measured 1.06 n^2 doubles at n = 301)
     assert peak < 1.5 * 8 * n**2
     assert trace.shift_rebuilds == 0
     assert trace.sup_changes[-1] < 1e-11 * (1.0 + np.max(np.abs(u.values)))
@@ -199,7 +219,7 @@ def test_semilinear_refuses_a_false_super_solution(op301, grid301):
         solve_semilinear(params, op301, zero, zero, IterationConfig(max_iters=50))
 
 
-def test_blowup_small_interaction(monkeypatch):
+def test_blowup_small_interaction(monkeypatch, reference_dense):
     import fraclap.solvers as solvers
 
     calls = []
@@ -235,7 +255,7 @@ def test_blowup_small_interaction(monkeypatch):
     assert np.all(res.final.values <= u + 1e-9 * (1 + np.abs(u)))
 
     # each level solves its own system, rebuilt here in natural node order
-    A = assemble(grid, params.alpha).shifted_dense(0.0)
+    A = reference_dense(grid, params.alpha)
     f = params.source.value(grid.nodes)
     assert np.array_equal(res.final_free, grid.d > 1 / 32)
     for lev in res.levels:
@@ -299,14 +319,14 @@ def test_block_lu_solve_is_the_per_column_solve(rng):
 
 def test_block_lu_product_is_the_leading_block_product(rng):
     """`lu_product` multiplies each column by its own leading block of the
-    matrix before factoring, from the factors alone, and zero past it,
-    whatever the column holds there; without the Schur blocks it refuses."""
+    matrix before factoring, from the factors and the Schur blocks alone,
+    and zero past it, whatever the column holds there."""
     n = 3 * BLOCK_CAP + 17
     sizes = (5, BLOCK_CAP + 40, BLOCK_CAP + 41, 3 * BLOCK_CAP)
     a = -rng.random((n, n))
     np.fill_diagonal(a, 0.0)
     full = a + np.diag(-a.sum(axis=1) + 1.0 + rng.random(n))
-    lu = block_lu_factor(full.copy(), sizes, keep_schur=True)
+    lu = block_lu_factor(full.copy(), sizes)
     # 5 + BLOCK_CAP is an edge the cap makes, not a size
     cols = [BLOCK_CAP + 41, 5, n, 3 * BLOCK_CAP, 5 + BLOCK_CAP, 5]
     v = rng.random((n, len(cols)))
@@ -322,11 +342,9 @@ def test_block_lu_product_is_the_leading_block_product(rng):
     assert np.array_equal(block_lu_product(lu, garbled, cols), y)
     with pytest.raises(ValueError, match="not block edges"):
         block_lu_product(lu, v[:, :2], [6, n])
-    with pytest.raises(ValueError, match="keep_schur"):
-        block_lu_product(block_lu_factor(full.copy(), sizes), v, cols)
 
 
-def test_nested_column_is_raised_to_the_one_before(op301, grid301):
+def test_nested_column_is_raised_to_the_one_before(op301, grid301, reference_dense):
     """Two copies of one problem, the first started from (1 - 1e-6) u* (a
     sub-solution for f >= 0), the second from 0.  Nested, the second is
     raised to the first before the first sweep, follows it exactly and
@@ -339,8 +357,8 @@ def test_nested_column_is_raised_to_the_one_before(op301, grid301):
     cfg = IterationConfig(sup_tol=1e-11)
     u_star, _ = solve_semilinear(params, op301, zero, super_, cfg)
     shift = 1.1 * 3.0 * super_.values**2
-    lu = block_lu_factor(op301.shifted_dense(shift))
-    dense = op301.shifted_dense(0.0)
+    dense = reference_dense(grid301, 0.5)
+    lu = block_lu_factor(dense + np.diag(shift))
     u0 = np.column_stack([(1.0 - 1e-6) * u_star.values, np.zeros(grid301.n_interior)])
     f = source.value(grid301.nodes)
 
