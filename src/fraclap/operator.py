@@ -653,14 +653,15 @@ class OperatorMatrix:
 
 def split_map(v: np.ndarray, even_map, odd_map) -> np.ndarray:
     """even_map and odd_map applied to the even and odd parts of the nodal
-    array v, recombined: (v + J v) / 2 and (v - J v) / 2 enter as their
-    left-half values in centre-out order (lengths h and n - h), and the
-    results are read back the same way.  With the blocks of `OperatorMatrix`
-    this is M v; with solves of them, M^(-1) v."""
-    n, h = v.size, (v.size + 1) // 2
+    values v, one row per node (v is a nodal array or a block of columns),
+    recombined: (v + J v) / 2 and (v - J v) / 2 enter as their left-half
+    rows in centre-out order (h and n - h rows), and the results are read
+    back the same way.  With the blocks of `OperatorMatrix` this is M v;
+    with solves of them, M^(-1) v."""
+    n, h = len(v), (len(v) + 1) // 2
     ye = even_map((v[h - 1 :: -1] + v[n - h :]) / 2.0)
     # the odd part vanishes at the midpoint of odd n, the first centre-out row
-    yo = np.concatenate((np.zeros(2 * h - n), odd_map((v[n - h - 1 :: -1] - v[h:]) / 2.0)))
+    yo = np.concatenate((np.zeros_like(v[: 2 * h - n]), odd_map((v[n - h - 1 :: -1] - v[h:]) / 2.0)))
     return np.concatenate(((ye + yo)[::-1], (ye - yo)[2 * h - n :]))
 
 

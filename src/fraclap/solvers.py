@@ -192,23 +192,18 @@ def _column_edges(edges: tuple, k: int, m) -> tuple[tuple, np.ndarray]:
 
 
 def lu_solve(lu: tuple, b: np.ndarray, m=None) -> np.ndarray:
-    """Solve with the leading m x m block (default: all) of a `lu_factor`
-    matrix; m must be one of its block edges.  Block forward substitution
-    with L D, then back substitution with U, on views of the factors.  A
-    2-D b takes an edge per column, and is zero past it."""
+    """Solve with the leading blocks of a `lu_factor` matrix: column j of
+    b (n, k) with its leading m[j] x m[j] block (default: all), m[j] a block
+    edge.  Block forward substitution with L D to the largest m[j], then
+    back substitution with U, on views of the factors.  Column j is read
+    above m[j] only and is zero past it."""
     a, edges, _ = lu
-    if b.ndim == 1:
-        top = a.shape[0] if m is None else m
-        e = edges[: edges.index(top) + 1]
-        x = np.empty(top)
-    else:
-        e, sizes = _column_edges(edges, b.shape[1], m)
-        top = e[-1]
-        x = np.zeros(b.shape)
+    e, sizes = _column_edges(edges, b.shape[1], m)
+    top = e[-1]
+    x = np.zeros(b.shape)
     for k0, k1 in zip(e[:-1], e[1:]):
         x[k0:k1] = a[k0:k1, k0:k1] @ (b[k0:k1] - a[k0:k1, :k0] @ x[:k0])
-    if b.ndim == 2:
-        x[:top][np.arange(top)[:, None] >= sizes] = 0.0
+    x[:top][np.arange(top)[:, None] >= sizes] = 0.0
     for k0, k1 in zip(e[-2::-1], e[:0:-1]):
         x[k0:k1] -= a[k0:k1, k1:top] @ x[k1:top]
     return x
@@ -264,7 +259,7 @@ def solve_linear(op: OperatorMatrix, shift, rhs: np.ndarray) -> GridFunction:
     rhs_vals = np.asarray(rhs, dtype=float)
     if rhs_vals.shape != (op.grid.n_interior,):
         raise GridMismatchError("rhs length does not match the grid")
-    return GridFunction(op.grid, _split_solver(op, shift_vec)(rhs_vals))
+    return GridFunction(op.grid, _split_solver(op, shift_vec)(rhs_vals[:, None])[:, 0])
 
 
 def _sandwich_shift(p: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +297,7 @@ def _monotone_iterate(
 ):
     """Shifted fixed-point loop for A u + |u|^(p-1) u = f on the free nodes,
     the leading sizes[j] rows (default all) of each column j of u0 (h, k);
-    a 1-D u0 is one column and gives (u, trace).
+    returns the block u and one trace per column.
 
     rhs, shaped as u0, is the source less the load, the action of A on the
     imposed values, on the free rows; product(u) is A u there, load
@@ -317,12 +312,6 @@ def _monotone_iterate(
     naming the column's `where`; so does running out of sweeps, with the
     largest nodal shift on its free rows.
     """
-    if u0.ndim == 1:
-        u, (trace,) = _monotone_iterate(
-            lambda b: solve(b[:, 0])[:, None], shift, rhs[:, None],
-            lambda v: product(v[:, 0])[:, None], f, p, u0[:, None], cfg, cap, [where],
-        )
-        return u[:, 0], trace
     h, k = u0.shape
     sizes = np.full(k, h) if sizes is None else np.asarray(sizes)
     free = np.arange(h)[:, None] < sizes
@@ -434,11 +423,11 @@ def solve_semilinear(
     # mirror-symmetric, for the split; at least D, so still certified
     shift = np.maximum(shift, shift[::-1])
     f = params.source.value(op.grid.nodes)
-    u, trace = _monotone_iterate(
-        _split_solver(op, shift), shift, f, lambda u: split_map(u, op.even.dot, op.odd.dot),
-        f, params.p, sub.values, cfg, cap, "solve_semilinear",
+    u, (trace,) = _monotone_iterate(
+        _split_solver(op, shift), shift, f[:, None], lambda v: split_map(v, op.even.dot, op.odd.dot),
+        f, params.p, sub.values[:, None], cfg, cap, ["solve_semilinear"],
     )
-    return GridFunction(op.grid, u), trace
+    return GridFunction(op.grid, u[:, 0]), trace
 
 
 @dataclass

@@ -8,10 +8,12 @@ code with the package's Gamma/digamma closed form.  `reference_rows` builds
 the left-half operator rows per cell, independently of `assemble`'s
 one-pass rows, and `reference_dense` the full n x n matrix A + diag(tail)
 from them, the matrix the package holds only as its even and odd blocks.
+`power_bump_operator` is the exact operator of (x(1-x))^tau by mpmath.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -115,6 +117,16 @@ def _reference_rows(grid, alpha):
     return rows
 
 
+def _power_bump_operator(x, alpha, tau):
+    """The exact operator of (x(1-x))^tau, zero outside (0, 1), tau > -1, by
+    mpmath: K 2F1(1/2 + alpha, alpha - tau; 1/2; (2x - 1)^2) with
+    K = 4^(alpha - tau) Gamma(tau + 1) Gamma(1 - alpha) / (alpha Gamma(tau + 1 - alpha))
+    (the form of Dyda 2012, in this package's unnormalized convention)."""
+    k = (mpmath.mpf(4) ** (alpha - tau) * mpmath.gamma(tau + 1) * mpmath.gamma(1 - alpha)
+         / (alpha * mpmath.gamma(tau + 1 - alpha)))
+    return float(k * mpmath.hyp2f1(0.5 + alpha, alpha - tau, 0.5, (2 * mpmath.mpf(x) - 1) ** 2))
+
+
 def _reference_dense(grid, alpha):
     """The full matrix A + diag(tail): the reference rows, the right half
     their mirror image A[n-1-i, n-1-j] = A[i, j], and the tail on the
@@ -134,6 +146,11 @@ def reference_rows():
 @pytest.fixture(scope="session")
 def reference_dense():
     return _reference_dense
+
+
+@pytest.fixture(scope="session")
+def power_bump_operator():
+    return _power_bump_operator
 
 
 @pytest.fixture(scope="session")

@@ -7,11 +7,12 @@ by scanning the syntax tree of every module (the project runs no linter, so
 this test is the check).  Tests and scripts get the import check only: a pytest
 fixture can be a parameter that the test body never names.  Two checks import
 the package: every name in a module's __all__ must exist on that module, or
-`from module import *` fails, and every code name README.md cites in
-backticks must exist in some module (ROADMAP.md is left out: it names
-deleted code on purpose).  README.md and the docstrings and comments of
-src/fraclap carry no wall-time or memory figures: those depend on the
-machine and the day, and their history belongs in CHANGES.md."""
+`from module import *` fails, and every code name README.md or a docstring
+or comment of src/fraclap cites in backticks must exist in some module
+(ROADMAP.md is left out: it names deleted code on purpose).  README.md and
+the docstrings and comments of src/fraclap carry no wall-time or memory
+figures: those depend on the machine and the day, and their history belongs
+in CHANGES.md.  README.md has at most 300 lines."""
 
 import ast
 import importlib
@@ -256,10 +257,27 @@ def test_linalg_only_in_lu_factor(path):
     assert linalg_uses(tree) == allowed
 
 
-def test_readme_names_resolve():
+def _namespaces() -> list:
+    """The package and every module's globals, where a cited name resolves."""
     names = [f"fraclap.{p.stem}" for p in MODULES if p.stem != "__init__"]
-    namespaces = [{"fraclap": fraclap}] + [vars(importlib.import_module(n)) for n in names]
-    assert stale_names((ROOT / "README.md").read_text(), namespaces) == []
+    return [{"fraclap": fraclap}] + [vars(importlib.import_module(n)) for n in names]
+
+
+def test_readme_names_resolve():
+    assert stale_names((ROOT / "README.md").read_text(), _namespaces()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
+def test_docstring_names_resolve(path):
+    """The code names that the docstrings and comments of src/fraclap cite
+    in backticks exist, so deleting a name also updates its prose."""
+    assert stale_names(docs_and_comments(path.read_text()), _namespaces()) == []
+
+
+def test_readme_is_short():
+    """README.md states contracts; the history it used to carry is in
+    CHANGES.md."""
+    assert len((ROOT / "README.md").read_text().splitlines()) <= 300
 
 
 def test_no_timing_figures_in_docs():

@@ -623,31 +623,21 @@ def test_assembly_against_closed_form_torsion(alpha):
     assert np.all(np.abs(orders - (2.0 - 2.0 * alpha)) < 0.15), orders
 
 
-def _power_bump_operator(x, alpha, tau):
-    """The exact operator of (x(1-x))^tau, zero outside (0, 1), tau > -1, by
-    mpmath: K 2F1(1/2 + alpha, alpha - tau; 1/2; (2x - 1)^2) with
-    K = 4^(alpha - tau) Gamma(tau + 1) Gamma(1 - alpha) / (alpha Gamma(tau + 1 - alpha))
-    (the form of Dyda 2012, in this package's unnormalized convention)."""
-    k = (mpmath.mpf(4) ** (alpha - tau) * mpmath.gamma(tau + 1) * mpmath.gamma(1 - alpha)
-         / (alpha * mpmath.gamma(tau + 1 - alpha)))
-    return float(k * mpmath.hyp2f1(0.5 + alpha, alpha - tau, 0.5, (2 * mpmath.mpf(x) - 1) ** 2))
-
-
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
 @pytest.mark.parametrize("x", [0.2, 0.01])
-def test_power_bump_closed_form_is_torsion_and_tail(alpha, x):
+def test_power_bump_closed_form_is_torsion_and_tail(alpha, x, power_bump_operator):
     """At tau = alpha the closed form is the constant operator value of the
     torsion's power, -1 / (torsion / (x(1-x))^alpha); at tau = 0 it is the
     operator of the indicator, `tail_coefficient`."""
-    at_alpha = _power_bump_operator(x, alpha, alpha) * float(torsion(alpha, x))
+    at_alpha = power_bump_operator(x, alpha, alpha) * float(torsion(alpha, x))
     assert at_alpha / (x * (1.0 - x)) ** alpha == pytest.approx(-1.0, rel=1e-14)
-    assert _power_bump_operator(x, alpha, 0.0) == pytest.approx(
+    assert power_bump_operator(x, alpha, 0.0) == pytest.approx(
         float(tail_coefficient(x, alpha)), rel=1e-14
     )
 
 
 @pytest.mark.parametrize("alpha, tau", [(0.25, -0.3), (0.5, 0.5), (0.75, -0.2)])
-def test_assembly_consistency_order_on_power_bumps(alpha, tau):
+def test_assembly_consistency_order_on_power_bumps(alpha, tau, power_bump_operator):
     """The discrete operator applied to (x(1-x))^tau against its closed
     form, at the node nearest d = 1/4 of unsnapped graded grids: the defect
     falls with order 2 - 2 alpha in n, singular (tau < 0) and smooth
@@ -658,7 +648,7 @@ def test_assembly_consistency_order_on_power_bumps(alpha, tau):
         d = grid.d
         out = assemble(grid, alpha).apply(GridFunction(grid, (d * (1.0 - d)) ** tau)).values
         i = int(np.argmin(np.abs(d - 0.25)))
-        defects.append(abs(out[i] - _power_bump_operator(grid.nodes[i], alpha, tau)))
+        defects.append(abs(out[i] - power_bump_operator(grid.nodes[i], alpha, tau)))
     orders = np.log2(np.divide(defects[:-1], defects[1:]))
     assert np.all(np.abs(orders - (2.0 - 2.0 * alpha)) < 0.15), orders
 

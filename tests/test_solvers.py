@@ -9,11 +9,12 @@ from fraclap.errors import ConvergenceError, DomainError
 from fraclap.exponents import ProblemParams, classify_regime
 from fraclap.fields import ExteriorData, SourceField
 from fraclap.grid import Grid1D, GridFunction
-from fraclap.operator import assemble, exterior_potential
+from fraclap.operator import assemble, assemble_centre_out, exterior_potential, split_map
 from fraclap.solvers import (
     BLOCK_CAP,
     IterationConfig,
     _monotone_iterate,
+    _split_solver,
     lu_factor as block_lu_factor,
     lu_product as block_lu_product,
     lu_solve as block_lu_solve,
@@ -96,6 +97,39 @@ def test_solve_linear_nodal_shift_must_be_mirror_symmetric(
         solve_linear(op301, lopsided, rhs)
 
 
+@pytest.mark.parametrize("nodes", [None, [0.1, 0.3, 0.45, 0.55, 0.7, 0.9]], ids=["odd", "even"])
+def test_split_map_maps_a_block_column_by_column(nodes, reference_dense):
+    """`split_map` of an (n, k) block is its k one-column maps, at even and
+    odd n: bit for bit with maps that act column by column, and up to
+    rounding through the blocks' products and `_split_solver`'s solves (a
+    k-column BLAS product rounds differently from k one-column ones).  A
+    one-column block maps bit for bit as its nodal array, which is what
+    `OperatorMatrix.apply` maps."""
+    grid = Grid1D.graded(201, 3.0) if nodes is None else Grid1D(nodes=np.array(nodes))
+    op = assemble(grid, 0.5)
+    n, k = grid.n_interior, 4
+    local = np.random.default_rng(7)
+    v = local.standard_normal((n, k)) + np.linspace(0.0, 3.0, n)[:, None]
+    shift = grid.mirror(local.random(grid.n_half))
+
+    def by_columns(block):
+        return lambda e: np.column_stack([block @ c for c in e.T])
+
+    exact = split_map(v, by_columns(op.even), by_columns(op.odd))
+    product = split_map(v, op.even.dot, op.odd.dot)
+    solve = _split_solver(op, shift)
+    solved = solve(v)
+    scale = np.abs(reference_dense(grid, 0.5)) @ np.abs(v)
+    for j in range(k):
+        one = v[:, [j]]
+        assert np.array_equal(exact[:, [j]], split_map(one, by_columns(op.even), by_columns(op.odd)))
+        single = split_map(one, op.even.dot, op.odd.dot)
+        assert np.array_equal(single[:, 0], op.apply(GridFunction(grid, v[:, j])).values)
+        assert np.max(np.abs(product[:, [j]] - single) / scale[:, [j]]) <= 1e-14
+        ref = solve(one)
+        assert np.max(np.abs(solved[:, [j]] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_semilinear_zero_fixed_point(op301, grid301):
     params = ProblemParams(0.5, 2.0)
     zero = GridFunction.zeros(grid301)
@@ -123,6 +157,38 @@ def _newton_reference(A, p, f_vals, u0, tol=1e-12):
         if np.max(np.abs(step)) < tol:
             break
     return u
+
+
+@pytest.mark.parametrize(
+    "p, tau, shell",
+    [(2.5, -2.0 / 3.0, 1024), (4.0, -0.45, None), (4.0, -0.3, 1024)],
+    ids=["interaction", "strong-full-depth", "p4-tau-0.3"],
+)
+def test_manufactured_level_within_its_certified_bound(p, tau, shell, power_bump_operator):
+    """A level with a known solution: u* = (x(1-x))^tau solves
+    L u + u^p = f* for f* = L u* + u*^p, L u* in closed form.  The folded
+    level system with u* imposed outside the shell (every row free at full
+    depth), solved by Newton, is an M-matrix system, so on its free rows
+    |u - u*| <= (A_ff + diag(p min(u, u*)^(p-1)))^(-1) |A u* - L u*|.  The
+    bound holds at every free node of an unsnapped graded grid, alpha = 0.5,
+    and is sharp at d = 1/64."""
+    alpha = 0.5
+    grid = Grid1D.graded(501, 3.0)
+    x = grid.nodes[: grid.n_half][::-1]  # centre-out: d = x decreases
+    A = assemble_centre_out(grid, alpha)
+    exact = (x * (1.0 - x)) ** tau
+    op_exact = np.array([power_bump_operator(xi, alpha, tau) for xi in x])
+    m = x.size if shell is None else int(np.count_nonzero(x > 1.0 / shell))
+    free = A[:m, :m]
+    f = op_exact[:m] + exact[:m] ** p - A[:m, m:] @ exact[m:]
+    u = _newton_reference(free, p, f, exact[:m])
+    defect = np.abs(A[:m] @ exact - op_exact[:m])
+    bound = np.linalg.solve(free + np.diag(p * np.minimum(u, exact[:m]) ** (p - 1.0)), defect)
+    err = np.abs(u - exact[:m])
+    assert np.all(err <= (1.0 + 1e-9) * bound)
+    assert np.max(err / exact[:m]) < 1e-2  # measured 5.7e-3 at worst
+    i = int(np.argmin(np.abs(x[:m] - 1.0 / 64)))
+    assert err[i] >= 0.85 * bound[i]
 
 
 def test_semilinear_against_newton(op301, grid301, reference_dense):
@@ -168,9 +234,9 @@ def test_semilinear_shift_too_small_raises(op301, grid301, reference_dense):
     lu = lu_factor(reference_dense(grid301, 0.5) + 1e-4 * np.eye(grid301.n_interior))
     with pytest.raises(ConvergenceError, match="test: .*decreasing step"):
         _monotone_iterate(
-            lambda b: lu_solve(lu, b), 1e-4, f_vals,
-            lambda u: op301.apply(GridFunction(grid301, u)).values, f_vals, 4.0,
-            np.zeros_like(f_vals), IterationConfig(max_iters=50), np.abs(super_), "test",
+            lambda b: lu_solve(lu, b), 1e-4, f_vals[:, None],
+            lambda v: op301.apply(GridFunction(grid301, v[:, 0])).values[:, None], f_vals, 4.0,
+            np.zeros((f_vals.size, 1)), IterationConfig(max_iters=50), np.abs(super_), ["test"],
         )
 
 
@@ -284,7 +350,7 @@ def test_factor_nested_leading_blocks_and_pivot_guard(rng):
     assert max(np.diff(lu[1])) <= BLOCK_CAP
     for m in sizes + (n,):
         b = rng.random(m)
-        x = block_lu_solve(lu, b, m)
+        x = block_lu_solve(lu, b[:, None], [m])[:, 0]
         ref = np.linalg.solve(full[:m, :m], b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
     # not diagonally dominant: no factorization without pivoting is certified
@@ -293,9 +359,9 @@ def test_factor_nested_leading_blocks_and_pivot_guard(rng):
 
 
 def test_block_lu_solve_is_the_per_column_solve(rng):
-    """A 2-D right-hand side solves each column with its own leading block:
-    the 1-D solve of that column, zero at and past its size, whatever the
-    column holds there."""
+    """A block right-hand side solves each column with its own leading
+    block: the one-column solve of that column, zero at and past its size,
+    whatever the column holds there."""
     n = 3 * BLOCK_CAP + 17
     sizes = (5, BLOCK_CAP + 40, BLOCK_CAP + 41, 3 * BLOCK_CAP)
     a = -rng.random((n, n))
@@ -306,7 +372,7 @@ def test_block_lu_solve_is_the_per_column_solve(rng):
     x = block_lu_solve(lu, b, cols)
     assert x.shape == b.shape
     for j, m in enumerate(cols):
-        ref = block_lu_solve(lu, b[:m, j].copy(), m)
+        ref = block_lu_solve(lu, b[:, [j]], [m])[:m, 0]
         assert np.max(np.abs(x[:m, j] - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert not x[m:, j].any()
     garbled = b.copy()
